@@ -1,6 +1,6 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! Usage: `repro [quick|full] [--serial] [table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|chains|interleave|mshr|sched|optgap|smt|profile|batch|trace|all]`
+//! Usage: `repro [quick|full] [--serial] [table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|chains|interleave|mshr|sched|optgap|profile|batch|trace|all]`
 //!
 //! Results print to stdout and are also written as CSV under `results/`.
 //! Every run additionally emits `BENCH_repro.json` — a machine-readable
@@ -14,8 +14,8 @@ use std::time::Instant;
 
 use vliw_experiments::{
     batch, chains_exp, example433, faults, fig4, fig5, fig6, fig7, fig8, hints_exp,
-    interleave_study, optgap, profile_fidelity, report, smt, tables, trace_exp, ExperimentContext,
-    RunConfig, RunGrid, ScheduleMemo, UnrollMode,
+    interleave_study, optgap, profile_fidelity, report, tables, trace_exp, ExperimentContext,
+    RunConfig, RunGrid, SchedCache, UnrollMode,
 };
 use vliw_sched::{ClusterPolicy, SchedBackend, SchedStats};
 
@@ -70,7 +70,7 @@ fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
 
     // memo probe: two configs differing only in a non-preparation axis
     // share every preparation, so the second sweep is all memo hits
-    let memo = ScheduleMemo::new();
+    let memo = SchedCache::new();
     let base = RunConfig {
         unroll: UnrollMode::NoUnroll,
         ..RunConfig::ipbc()
@@ -192,7 +192,7 @@ fn main() {
     if targets.is_empty() {
         targets.push("all");
     }
-    const KNOWN: [&str; 20] = [
+    const KNOWN: [&str; 19] = [
         "all",
         "batch",
         "faults",
@@ -211,7 +211,6 @@ fn main() {
         "mshr",
         "sched",
         "optgap",
-        "smt",
         "profile",
     ];
     if let Some(bad) = targets.iter().find(|t| !KNOWN.contains(t)) {
@@ -452,34 +451,6 @@ fn main() {
         m.push(("grid_proven/bnb".into(), q[1][1] as f64));
         m.push(("grid_cutoff/bnb".into(), q[1][2] as f64));
         record("optgap", t0, m);
-    }
-    if want("smt") {
-        // SMT-LIB export: the factor-1 scheduling problems restated as
-        // QF_LIA scripts at their MIIs, one file per kernel, for external
-        // solvers to referee independently of the in-tree exact backend
-        let t0 = Instant::now();
-        let dir = Path::new("results").join("smt");
-        match smt::export_suite(&ctx, &dir) {
-            Ok(e) => {
-                println!(
-                    "smt: {} kernels -> {} files ({} bytes) under {}\n",
-                    e.n_kernels,
-                    e.files.len(),
-                    e.bytes,
-                    dir.display()
-                );
-                record(
-                    "smt",
-                    t0,
-                    vec![
-                        ("kernels".into(), e.n_kernels as f64),
-                        ("files".into(), e.files.len() as f64),
-                        ("bytes".into(), e.bytes as f64),
-                    ],
-                );
-            }
-            Err(e) => eprintln!("warning: smt export failed: {e}"),
-        }
     }
     if want("profile") {
         // the measured-profile subsystem end to end: collect profiles

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use vliw_experiments::ExperimentContext;
 use vliw_ir::LoopKernel;
 use vliw_machine::MachineConfig;
-use vliw_sched::{schedule_kernel_with_stats, ClusterPolicy, SchedStats, ScheduleOptions};
+use vliw_sched::{schedule_outcome, ClusterPolicy, SchedStats, ScheduleOptions};
 use vliw_workloads::{profile_kernel, ArrayLayout};
 
 /// A deliberately small context for the benches: two benchmarks, short
@@ -93,14 +93,14 @@ pub fn sched_pass(
     let mut stats = SchedStats::default();
     let t = Instant::now();
     for k in kernels {
-        let (s, st) = schedule_kernel_with_stats(
+        let o = schedule_outcome(
             std::hint::black_box(k),
             std::hint::black_box(machine),
             ScheduleOptions::new(policy),
         )
         .expect("workload kernels are pre-filtered to schedule");
-        std::hint::black_box(&s);
-        stats.merge(&st);
+        std::hint::black_box(&o.schedule);
+        stats.merge(&o.stats);
     }
     (stats, t.elapsed())
 }

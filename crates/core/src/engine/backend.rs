@@ -37,23 +37,11 @@ pub trait SchedulerBackend: std::fmt::Debug + Sync {
     /// Short backend name (reports, memo diagnostics, bench labels).
     fn name(&self) -> &'static str;
 
-    /// Schedules `kernel` for `machine`, discarding counters and quality.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SchedulerBackend::schedule_with_stats`].
-    fn schedule(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-    ) -> Result<Schedule, ScheduleError> {
-        self.schedule_with_stats(kernel, machine, options)
-            .map(|o| o.schedule)
-    }
-
     /// Schedules `kernel` for `machine`, returning the schedule together
-    /// with the work counters and the backend's quality claim.
+    /// with the work counters and the backend's quality claim. Per-stage
+    /// spans and telemetry go to `trace`; with [`Trace::off`] the result
+    /// must be identical to a traced call's (the
+    /// `tests/trace_overhead.rs` digest test pins this).
     ///
     /// # Errors
     ///
@@ -61,34 +49,13 @@ pub trait SchedulerBackend: std::fmt::Debug + Sync {
     /// [`ScheduleError::NoSchedule`] when the search space is exhausted up
     /// to the II limit; [`ScheduleError::SearchCutoff`] when an exact
     /// backend ran out of node budget before finding any schedule.
-    fn schedule_with_stats(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-    ) -> Result<ScheduleOutcome, ScheduleError>;
-
-    /// [`SchedulerBackend::schedule_with_stats`] with a [`Trace`] handle:
-    /// backends that support per-stage attribution (both pipeliners do)
-    /// emit their spans and telemetry to it. The default implementation
-    /// ignores the handle and delegates, so third-party backends stay
-    /// source-compatible; with [`Trace::off`] overriding backends must be
-    /// behaviorally identical to `schedule_with_stats` (the
-    /// `tests/trace_overhead.rs` digest test pins this).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SchedulerBackend::schedule_with_stats`].
-    fn schedule_traced(
+    fn schedule(
         &self,
         kernel: &LoopKernel,
         machine: &MachineConfig,
         options: &ScheduleOptions,
         trace: Trace<'_>,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        let _ = trace;
-        self.schedule_with_stats(kernel, machine, options)
-    }
+    ) -> Result<ScheduleOutcome, ScheduleError>;
 }
 
 /// What a backend's result claims about schedule quality.
@@ -242,30 +209,25 @@ impl SchedulerBackend for SwingModulo {
         "swing"
     }
 
-    fn schedule_with_stats(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        self.schedule_traced(kernel, machine, options, Trace::off())
-    }
-
-    fn schedule_traced(
+    fn schedule(
         &self,
         kernel: &LoopKernel,
         machine: &MachineConfig,
         options: &ScheduleOptions,
         trace: Trace<'_>,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        super::swing_schedule_traced(kernel, machine, options, trace).map(|(schedule, stats)| {
-            ScheduleOutcome {
+        if kernel.ops.is_empty() {
+            return Err(ScheduleError::EmptyKernel);
+        }
+        let (ddg, prep) = super::prepare(kernel, machine, options, trace);
+        super::swing_with_prep(kernel, machine, options.policy, &ddg, prep, trace).map(
+            |(schedule, stats)| ScheduleOutcome {
                 schedule,
                 stats,
                 quality: SchedQuality::Heuristic,
                 max_live: None,
-            }
-        })
+            },
+        )
     }
 }
 
@@ -289,7 +251,10 @@ mod tests {
         let m = MachineConfig::word_interleaved_4();
         let opts = ScheduleOptions::new(ClusterPolicy::PreBuildChains);
         let direct = crate::engine::schedule_kernel(&k, &m, opts).unwrap();
-        let via_trait = SwingModulo.schedule(&k, &m, &opts).unwrap();
+        let via_trait = SwingModulo
+            .schedule(&k, &m, &opts, Trace::off())
+            .unwrap()
+            .schedule;
         assert_eq!(direct, via_trait);
     }
 

@@ -91,7 +91,7 @@ use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
 use super::backend::{SchedQuality, ScheduleOutcome, SchedulerBackend};
-use super::{prepare_traced, swing_with_prep, Prep, SchedStats, ScheduleOptions};
+use super::{prepare, swing_with_prep, Prep, SchedStats, ScheduleOptions};
 use crate::mrt::Mrt;
 use crate::schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 
@@ -154,16 +154,7 @@ impl SchedulerBackend for ExactBnB {
         "bnb"
     }
 
-    fn schedule_with_stats(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        self.schedule_traced(kernel, machine, options, Trace::off())
-    }
-
-    fn schedule_traced(
+    fn schedule(
         &self,
         kernel: &LoopKernel,
         machine: &MachineConfig,
@@ -179,19 +170,20 @@ impl SchedulerBackend for ExactBnB {
             None
         };
         let mut stats = SchedStats::default();
-        let (ddg, prep) = prepare_traced(kernel, machine, options, trace);
+        let (ddg, prep) = prepare(kernel, machine, options, trace);
 
         // Incumbent: the heuristic result bounds the II search from above
         // (standard warm-started B&B), run off the same preparation so
         // the front-end executes once per call. Its work counters fold
         // into ours.
-        let incumbent = match swing_with_prep(kernel, machine, options, &ddg, prep.clone(), trace) {
-            Ok((s, st)) => {
-                stats.merge(&st);
-                Some(s)
-            }
-            Err(_) => None,
-        };
+        let incumbent =
+            match swing_with_prep(kernel, machine, options.policy, &ddg, prep.clone(), trace) {
+                Ok((s, st)) => {
+                    stats.merge(&st);
+                    Some(s)
+                }
+                Err(_) => None,
+            };
         let upper = incumbent.as_ref().map_or(prep.max_ii + 1, |s| s.ii);
         if trace.on() {
             if let Some(s) = &incumbent {

@@ -33,7 +33,7 @@ use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
 use super::backend::{SchedQuality, ScheduleOutcome, SchedulerBackend};
-use super::{prepare_traced, swing_with_prep, ScheduleOptions};
+use super::{prepare, swing_with_prep, ScheduleOptions};
 use crate::schedule::ScheduleError;
 
 /// The delay-tracking pipeliner (see the module docs).
@@ -45,16 +45,7 @@ impl SchedulerBackend for DelayTracking {
         "delay"
     }
 
-    fn schedule_with_stats(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        self.schedule_traced(kernel, machine, options, Trace::off())
-    }
-
-    fn schedule_traced(
+    fn schedule(
         &self,
         kernel: &LoopKernel,
         machine: &MachineConfig,
@@ -71,8 +62,8 @@ impl SchedulerBackend for DelayTracking {
             backend: super::SchedBackend::DelayTracking,
             ..*options
         };
-        let (ddg, prep) = prepare_traced(kernel, machine, &opts, trace);
-        swing_with_prep(kernel, machine, &opts, &ddg, prep, trace).map(|(schedule, stats)| {
+        let (ddg, prep) = prepare(kernel, machine, &opts, trace);
+        swing_with_prep(kernel, machine, opts.policy, &ddg, prep, trace).map(|(schedule, stats)| {
             ScheduleOutcome {
                 schedule,
                 stats,

@@ -14,15 +14,11 @@
 //! engine is built for zero steady-state allocation: every trial
 //! reservation goes through the [`Mrt`] transaction journal (no table
 //! clones), candidate cycles come from the table's word-parallel free-mask
-//! walk ([`ReservationTable::next_free_fu_cycle`] — occupied stretches are
-//! skipped a `u64` word at a time and never counted as trial work), and
-//! all per-attempt / per-op vectors live in one private `Scratch`
-//! workspace that is cleared — never reallocated — across attempts. A
-//! clone-based reference trial path is retained behind
-//! [`TrialMode::CloneBased`], and the whole placement loop is generic over
-//! [`ReservationTable`] so the legacy scalar-probe table
-//! ([`crate::mrt::ScalarMrt`], selected by [`MrtImpl::ScalarReference`])
-//! can drive the identical code path in equivalence tests.
+//! walk ([`Mrt::next_free_fu_cycle`] — occupied stretches are skipped a
+//! `u64` word at a time and never counted as trial work), and all
+//! per-attempt / per-op vectors live in one private `Scratch` workspace
+//! that is cleared — never reallocated — across attempts. The placement
+//! loop's output is pinned by golden digests (`tests/schedule_golden.rs`).
 
 pub mod backend;
 pub mod base;
@@ -43,7 +39,7 @@ use crate::chains::MemChains;
 use crate::circuits::{elementary_circuits, EnumLimits};
 use crate::latency::LatencyAssignment;
 use crate::mii;
-use crate::mrt::{Mrt, MrtImpl, ReservationTable, ScalarMrt};
+use crate::mrt::Mrt;
 use crate::order::sms_order;
 use crate::schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 
@@ -94,22 +90,6 @@ impl ClusterPolicy {
     ];
 }
 
-/// How trial reservations are isolated while a candidate slot is probed.
-///
-/// Both modes make identical placement decisions; they differ only in how
-/// a failed probe's reservations are discarded. The clone-based mode is
-/// retained as the reference implementation the equivalence tests compare
-/// the journal against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrialMode {
-    /// Journal reservations in the [`Mrt`] and unwind on failure
-    /// (the default: O(reservations) per failed probe, no allocation).
-    Journaled,
-    /// Snapshot the whole table before the probe and restore it on failure
-    /// (O(table) per probe — the pre-journal behavior).
-    CloneBased,
-}
-
 /// Counters describing how much work one [`schedule_kernel`] call did —
 /// the scheduler's throughput denominators (see the `sched` bench and the
 /// `repro … sched` target).
@@ -158,10 +138,6 @@ pub struct ScheduleOptions {
     pub max_ii: Option<u32>,
     /// Circuit-enumeration safety caps.
     pub enum_limits: EnumLimits,
-    /// Trial-reservation isolation (default [`TrialMode::Journaled`];
-    /// [`TrialMode::CloneBased`] is the reference path for equivalence
-    /// testing).
-    pub trial: TrialMode,
     /// Which [`SchedulerBackend`] runs the kernel → [`Schedule`]
     /// transformation (default [`SchedBackend::SwingModulo`], the paper's
     /// pipeline).
@@ -197,10 +173,6 @@ pub struct ScheduleOptions {
     /// higher = more conservative, fewer broken promises, larger II).
     /// Ignored by the other backends.
     pub delay_percentile: Option<f64>,
-    /// Which reservation-table implementation backs the placement loop
-    /// (default [`MrtImpl::Masked`]; [`MrtImpl::ScalarReference`] is the
-    /// legacy scalar-probe table retained for equivalence testing).
-    pub mrt_impl: MrtImpl,
 }
 
 impl ScheduleOptions {
@@ -210,14 +182,12 @@ impl ScheduleOptions {
             policy,
             max_ii: None,
             enum_limits: EnumLimits::default(),
-            trial: TrialMode::Journaled,
             backend: SchedBackend::SwingModulo,
             node_budget: DEFAULT_NODE_BUDGET,
             adaptive_budget: true,
             cost_ceiling: None,
             fallback: FallbackPolicy::Heuristic,
             delay_percentile: None,
-            mrt_impl: MrtImpl::default(),
         }
     }
 
@@ -255,26 +225,13 @@ pub fn schedule_kernel(
     machine: &MachineConfig,
     options: ScheduleOptions,
 ) -> Result<Schedule, ScheduleError> {
-    schedule_kernel_with_stats(kernel, machine, options).map(|(s, _)| s)
-}
-
-/// [`schedule_kernel`] returning the work counters alongside the schedule.
-///
-/// # Errors
-///
-/// Same as [`schedule_kernel`].
-pub fn schedule_kernel_with_stats(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: ScheduleOptions,
-) -> Result<(Schedule, SchedStats), ScheduleError> {
-    schedule_outcome(kernel, machine, options).map(|o| (o.schedule, o.stats))
+    schedule_outcome(kernel, machine, options).map(|o| o.schedule)
 }
 
 /// [`schedule_kernel`] returning the full [`ScheduleOutcome`] — schedule,
 /// work counters and the backend's quality claim (heuristic / proven
 /// optimal / cutoff). This is the entry point callers use when the
-/// distinction matters; the tuple-returning wrappers discard the claim.
+/// distinction matters; [`schedule_kernel`] discards all but the schedule.
 ///
 /// # Errors
 ///
@@ -309,16 +266,17 @@ pub fn schedule_outcome_traced(
     options
         .backend
         .backend()
-        .schedule_traced(kernel, machine, &options, trace)
+        .schedule(kernel, machine, &options, trace)
 }
 
 /// The front-end's output as a self-contained public snapshot: what an
 /// *external* solver needs to restate the placement problem — MII
 /// bounds, the policy's cluster pins, and the latency assignment (whose
 /// [`LatencyAssignment::edge_latency`](crate::latency::LatencyAssignment)
-/// prices every dependence edge). Consumed by the experiments crate's
-/// SMT-LIB exporter, which serializes the problem for off-the-shelf
-/// SMT solvers as an independent yardstick beside [`ExactBnB`].
+/// prices every dependence edge). Code outside the crate that restates
+/// or audits the placement problem — a solver, a stage-by-stage replica
+/// of the front-end — reads it from here instead of re-running the
+/// stages.
 #[derive(Debug, Clone)]
 pub struct ScheduleProblem {
     /// Resource-constrained MII component.
@@ -345,7 +303,7 @@ pub fn schedule_problem(
     machine: &MachineConfig,
     options: &ScheduleOptions,
 ) -> ScheduleProblem {
-    let (_, prep) = prepare(kernel, machine, options);
+    let (_, prep) = prepare(kernel, machine, options, Trace::off());
     ScheduleProblem {
         res_mii: prep.res,
         rec_mii: prep.rec,
@@ -385,20 +343,12 @@ pub(crate) struct Prep {
 }
 
 /// Runs the front-end for `kernel`. The returned [`Ddg`] borrows the
-/// kernel's edge list.
+/// kernel's edge list. Each stage runs under a span — `prepare.ddg`,
+/// `prepare.circuits`, `prepare.chains`, `prepare.pins`,
+/// `prepare.latency`, `prepare.mii` (whose close carries the resolved
+/// bounds) and `prepare.order`; with [`Trace::off`] each span is two
+/// skipped branches.
 pub(crate) fn prepare<'k>(
-    kernel: &'k LoopKernel,
-    machine: &MachineConfig,
-    options: &ScheduleOptions,
-) -> (Ddg<'k>, Prep) {
-    prepare_traced(kernel, machine, options, Trace::off())
-}
-
-/// [`prepare`] with per-stage spans: `prepare.ddg`, `prepare.circuits`,
-/// `prepare.chains`, `prepare.pins`, `prepare.latency`, `prepare.mii`
-/// (whose close carries the resolved bounds) and `prepare.order`. With
-/// [`Trace::off`] each span is two skipped branches.
-pub(crate) fn prepare_traced<'k>(
     kernel: &'k LoopKernel,
     machine: &MachineConfig,
     options: &ScheduleOptions,
@@ -482,52 +432,19 @@ pub(crate) fn prepare_traced<'k>(
     )
 }
 
-/// The Swing-Modulo-Scheduling pipeline body behind the [`SwingModulo`]
-/// backend: front-end, then one no-backtracking placement pass per II,
-/// with up to six hoist-and-retry reorderings per II.
+/// The Swing-Modulo-Scheduling placement behind every swing-based backend:
+/// over an already-computed front-end, one no-backtracking placement pass
+/// per II, with up to six hoist-and-retry reorderings per II. The exact
+/// backend runs its incumbent through here off its own preparation, so
+/// the front-end runs once per call, not once per backend.
 ///
 /// # Errors
 ///
-/// Same as [`schedule_kernel`].
-pub(crate) fn swing_schedule_traced(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: &ScheduleOptions,
-    trace: Trace<'_>,
-) -> Result<(Schedule, SchedStats), ScheduleError> {
-    if kernel.ops.is_empty() {
-        return Err(ScheduleError::EmptyKernel);
-    }
-    let (ddg, prep) = prepare_traced(kernel, machine, options, trace);
-    swing_with_prep(kernel, machine, options, &ddg, prep, trace)
-}
-
-/// [`swing_schedule_with_stats`] over an already-computed front-end —
-/// the entry the exact backend uses for its incumbent, so preparation
-/// runs once per call, not once per backend.
+/// [`ScheduleError::NoSchedule`] if no II up to the limit fits.
 pub(crate) fn swing_with_prep(
     kernel: &LoopKernel,
     machine: &MachineConfig,
-    options: &ScheduleOptions,
-    ddg: &Ddg<'_>,
-    prep: Prep,
-    trace: Trace<'_>,
-) -> Result<(Schedule, SchedStats), ScheduleError> {
-    // one placement loop, two occupancy representations: the table type is
-    // the only thing the dispatch changes, so the scalar reference drives
-    // byte-for-byte the same decision code as the masked production table
-    match options.mrt_impl {
-        MrtImpl::Masked => swing_with_prep_impl::<Mrt>(kernel, machine, options, ddg, prep, trace),
-        MrtImpl::ScalarReference => {
-            swing_with_prep_impl::<ScalarMrt>(kernel, machine, options, ddg, prep, trace)
-        }
-    }
-}
-
-fn swing_with_prep_impl<T: ReservationTable>(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: &ScheduleOptions,
+    policy: ClusterPolicy,
     ddg: &Ddg<'_>,
     prep: Prep,
     trace: Trace<'_>,
@@ -543,7 +460,7 @@ fn swing_with_prep_impl<T: ReservationTable>(
         max_ii,
         order,
     } = prep;
-    let assigner = options.policy.assigner();
+    let assigner = policy.assigner();
 
     // Span granularity stops here: probes wrap whole placement attempts,
     // never the inside of `TryState::run`, so the zero-allocation hot loop
@@ -557,7 +474,7 @@ fn swing_with_prep_impl<T: ReservationTable>(
         None
     };
 
-    let mut scratch = Scratch::<T>::new(kernel.ops.len(), machine);
+    let mut scratch = Scratch::new(kernel.ops.len(), machine);
     let mut attempt_order: Vec<OpId> = Vec::with_capacity(order.len());
     for ii in mii0..=max_ii {
         // Up to six placement attempts per II: when an op cannot be
@@ -587,7 +504,7 @@ fn swing_with_prep_impl<T: ReservationTable>(
                 pins: &pins,
                 order: &attempt_order,
             };
-            match attempt.run(ii, options.trial, &mut scratch, &mut stats) {
+            match attempt.run(ii, &mut scratch, &mut stats) {
                 Ok((ops, copies)) => {
                     if trace.on() {
                         trace.instant(
@@ -664,11 +581,9 @@ struct Nbr {
 /// owned across attempts and II bumps. Buffers are cleared (`clear`) but
 /// never shrunk, so after the first attempt the steady state allocates
 /// nothing.
-struct Scratch<T: ReservationTable> {
+struct Scratch {
     /// The live reservation table, reset per attempt.
-    mrt: T,
-    /// Whole-table snapshot used by [`TrialMode::CloneBased`] only.
-    mrt_backup: Option<T>,
+    mrt: Mrt,
     placed: Vec<Option<Placement>>,
     copies: Vec<ScheduledCopy>,
     /// Parallel to `copies`: raw (pre-normalization) cycles.
@@ -688,11 +603,10 @@ struct Scratch<T: ReservationTable> {
     dest_bounds: Vec<(usize, i64)>,
 }
 
-impl<T: ReservationTable> Scratch<T> {
+impl Scratch {
     fn new(n_ops: usize, machine: &MachineConfig) -> Self {
         Scratch {
-            mrt: T::new(1, machine),
-            mrt_backup: None,
+            mrt: Mrt::new(1, machine),
             placed: Vec::with_capacity(n_ops),
             copies: Vec::new(),
             copy_cycles: Vec::new(),
@@ -727,11 +641,10 @@ impl<T: ReservationTable> Scratch<T> {
 impl TryState<'_> {
     /// One no-backtracking placement attempt; `Err` carries the op that
     /// could not be placed.
-    fn run<T: ReservationTable>(
+    fn run(
         &self,
         ii: u32,
-        trial_mode: TrialMode,
-        scratch: &mut Scratch<T>,
+        scratch: &mut Scratch,
         stats: &mut SchedStats,
     ) -> Result<(Vec<ScheduledOp>, Vec<ScheduledCopy>), OpId> {
         let n_ops = self.kernel.ops.len();
@@ -888,22 +801,11 @@ impl TryState<'_> {
                     stats.trial_cycles += 1;
                     // open a trial: reservations are provisional until the
                     // whole op (slot + every needed copy) fits
-                    match trial_mode {
-                        TrialMode::Journaled => scratch.mrt.begin(),
-                        TrialMode::CloneBased => match &mut scratch.mrt_backup {
-                            Some(b) => b.clone_from(&scratch.mrt),
-                            none => *none = Some(scratch.mrt.clone()),
-                        },
-                    }
+                    scratch.mrt.begin();
                     macro_rules! trial_fail {
                         () => {{
                             stats.rollbacks += 1;
-                            match trial_mode {
-                                TrialMode::Journaled => scratch.mrt.rollback(),
-                                TrialMode::CloneBased => scratch
-                                    .mrt
-                                    .clone_from(scratch.mrt_backup.as_ref().expect("backup")),
-                            }
+                            scratch.mrt.rollback();
                             continue 'cycle;
                         }};
                     }
@@ -994,16 +896,7 @@ impl TryState<'_> {
                     }
 
                     // success: commit
-                    if std::env::var_os("VLIW_SCHED_TRACE").is_some() {
-                        eprintln!(
-                            "II {ii}: place {op_id} ({}) cl {cluster} cyc {cycle}",
-                            op.name
-                        );
-                    }
-                    match trial_mode {
-                        TrialMode::Journaled => scratch.mrt.commit(),
-                        TrialMode::CloneBased => {} // mutations already live
-                    }
+                    scratch.mrt.commit();
                     stats.placements += 1;
                     scratch.placed[op_id.index()] = Some(Placement { cluster, cycle });
                     scratch.load_count[cluster] += 1;
@@ -1036,61 +929,6 @@ impl TryState<'_> {
                 }
             }
             if !done {
-                if std::env::var_os("VLIW_SCHED_DEBUG").is_some() {
-                    let copy_map = &scratch.copy_map;
-                    let has_copy = |producer: OpId, cluster: usize| {
-                        copy_map.contains_key(&(producer, cluster))
-                    };
-                    let ctx = assign_ctx!(has_copy);
-                    let pin = self
-                        .assigner
-                        .pin(op_id, &ctx, self.pins, &scratch.assign_state);
-                    eprintln!(
-                        "II {ii}: failed to place {op_id} ({}) pin {pin:?} preds {} succs {}",
-                        op.name,
-                        scratch.preds.len(),
-                        scratch.succs.len()
-                    );
-                    for p in &scratch.preds {
-                        eprintln!(
-                            "  pred {} cl {} cyc {} lat {} d {}",
-                            p.other, p.other_cluster, p.other_cycle, p.lat, p.dist
-                        );
-                    }
-                    for s in &scratch.succs {
-                        eprintln!(
-                            "  succ {} cl {} cyc {} lat {} d {}",
-                            s.other, s.other_cluster, s.other_cycle, s.lat, s.dist
-                        );
-                    }
-                    for &cluster in &scratch.candidates {
-                        let e = scratch
-                            .preds
-                            .iter()
-                            .map(|p| {
-                                let x = if p.regflow && p.other_cluster != cluster {
-                                    transfer
-                                } else {
-                                    0
-                                };
-                                p.other_cycle + p.lat + x - iii * p.dist
-                            })
-                            .max();
-                        let l = scratch
-                            .succs
-                            .iter()
-                            .map(|s| {
-                                let x = if s.regflow && s.other_cluster != cluster {
-                                    transfer
-                                } else {
-                                    0
-                                };
-                                s.other_cycle - s.lat - x + iii * s.dist
-                            })
-                            .min();
-                        eprintln!("  cluster {cluster}: estart {e:?} lstart {l:?}");
-                    }
-                }
                 return Err(op_id);
             }
         }

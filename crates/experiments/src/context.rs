@@ -16,6 +16,8 @@ use vliw_workloads::{
     profile_kernel, suite, synthesize, ArrayLayout, BenchmarkModel, ProfileOptions, WorkloadConfig,
 };
 
+use crate::schedcache::SchedCache;
+
 /// How loops are unrolled in an experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnrollMode {
@@ -411,29 +413,14 @@ pub(crate) fn schedule_options(cfg: &RunConfig, ctx: &ExperimentContext) -> Sche
 }
 
 /// Runs unrolling (per `cfg.unroll`), profiling and scheduling for one
-/// original kernel.
+/// original kernel. The work runs under a `prepare_loop` span on `trace`,
+/// with one `unroll.variant` instant per candidate recording the factor,
+/// Texec and whether it became the incumbent.
 ///
 /// # Errors
 ///
 /// Propagates scheduling failures (pathological kernels only).
 pub fn prepare_loop(
-    original: &LoopKernel,
-    machine: &MachineConfig,
-    cfg: &RunConfig,
-    ctx: &ExperimentContext,
-) -> Result<PreparedLoop, ScheduleError> {
-    prepare_loop_traced(original, machine, cfg, ctx, Trace::off())
-}
-
-/// [`prepare_loop`] with an attached [`Trace`] handle: every candidate
-/// unroll variant is scheduled under a `prepare_loop` span, with one
-/// `unroll.variant` instant per candidate recording the factor, Texec
-/// and whether it became the incumbent.
-///
-/// # Errors
-///
-/// Propagates scheduling failures (pathological kernels only).
-pub fn prepare_loop_traced(
     original: &LoopKernel,
     machine: &MachineConfig,
     cfg: &RunConfig,
@@ -526,12 +513,6 @@ pub fn prepare_loop_traced(
     }
 }
 
-/// The schedule cache, re-exported under its historical name: every
-/// grid/driver that used the single-map `ScheduleMemo` now runs on the
-/// sharded, persistable [`SchedCache`](crate::schedcache::SchedCache)
-/// with identical results.
-pub use crate::schedcache::SchedCache as ScheduleMemo;
-
 /// The outcome of one loop under one configuration.
 #[derive(Debug, Clone)]
 pub struct LoopRun {
@@ -540,7 +521,7 @@ pub struct LoopRun {
     /// Aggregation weight (dynamic operations).
     pub weight: f64,
     /// The prepared loop (kernel + schedule), possibly shared with other
-    /// runs through a [`ScheduleMemo`].
+    /// runs through a [`SchedCache`].
     pub prepared: Arc<PreparedLoop>,
     /// Simulation result (cycles, stalls, access mix).
     pub sim: LoopSimResult,
@@ -653,21 +634,21 @@ pub fn run_benchmark(model: &BenchmarkModel, cfg: &RunConfig, ctx: &ExperimentCo
     run_benchmark_memo(model, cfg, ctx, None)
 }
 
-/// [`run_benchmark`] with an optional shared [`ScheduleMemo`], so grids
+/// [`run_benchmark`] with an optional shared [`SchedCache`], so grids
 /// sweeping buffer/hint axes schedule each loop once per distinct
 /// preparation key. Results are identical with or without the memo.
 pub fn run_benchmark_memo(
     model: &BenchmarkModel,
     cfg: &RunConfig,
     ctx: &ExperimentContext,
-    memo: Option<&ScheduleMemo>,
+    memo: Option<&SchedCache>,
 ) -> BenchRun {
     let machine = ctx.machine_for(cfg);
     let mut loops = Vec::new();
     for lw in &model.loops {
         let prepared = match memo {
             Some(m) => m.prepare(&lw.kernel, &machine, cfg, ctx),
-            None => prepare_loop(&lw.kernel, &machine, cfg, ctx).map(Arc::new),
+            None => prepare_loop(&lw.kernel, &machine, cfg, ctx, Trace::off()).map(Arc::new),
         };
         let prepared = match prepared {
             Ok(p) => p,
@@ -758,7 +739,7 @@ mod tests {
         };
         let bnb = swing.with_backend(SchedBackend::ExactBnB);
         let machine = ctx.machine_for(&swing);
-        let memo = ScheduleMemo::new();
+        let memo = SchedCache::new();
         let a = memo.prepare(kernel, &machine, &swing, &ctx).unwrap();
         let b = memo.prepare(kernel, &machine, &bnb, &ctx).unwrap();
         assert_eq!(memo.len(), 2, "one slot per backend");
@@ -790,8 +771,8 @@ mod tests {
             ..base
         };
         let k = &gsm.loops[0].kernel;
-        let p_no = prepare_loop(k, &machine, &no, &ctx).unwrap();
-        let p_ouf = prepare_loop(k, &machine, &ouf, &ctx).unwrap();
+        let p_no = prepare_loop(k, &machine, &no, &ctx, Trace::off()).unwrap();
+        let p_ouf = prepare_loop(k, &machine, &ouf, &ctx, Trace::off()).unwrap();
         assert_eq!(p_no.factor, 1);
         assert!(p_ouf.factor >= 1);
         assert_eq!(p_ouf.kernel.ops.len(), k.ops.len() * p_ouf.factor as usize);

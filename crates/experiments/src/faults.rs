@@ -177,7 +177,7 @@ fn panic_shim(victims: Arc<HashSet<String>>) -> Arc<PrepareFn> {
                 kernel.name
             );
         }
-        prepare_loop(kernel, machine, cfg, ctx)
+        prepare_loop(kernel, machine, cfg, ctx, Trace::off())
     })
 }
 

@@ -32,9 +32,10 @@ use vliw_workloads::{spec_by_name, synthesize, BenchmarkModel};
 
 use crate::context::{
     run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext, ProfileSource, RunConfig,
-    ScheduleMemo, UnrollMode,
+    UnrollMode,
 };
 use crate::report::amean;
+use crate::schedcache::SchedCache;
 
 /// Axes of a declarative `RunConfig` cross-product. Every axis defaults to
 /// the corresponding value of a base configuration; widened axes multiply.
@@ -300,7 +301,7 @@ impl RunGrid {
         let n_cfg = self.configs.len();
         let n_models = models.len();
         let cells_total = n_models * n_cfg;
-        let memo = ScheduleMemo::new();
+        let memo = SchedCache::new();
         let slots: Vec<Mutex<Option<BenchRun>>> =
             (0..cells_total).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);

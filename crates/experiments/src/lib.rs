@@ -54,14 +54,13 @@ pub mod optgap;
 pub mod profile_fidelity;
 pub mod report;
 pub mod schedcache;
-pub mod smt;
 pub mod tables;
 pub mod trace_exp;
 
 pub use batch::{run_batch, BatchOptions, BatchReport, BatchRequest};
 pub use context::{
-    prepare_loop, prepare_loop_traced, run_benchmark, run_benchmark_memo, ArchVariant, BenchRun,
-    ExperimentContext, LoopRun, PreparedLoop, ProfileSource, RunConfig, ScheduleMemo, UnrollMode,
+    prepare_loop, run_benchmark, run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext,
+    LoopRun, PreparedLoop, ProfileSource, RunConfig, UnrollMode,
 };
 pub use faults::{run_faults, FaultOptions, FaultPlan, FaultReport};
 pub use grid::{GridAxes, GridResult, Parallelism, RunGrid};
@@ -71,5 +70,4 @@ pub use report::{backend_quality_table, mshr_table, shard_health_table, Table};
 pub use schedcache::{
     CacheKey, PrepareFn, SalvageReport, SchedCache, ScheduleStore, ShardCounters, StoreEntry,
 };
-pub use smt::{export_suite, SmtExport};
 pub use trace_exp::{run_trace, TraceRun};

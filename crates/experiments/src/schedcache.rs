@@ -1,7 +1,6 @@
 //! The schedule cache: sharded in memory, versioned on disk.
 //!
-//! This is the orchestration layer of "scheduling as a service": the
-//! single-map `ScheduleMemo` of earlier revisions, promoted to a
+//! This is the orchestration layer of "scheduling as a service": a
 //! content-addressed cache that (a) scales across worker threads by lock
 //! striping, and (b) outlives a process via a persistent store in the
 //! same integers-only text discipline as the measured-profile store.
@@ -63,19 +62,16 @@ use vliw_sched::{
 use vliw_trace::Trace;
 
 use crate::context::{
-    prepare_loop_traced, ArchVariant, ExperimentContext, PreparedLoop, ProfileSource, RunConfig,
+    prepare_loop, ArchVariant, ExperimentContext, PreparedLoop, ProfileSource, RunConfig,
     UnrollMode, VariantBuilder,
 };
 
-/// On-disk format version of [`ScheduleStore`]. Version 2 adds one
-/// `check <u64>` line per record (a [`StableHasher`] digest of the header
-/// and schedule lines) so the salvage loader can tell a torn or
-/// bit-flipped record from a good one. Version-1 stores (no check lines)
-/// are still read by both loaders.
+/// On-disk format version of [`ScheduleStore`], the only one either
+/// loader reads. Version 2 added one `check <u64>` line per record (a
+/// [`StableHasher`] digest of the header and schedule lines) so the
+/// salvage loader can tell a torn or bit-flipped record from a good one;
+/// version-1 stores (no check lines) are rejected.
 pub const SCHED_STORE_VERSION: u32 = 2;
-
-/// Oldest store version [`ScheduleStore::from_text`] still reads.
-pub const SCHED_STORE_MIN_VERSION: u32 = 1;
 
 /// Default shard count of a [`SchedCache`].
 pub const DEFAULT_SHARDS: usize = 16;
@@ -388,7 +384,7 @@ pub struct ShardCounters {
 
 /// Signature of the function a cache invokes to fill a cold slot —
 /// the preparation seam. The default is
-/// [`prepare_loop`](crate::context::prepare_loop); the
+/// [`prepare_loop`]; the
 /// fault-injection harness (and the panic-storm test) swap in shims that
 /// panic or starve on selected keys, exercising exactly the containment
 /// paths production code runs.
@@ -408,7 +404,7 @@ pub struct SchedCache {
     /// Completed-entry cap per shard; `None` (the default) never evicts.
     per_shard_cap: Option<usize>,
     /// Slot-fill override (`None` =
-    /// [`prepare_loop`](crate::context::prepare_loop)).
+    /// [`prepare_loop`]).
     preparer: Option<Arc<PrepareFn>>,
 }
 
@@ -476,7 +472,7 @@ impl SchedCache {
     }
 
     /// This cache, filling cold slots through `preparer` instead of
-    /// [`prepare_loop`](crate::context::prepare_loop) — the
+    /// [`prepare_loop`] — the
     /// fault-injection seam. Panics thrown by the
     /// preparer are contained exactly like panics from the real pipeline.
     pub fn into_preparer(mut self, preparer: Arc<PrepareFn>) -> Self {
@@ -743,7 +739,7 @@ impl SchedCache {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &self.preparer {
                 // custom preparers (fault-injection shims) take no trace
                 Some(f) => f(original, machine, cfg, ctx),
-                None => prepare_loop_traced(original, machine, cfg, ctx, trace),
+                None => prepare_loop(original, machine, cfg, ctx, trace),
             }));
         drop(fill_span);
         let prepared = match computed {
@@ -966,8 +962,7 @@ impl StoreEntry {
 /// the measured-profile store: plain text, integers only, deterministic
 /// (entries sorted), byte-exact round-trips, committed-file diffable.
 ///
-/// Format (version 2; version-1 stores lack the `check` line and are
-/// still read):
+/// Format (version 2):
 ///
 /// ```text
 /// vliw-sched-store 2
@@ -1109,10 +1104,9 @@ impl ScheduleStore {
             .ok_or("missing version")?
             .parse()
             .map_err(|e| format!("bad version: {e}"))?;
-        if !(SCHED_STORE_MIN_VERSION..=SCHED_STORE_VERSION).contains(&version) {
+        if version != SCHED_STORE_VERSION {
             return Err(format!(
-                "store version {version}, this build reads versions \
-                 {SCHED_STORE_MIN_VERSION}..={SCHED_STORE_VERSION}"
+                "store version {version}, this build reads version {SCHED_STORE_VERSION}"
             ));
         }
         let counts = lines.next().ok_or("missing entry count")?;
@@ -1131,20 +1125,18 @@ impl ScheduleStore {
             let sched_text = sched_lines.join("\n") + "\n";
             entry.schedule = Schedule::from_compact_text(&sched_text)
                 .map_err(|e| format!("entry `{}`: {e}", entry.name))?;
-            if version >= 2 {
-                let check_line = lines.next().ok_or("missing check line")?;
-                let stored: u64 = check_line
-                    .strip_prefix("check ")
-                    .ok_or_else(|| format!("entry `{}`: bad check line", entry.name))?
-                    .parse()
-                    .map_err(|e| format!("entry `{}`: bad checksum: {e}", entry.name))?;
-                let computed = record_checksum(head, &sched_text);
-                if stored != computed {
-                    return Err(format!(
-                        "entry `{}`: checksum mismatch (stored {stored}, computed {computed})",
-                        entry.name
-                    ));
-                }
+            let check_line = lines.next().ok_or("missing check line")?;
+            let stored: u64 = check_line
+                .strip_prefix("check ")
+                .ok_or_else(|| format!("entry `{}`: bad check line", entry.name))?
+                .parse()
+                .map_err(|e| format!("entry `{}`: bad checksum: {e}", entry.name))?;
+            let computed = record_checksum(head, &sched_text);
+            if stored != computed {
+                return Err(format!(
+                    "entry `{}`: checksum mismatch (stored {stored}, computed {computed})",
+                    entry.name
+                ));
             }
             if lines.next() != Some("endentry") {
                 return Err(format!("entry `{}`: missing endentry", entry.name));
@@ -1177,10 +1169,8 @@ impl ScheduleStore {
     ///   the break cannot be trusted. The partial record and every
     ///   declared record after it count as `dropped_truncated`.
     ///
-    /// Version-1 records carry no checksum, so for them only parse
-    /// failures count as corrupt; the serving path still verifies every
-    /// schedule against the rebuilt kernel before trusting it
-    /// (`rebuild`), for either version.
+    /// The serving path still verifies every recovered schedule against
+    /// the rebuilt kernel before trusting it (`rebuild`).
     pub fn from_text_salvage(text: &str) -> (Self, SalvageReport) {
         let mut rep = SalvageReport::default();
         let mut store = ScheduleStore::new();
@@ -1188,18 +1178,17 @@ impl ScheduleStore {
         let version: Option<u32> = lines
             .first()
             .and_then(|l| l.strip_prefix("vliw-sched-store "))
-            .and_then(|v| v.parse().ok())
-            .filter(|v| (SCHED_STORE_MIN_VERSION..=SCHED_STORE_VERSION).contains(v));
-        let Some(version) = version else {
+            .and_then(|v| v.parse().ok());
+        if version != Some(SCHED_STORE_VERSION) {
             rep.version_rejected = true;
             return (store, rep);
-        };
+        }
         let declared: Option<usize> = lines
             .get(1)
             .and_then(|l| l.strip_prefix("entries "))
             .and_then(|n| n.parse().ok());
-        // entry + 4 sched lines + (v2: check) + endentry
-        let rec_lines = if version >= 2 { 7 } else { 6 };
+        // entry + 4 sched lines + check + endentry
+        let rec_lines = 7;
         let mut i = 2;
         while i < lines.len() {
             if i + rec_lines > lines.len() {
@@ -1212,14 +1201,10 @@ impl ScheduleStore {
                 break;
             }
             let sched_text = lines[i + 1..i + 5].join("\n") + "\n";
-            let checksum_ok = if version >= 2 {
-                lines[i + 5]
-                    .strip_prefix("check ")
-                    .and_then(|c| c.parse::<u64>().ok())
-                    .is_some_and(|stored| stored == record_checksum(header, &sched_text))
-            } else {
-                true
-            };
+            let checksum_ok = lines[i + 5]
+                .strip_prefix("check ")
+                .and_then(|c| c.parse::<u64>().ok())
+                .is_some_and(|stored| stored == record_checksum(header, &sched_text));
             let entry = checksum_ok
                 .then(|| {
                     let mut e = StoreEntry::parse_header(header).ok()?;

@@ -30,7 +30,7 @@ use vliw_trace::{RecordingSink, Trace};
 use vliw_workloads::ArrayLayout;
 
 use crate::batch::{build_requests, drain};
-use crate::context::{prepare_loop_traced, ExperimentContext, RunConfig, UnrollMode};
+use crate::context::{prepare_loop, ExperimentContext, RunConfig, UnrollMode};
 use crate::schedcache::SchedCache;
 
 /// The artifact of one instrumented run: the Chrome trace export and the
@@ -118,7 +118,7 @@ pub fn run_trace(ctx: &ExperimentContext, target_requests: usize) -> TraceRun {
         ..RunConfig::ipbc()
     };
     let bnb_machine = ctx.machine_for(&bnb_cfg);
-    let _ = prepare_loop_traced(&smallest.kernel, &bnb_machine, &bnb_cfg, ctx, trace);
+    let _ = prepare_loop(&smallest.kernel, &bnb_machine, &bnb_cfg, ctx, trace);
 
     let mut reg = sink.metrics();
     reg.set("requests", requests.len() as f64);

@@ -3,6 +3,7 @@
 
 use interleaved_vliw::experiments::{prepare_loop, ExperimentContext, RunConfig};
 use interleaved_vliw::sched::{ClusterPolicy, MemChains};
+use interleaved_vliw::trace::Trace;
 use interleaved_vliw::workloads::{spec_by_name, synthesize};
 
 fn ctx() -> ExperimentContext {
@@ -28,7 +29,8 @@ fn schedules_verify_for_every_policy() {
         };
         let machine = ctx.machine_for(&cfg);
         for lw in &model.loops {
-            let p = prepare_loop(&lw.kernel, &machine, &cfg, &ctx).expect("schedulable");
+            let p =
+                prepare_loop(&lw.kernel, &machine, &cfg, &ctx, Trace::off()).expect("schedulable");
             let errs = p.schedule.verify(&p.kernel, &machine);
             assert!(errs.is_empty(), "{policy:?} {}: {errs:?}", p.kernel.name);
             // the achieved II never undercuts the MII bound
@@ -49,7 +51,8 @@ fn chain_members_share_a_cluster_under_ibc_and_ipbc() {
         };
         let machine = ctx.machine_for(&cfg);
         for lw in &model.loops {
-            let p = prepare_loop(&lw.kernel, &machine, &cfg, &ctx).expect("schedulable");
+            let p =
+                prepare_loop(&lw.kernel, &machine, &cfg, &ctx, Trace::off()).expect("schedulable");
             let chains = MemChains::build(&p.kernel);
             for (cid, members) in chains.iter() {
                 let clusters: Vec<usize> =
@@ -73,7 +76,7 @@ fn ipbc_pins_chains_to_their_average_preferred_cluster() {
     let machine = ctx.machine_for(&cfg);
     let n = machine.n_clusters();
     for lw in &model.loops {
-        let p = prepare_loop(&lw.kernel, &machine, &cfg, &ctx).expect("schedulable");
+        let p = prepare_loop(&lw.kernel, &machine, &cfg, &ctx, Trace::off()).expect("schedulable");
         let chains = MemChains::build(&p.kernel);
         for (cid, members) in chains.iter() {
             if let Some(pref) = chains.preferred_cluster(cid, &p.kernel, n) {
@@ -100,7 +103,7 @@ fn loads_never_assume_less_than_the_assigned_class() {
     let machine = ctx.machine_for(&cfg);
     let rm = machine.mem_latencies.remote_miss;
     for lw in &model.loops {
-        let p = prepare_loop(&lw.kernel, &machine, &cfg, &ctx).expect("schedulable");
+        let p = prepare_loop(&lw.kernel, &machine, &cfg, &ctx, Trace::off()).expect("schedulable");
         for op in p.kernel.ops.iter().filter(|o| o.is_load()) {
             let lat = p.schedule.op(op.id).assumed_latency;
             assert!(lat >= 1 && lat <= rm, "load {} assumed {lat}", op.name);
