@@ -18,7 +18,8 @@
 //! `u64` word at a time and never counted as trial work), and all
 //! per-attempt / per-op vectors live in one private `Scratch` workspace
 //! that is cleared — never reallocated — across attempts. The placement
-//! loop's output is pinned by golden digests (`tests/schedule_golden.rs`).
+//! loop's output is pinned by golden digests (`tests/schedule_golden.rs`,
+//! `tests/mrt_impl_equivalence.rs`, `tests/mrt_txn_equivalence.rs`).
 
 pub mod backend;
 pub mod base;

@@ -1,84 +1,34 @@
 //! The journaled-MRT contract: schedules produced through the transaction
-//! journal are bit-identical to the retained clone-based reference path
-//! (`TrialMode::CloneBased`), across every cluster-assignment policy and
-//! every machine configuration of the paper. If a rollback ever failed to
-//! restore the exact reservation state, some later placement would see a
-//! phantom (or missing) reservation and the schedules would diverge.
+//! journal are bit-identical to those of clone-based trial isolation,
+//! which copied the whole reservation table before each probe and
+//! restored the copy on failure.
+//!
+//! Clone-based isolation no longer drives the engine; `mrt.rs`'s
+//! random-trace test checks every `rollback_to` against a clone taken at
+//! the savepoint. Through the engine, the comparison is against its
+//! recorded output: the digests below were taken when clone-based trials
+//! could still run the placement loop, and the journal gave the same
+//! values. If a rollback ever failed to restore the exact reservation
+//! state, some later placement would see a phantom (or missing)
+//! reservation and the schedules would diverge.
 
-use interleaved_vliw::experiments::ExperimentContext;
+mod common;
+
+use common::{machines, suite_kernels, Golden};
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::{
-    schedule_kernel, schedule_kernel_with_stats, ClusterPolicy, ScheduleOptions, TrialMode,
-};
-use interleaved_vliw::workloads::{profile_kernel, spec_by_name, synthesize, ArrayLayout};
-
-/// The paper's machine configurations (§5): 4-cluster word-interleaved,
-/// 2-cluster word-interleaved, multiVLIW, and both unified latencies.
-fn machines() -> Vec<(&'static str, MachineConfig)> {
-    vec![
-        ("word4", MachineConfig::word_interleaved_4()),
-        ("word2", MachineConfig::word_interleaved(2)),
-        ("multivliw", MachineConfig::multi_vliw_4()),
-        ("unified1", MachineConfig::unified_4(1)),
-        ("unified5", MachineConfig::unified_4(5)),
-    ]
-}
-
-/// Profiled factor-1 and ×4-unrolled kernels of two suite benchmarks —
-/// enough chains, recurrences and bus pressure to exercise every rollback
-/// path.
-fn kernels(machine: &MachineConfig) -> Vec<interleaved_vliw::ir::LoopKernel> {
-    let ctx = ExperimentContext::quick();
-    let mut out = Vec::new();
-    for bench in ["gsmdec", "epicdec"] {
-        let spec = spec_by_name(bench).unwrap();
-        let model = synthesize(&spec, &ctx.workloads, machine);
-        for lw in &model.loops {
-            for factor in [1u32, 4] {
-                let mut k = interleaved_vliw::ir::unroll(&lw.kernel, factor);
-                let layout = ArrayLayout::new(&k, machine, true, ctx.workloads.profile_input);
-                profile_kernel(&mut k, machine, &layout, &ctx.profile);
-                out.push(k);
-            }
-        }
-    }
-    out
-}
+use interleaved_vliw::sched::ClusterPolicy;
 
 #[test]
 fn journaled_schedules_are_bit_identical_to_clone_based() {
-    let mut compared = 0usize;
-    for (mname, machine) in machines() {
-        for kernel in kernels(&machine) {
+    let mut g = Golden::schedules_only();
+    for machine in machines() {
+        for kernel in suite_kernels(&machine) {
             for policy in ClusterPolicy::ALL {
-                let mut opts = ScheduleOptions::new(policy);
-                assert_eq!(opts.trial, TrialMode::Journaled, "journal is the default");
-                let journaled = schedule_kernel(&kernel, &machine, opts);
-                opts.trial = TrialMode::CloneBased;
-                let reference = schedule_kernel(&kernel, &machine, opts);
-                match (journaled, reference) {
-                    (Ok(j), Ok(r)) => {
-                        assert_eq!(
-                            j, r,
-                            "schedule diverged: {policy:?} on {mname}/{}",
-                            kernel.name
-                        );
-                        compared += 1;
-                    }
-                    (j, r) => {
-                        // unschedulable kernels must fail identically
-                        assert_eq!(
-                            j.is_err(),
-                            r.is_err(),
-                            "feasibility diverged: {policy:?} on {mname}/{}",
-                            kernel.name
-                        );
-                    }
-                }
+                g.case(&kernel, &machine, policy);
             }
         }
     }
-    assert!(compared > 50, "comparison set too small: {compared}");
+    assert_eq!(g.finish(), CLONE_BASED_SCHEDULES);
 }
 
 #[test]
@@ -86,16 +36,26 @@ fn both_trial_modes_do_identical_placement_work() {
     // same decisions ⇒ same work counters (rollbacks included): the
     // journal only changes how a failed probe is discarded
     let machine = MachineConfig::word_interleaved_4();
-    for kernel in kernels(&machine) {
+    let mut g = Golden::stats_only();
+    for kernel in suite_kernels(&machine) {
         for policy in ClusterPolicy::ALL {
-            let mut opts = ScheduleOptions::new(policy);
-            let j = schedule_kernel_with_stats(&kernel, &machine, opts);
-            opts.trial = TrialMode::CloneBased;
-            let r = schedule_kernel_with_stats(&kernel, &machine, opts);
-            if let (Ok((_, js)), Ok((_, rs))) = (j, r) {
-                assert_eq!(js, rs, "{policy:?} on {}", kernel.name);
-                assert!(js.trial_cycles > 0 && js.placements > 0);
+            if let Some(s) = g.case(&kernel, &machine, policy) {
+                assert!(
+                    s.trial_cycles > 0 && s.placements > 0,
+                    "{policy:?} on {}",
+                    kernel.name
+                );
             }
         }
     }
+    assert_eq!(g.finish(), CLONE_BASED_WORK);
 }
+
+/// `(cases, scheduled, digest)` of clone-based trials over the suite ×
+/// 5 machines × 4 policies, schedule text only.
+const CLONE_BASED_SCHEDULES: (u64, u64, u64) = (640, 640, 0x3b92_47df_e71f_b2d2);
+
+/// `(cases, scheduled, digest)` of clone-based trials over the suite ×
+/// 4 policies on the 4-cluster word-interleaved machine, work counters
+/// only.
+const CLONE_BASED_WORK: (u64, u64, u64) = (128, 128, 0x7bc5_668b_72d4_6ec6);

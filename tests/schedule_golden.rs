@@ -1,122 +1,24 @@
 //! Golden schedule digests: the swing placement engine's output, pinned.
 //!
-//! Every case is scheduled through [`schedule_outcome`] and folded into a
-//! [`StableHasher`] — the schedule's compact text plus every
-//! [`SchedStats`] counter, or the error's text when the case fails. The
-//! committed digests were recorded when the engine still carried two
-//! live reference paths (a scalar-probe reservation table and
-//! clone-based trial isolation), and all three configurations — masked
-//! table with the journal, scalar table, clone-based trials — produced
-//! the same digest on each population below. A change to the placement
-//! loop or the reservation table that moves any decision, or any work
-//! counter, changes a digest.
+//! Every case is scheduled through `schedule_outcome` and folded into a
+//! `StableHasher` — the schedule's compact text plus every `SchedStats`
+//! counter, or the error's text when the case fails (see
+//! `common::Golden`). The committed digests were recorded when the engine
+//! still carried two live reference paths (a scalar-probe reservation
+//! table and clone-based trial isolation), and all three configurations —
+//! masked table with the journal, scalar table, clone-based trials —
+//! produced the same digest on each population below. A change to the
+//! placement loop or the reservation table that moves any decision, or
+//! any work counter, changes a digest. The suite population is pinned
+//! the same way in `mrt_impl_equivalence.rs` and `mrt_txn_equivalence.rs`.
 
-use std::hash::Hasher as _;
+mod common;
 
-use interleaved_vliw::experiments::ExperimentContext;
-use interleaved_vliw::ir::{
-    ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand, StableHasher,
-};
+use common::{machines, Golden};
+use interleaved_vliw::ir::{ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand};
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::{schedule_outcome, ClusterPolicy, SchedStats, ScheduleOptions};
+use interleaved_vliw::sched::ClusterPolicy;
 use interleaved_vliw::workloads::rng::StdRng;
-use interleaved_vliw::workloads::{profile_kernel, spec_by_name, synthesize, ArrayLayout};
-
-/// The paper's machine configurations (§5): 4-cluster word-interleaved,
-/// 2-cluster word-interleaved, multiVLIW, and both unified latencies.
-fn machines() -> Vec<MachineConfig> {
-    vec![
-        MachineConfig::word_interleaved_4(),
-        MachineConfig::word_interleaved(2),
-        MachineConfig::multi_vliw_4(),
-        MachineConfig::unified_4(1),
-        MachineConfig::unified_4(5),
-    ]
-}
-
-/// A running digest over scheduled cases.
-#[derive(Default)]
-struct Golden {
-    hasher: StableHasher,
-    cases: u64,
-    scheduled: u64,
-}
-
-impl Golden {
-    /// Schedules `kernel` under `policy` and folds the result in.
-    fn case(&mut self, kernel: &LoopKernel, machine: &MachineConfig, policy: ClusterPolicy) {
-        self.cases += 1;
-        self.hasher.write_str(&kernel.name);
-        match schedule_outcome(kernel, machine, ScheduleOptions::new(policy)) {
-            Ok(o) => {
-                self.scheduled += 1;
-                self.hasher.write_u8(1);
-                self.hasher.write_str(&o.schedule.to_compact_text());
-                let SchedStats {
-                    trial_cycles,
-                    attempts,
-                    rollbacks,
-                    placements,
-                    cutoffs,
-                    fallback_retries,
-                } = o.stats;
-                for v in [
-                    trial_cycles,
-                    attempts,
-                    rollbacks,
-                    placements,
-                    cutoffs,
-                    fallback_retries,
-                ] {
-                    self.hasher.write_u64(v);
-                }
-            }
-            Err(e) => {
-                self.hasher.write_u8(0);
-                self.hasher.write_str(&format!("{e:?}"));
-            }
-        }
-    }
-
-    /// `(cases, scheduled, digest)`.
-    fn finish(&self) -> (u64, u64, u64) {
-        (self.cases, self.scheduled, self.hasher.finish())
-    }
-}
-
-/// Profiled factor-1 and ×4-unrolled kernels of two suite benchmarks:
-/// chains, recurrences, and enough bus pressure that multi-slot
-/// transfers wrap the II boundary and failed probes roll them back.
-fn suite_kernels(machine: &MachineConfig) -> Vec<LoopKernel> {
-    let ctx = ExperimentContext::quick();
-    let mut out = Vec::new();
-    for bench in ["gsmdec", "epicdec"] {
-        let spec = spec_by_name(bench).unwrap();
-        let model = synthesize(&spec, &ctx.workloads, machine);
-        for lw in &model.loops {
-            for factor in [1u32, 4] {
-                let mut k = interleaved_vliw::ir::unroll(&lw.kernel, factor);
-                let layout = ArrayLayout::new(&k, machine, true, ctx.workloads.profile_input);
-                profile_kernel(&mut k, machine, &layout, &ctx.profile);
-                out.push(k);
-            }
-        }
-    }
-    out
-}
-
-#[test]
-fn suite_schedules_match_the_golden_digest() {
-    let mut g = Golden::default();
-    for machine in machines() {
-        for kernel in suite_kernels(&machine) {
-            for policy in ClusterPolicy::ALL {
-                g.case(&kernel, &machine, policy);
-            }
-        }
-    }
-    assert_eq!(g.finish(), SUITE_GOLDEN);
-}
 
 /// Builds a small random kernel: a few loads feeding a random int
 /// dataflow, optional carried recurrences, and a store. Dense dataflow
@@ -151,7 +53,7 @@ fn random_kernel(rng: &mut StdRng, case: usize) -> LoopKernel {
 #[test]
 fn seeded_random_kernels_match_the_golden_digest() {
     let mut rng = StdRng::seed_from_u64(0x3a5c_0007);
-    let mut g = Golden::default();
+    let mut g = Golden::full();
     for case in 0..30 {
         let kernel = random_kernel(&mut rng, case);
         let machine = match case % 3 {
@@ -183,7 +85,7 @@ fn dense_bus_schedules_match_the_golden_digest() {
         let _ = b.int_op(format!("c{j}"), Opcode::Add, &srcs);
     }
     let kernel = b.finish(64.0);
-    let mut g = Golden::default();
+    let mut g = Golden::full();
     for machine in machines() {
         for policy in ClusterPolicy::ALL {
             g.case(&kernel, &machine, policy);
@@ -193,6 +95,5 @@ fn dense_bus_schedules_match_the_golden_digest() {
 }
 
 /// `(cases, scheduled, digest)` per population.
-const SUITE_GOLDEN: (u64, u64, u64) = (640, 640, 0x5c83_9d75_cd03_28e5);
 const RANDOM_GOLDEN: (u64, u64, u64) = (120, 120, 0xa5a3_8670_ef70_b231);
 const DENSE_BUS_GOLDEN: (u64, u64, u64) = (20, 20, 0x7485_36c1_75ef_f0f1);
