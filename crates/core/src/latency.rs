@@ -592,4 +592,142 @@ mod tests {
         let first = &asg.steps[0];
         assert_eq!(first.candidates[first.chosen].op, ld2);
     }
+
+    /// A div → add → add integer recurrence closed at distance 1: II 8
+    /// at every latency assignment, so it fixes the target at 8.
+    fn target_eight(b: &mut KernelBuilder) {
+        let (d, rd) = b.int_op("div", Opcode::Div, &[]);
+        let (_, r1) = b.int_op("a1", Opcode::Add, &[rd.into()]);
+        let (a2, _) = b.int_op("a2", Opcode::Add, &[r1.into()]);
+        b.raw_edge(a2, d, DepKind::RegFlow, 1);
+    }
+
+    /// `(circuit, op, to_class)` of every applied step.
+    fn applied(asg: &LatencyAssignment) -> Vec<(usize, OpId, AccessClass)> {
+        asg.steps
+            .iter()
+            .map(|s| {
+                let c = &s.candidates[s.chosen];
+                (s.circuit, c.op, c.to_class)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn load_counts_only_on_circuits_it_flows_on() {
+        // ld sits on three circuits: through its register flow into the
+        // add (II 17 at the initial remote miss), and through a memory
+        // anti edge and a register anti edge, where its latency does not
+        // count (II 4 and 5 whatever ld's latency). Only the flow circuit
+        // is reduced, and only it bounds the de-slack: the anti circuits
+        // would cap ld at 4 and 3 if they counted.
+        let mut b = KernelBuilder::new("t");
+        let a = b.array("a", 1024, ArrayKind::Global);
+        target_eight(&mut b);
+        let (ld, v) = b.load("ld", a, 0, 4, 4);
+        let (_, w) = b.int_op("add", Opcode::Add, &[v.into()]);
+        let (st, _) = b.store("st", a, 256, 4, 4, w);
+        b.mem_dep(st, ld, DepKind::MemFlow, 1);
+        let (_, c) = b.int_op("c", Opcode::Add, &[]);
+        let (s1, _) = b.store("s1", a, 0, 4, 4, c);
+        let (s2, _) = b.store("s2", a, 0, 4, 4, c);
+        let (s3, _) = b.store("s3", a, 0, 4, 4, c);
+        b.mem_dep(ld, s1, DepKind::MemAnti, 0);
+        b.mem_dep(s1, s2, DepKind::MemOut, 0);
+        b.mem_dep(s2, s3, DepKind::MemOut, 0);
+        b.mem_dep(s3, ld, DepKind::MemFlow, 1);
+        let (x, _) = b.int_op("x", Opcode::Add, &[]);
+        let (y, _) = b.int_op("y", Opcode::Div, &[]);
+        b.raw_edge(ld, x, DepKind::RegAnti, 0);
+        b.raw_edge(x, y, DepKind::RegFlow, 0);
+        b.raw_edge(y, ld, DepKind::RegOut, 1);
+        b.set_profile(ld, MemProfile::with_local_ratio(0.9, 0, 0.5, 4));
+        let k = b.finish(100.0);
+        let m = MachineConfig::word_interleaved_4();
+        let asg = run(&k, &m);
+        assert_eq!(asg.target_mii, 8);
+        assert_eq!(asg.latency_of(ld), 6);
+        assert_eq!(
+            applied(&asg),
+            vec![
+                (1, ld, AccessClass::LocalMiss),
+                (1, ld, AccessClass::RemoteHit)
+            ]
+        );
+    }
+
+    #[test]
+    fn recurrences_through_stores_only_are_skipped() {
+        // a store-only recurrence (II 1) and an unreducible two-load
+        // recurrence, II ⌈47 / 16⌉ = 3 against a target of 2 (ResMII, and
+        // the two-load recurrence at local hits): no single lowering moves
+        // the II below 3, so the reduction gives up on it instead of
+        // looping, and leaves both loads at the remote miss
+        let mut b = KernelBuilder::new("t");
+        let a = b.array("a", 1024, ArrayKind::Global);
+        let (_, c) = b.int_op("c", Opcode::Add, &[]);
+        let (s1, _) = b.store("s1", a, 0, 4, 4, c);
+        let (s2, _) = b.store("s2", a, 0, 4, 4, c);
+        let (s3, _) = b.store("s3", a, 0, 4, 4, c);
+        b.mem_dep(s1, s2, DepKind::MemOut, 0);
+        b.mem_dep(s2, s3, DepKind::MemOut, 0);
+        b.mem_dep(s3, s1, DepKind::MemOut, 3);
+        let (ld1, _) = b.load("ld1", a, 512, 4, 4);
+        let (ld2, v2) = b.load("ld2", a, 516, 4, 4);
+        b.raw_edge(ld1, ld2, DepKind::RegFlow, 0);
+        let (_, r1) = b.int_op("d1", Opcode::Div, &[v2.into()]);
+        let (_, r2) = b.int_op("d2", Opcode::Div, &[r1.into()]);
+        let (_, r3) = b.int_op("mul", Opcode::Mul, &[r2.into()]);
+        let (_, r4) = b.int_op("a1", Opcode::Add, &[r3.into()]);
+        let (_, r5) = b.int_op("a2", Opcode::Add, &[r4.into()]);
+        let (st, _) = b.store("st", a, 768, 4, 4, r5);
+        b.mem_dep(st, ld1, DepKind::MemFlow, 16);
+        b.set_profile(ld1, MemProfile::with_local_ratio(0.6, 0, 0.5, 4));
+        b.set_profile(ld2, MemProfile::with_local_ratio(0.9, 0, 0.5, 4));
+        let k = b.finish(100.0);
+        let m = MachineConfig::word_interleaved_4();
+        let g = Ddg::build(&k);
+        let cs = elementary_circuits(&g, EnumLimits::default());
+        let asg = assign_latencies(&k, &g, &m, &cs);
+        assert_eq!(cs.len(), 2);
+        assert_eq!(asg.target_mii, 2);
+        assert_eq!(asg.latency_of(ld1), 15);
+        assert_eq!(asg.latency_of(ld2), 15);
+        assert!(asg.steps.is_empty());
+        assert_eq!(mii::rec_mii(&g, |o| asg.latency_of(o)), 3);
+    }
+
+    #[test]
+    fn deslack_is_bounded_by_a_second_circuit_through_the_load() {
+        // ld closes two register-flow recurrences: A (ld → add → st, II
+        // 17 at distance 1) and B (ld → div → div → st, II 14 at
+        // distance 2). A is reduced first, to ld = 5; A alone would let
+        // the de-slack raise ld to 8 − 2 = 6, but B caps it at
+        // 8·2 − 13 = 3. B (now 9) is reduced next and de-slacked to 3.
+        let mut b = KernelBuilder::new("t");
+        let a = b.array("a", 1024, ArrayKind::Global);
+        target_eight(&mut b);
+        let (ld, v) = b.load("ld", a, 0, 4, 4);
+        let (_, w) = b.int_op("add", Opcode::Add, &[v.into()]);
+        let (st_a, _) = b.store("st_a", a, 256, 4, 4, w);
+        b.mem_dep(st_a, ld, DepKind::MemFlow, 1);
+        let (_, d1) = b.int_op("d1", Opcode::Div, &[v.into()]);
+        let (_, d2) = b.int_op("d2", Opcode::Div, &[d1.into()]);
+        let (st_b, _) = b.store("st_b", a, 512, 4, 4, d2);
+        b.mem_dep(st_b, ld, DepKind::MemFlow, 2);
+        b.set_profile(ld, MemProfile::with_local_ratio(0.9, 0, 0.5, 4));
+        let k = b.finish(100.0);
+        let m = MachineConfig::word_interleaved_4();
+        let asg = run(&k, &m);
+        assert_eq!(asg.target_mii, 8);
+        assert_eq!(asg.latency_of(ld), 3);
+        assert_eq!(
+            applied(&asg),
+            vec![
+                (1, ld, AccessClass::LocalMiss),
+                (1, ld, AccessClass::RemoteHit),
+                (2, ld, AccessClass::LocalHit)
+            ]
+        );
+    }
 }

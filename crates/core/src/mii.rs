@@ -104,6 +104,7 @@ fn has_positive_cycle(n: usize, edges: &[(usize, usize, i64, i64)], ii: i64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuits::{elementary_circuits, EnumLimits};
     use vliw_ir::{ArrayKind, KernelBuilder, Opcode};
 
     fn lat1(_: OpId) -> u32 {
@@ -182,6 +183,148 @@ mod tests {
         let g = Ddg::build(&k);
         // circuit latency = lat(a->b flow) + 0 (anti) = lat(a)
         assert_eq!(rec_mii(&g, |_| 3), 3);
+    }
+
+    /// The all-rounds Bellman-Ford binary search `rec_mii` ran before the
+    /// predecessor-cycle early exit: every infeasible probe relaxes for
+    /// all `n + 1` rounds.
+    fn rec_mii_all_rounds(ddg: &Ddg<'_>, lat_of: impl Fn(OpId) -> u32) -> u32 {
+        let edges: Vec<(usize, usize, i64, i64)> = ddg
+            .edges()
+            .iter()
+            .map(|e| {
+                let lat = edge_latency(e, &lat_of) as i64;
+                (e.from.index(), e.to.index(), lat, e.distance as i64)
+            })
+            .collect();
+        let positive = |ii: i64| {
+            let mut dist = vec![0i64; ddg.n_ops()];
+            for _ in 0..=ddg.n_ops() {
+                let mut changed = false;
+                for &(u, v, lat, d) in &edges {
+                    if dist[u] + lat - ii * d > dist[v] {
+                        dist[v] = dist[u] + lat - ii * d;
+                        changed = true;
+                    }
+                }
+                if !changed {
+                    return false;
+                }
+            }
+            true
+        };
+        let (mut lo, mut hi) = (0i64, edges.iter().map(|e| e.2).sum::<i64>() + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if positive(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo as u32
+    }
+
+    /// SplitMix64: a dependency-free seeded generator for the property
+    /// tests.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A random dependence graph over `n` ops: forward edges at distance
+    /// 0–3, backward and self edges at distance 1–3 (so no cycle has
+    /// zero distance), every kind, parallel edges allowed. Without back
+    /// edges the graph is a DAG.
+    fn random_ddg(rng: &mut SplitMix, n: usize, back_edges: bool) -> vliw_ir::LoopKernel {
+        use vliw_ir::DepKind::*;
+        let mut b = KernelBuilder::new("rand");
+        let ids: Vec<OpId> = (0..n)
+            .map(|i| b.int_op(format!("n{i}"), Opcode::Add, &[]).0)
+            .collect();
+        let kinds = [RegFlow, RegFlow, RegFlow, RegAnti, RegOut, MemFlow, MemAnti];
+        for _ in 0..rng.below(2 * n as u64) + 1 {
+            let (u, v) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+            let kind = kinds[rng.below(kinds.len() as u64) as usize];
+            let copies = if rng.below(4) == 0 { 2 } else { 1 };
+            for _ in 0..copies {
+                if u < v {
+                    b.raw_edge(ids[u], ids[v], kind, rng.below(4) as u32);
+                } else if back_edges {
+                    b.raw_edge(ids[u], ids[v], kind, 1 + rng.below(3) as u32);
+                }
+            }
+        }
+        b.finish(1.0)
+    }
+
+    #[test]
+    fn rec_mii_equals_the_worst_circuit_and_the_all_rounds_search() {
+        let mut rng = SplitMix(0x7ec0_0001);
+        let unlimited = EnumLimits {
+            max_circuits: usize::MAX,
+            max_len: usize::MAX,
+        };
+        let mut cyclic = 0;
+        for case in 0..300 {
+            let n = 1 + rng.below(8) as usize;
+            let k = random_ddg(&mut rng, n, case % 5 != 0);
+            let lats: Vec<u32> = (0..n).map(|_| 1 + rng.below(20) as u32).collect();
+            let lat_of = |op: OpId| lats[op.index()];
+            let g = Ddg::build(&k);
+            let got = rec_mii(&g, lat_of);
+            let circuits = elementary_circuits(&g, unlimited);
+            let worst = circuits
+                .iter()
+                .map(|c| c.ii_bound(|e| edge_latency(&g.edges()[e], lat_of)))
+                .max()
+                .unwrap_or(0);
+            assert_eq!(got, worst, "case {case}: worst circuit");
+            assert_eq!(got, rec_mii_all_rounds(&g, lat_of), "case {case}");
+            cyclic += usize::from(!circuits.is_empty());
+        }
+        // both DAGs and cyclic graphs were drawn
+        assert!(cyclic > 100 && cyclic < 300, "{cyclic} cyclic cases");
+    }
+
+    #[test]
+    fn long_cycle_is_infeasible_one_below_rec_mii() {
+        // one 200-node register-flow cycle at total distance 3: a
+        // positive cycle at RecMII − 1 closes only after ~200 relaxation
+        // rounds
+        let n = 200;
+        let mut b = KernelBuilder::new("ring");
+        let ids: Vec<OpId> = (0..n)
+            .map(|i| b.int_op(format!("n{i}"), Opcode::Add, &[]).0)
+            .collect();
+        for w in ids.windows(2) {
+            b.raw_edge(w[0], w[1], vliw_ir::DepKind::RegFlow, 0);
+        }
+        b.raw_edge(ids[n - 1], ids[0], vliw_ir::DepKind::RegFlow, 3);
+        let k = b.finish(1.0);
+        let g = Ddg::build(&k);
+        let lat_of = |op: OpId| 1 + (op.index() % 7) as u32;
+        let sum: u32 = (0..n).map(|i| lat_of(OpId::new(i))).sum();
+        let rec = rec_mii(&g, lat_of);
+        assert_eq!(rec, sum.div_ceil(3));
+        assert_eq!(rec, rec_mii_all_rounds(&g, lat_of));
+        let edges: Vec<_> = g
+            .edges()
+            .iter()
+            .map(|e| {
+                let lat = edge_latency(e, lat_of) as i64;
+                (e.from.index(), e.to.index(), lat, e.distance as i64)
+            })
+            .collect();
+        assert!(has_positive_cycle(n, &edges, rec as i64 - 1));
+        assert!(!has_positive_cycle(n, &edges, rec as i64));
     }
 
     #[test]

@@ -14,53 +14,14 @@
 
 mod common;
 
-use common::{machines, Golden};
-use interleaved_vliw::ir::{ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand};
-use interleaved_vliw::machine::MachineConfig;
+use common::{machines, random_cases, Golden};
+use interleaved_vliw::ir::{KernelBuilder, Opcode, SrcOperand};
 use interleaved_vliw::sched::ClusterPolicy;
-use interleaved_vliw::workloads::rng::StdRng;
-
-/// Builds a small random kernel: a few loads feeding a random int
-/// dataflow, optional carried recurrences, and a store. Dense dataflow
-/// forces inter-cluster copies, whose 2-cycle transfers wrap the II
-/// boundary at small IIs.
-fn random_kernel(rng: &mut StdRng, case: usize) -> LoopKernel {
-    let mut b = KernelBuilder::new(format!("mrtprop{case}"));
-    let a = b.array("a", 4096, ArrayKind::Heap);
-    let mut values = Vec::new();
-    for i in 0..rng.random_range(1..3usize) {
-        let (_, v) = b.load(format!("ld{i}"), a, 4 * i as i64, 4, 4);
-        values.push(v);
-    }
-    let n_ops = rng.random_range(2..9usize);
-    for i in 0..n_ops {
-        let mut srcs: Vec<SrcOperand> = Vec::new();
-        for _ in 0..rng.random_range(1..4usize) {
-            srcs.push(values[rng.random_range(0..values.len())].into());
-        }
-        let (_, v) = if rng.random::<bool>() {
-            b.int_op_carried(format!("c{i}"), Opcode::Add, &srcs, 1)
-        } else {
-            b.int_op(format!("c{i}"), Opcode::Mul, &srcs)
-        };
-        values.push(v);
-    }
-    let last = *values.last().expect("nonempty");
-    b.store("st", a, 2048, 4, 4, last);
-    b.finish(64.0)
-}
 
 #[test]
 fn seeded_random_kernels_match_the_golden_digest() {
-    let mut rng = StdRng::seed_from_u64(0x3a5c_0007);
     let mut g = Golden::full();
-    for case in 0..30 {
-        let kernel = random_kernel(&mut rng, case);
-        let machine = match case % 3 {
-            0 => MachineConfig::word_interleaved_4(),
-            1 => MachineConfig::word_interleaved(2),
-            _ => MachineConfig::multi_vliw_4(),
-        };
+    for (kernel, machine) in random_cases() {
         for policy in ClusterPolicy::ALL {
             g.case(&kernel, &machine, policy);
         }
