@@ -7,6 +7,11 @@ against the committed baseline (ci/sched_baseline.json) and fails when:
 * `trial_cycles` — a deterministic work counter, immune to machine
   speed — grew by more than the threshold (an algorithmic regression:
   the scheduler does more work for the same schedules), or
+* `circuits` or `latency_steps` — the front-end's deterministic work
+  counters over the same population (elementary circuits enumerated,
+  §4.3.3 latency-reduction steps applied) — differ from the baseline at
+  all: the front-end must do exactly the same work, so any change means
+  its output moved (checked only when the baseline records them), or
 * `schedules_per_sec` regressed by more than the threshold. This is
   wall-clock, so it inherits the variance of whatever runner executes
   it; treat a failure here as a prompt to re-measure (and, if the
@@ -101,6 +106,16 @@ def main():
         )
         if ratio > 1 + threshold:
             print(f"FAIL: scheduling work grew more than {threshold:.0%}")
+            failed = True
+
+    for key in ("circuits", "latency_steps"):
+        b_count = baseline.get(key)
+        if b_count is None:
+            continue
+        f_count = fresh.get(key)
+        print(f"{key} (deterministic): baseline {b_count:.0f} -> current {f_count}")
+        if f_count != b_count:
+            print(f"FAIL: front-end {key} must equal the baseline")
             failed = True
 
     b_rate, f_rate = baseline.get("schedules_per_sec"), fresh.get("schedules_per_sec")

@@ -1,13 +1,16 @@
 //! Scheduling-throughput bench: modulo-schedules every loop of the full
 //! workload suite under all four cluster-assignment policies and reports
 //! schedules/sec plus trial-cycles/sec (candidate `(cluster, cycle)` slots
-//! examined per second — the scheduler's innermost unit of work).
+//! examined per second — the scheduler's innermost unit of work), then
+//! times the front-end alone (`schedule_problem`) over the same kernels:
+//! problems/sec, with the circuits enumerated and the latency-reduction
+//! steps applied as its deterministic work counters.
 //!
 //! This is the tracked perf trajectory for the scheduler core: the `sched`
 //! target of the `repro` binary records the same counters (via the shared
 //! [`vliw_bench::sched_pass`]) into `BENCH_repro.json`.
 
-use vliw_bench::{harness::Bench, sched_pass, sched_workload};
+use vliw_bench::{harness::Bench, problem_pass, sched_pass, sched_workload, FrontendStats};
 use vliw_sched::{ClusterPolicy, SchedStats};
 
 fn main() {
@@ -19,6 +22,7 @@ fn main() {
     let mut b = Bench::new("sched").min_iters(5);
     let mut total_schedules = 0u64;
     let mut total_seconds = 0.0f64;
+    let mut total_problem_seconds = 0.0f64;
     for policy in ClusterPolicy::ALL {
         let name = policy.assigner().name();
         let mut stats = SchedStats::default();
@@ -36,10 +40,25 @@ fn main() {
         );
         total_schedules += kernels.len() as u64;
         total_seconds += secs;
+
+        let mut front = FrontendStats::default();
+        let r = b.run(&format!("{name}/problem"), || {
+            let (st, _) = problem_pass(&kernels, &machine, policy);
+            front = st;
+        });
+        let secs = r.median.as_secs_f64();
+        println!(
+            "bench sched/{name}/problem: {:.1} problems/sec ({} circuits, {} latency steps)",
+            kernels.len() as f64 / secs,
+            front.circuits,
+            front.latency_steps,
+        );
+        total_problem_seconds += secs;
     }
     println!(
-        "bench sched/all-policies: {:.1} schedules/sec overall",
-        total_schedules as f64 / total_seconds
+        "bench sched/all-policies: {:.1} schedules/sec, {:.1} problems/sec overall",
+        total_schedules as f64 / total_seconds,
+        total_schedules as f64 / total_problem_seconds
     );
     b.finish();
 }

@@ -12,6 +12,7 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
+use vliw_bench::FrontendStats;
 use vliw_experiments::{
     batch, chains_exp, example433, faults, fig4, fig5, fig6, fig7, fig8, hints_exp,
     interleave_study, optgap, profile_fidelity, report, tables, trace_exp, ExperimentContext,
@@ -20,36 +21,55 @@ use vliw_experiments::{
 use vliw_sched::{ClusterPolicy, SchedBackend, SchedStats};
 
 /// The scheduler-throughput record: schedules the suite under every policy
-/// (wall time + work counters from [`SchedStats`]) and probes the schedule
+/// (wall time + work counters from [`SchedStats`]), times the front-end
+/// alone over the same kernels (wall time + circuit and latency-step
+/// counters from [`FrontendStats`]) and probes the schedule
 /// memo, returning `BENCH_repro.json` metrics and a CSV table.
 fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
     let (kernels, machine) = vliw_bench::sched_workload_for(ctx);
     let mut metrics: Vec<(String, f64)> = Vec::new();
-    let mut csv = String::from("policy,kernels,seconds,schedules_per_sec,trial_cycles\n");
+    let mut csv = String::from(
+        "policy,kernels,seconds,schedules_per_sec,trial_cycles,\
+         problem_seconds,problems_per_sec,circuits,latency_steps\n",
+    );
     let mut total = SchedStats::default();
+    let mut front = FrontendStats::default();
     let mut total_secs = 0.0;
+    let mut total_problem_secs = 0.0;
     let mut total_schedules = 0u64;
     for policy in ClusterPolicy::ALL {
         let label = policy.assigner().name();
         let (stats, elapsed) = vliw_bench::sched_pass(&kernels, &machine, policy);
         let secs = elapsed.as_secs_f64();
         let per_sec = kernels.len() as f64 / secs;
+        let (fstats, felapsed) = vliw_bench::problem_pass(&kernels, &machine, policy);
+        let fsecs = felapsed.as_secs_f64();
+        let fper_sec = kernels.len() as f64 / fsecs;
         println!(
             "sched {label}: {} kernels in {secs:.3}s = {per_sec:.1} schedules/sec, \
-             {} trial cycles",
+             {} trial cycles; front-end {fsecs:.3}s = {fper_sec:.1} problems/sec, \
+             {} circuits, {} latency steps",
             kernels.len(),
-            stats.trial_cycles
+            stats.trial_cycles,
+            fstats.circuits,
+            fstats.latency_steps
         );
         let _ = writeln!(
             csv,
-            "{label},{},{secs},{per_sec},{}",
+            "{label},{},{secs},{per_sec},{},{fsecs},{fper_sec},{},{}",
             kernels.len(),
-            stats.trial_cycles
+            stats.trial_cycles,
+            fstats.circuits,
+            fstats.latency_steps
         );
         metrics.push((format!("schedules_per_sec/{label}"), per_sec));
         metrics.push((format!("trial_cycles/{label}"), stats.trial_cycles as f64));
+        metrics.push((format!("problems_per_sec/{label}"), fper_sec));
         total.merge(&stats);
+        front.circuits += fstats.circuits;
+        front.latency_steps += fstats.latency_steps;
         total_secs += secs;
+        total_problem_secs += fsecs;
         total_schedules += kernels.len() as u64;
     }
     metrics.push(("schedules".into(), total_schedules as f64));
@@ -58,6 +78,12 @@ fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
         total_schedules as f64 / total_secs,
     ));
     metrics.push(("trial_cycles".into(), total.trial_cycles as f64));
+    metrics.push((
+        "problems_per_sec".into(),
+        total_schedules as f64 / total_problem_secs,
+    ));
+    metrics.push(("circuits".into(), front.circuits as f64));
+    metrics.push(("latency_steps".into(), front.latency_steps as f64));
     metrics.push((
         "trial_cycles_per_sec".into(),
         total.trial_cycles as f64 / total_secs,

@@ -11,9 +11,13 @@ pub mod harness;
 use std::time::{Duration, Instant};
 
 use vliw_experiments::ExperimentContext;
+use vliw_ir::Ddg;
 use vliw_ir::LoopKernel;
 use vliw_machine::MachineConfig;
-use vliw_sched::{schedule_outcome, ClusterPolicy, SchedStats, ScheduleOptions};
+use vliw_sched::{
+    elementary_circuits, schedule_outcome, schedule_problem, ClusterPolicy, SchedStats,
+    ScheduleOptions,
+};
 use vliw_workloads::{profile_kernel, ArrayLayout};
 
 /// A deliberately small context for the benches: two benchmarks, short
@@ -103,4 +107,47 @@ pub fn sched_pass(
         stats.merge(&o.stats);
     }
     (stats, t.elapsed())
+}
+
+/// Deterministic work counters of one front-end pass ([`problem_pass`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontendStats {
+    /// Elementary circuits enumerated, summed over the kernels.
+    pub circuits: u64,
+    /// §4.3.3 latency-reduction steps applied, summed over the kernels.
+    pub latency_steps: u64,
+}
+
+/// One timed front-end pass: `schedule_problem` (circuits, pins, latency
+/// assignment, MII bounds, SMS order) for every workload kernel under
+/// `policy`, over the same population as [`sched_pass`]. The circuit
+/// count is taken outside the timed loop.
+pub fn problem_pass(
+    kernels: &[LoopKernel],
+    machine: &MachineConfig,
+    policy: ClusterPolicy,
+) -> (FrontendStats, Duration) {
+    let options = ScheduleOptions::new(policy);
+    let t = Instant::now();
+    let latency_steps = kernels
+        .iter()
+        .map(|k| {
+            let p = schedule_problem(
+                std::hint::black_box(k),
+                std::hint::black_box(machine),
+                &options,
+            );
+            p.latencies.steps.len() as u64
+        })
+        .sum();
+    let elapsed = t.elapsed();
+    let circuits = kernels
+        .iter()
+        .map(|k| elementary_circuits(&Ddg::build(k), options.enum_limits).len() as u64)
+        .sum();
+    let stats = FrontendStats {
+        circuits,
+        latency_steps,
+    };
+    (stats, elapsed)
 }

@@ -759,7 +759,7 @@ impl<'a> Search<'a> {
                     other,
                     other_cluster: cl,
                     other_cycle: cy,
-                    lat: self.prep.latencies.edge_latency(e, self.kernel) as i64,
+                    lat: self.prep.latencies.edge_latency(e) as i64,
                     dist: e.distance as i64,
                     regflow: e.kind == DepKind::RegFlow,
                 };

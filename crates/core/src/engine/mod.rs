@@ -671,7 +671,7 @@ impl TryState<'_> {
                     scratch.preds.push(Nbr {
                         other_cluster: p.cluster,
                         other_cycle: p.cycle,
-                        lat: self.latencies.edge_latency(e, self.kernel) as i64,
+                        lat: self.latencies.edge_latency(e) as i64,
                         dist: e.distance as i64,
                         regflow: e.kind == DepKind::RegFlow,
                         other: e.from,
@@ -686,7 +686,7 @@ impl TryState<'_> {
                     scratch.succs.push(Nbr {
                         other_cluster: s.cluster,
                         other_cycle: s.cycle,
-                        lat: self.latencies.edge_latency(e, self.kernel) as i64,
+                        lat: self.latencies.edge_latency(e) as i64,
                         dist: e.distance as i64,
                         regflow: e.kind == DepKind::RegFlow,
                         other: e.to,

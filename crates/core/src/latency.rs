@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use vliw_ir::{Ddg, DepEdge, LoopKernel, OpId, Opcode};
+use vliw_ir::{Ddg, DepEdge, DepKind, LoopKernel, OpId, Opcode};
 use vliw_machine::{AccessClass, MachineConfig};
 
 use crate::circuits::Circuit;
@@ -41,7 +41,7 @@ impl LatencyAssignment {
     }
 
     /// The scheduling latency of a dependence edge under this assignment.
-    pub fn edge_latency(&self, edge: &DepEdge, _kernel: &LoopKernel) -> u32 {
+    pub fn edge_latency(&self, edge: &DepEdge) -> u32 {
         mii::edge_latency(edge, |op| self.lat[op.index()])
     }
 
@@ -128,9 +128,9 @@ pub fn stall_estimate(
     let Some(mem) = &kernel.op(op).mem else {
         return 0.0;
     };
-    class_mix(mem, machine, cluster)
-        .into_iter()
-        .map(|(p, l)| p * (l.saturating_sub(assumed)) as f64)
+    class_mix(mem, machine, cluster, &mut [(0.0, 0); 4])
+        .iter()
+        .map(|&(p, l)| p * (l.saturating_sub(assumed)) as f64)
         .sum()
 }
 
@@ -138,12 +138,14 @@ pub fn stall_estimate(
 /// `(probability, class latency)` pairs — the §4.3.3 four-class model
 /// (`f·h, (1−f)·h, f·(1−h), (1−f)·(1−h)`) built from the operation's
 /// profile, shared by the stall estimator and the expected-latency
-/// derivation of the delay-tracking backend.
-fn class_mix(
+/// derivation of the delay-tracking backend. The pairs are written into
+/// `buf`, and the filled prefix is returned, so no call allocates.
+fn class_mix<'b>(
     mem: &vliw_ir::MemAccessInfo,
     machine: &MachineConfig,
     cluster: Option<usize>,
-) -> Vec<(f64, u32)> {
+    buf: &'b mut [(f64, u32); 4],
+) -> &'b [(f64, u32)] {
     let h = mem.hit_rate();
     let lats = &machine.mem_latencies;
     if machine.has_remote_accesses() {
@@ -156,14 +158,16 @@ fn class_mix(
                 (None, _) => 1.0 / machine.n_clusters() as f64,
             }
         };
-        vec![
+        *buf = [
             (f * h, lats.local_hit),
             ((1.0 - f) * h, lats.remote_hit),
             (f * (1.0 - h), lats.local_miss),
             ((1.0 - f) * (1.0 - h), lats.remote_miss),
-        ]
+        ];
+        buf
     } else {
-        vec![(h, lats.local_hit), (1.0 - h, lats.local_miss)]
+        buf[..2].copy_from_slice(&[(h, lats.local_hit), (1.0 - h, lats.local_miss)]);
+        &buf[..2]
     }
 }
 
@@ -204,9 +208,9 @@ pub fn delay_tracking_latency(
             Some(p) => lp.percentile(p).expect("nonempty") as f64,
             None => lp.expected().expect("nonempty"),
         },
-        _ if mem.profile.is_some() => class_mix(mem, machine, cluster)
-            .into_iter()
-            .map(|(p, l)| p * l as f64)
+        _ if mem.profile.is_some() => class_mix(mem, machine, cluster, &mut [(0.0, 0); 4])
+            .iter()
+            .map(|&(p, l)| p * l as f64)
             .sum(),
         _ => ceiling as f64,
     };
@@ -311,47 +315,45 @@ pub fn assign_latencies_with_pins(
         target_mii: target,
         steps: Vec::new(),
     };
-
-    let circuit_ii = |asg: &LatencyAssignment, c: &Circuit| -> u32 {
-        c.ii_bound(|e| asg.edge_latency(&ddg.edges()[e], kernel))
-    };
+    let mut sums = CircuitSums::new(kernel, ddg, circuits, &asg.lat);
 
     // circuits that could not be reduced below the target (e.g. recurrences
     // through stores only) are skipped so the outer loop terminates
     let mut stuck = vec![false; circuits.len()];
     loop {
-        // the most constraining recurrence still above the target
-        let worst = circuits
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !stuck[i])
-            .map(|(i, c)| (circuit_ii(&asg, c), i))
+        // the most constraining recurrence still above the target (ties:
+        // the lowest index)
+        let worst = (0..circuits.len())
+            .filter(|&i| !stuck[i])
+            .map(|i| (sums.ii(i), i))
             .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
             .filter(|&(ii, _)| ii > target);
         let Some((_, ci)) = worst else { break };
         let circuit = &circuits[ci];
 
         let mut last_changed: Option<OpId> = None;
-        while circuit_ii(&asg, circuit) > target {
-            let cur_ii = circuit_ii(&asg, circuit);
+        while sums.ii(ci) > target {
+            let cur_ii = sums.ii(ci);
             let mut candidates = Vec::new();
-            let mut loads: Vec<OpId> = circuit
-                .nodes
-                .iter()
-                .copied()
-                .filter(|&o| kernel.op(o).is_load())
-                .collect();
-            loads.dedup();
-            for &m in &loads {
+            // a load's latency counts on this circuit only through its
+            // outgoing register-flow edge; elsewhere lowering it leaves
+            // the circuit's II where it is
+            for (&m, &e) in circuit.nodes.iter().zip(&circuit.edges) {
+                if !kernel.op(m).is_load() {
+                    continue;
+                }
+                let flows = ddg.edges()[e].kind == DepKind::RegFlow;
                 let cur = asg.latency_of(m);
                 for &class in &classes {
                     let to = lats.of(class);
                     if to >= cur {
                         continue;
                     }
-                    let mut trial = asg.clone();
-                    trial.set(m, to);
-                    let new_ii = circuit_ii(&trial, circuit);
+                    let new_ii = if flows {
+                        sums.ii_with(ci, sums.sum[ci] - u64::from(cur) + u64::from(to))
+                    } else {
+                        cur_ii
+                    };
                     let delta_ii = cur_ii - new_ii;
                     let pin = pins.get(m.index()).copied().flatten();
                     let delta_stall = stall_estimate(kernel, machine, m, pin, to)
@@ -388,7 +390,7 @@ pub fn assign_latencies_with_pins(
                 })
                 .map(|(i, _)| i)
                 .expect("nonempty");
-            let c = candidates[chosen].clone();
+            let c = &candidates[chosen];
             if c.delta_ii == 0 && c.benefit.is_finite() {
                 // no candidate makes progress on the II: stop to avoid
                 // lowering latencies for nothing
@@ -397,8 +399,9 @@ pub fn assign_latencies_with_pins(
                     break;
                 }
             }
-            asg.set(c.op, lats.of(c.to_class));
-            last_changed = Some(c.op);
+            let op = c.op;
+            sums.set(&mut asg, op, lats.of(c.to_class));
+            last_changed = Some(op);
             asg.steps.push(BenefitStep {
                 circuit: ci,
                 candidates,
@@ -406,40 +409,96 @@ pub fn assign_latencies_with_pins(
             });
         }
 
-        if circuit_ii(&asg, circuit) > target {
+        if sums.ii(ci) > target {
             stuck[ci] = true;
         }
 
         // De-slack: raise the last-changed load so this recurrence sits at
-        // exactly the target — bounded by every circuit the load belongs to.
+        // exactly the target — bounded by every circuit the load's latency
+        // counts on.
         if let Some(m) = last_changed {
+            let cur = asg.latency_of(m);
             let mut bound = lats.of(max_class);
-            for c in circuits.iter().filter(|c| c.contains(m)) {
-                // m's latency contributes to the circuit through its
-                // outgoing register-flow edge (if any on this circuit)
-                let m_pos = c.nodes.iter().position(|&n| n == m).expect("member");
-                let out_edge = &ddg.edges()[c.edges[m_pos]];
-                let contributes = out_edge.kind == vliw_ir::DepKind::RegFlow;
-                if !contributes {
-                    continue;
-                }
-                let sum_others: i64 = c
-                    .edges
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != m_pos)
-                    .map(|(_, &e)| asg.edge_latency(&ddg.edges()[e], kernel) as i64)
-                    .sum();
-                let max_here = (target as i64) * (c.total_distance as i64) - sum_others;
+            for c in sums.flows_on(m) {
+                let sum_others = sums.sum[c] as i64 - i64::from(cur);
+                let max_here =
+                    i64::from(target) * i64::from(circuits[c].total_distance) - sum_others;
                 bound = bound.min(max_here.max(0) as u32);
             }
-            if bound > asg.latency_of(m) {
-                asg.set(m, bound);
+            if bound > cur {
+                sums.set(&mut asg, m, bound);
             }
         }
     }
 
     asg
+}
+
+/// Each circuit's latency sum under the assignment being reduced, kept
+/// current as loads change latency.
+///
+/// A load's latency enters a circuit's sum exactly when the load's
+/// outgoing edge on that circuit is a register flow
+/// ([`mii::edge_latency`]), and only loads change latency during the
+/// reduction, so each load keeps the list of circuits it flows on:
+/// lowering or raising a load updates only those sums, and a circuit's II
+/// is `⌈sum / distance⌉` — the same integers [`Circuit::ii_bound`] folds,
+/// without re-walking the circuit.
+struct CircuitSums<'c> {
+    circuits: &'c [Circuit],
+    /// `Σ edge latency` per circuit.
+    sum: Vec<u64>,
+    /// Per op, the circuits its latency counts on, ascending (empty for
+    /// every op but loads).
+    flows_on: Vec<Vec<u32>>,
+}
+
+impl<'c> CircuitSums<'c> {
+    fn new(kernel: &LoopKernel, ddg: &Ddg<'_>, circuits: &'c [Circuit], lat: &[u32]) -> Self {
+        let edges = ddg.edges();
+        let mut flows_on = vec![Vec::new(); kernel.ops.len()];
+        let mut sum = Vec::with_capacity(circuits.len());
+        for (i, c) in circuits.iter().enumerate() {
+            let mut total = 0u64;
+            for (&m, &e) in c.nodes.iter().zip(&c.edges) {
+                total += u64::from(mii::edge_latency(&edges[e], |op| lat[op.index()]));
+                if edges[e].kind == DepKind::RegFlow && kernel.op(m).is_load() {
+                    flows_on[m.index()].push(i as u32);
+                }
+            }
+            sum.push(total);
+        }
+        CircuitSums {
+            circuits,
+            sum,
+            flows_on,
+        }
+    }
+
+    /// Circuit `c`'s II bound, `⌈Σ latency / Σ distance⌉`.
+    fn ii(&self, c: usize) -> u32 {
+        self.ii_with(c, self.sum[c])
+    }
+
+    /// Circuit `c`'s II bound were its latency sum `sum`.
+    fn ii_with(&self, c: usize, sum: u64) -> u32 {
+        sum.div_ceil(u64::from(self.circuits[c].total_distance)) as u32
+    }
+
+    /// The circuits load `op`'s latency counts on.
+    fn flows_on(&self, op: OpId) -> impl Iterator<Item = usize> + '_ {
+        self.flows_on[op.index()].iter().map(|&c| c as usize)
+    }
+
+    /// Sets load `op`'s latency in `asg` and moves the sums it counts on.
+    fn set(&mut self, asg: &mut LatencyAssignment, op: OpId, lat: u32) {
+        let old = asg.latency_of(op);
+        for &c in &self.flows_on[op.index()] {
+            let sum = &mut self.sum[c as usize];
+            *sum = *sum - u64::from(old) + u64::from(lat);
+        }
+        asg.set(op, lat);
+    }
 }
 
 #[cfg(test)]

@@ -77,24 +77,55 @@ pub fn rec_mii(ddg: &Ddg<'_>, mut lat_of: impl FnMut(OpId) -> u32) -> u32 {
 
 /// Longest-path Bellman-Ford: does any cycle have positive total weight
 /// `Σ (lat − II·dist)`?
+///
+/// Relaxation starts from all-zero distances (a virtual source feeding
+/// every node) and records, per node, the node whose edge last raised it.
+/// After each round the predecessor graph is checked for a cycle: when
+/// one exists it has positive weight (each predecessor edge satisfied
+/// `dist[v] = dist[u] + w` when it was recorded and `dist[u]` only grows
+/// afterwards, so around the cycle `Σ w > 0`), and without a positive
+/// cycle relaxation converges and no predecessor cycle ever forms. So the
+/// answer is the one all `n + 1` rounds would give, usually after far
+/// fewer rounds on an infeasible `II`.
 fn has_positive_cycle(n: usize, edges: &[(usize, usize, i64, i64)], ii: i64) -> bool {
     if n == 0 {
         return false;
     }
     let mut dist = vec![0i64; n];
+    let mut pred = vec![usize::MAX; n];
+    let mut mark = vec![0usize; n];
     for round in 0..=n {
         let mut changed = false;
         for &(u, v, lat, d) in edges {
             let w = lat - ii * d;
             if dist[u] + w > dist[v] {
                 dist[v] = dist[u] + w;
+                pred[v] = u;
                 changed = true;
             }
         }
         if !changed {
             return false;
         }
-        if round == n {
+        if round == n || has_pred_cycle(&pred, &mut mark) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Whether the predecessor graph (`pred[v]`, `usize::MAX` for none) has a
+/// cycle: every node has at most one predecessor, so one walk per
+/// unvisited start node, stamped with that start, finds it in `O(n)`.
+fn has_pred_cycle(pred: &[usize], mark: &mut [usize]) -> bool {
+    mark.fill(0);
+    for s in 0..pred.len() {
+        let mut v = s;
+        while v != usize::MAX && mark[v] == 0 {
+            mark[v] = s + 1;
+            v = pred[v];
+        }
+        if v != usize::MAX && mark[v] == s + 1 {
             return true;
         }
     }

@@ -26,53 +26,31 @@ use vliw_ir::{Ddg, OpId};
 use crate::circuits::Circuit;
 use crate::mii;
 
-/// Depth/height over the intra-iteration (distance-0) subgraph.
+/// Depth/height over the intra-iteration (distance-0) subgraph, and its
+/// adjacency as `(neighbor, edge index)` entries in edge-list order.
 #[derive(Debug, Clone)]
 struct DagInfo {
     depth: Vec<i64>,
     height: Vec<i64>,
-    preds0: Vec<Vec<usize>>,
-    succs0: Vec<Vec<usize>>,
+    preds0: Vec<Vec<(usize, usize)>>,
+    succs0: Vec<Vec<(usize, usize)>>,
 }
 
 fn dag_info(ddg: &Ddg<'_>, lat_of: &dyn Fn(OpId) -> u32) -> DagInfo {
     let n = ddg.n_ops();
-    let mut preds0 = vec![Vec::new(); n];
-    let mut succs0 = vec![Vec::new(); n];
-    // First distance-0 edge (in edge-list order) per (from, to) pair: the
-    // depth/height recurrences below charge every duplicate adjacency entry
-    // the latency of that *first* edge, which is what the old linear
-    // `find` over the edge list computed — but in O(E) total instead of
-    // O(E) per adjacency entry.
-    let mut first_d0: std::collections::HashMap<(usize, usize), usize> = Default::default();
+    let mut preds0: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    let mut succs0: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     for (i, e) in ddg.edges().iter().enumerate() {
         // distance-0 edges always point forward in construction order (the
         // builder creates defs before uses), so this subgraph is acyclic;
         // guard against hand-built graphs violating it.
         if e.distance == 0 && e.from.index() < e.to.index() {
-            preds0[e.to.index()].push(e.from.index());
-            succs0[e.from.index()].push(e.to.index());
-            first_d0.entry((e.from.index(), e.to.index())).or_insert(i);
+            preds0[e.to.index()].push((e.from.index(), i));
+            succs0[e.from.index()].push((e.to.index(), i));
         }
     }
-    let lat_d0 = |from: usize, to: usize| -> i64 {
-        let i = first_d0[&(from, to)];
-        mii::edge_latency(&ddg.edges()[i], lat_of) as i64
-    };
-    let mut depth = vec![0i64; n];
-    for v in 0..n {
-        for &p in &preds0[v] {
-            let l = lat_d0(p, v);
-            depth[v] = depth[v].max(depth[p] + l.max(1));
-        }
-    }
-    let mut height = vec![0i64; n];
-    for v in (0..n).rev() {
-        for &s in &succs0[v] {
-            let l = lat_d0(v, s);
-            height[v] = height[v].max(height[s] + l.max(1));
-        }
-    }
+    let depth = longest_path(0..n, &preds0, ddg, lat_of);
+    let height = longest_path((0..n).rev(), &succs0, ddg, lat_of);
     DagInfo {
         depth,
         height,
@@ -81,24 +59,60 @@ fn dag_info(ddg: &Ddg<'_>, lat_of: &dyn Fn(OpId) -> u32) -> DagInfo {
     }
 }
 
-/// Transitive closure helper over the distance-0 subgraph.
-fn reachable(from: &HashSet<usize>, succs: &[Vec<usize>]) -> HashSet<usize> {
-    let mut seen = from.clone();
-    let mut stack: Vec<usize> = from.iter().copied().collect();
+/// Longest distance-0 path to each node over `adj` (predecessors for the
+/// depth, successors for the height), visiting nodes in `visit` order
+/// (topological for `adj`). Each edge counts at least 1.
+///
+/// Every duplicate adjacency entry is charged the latency of the *first*
+/// distance-0 edge (in edge-list order) of its pair. A node's adjacency
+/// list is in edge-list order, so the first entry naming a neighbor holds
+/// that edge: `first[w]` caches its latency while `seen[w]` is the node
+/// being scanned.
+fn longest_path(
+    visit: impl Iterator<Item = usize>,
+    adj: &[Vec<(usize, usize)>],
+    ddg: &Ddg<'_>,
+    lat_of: &dyn Fn(OpId) -> u32,
+) -> Vec<i64> {
+    let n = adj.len();
+    let mut len = vec![0i64; n];
+    let mut seen = vec![usize::MAX; n];
+    let mut first = vec![0i64; n];
+    for v in visit {
+        for &(w, e) in &adj[v] {
+            if seen[w] != v {
+                seen[w] = v;
+                first[w] = mii::edge_latency(&ddg.edges()[e], lat_of) as i64;
+            }
+            len[v] = len[v].max(len[w] + first[w].max(1));
+        }
+    }
+    len
+}
+
+/// Marks every node reachable from a marked node through `adj` (the
+/// marked nodes included).
+fn close_over(mark: &mut [bool], adj: &[Vec<(usize, usize)>], stack: &mut Vec<usize>) {
+    stack.extend((0..mark.len()).filter(|&v| mark[v]));
     while let Some(v) = stack.pop() {
-        for &w in &succs[v] {
-            if seen.insert(w) {
+        for &(w, _) in &adj[v] {
+            if !mark[w] {
+                mark[w] = true;
                 stack.push(w);
             }
         }
     }
-    seen
 }
 
 /// Computes the SMS node order for a kernel.
 ///
 /// `circuits` are the kernel's recurrences and `lat_of` the (assigned)
 /// per-op latencies; both feed the recurrence priorities.
+///
+/// Every set is an index structure over the ops (`set_of`, `ordered`,
+/// `in_r` flags and node lists), not a hash set, and every choice below
+/// is a maximum under a total order or a sort with a total tie-break, so
+/// the order does not depend on how a set's nodes are iterated.
 pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u32) -> Vec<OpId> {
     let n = ddg.n_ops();
     if n == 0 {
@@ -136,106 +150,103 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
             }
         }
     }
-    let mut set_nodes: std::collections::HashMap<usize, HashSet<usize>> = Default::default();
-    let mut set_prio: std::collections::HashMap<usize, u32> = Default::default();
+    // a set's priority is its most constraining circuit's II
+    let mut root_prio = vec![0u32; circuits.len()];
     for (i, c) in circuits.iter().enumerate() {
         let root = find(&mut parent, i);
-        let entry = set_nodes.entry(root).or_default();
-        entry.extend(c.nodes.iter().map(|o| o.index()));
         let ii = c.ii_bound(|e| mii::edge_latency(&ddg.edges()[e], &lat_of));
-        let p = set_prio.entry(root).or_insert(0);
-        *p = (*p).max(ii);
+        root_prio[root] = root_prio[root].max(ii);
     }
-    let mut rec_sets: Vec<(u32, HashSet<usize>)> = set_nodes
-        .into_iter()
-        .map(|(root, nodes)| (set_prio[&root], nodes))
-        .collect();
+    // a set's members are the nodes whose first circuit has its root,
+    // listed in ascending node order
+    let mut root_set = vec![usize::MAX; circuits.len()];
+    let mut rec_sets: Vec<(u32, Vec<usize>)> = Vec::new();
+    for (v, &first) in node_first.iter().enumerate() {
+        if first == usize::MAX {
+            continue;
+        }
+        let root = find(&mut parent, first);
+        if root_set[root] == usize::MAX {
+            root_set[root] = rec_sets.len();
+            rec_sets.push((root_prio[root], Vec::new()));
+        }
+        rec_sets[root_set[root]].1.push(v);
+    }
     rec_sets.sort_by(|a, b| {
         b.0.cmp(&a.0)
             .then(b.1.len().cmp(&a.1.len()))
-            .then(a.1.iter().min().cmp(&b.1.iter().min()))
+            .then(a.1[0].cmp(&b.1[0]))
     });
 
     // --- steps 2-3: build the processing sets ------------------------------------
-    let mut taken: HashSet<usize> = HashSet::new();
-    let mut process_sets: Vec<HashSet<usize>> = Vec::new();
+    let mut taken = vec![false; n];
+    let mut any_taken = false;
+    let mut process_sets: Vec<Vec<usize>> = Vec::new();
+    let (mut in_s, mut down, mut up) = (vec![false; n], vec![false; n], vec![false; n]);
+    let mut stack = Vec::new();
     for (_, set) in &rec_sets {
-        let mut s: HashSet<usize> = set.difference(&taken).copied().collect();
+        let mut s: Vec<usize> = set.iter().copied().filter(|&v| !taken[v]).collect();
         if s.is_empty() {
             continue;
         }
-        if !taken.is_empty() {
+        if any_taken {
+            for &v in &s {
+                in_s[v] = true;
+            }
             // nodes on intra-iteration paths between ordered nodes and s
-            let down_from_taken = reachable(&taken, &info.succs0);
-            let up_to_s = {
-                let mut anc = s.clone();
-                let mut stack: Vec<usize> = s.iter().copied().collect();
-                while let Some(v) = stack.pop() {
-                    for &p in &info.preds0[v] {
-                        if anc.insert(p) {
-                            stack.push(p);
-                        }
-                    }
-                }
-                anc
-            };
-            for v in down_from_taken.intersection(&up_to_s) {
-                if !taken.contains(v) {
-                    s.insert(*v);
+            down.copy_from_slice(&taken);
+            close_over(&mut down, &info.succs0, &mut stack);
+            up.copy_from_slice(&in_s);
+            close_over(&mut up, &info.preds0, &mut stack);
+            for v in 0..n {
+                if down[v] && up[v] && !taken[v] && !in_s[v] {
+                    in_s[v] = true;
+                    s.push(v);
                 }
             }
             // and the symmetric direction (paths from s down to taken)
-            let down_from_s = reachable(&s, &info.succs0);
-            let up_to_taken = {
-                let mut anc = taken.clone();
-                let mut stack: Vec<usize> = taken.iter().copied().collect();
-                while let Some(v) = stack.pop() {
-                    for &p in &info.preds0[v] {
-                        if anc.insert(p) {
-                            stack.push(p);
-                        }
-                    }
-                }
-                anc
-            };
-            for v in down_from_s.intersection(&up_to_taken) {
-                if !taken.contains(v) {
-                    s.insert(*v);
+            down.copy_from_slice(&in_s);
+            close_over(&mut down, &info.succs0, &mut stack);
+            up.copy_from_slice(&taken);
+            close_over(&mut up, &info.preds0, &mut stack);
+            for v in 0..n {
+                if down[v] && up[v] && !taken[v] && !in_s[v] {
+                    in_s[v] = true;
+                    s.push(v);
                 }
             }
+            for &v in &s {
+                in_s[v] = false;
+            }
         }
-        taken.extend(s.iter().copied());
+        for &v in &s {
+            taken[v] = true;
+        }
+        any_taken = true;
         process_sets.push(s);
     }
-    // remaining nodes: weakly-connected components over all edges
-    let mut remaining: Vec<usize> = (0..n).filter(|v| !taken.contains(v)).collect();
-    if !remaining.is_empty() {
+    // remaining nodes: weakly-connected components over all edges, in
+    // order of their minimum node (the order they are first met below)
+    if taken.iter().any(|&t| !t) {
         let mut comp_parent: Vec<usize> = (0..n).collect();
         for e in ddg.edges() {
             let (a, b) = (
-                find2(&mut comp_parent, e.from.index()),
-                find2(&mut comp_parent, e.to.index()),
+                find(&mut comp_parent, e.from.index()),
+                find(&mut comp_parent, e.to.index()),
             );
             if a != b {
                 comp_parent[a] = b;
             }
         }
-        fn find2(p: &mut Vec<usize>, x: usize) -> usize {
-            if p[x] != x {
-                let r = find2(p, p[x]);
-                p[x] = r;
+        let mut root_comp = vec![usize::MAX; n];
+        for v in (0..n).filter(|&v| !taken[v]) {
+            let r = find(&mut comp_parent, v);
+            if root_comp[r] == usize::MAX {
+                root_comp[r] = process_sets.len();
+                process_sets.push(Vec::new());
             }
-            p[x]
+            process_sets[root_comp[r]].push(v);
         }
-        remaining.sort_unstable();
-        let mut comps: std::collections::HashMap<usize, HashSet<usize>> = Default::default();
-        for v in remaining {
-            let r = find2(&mut comp_parent, v);
-            comps.entry(r).or_default().insert(v);
-        }
-        let mut comps: Vec<HashSet<usize>> = comps.into_values().collect();
-        comps.sort_by_key(|c| *c.iter().min().unwrap());
-        process_sets.extend(comps);
     }
 
     // --- step 4: the swing ordering ----------------------------------------------
@@ -244,20 +255,30 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
         TopDown,
         BottomUp,
     }
-    let mut order: Vec<usize> = Vec::new();
-    let mut ordered: HashSet<usize> = HashSet::new();
-    for s in &process_sets {
+    // the processing sets partition the nodes
+    let mut set_of = vec![0usize; n];
+    for (i, s) in process_sets.iter().enumerate() {
+        for &v in s {
+            set_of[v] = i;
+        }
+    }
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut ordered = vec![false; n];
+    // membership of the ready list `r`
+    let mut in_r = vec![false; n];
+    // the unordered nodes of `s` with an ordered neighbor through `adj`
+    // (successors of ordered nodes through `preds0`, predecessors through
+    // `succs0`)
+    let touching = |s: &[usize], adj: &[Vec<(usize, usize)>], ordered: &[bool]| -> Vec<usize> {
+        s.iter()
+            .copied()
+            .filter(|&v| !ordered[v] && adj[v].iter().any(|&(w, _)| ordered[w]))
+            .collect()
+    };
+    for (si, s) in process_sets.iter().enumerate() {
         // seed: how does this set connect to what is already ordered?
-        let succ_of_ordered: HashSet<usize> = order
-            .iter()
-            .flat_map(|&v| info.succs0[v].iter().copied())
-            .filter(|v| s.contains(v) && !ordered.contains(v))
-            .collect();
-        let pred_of_ordered: HashSet<usize> = order
-            .iter()
-            .flat_map(|&v| info.preds0[v].iter().copied())
-            .filter(|v| s.contains(v) && !ordered.contains(v))
-            .collect();
+        let succ_of_ordered = touching(s, &info.preds0, &ordered);
+        let pred_of_ordered = touching(s, &info.succs0, &ordered);
         // Seed priority follows SMS: prefer sweeping bottom-up from the
         // set's nodes that feed already-ordered nodes. This keeps each
         // recurrence circuit contiguous so that its closing node's window
@@ -271,27 +292,28 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
             // start bottom-up from the node with the greatest ASAP (the tail
             // of the set's longest chain), as SMS does; deterministic
             // tie-break by height then id
-            let seed = s
-                .iter()
-                .copied()
-                .filter(|v| !ordered.contains(v))
-                .max_by(|&a, &b| {
-                    info.depth[a]
-                        .cmp(&info.depth[b])
-                        .then(info.height[b].cmp(&info.height[a]))
-                        .then(b.cmp(&a))
-                });
+            let seed = s.iter().copied().filter(|&v| !ordered[v]).max_by(|&a, &b| {
+                info.depth[a]
+                    .cmp(&info.depth[b])
+                    .then(info.height[b].cmp(&info.height[a]))
+                    .then(b.cmp(&a))
+            });
             match seed {
-                Some(v) => ([v].into_iter().collect(), Dir::BottomUp),
+                Some(v) => (vec![v], Dir::BottomUp),
                 None => continue,
             }
         };
+        for &v in &r {
+            in_r[v] = true;
+        }
+        let mut left = s.iter().filter(|&&v| !ordered[v]).count();
         loop {
             while !r.is_empty() {
                 // pick by height (top-down) or depth (bottom-up)
-                let &v = r
+                let (at, _) = r
                     .iter()
-                    .max_by(|&&a, &&b| {
+                    .enumerate()
+                    .max_by(|&(_, &a), &(_, &b)| {
                         let (ka, kb) = match dir {
                             Dir::TopDown => (info.height[a], info.height[b]),
                             Dir::BottomUp => (info.depth[a], info.depth[b]),
@@ -304,23 +326,26 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
                             .then(b.cmp(&a))
                     })
                     .expect("nonempty");
-                r.remove(&v);
-                if ordered.contains(&v) {
+                let v = r.swap_remove(at);
+                in_r[v] = false;
+                if ordered[v] {
                     continue;
                 }
                 order.push(v);
-                ordered.insert(v);
+                ordered[v] = true;
+                left -= 1;
                 let next = match dir {
                     Dir::TopDown => &info.succs0[v],
                     Dir::BottomUp => &info.preds0[v],
                 };
-                for &w in next {
-                    if s.contains(&w) && !ordered.contains(&w) {
-                        r.insert(w);
+                for &(w, _) in next {
+                    if set_of[w] == si && !ordered[w] && !in_r[w] {
+                        in_r[w] = true;
+                        r.push(w);
                     }
                 }
             }
-            if s.iter().all(|v| ordered.contains(v)) {
+            if left == 0 {
                 break;
             }
             // swing: reverse direction, restart from the frontier
@@ -328,32 +353,24 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
                 Dir::TopDown => Dir::BottomUp,
                 Dir::BottomUp => Dir::TopDown,
             };
-            let frontier: HashSet<usize> = order
-                .iter()
-                .flat_map(|&v| {
-                    match dir {
-                        Dir::TopDown => info.succs0[v].iter(),
-                        Dir::BottomUp => info.preds0[v].iter(),
-                    }
-                    .copied()
-                })
-                .filter(|v| s.contains(v) && !ordered.contains(v))
-                .collect();
-            if frontier.is_empty() {
+            r = match dir {
+                Dir::TopDown => touching(s, &info.preds0, &ordered),
+                Dir::BottomUp => touching(s, &info.succs0, &ordered),
+            };
+            if r.is_empty() {
                 // disconnected leftover inside the set: reseed
                 let seed = s
                     .iter()
                     .copied()
-                    .filter(|v| !ordered.contains(v))
+                    .filter(|&v| !ordered[v])
                     .max_by(|&a, &b| info.height[a].cmp(&info.height[b]).then(b.cmp(&a)));
                 match seed {
-                    Some(v) => {
-                        r = [v].into_iter().collect();
-                    }
+                    Some(v) => r.push(v),
                     None => break,
                 }
-            } else {
-                r = frontier;
+            }
+            for &v in &r {
+                in_r[v] = true;
             }
         }
     }

@@ -125,7 +125,7 @@ impl Schedule {
         for e in &kernel.edges {
             let from = self.op(e.from);
             let to = self.op(e.to);
-            let base_lat = self.latencies.edge_latency(e, kernel) as i64;
+            let base_lat = self.latencies.edge_latency(e) as i64;
             let mut lat = base_lat;
             if e.kind == DepKind::RegFlow && from.cluster != to.cluster {
                 // value travels through a copy
