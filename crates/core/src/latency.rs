@@ -45,7 +45,8 @@ impl LatencyAssignment {
         mii::edge_latency(edge, |op| self.lat[op.index()])
     }
 
-    /// Internal: mutable access for tests and the de-slack step.
+    /// Internal: sets one op's latency; the reduction goes through
+    /// `CircuitSums::set`, which keeps the circuit sums in step.
     fn set(&mut self, op: OpId, lat: u32) {
         self.lat[op.index()] = lat;
     }

@@ -328,9 +328,7 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
                     .expect("nonempty");
                 let v = r.swap_remove(at);
                 in_r[v] = false;
-                if ordered[v] {
-                    continue;
-                }
+                // `r` holds only unordered nodes: one leaves it when ordered
                 order.push(v);
                 ordered[v] = true;
                 left -= 1;
