@@ -40,7 +40,12 @@ And the `optgap` section (the exact-search yardstick):
 
 And the `trace` section (the vliw-trace observability subsystem): the
 fresh record must carry it, with a nonzero event count and nonzero span
-counts for the scheduler and simulator stages. Its presence is what
+counts for the scheduler and simulator stages, and its
+`instant_count/swing.attempt` — one instant per swing placement attempt
+in the deterministic trace pass, so the swing backend's work counter —
+must equal the baseline's exactly (checked only when the baseline
+records it): more attempts mean the backend searches IIs it used to
+skip, fewer mean its output may have moved. Its presence is what
 makes the schedules_per_sec guard meaningful under the
 zero-overhead-when-off contract: the `sched` figure is produced by the
 same binary that records the trace — tracing compiled in throughout,
@@ -138,7 +143,10 @@ def main():
         figure_metrics(sys.argv[1], "optgap"),
         figure_metrics(sys.argv[2], "optgap"),
     )
-    failed |= check_trace(figure_metrics(sys.argv[2], "trace"))
+    failed |= check_trace(
+        figure_metrics(sys.argv[1], "trace"),
+        figure_metrics(sys.argv[2], "trace"),
+    )
 
     if failed:
         return 1
@@ -218,10 +226,15 @@ def check_optgap(baseline, fresh):
     return failed
 
 
-def check_trace(fresh):
+# Deterministic trace counters that must equal the baseline exactly.
+TRACE_EXACT = ("instant_count/swing.attempt",)
+
+
+def check_trace(baseline, fresh):
     """The throughput guard must measure the shipping configuration:
     tracing compiled in, disabled on every timed path. The trace section
-    of the same record proves the probes are present in the binary."""
+    of the same record proves the probes are present in the binary. Its
+    deterministic work counters must also match the baseline."""
     if fresh is None:
         print(
             "FAIL: fresh record has no trace section — the schedules_per_sec "
@@ -240,6 +253,16 @@ def check_trace(fresh):
     for key in ("span_count/backend.swing", "span_count/sim.loop"):
         if fresh.get(key, 0) <= 0:
             print(f"FAIL: trace section has no {key} spans")
+            failed = True
+
+    for key in TRACE_EXACT:
+        b_count = (baseline or {}).get(key)
+        if b_count is None:
+            continue
+        f_count = fresh.get(key)
+        print(f"{key} (deterministic): baseline {b_count:.0f} -> current {f_count}")
+        if f_count != b_count:
+            print(f"FAIL: trace {key} must equal the baseline")
             failed = True
 
     if not failed:

@@ -135,7 +135,13 @@ impl SchedStats {
 pub struct ScheduleOptions {
     /// Cluster-assignment policy.
     pub policy: ClusterPolicy,
-    /// Hard II limit; `None` = `2 × MII + 96`.
+    /// A tighten-only II ceiling: the search stops at
+    /// `min(max_ii, 2 × MII + 96)`, so `Some(x)` can only shorten the
+    /// default II range, never extend it (the way
+    /// [`ScheduleOptions::cost_ceiling`] composes with the node budget).
+    /// `None` (the default) searches up to `2 × MII + 96`; a ceiling below
+    /// the MII fails with [`ScheduleError::NoSchedule`] before any
+    /// placement attempt.
     pub max_ii: Option<u32>,
     /// Circuit-enumeration safety caps.
     pub enum_limits: EnumLimits,
@@ -286,7 +292,8 @@ pub struct ScheduleProblem {
     pub rec_mii: u32,
     /// `max(res, rec, 1)` — the II search floor.
     pub mii: u32,
-    /// The II search ceiling (`options.max_ii` or `2 × MII + 96`).
+    /// The II search ceiling: `2 × MII + 96`, lowered to
+    /// `options.max_ii` when that is smaller.
     pub max_ii: u32,
     /// Per-op cluster pins known before scheduling (IPBC / NoChains).
     pub pins: Vec<Option<usize>>,
@@ -337,7 +344,8 @@ pub(crate) struct Prep {
     pub rec: u32,
     /// `max(res, rec, 1)` — the II search floor.
     pub mii0: u32,
-    /// The II search ceiling (`options.max_ii` or `2 × MII + 96`).
+    /// The II search ceiling: `2 × MII + 96`, lowered to
+    /// `options.max_ii` when that is smaller.
     pub max_ii: u32,
     /// SMS placement order.
     pub order: Vec<OpId>,
@@ -400,7 +408,7 @@ pub(crate) fn prepare<'k>(
     let res = mii::res_mii(kernel, machine);
     let rec = mii::rec_mii(&ddg, |op| latencies.latency_of(op));
     let mii0 = res.max(rec).max(1);
-    let max_ii = options.max_ii.unwrap_or(2 * mii0 + 96);
+    let max_ii = (2 * mii0 + 96).min(options.max_ii.unwrap_or(u32::MAX));
     if trace.on() {
         trace.instant(
             "prepare.mii.bounds",
@@ -441,7 +449,9 @@ pub(crate) fn prepare<'k>(
 ///
 /// # Errors
 ///
-/// [`ScheduleError::NoSchedule`] if no II up to the limit fits.
+/// [`ScheduleError::NoSchedule`] if no II up to the limit fits — at once,
+/// with no table built and no attempt run, when the limit is below the
+/// MII.
 pub(crate) fn swing_with_prep(
     kernel: &LoopKernel,
     machine: &MachineConfig,
@@ -461,6 +471,13 @@ pub(crate) fn swing_with_prep(
         max_ii,
         order,
     } = prep;
+    if max_ii < mii0 {
+        // a caller's ceiling below the floor: nothing to try
+        return Err(ScheduleError::NoSchedule {
+            loop_name: kernel.name.clone(),
+            max_ii,
+        });
+    }
     let assigner = policy.assigner();
 
     // Span granularity stops here: probes wrap whole placement attempts,
@@ -965,5 +982,92 @@ impl TryState<'_> {
             })
             .collect();
         Ok((ops, copies))
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)] // test assertions may unwrap
+mod tests {
+    use super::*;
+    use vliw_ir::{ArrayKind, KernelBuilder, Opcode};
+    use vliw_trace::RecordingSink;
+
+    /// A load → add → store recurrence (MII above 1).
+    fn recurrence() -> LoopKernel {
+        let mut b = KernelBuilder::new("rec");
+        let a = b.array("a", 1024, ArrayKind::Global);
+        let (ld, v) = b.load("ld", a, 0, 4, 4);
+        let (_, w) = b.int_op("add", Opcode::Add, &[v.into()]);
+        let (st, _) = b.store("st", a, 512, 4, 4, w);
+        b.mem_dep(st, ld, DepKind::MemFlow, 1);
+        b.finish(64.0)
+    }
+
+    fn options(backend: SchedBackend, max_ii: Option<u32>) -> ScheduleOptions {
+        ScheduleOptions {
+            max_ii,
+            ..ScheduleOptions::new(ClusterPolicy::BuildChains).with_backend(backend)
+        }
+    }
+
+    #[test]
+    fn max_ii_above_the_default_is_the_default() {
+        let (k, m) = (recurrence(), MachineConfig::word_interleaved_4());
+        for backend in [SchedBackend::SwingModulo, SchedBackend::DelayTracking] {
+            let free = options(backend, None);
+            let default = schedule_problem(&k, &m, &free).max_ii;
+            assert!(default > 96);
+            let reference = schedule_outcome(&k, &m, free).unwrap();
+            for x in [default, default + 1, u32::MAX] {
+                let capped = options(backend, Some(x));
+                assert_eq!(schedule_problem(&k, &m, &capped).max_ii, default);
+                let o = schedule_outcome(&k, &m, capped).unwrap();
+                assert_eq!(o.schedule, reference.schedule);
+                assert_eq!(o.stats, reference.stats);
+            }
+        }
+    }
+
+    #[test]
+    fn max_ii_at_the_found_ii_keeps_the_answer() {
+        let (k, m) = (recurrence(), MachineConfig::word_interleaved_4());
+        let reference = schedule_outcome(&k, &m, options(SchedBackend::SwingModulo, None)).unwrap();
+        let ii = reference.schedule.ii;
+        let at = schedule_outcome(&k, &m, options(SchedBackend::SwingModulo, Some(ii))).unwrap();
+        assert_eq!(at.schedule, reference.schedule);
+        assert_eq!(at.stats, reference.stats);
+        if ii > reference.schedule.mii {
+            let below = schedule_outcome(&k, &m, options(SchedBackend::SwingModulo, Some(ii - 1)));
+            assert!(matches!(below, Err(ScheduleError::NoSchedule { .. })));
+        }
+    }
+
+    #[test]
+    fn max_ii_below_the_mii_fails_before_any_attempt() {
+        let (k, m) = (recurrence(), MachineConfig::word_interleaved_4());
+        let mii = schedule_problem(&k, &m, &options(SchedBackend::SwingModulo, None)).mii;
+        assert!(mii > 1);
+        for backend in [SchedBackend::SwingModulo, SchedBackend::DelayTracking] {
+            for x in [0, mii - 1] {
+                let sink = RecordingSink::logical();
+                let err =
+                    schedule_outcome_traced(&k, &m, options(backend, Some(x)), Trace::new(&sink))
+                        .unwrap_err();
+                assert_eq!(
+                    err,
+                    ScheduleError::NoSchedule {
+                        loop_name: "rec".into(),
+                        max_ii: x
+                    }
+                );
+                // the front-end ran; the placement loop (its span, its
+                // scratch table, its attempts) never started
+                let events = sink.events();
+                assert!(events.iter().any(|e| e.name == "prepare.order"));
+                assert!(!events
+                    .iter()
+                    .any(|e| e.name == "backend.swing" || e.name == "swing.attempt"));
+            }
+        }
     }
 }

@@ -145,54 +145,60 @@ pub trait ClusterAssign: std::fmt::Debug + Sync {
     }
 }
 
-/// The shared BASE ranking (§4.2): prefer the cluster that (1) needs the
-/// fewest new inter-cluster copies, then (2) holds the most register-flow
-/// neighbors (affinity), then (3) has the lightest workload, then (4) the
-/// lowest index.
-pub fn rank_by_communication_balance(ctx: &AssignContext<'_>) -> Vec<usize> {
-    let mut out = Vec::new();
-    rank_by_communication_balance_into(ctx, &mut out);
-    out
-}
+/// The most clusters [`rank_by_communication_balance_into`] can rank: it
+/// scores clusters into a stack array of this length and tracks successor
+/// clusters in a `u32` bitmask. Every paper machine has 4 clusters, and
+/// the default cache geometry (32-byte blocks, 4-byte interleaving)
+/// validates at most 8.
+const MAX_RANKED_CLUSTERS: usize = 32;
 
-/// [`rank_by_communication_balance`] writing into a caller-owned buffer
-/// (cleared first) — the engine's allocation-free form.
+/// The shared BASE ranking (§4.2), written into a caller-owned buffer
+/// (cleared first): prefer the cluster that (1) needs the fewest new
+/// inter-cluster copies, then (2) holds the most register-flow neighbors
+/// (affinity), then (3) has the lightest workload, then (4) the lowest
+/// index.
+///
+/// Each cluster is scored once — one walk of the predecessors per
+/// cluster for the copy check, per-cluster affinity counts and a bitmask
+/// of successor clusters shared by all of them — and the
+/// `(score, cluster)` pairs are sorted. The pair is a total order, so the
+/// ranking does not depend on the sort's stability.
+///
+/// # Panics
+///
+/// If `ctx.n_clusters` exceeds 32.
 pub fn rank_by_communication_balance_into(ctx: &AssignContext<'_>, cs: &mut Vec<usize>) {
-    cs.clear();
-    cs.extend(0..ctx.n_clusters);
-    let score = |c: usize| -> (usize, isize, usize) {
+    let n = ctx.n_clusters;
+    assert!(
+        n <= MAX_RANKED_CLUSTERS,
+        "the cluster ranking supports at most {MAX_RANKED_CLUSTERS} clusters, got {n}"
+    );
+    // register-flow neighbors per cluster, and the clusters that hold a
+    // register-flow successor (one copy each when placed elsewhere)
+    let mut affinity = [0isize; MAX_RANKED_CLUSTERS];
+    let mut succ_clusters = 0u32;
+    for s in ctx.succs.iter().filter(|s| s.regflow) {
+        affinity[s.cluster] += 1;
+        succ_clusters |= 1 << s.cluster;
+    }
+    for p in ctx.preds.iter().filter(|p| p.regflow) {
+        affinity[p.cluster] += 1;
+    }
+    let mut keys = [((0usize, 0isize, 0usize), 0usize); MAX_RANKED_CLUSTERS];
+    for (c, key) in keys[..n].iter_mut().enumerate() {
         // copies needed now if placed in c
-        let mut need = 0usize;
-        let mut affinity = 0isize;
+        let mut need = (succ_clusters & !(1 << c)).count_ones() as usize;
         for p in ctx.preds {
-            if p.regflow {
-                if p.cluster != c {
-                    if !(ctx.has_copy)(p.other, c) {
-                        need += 1;
-                    }
-                } else {
-                    affinity += 1;
-                }
+            if p.regflow && p.cluster != c && !(ctx.has_copy)(p.other, c) {
+                need += 1;
             }
         }
-        let mut succ_clusters: Vec<usize> = Vec::new();
-        for s in ctx.succs {
-            if s.regflow {
-                if s.cluster != c {
-                    if !succ_clusters.contains(&s.cluster) {
-                        succ_clusters.push(s.cluster);
-                        need += 1;
-                    }
-                } else {
-                    affinity += 1;
-                }
-            }
-        }
-        (need, -affinity, ctx.load_count[c])
-    };
-    // n_clusters is tiny (≤ 8 in every paper machine), so the stable sort
-    // stays on its allocation-free insertion path
-    cs.sort_by_key(|&c| (score(c), c));
+        *key = ((need, -affinity[c], ctx.load_count[c]), c);
+    }
+    let keys = &mut keys[..n];
+    keys.sort_unstable();
+    cs.clear();
+    cs.extend(keys.iter().map(|&(_, c)| c));
 }
 
 #[cfg(test)]
@@ -206,6 +212,13 @@ mod tests {
         let (_, v) = b.load("ld", a, 0, 4, 4);
         b.store("st", a, 512, 4, 4, v);
         b.finish(1.0)
+    }
+
+    fn ranked(ctx: &AssignContext<'_>) -> Vec<usize> {
+        // a stale buffer must be cleared, not appended to
+        let mut out = vec![99, 98];
+        rank_by_communication_balance_into(ctx, &mut out);
+        out
     }
 
     #[test]
@@ -229,7 +242,7 @@ mod tests {
             has_copy: &no_copy,
             load_count: &load_count,
         };
-        let ranked = rank_by_communication_balance(&ctx);
+        let ranked = ranked(&ctx);
         // cluster 2 holds the producer: no copy needed AND affinity
         assert_eq!(ranked[0], 2);
         // the rest need one copy each; balance then index break the tie
@@ -258,8 +271,113 @@ mod tests {
             has_copy: &has_copy,
             load_count: &load_count,
         };
-        let ranked = rank_by_communication_balance(&ctx);
+        let ranked = ranked(&ctx);
         // cluster 2 wins on affinity; cluster 1 rides the existing copy
         assert_eq!(&ranked[..2], &[2, 1]);
+    }
+
+    /// The ranking as it stood before the single-pass scoring: a stable
+    /// sort that re-scores a cluster on every comparison.
+    fn rank_by_resorting(ctx: &AssignContext<'_>) -> Vec<usize> {
+        let mut cs: Vec<usize> = (0..ctx.n_clusters).collect();
+        let score = |c: usize| -> (usize, isize, usize) {
+            let mut need = 0usize;
+            let mut affinity = 0isize;
+            for p in ctx.preds {
+                if p.regflow {
+                    if p.cluster != c {
+                        if !(ctx.has_copy)(p.other, c) {
+                            need += 1;
+                        }
+                    } else {
+                        affinity += 1;
+                    }
+                }
+            }
+            let mut succ_clusters: Vec<usize> = Vec::new();
+            for s in ctx.succs {
+                if s.regflow {
+                    if s.cluster != c {
+                        if !succ_clusters.contains(&s.cluster) {
+                            succ_clusters.push(s.cluster);
+                            need += 1;
+                        }
+                    } else {
+                        affinity += 1;
+                    }
+                }
+            }
+            (need, -affinity, ctx.load_count[c])
+        };
+        cs.sort_by_key(|&c| (score(c), c));
+        cs
+    }
+
+    #[test]
+    fn single_pass_ranking_matches_the_resorting_ranking() {
+        let kernel = tiny_kernel();
+        let chains = MemChains::build(&kernel);
+        // a deterministic LCG so every case is reproducible
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut out = Vec::new();
+        for case in 0..4000 {
+            let n = 1 + case % 8;
+            let neighbors = |count: u64, next: &mut dyn FnMut(u64) -> u64| {
+                (0..count)
+                    .map(|_| Neighbor {
+                        // few producers, so one repeats across edges
+                        other: OpId::new(next(6) as usize),
+                        cluster: next(n as u64) as usize,
+                        regflow: next(3) != 0,
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let n_preds = next(7);
+            let preds = neighbors(n_preds, &mut next);
+            // successors pile onto few clusters: several share one
+            let n_succs = next(9);
+            let succs = neighbors(n_succs, &mut next);
+            let copies: Vec<(OpId, usize)> = (0..next(10))
+                .map(|_| (OpId::new(next(6) as usize), next(n as u64) as usize))
+                .collect();
+            let has_copy = |op: OpId, c: usize| copies.contains(&(op, c));
+            let load_count: Vec<usize> = (0..n).map(|_| next(4) as usize).collect();
+            let ctx = AssignContext {
+                kernel: &kernel,
+                chains: &chains,
+                n_clusters: n,
+                preds: &preds,
+                succs: &succs,
+                has_copy: &has_copy,
+                load_count: &load_count,
+            };
+            rank_by_communication_balance_into(&ctx, &mut out);
+            assert_eq!(out, rank_by_resorting(&ctx), "case {case}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 clusters")]
+    fn more_clusters_than_the_bound_are_rejected() {
+        let kernel = tiny_kernel();
+        let chains = MemChains::build(&kernel);
+        let no_copy = |_: OpId, _: usize| false;
+        let load_count = [0usize; 33];
+        let ctx = AssignContext {
+            kernel: &kernel,
+            chains: &chains,
+            n_clusters: 33,
+            preds: &[],
+            succs: &[],
+            has_copy: &no_copy,
+            load_count: &load_count,
+        };
+        rank_by_communication_balance_into(&ctx, &mut Vec::new());
     }
 }

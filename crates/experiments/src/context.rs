@@ -412,10 +412,51 @@ pub(crate) fn schedule_options(cfg: &RunConfig, ctx: &ExperimentContext) -> Sche
     }
 }
 
+/// The largest II at which a candidate of `avg_trip` iterations could
+/// still beat an incumbent whose `Texec` is `incumbent` under
+/// [`prepare_loop`]'s tie rule, or `None` when no II is ruled out.
+///
+/// A candidate wins only if `texec < bt·0.99 || (texec ≤ bt·1.01 && …)`,
+/// so only if `texec ≤ bt·1.01` (for `bt ≥ 0`). Its `texec` is
+/// [`Schedule::texec`] at a stage count of at least 1, and IEEE rounding
+/// is monotone, so it is at least the same expression evaluated at stage
+/// count 1 — `((avg_trip + 1) − 1)·II`, which grows with II. The answer
+/// is the largest II where that lower bound still passes `≤ bt·1.01`,
+/// evaluated in f64 exactly as the tie rule evaluates it.
+fn texec_ceiling(avg_trip: f64, incumbent: f64) -> Option<u32> {
+    let per_ii = avg_trip + 1.0 - 1.0;
+    let limit = incumbent * 1.01;
+    if !(per_ii > 0.0 && incumbent >= 0.0 && limit.is_finite()) {
+        return None;
+    }
+    let texec_at = |ii: u32| per_ii * f64::from(ii);
+    // the quotient lands within an II or two of the answer; step onto it
+    let mut ii = (limit / per_ii).floor().min(f64::from(u32::MAX)) as u32;
+    while ii < u32::MAX && texec_at(ii + 1) <= limit {
+        ii += 1;
+    }
+    while ii > 0 && texec_at(ii) > limit {
+        ii -= 1;
+    }
+    Some(ii)
+}
+
 /// Runs unrolling (per `cfg.unroll`), profiling and scheduling for one
 /// original kernel. The work runs under a `prepare_loop` span on `trace`,
 /// with one `unroll.variant` instant per candidate recording the factor,
-/// Texec and whether it became the incumbent.
+/// II and Texec (both 0 when the candidate found no schedule), the II
+/// ceiling it was scheduled under (0 = none) and whether it became the
+/// incumbent.
+///
+/// Once an incumbent exists, a first-fit backend
+/// ([`SchedBackend::SwingModulo`], [`SchedBackend::DelayTracking`]: each
+/// returns the first II from the MII upward that places) schedules a
+/// later candidate with [`ScheduleOptions::max_ii`] set to the largest II
+/// that could still win (`texec_ceiling`). Any II above it loses whatever
+/// its schedule, and every II up to it is searched exactly as before, so
+/// the chosen variant is the one an uncapped search chooses.
+/// [`SchedBackend::ExactBnB`] is never capped: its adaptive node budget
+/// scales with the II range.
 ///
 /// # Errors
 ///
@@ -440,26 +481,56 @@ pub fn prepare_loop(
         UnrollMode::Ouf => vec![(UnrollChoice::Ouf, ouf)],
         UnrollMode::Selective => unroll_candidates(builder.original(), machine),
     };
+    let first_fit = matches!(
+        opts.backend,
+        SchedBackend::SwingModulo | SchedBackend::DelayTracking
+    );
+    let variant_instant = |factor: u32, ceiling: Option<u32>, ii: u32, texec: f64, best: bool| {
+        if trace.on() {
+            trace.instant(
+                "unroll.variant",
+                &[
+                    ("factor", f64::from(factor)),
+                    ("ii", f64::from(ii)),
+                    ("texec", texec),
+                    ("ceiling", f64::from(ceiling.unwrap_or(0))),
+                    ("best", if best { 1.0 } else { 0.0 }),
+                ],
+            );
+        }
+    };
     let mut best: Option<PreparedLoop> = None;
     let mut last_err = None;
     for (choice, factor) in candidates {
-        let kernel = match builder.build(factor) {
-            Ok(k) => k,
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
+        let mut ceiling = None;
         // an unschedulable variant is simply not a candidate (giant pinned
         // chains after deep unrolling can defeat the no-backtracking
-        // scheduler); factor 1 virtually always schedules
-        let (schedule, quality) = match schedule_outcome_traced(&kernel, machine, opts, trace) {
-            Ok(o) => (o.schedule, o.quality),
+        // scheduler), and neither is one with no schedule under its
+        // ceiling, which could not have won; factor 1 virtually always
+        // schedules
+        let scheduled = builder.build(factor).and_then(|kernel| {
+            ceiling = match &best {
+                Some(b) if first_fit => {
+                    texec_ceiling(kernel.avg_trip, b.schedule.texec(b.kernel.avg_trip))
+                }
+                _ => None,
+            };
+            let capped = ScheduleOptions {
+                max_ii: ceiling,
+                ..opts
+            };
+            let outcome = schedule_outcome_traced(&kernel, machine, capped, trace)?;
+            Ok((kernel, outcome))
+        });
+        let (kernel, outcome) = match scheduled {
+            Ok(s) => s,
             Err(e) => {
+                variant_instant(factor, ceiling, 0, 0.0, false);
                 last_err = Some(e);
                 continue;
             }
         };
+        let (schedule, quality) = (outcome.schedule, outcome.quality);
         let texec = schedule.texec(kernel.avg_trip);
         // Texec ignores stall time, so near-ties are common between the
         // unrolled variants and factor 1. Within 1%, prefer the OUF factor
@@ -473,17 +544,7 @@ pub fn prepare_loop(
                 texec < bt * 0.99 || (texec <= bt * 1.01 && rank(factor) > rank(b.factor))
             }
         };
-        if trace.on() {
-            trace.instant(
-                "unroll.variant",
-                &[
-                    ("factor", f64::from(factor)),
-                    ("ii", f64::from(schedule.ii)),
-                    ("texec", texec),
-                    ("best", if better { 1.0 } else { 0.0 }),
-                ],
-            );
-        }
+        variant_instant(factor, ceiling, schedule.ii, texec, better);
         if better {
             best = Some(PreparedLoop {
                 kernel,
@@ -701,6 +762,213 @@ pub fn run_benchmark_memo(
 #[allow(clippy::unwrap_used)] // test assertions may unwrap
 mod tests {
     use super::*;
+    use vliw_ir::kernel_fingerprint;
+    use vliw_sched::schedule_outcome;
+    use vliw_trace::RecordingSink;
+
+    #[test]
+    fn ceiling_keeps_the_exact_boundary_and_cuts_one_ii_more() {
+        let bt = 100.0;
+        assert_eq!(bt * 1.01, 101.0, "the tie rule's bound is exact here");
+        for (avg_trip, ii) in [(1.0, 101), (25.25, 4), (20.2, 5), (0.5, 202)] {
+            // avg_trip · ii lands exactly on bt · 1.01: kept; ii + 1: cut
+            assert_eq!(avg_trip * f64::from(ii), 101.0);
+            assert_eq!(texec_ceiling(avg_trip, bt), Some(ii), "{avg_trip}");
+        }
+    }
+
+    #[test]
+    fn ceiling_is_absent_without_a_usable_bound() {
+        assert_eq!(texec_ceiling(0.0, 100.0), None);
+        assert_eq!(texec_ceiling(f64::NAN, 100.0), None);
+        assert_eq!(texec_ceiling(4.0, f64::INFINITY), None);
+        assert_eq!(texec_ceiling(4.0, -1.0), None);
+        // an incumbent below one II's worth of iterations rules out all
+        assert_eq!(texec_ceiling(100.0, 10.0), Some(0));
+        // a huge bound saturates instead of wrapping
+        assert_eq!(texec_ceiling(1.0, 1e300), Some(u32::MAX));
+        // an iteration count lost to rounding in `Schedule::texec`
+        // (`(1e-300 + 1) − 1 == 0`) bounds nothing
+        assert_eq!(texec_ceiling(1e-300, 1e300), None);
+    }
+
+    #[test]
+    fn ceiling_never_cuts_an_ii_that_could_win() {
+        // every II at or under the ceiling passes the tie rule's `≤ bt·1.01`
+        // at stage count 1; the next one fails it at any stage count
+        for &avg_trip in &[0.1, 1.0 / 3.0, 7.0, 12.75, 64.0, 1000.3] {
+            for &bt in &[0.0, 1.0, 33.3, 100.0, 4096.5, 1e6 / 7.0] {
+                let c = texec_ceiling(avg_trip, bt).unwrap();
+                let texec = |ii: u32, sc: u32| (avg_trip + f64::from(sc) - 1.0) * f64::from(ii);
+                assert!(c == 0 || texec(c, 1) <= bt * 1.01, "{avg_trip} {bt}");
+                for sc in [1, 2, 9] {
+                    assert!(texec(c + 1, sc) > bt * 1.01, "{avg_trip} {bt} {sc}");
+                }
+            }
+        }
+    }
+
+    /// The selection [`prepare_loop`] makes, without the II ceiling: every
+    /// candidate scheduled by `schedule_outcome` over its full II range
+    /// and kept under the same tie rule. Also returns each candidate's
+    /// factor and uncapped II (`None`: no II up to `2 × MII + 96` fits).
+    fn uncapped_reference(
+        original: &LoopKernel,
+        machine: &MachineConfig,
+        cfg: &RunConfig,
+        ctx: &ExperimentContext,
+    ) -> (PreparedLoop, Vec<(u32, Option<u32>)>) {
+        let opts = schedule_options(cfg, ctx);
+        let mut builder = VariantBuilder::new(original, machine, cfg, ctx);
+        let ouf = vliw_sched::optimal_unroll_factor(builder.original(), machine);
+        let mut best: Option<PreparedLoop> = None;
+        let mut tried = Vec::new();
+        for (choice, factor) in unroll_candidates(builder.original(), machine) {
+            let kernel = builder.build(factor).unwrap();
+            let outcome = schedule_outcome(&kernel, machine, opts);
+            tried.push((factor, outcome.as_ref().ok().map(|o| o.schedule.ii)));
+            let Ok(o) = outcome else { continue };
+            let texec = o.schedule.texec(kernel.avg_trip);
+            let rank = |f: u32| (f == ouf, std::cmp::Reverse(f));
+            let better = best.as_ref().is_none_or(|b| {
+                let bt = b.schedule.texec(b.kernel.avg_trip);
+                texec < bt * 0.99 || (texec <= bt * 1.01 && rank(factor) > rank(b.factor))
+            });
+            if better {
+                best = Some(PreparedLoop {
+                    kernel,
+                    schedule: o.schedule,
+                    quality: o.quality,
+                    choice,
+                    factor,
+                });
+            }
+        }
+        let best = best.unwrap_or_else(|| {
+            let kernel = builder.build(1).unwrap();
+            let o = schedule_outcome(&kernel, machine, opts).unwrap();
+            PreparedLoop {
+                kernel,
+                schedule: o.schedule,
+                quality: o.quality,
+                choice: UnrollChoice::None,
+                factor: 1,
+            }
+        });
+        (best, tried)
+    }
+
+    fn assert_same_loop(got: &PreparedLoop, want: &PreparedLoop, what: &str) {
+        assert_eq!(got.choice, want.choice, "{what}");
+        assert_eq!(got.factor, want.factor, "{what}");
+        assert_eq!(got.quality, want.quality, "{what}");
+        assert_eq!(
+            got.schedule.to_compact_text(),
+            want.schedule.to_compact_text(),
+            "{what}"
+        );
+        assert_eq!(
+            kernel_fingerprint(&got.kernel),
+            kernel_fingerprint(&want.kernel),
+            "{what}"
+        );
+    }
+
+    /// The `unroll.variant` instants of one traced `prepare_loop` call, as
+    /// `(factor, ii, ceiling)`.
+    fn traced_variants(
+        original: &LoopKernel,
+        machine: &MachineConfig,
+        cfg: &RunConfig,
+        ctx: &ExperimentContext,
+    ) -> (PreparedLoop, Vec<(u32, u32, u32)>) {
+        let sink = RecordingSink::logical();
+        let got = prepare_loop(original, machine, cfg, ctx, Trace::new(&sink)).unwrap();
+        let arg = |e: &vliw_trace::RecordedEvent, k: &str| {
+            e.args.iter().find(|(n, _)| n == k).unwrap().1 as u32
+        };
+        let variants = sink
+            .events()
+            .iter()
+            .filter(|e| e.name == "unroll.variant")
+            .map(|e| (arg(e, "factor"), arg(e, "ii"), arg(e, "ceiling")))
+            .collect();
+        (got, variants)
+    }
+
+    #[test]
+    fn ceiling_leaves_every_selective_choice_unchanged() {
+        let ctx = ExperimentContext::quick();
+        let models = ctx.models();
+        let mut capped_out = 0;
+        for backend in [SchedBackend::SwingModulo, SchedBackend::DelayTracking] {
+            for policy in ClusterPolicy::ALL {
+                let cfg = RunConfig {
+                    policy,
+                    ..RunConfig::ipbc().with_backend(backend)
+                };
+                let machine = ctx.machine_for(&cfg);
+                for lw in models.iter().flat_map(|m| &m.loops) {
+                    let what = format!("{} {policy:?} {backend:?}", lw.kernel.name);
+                    let (got, variants) = traced_variants(&lw.kernel, &machine, &cfg, &ctx);
+                    let (want, tried) = uncapped_reference(&lw.kernel, &machine, &cfg, &ctx);
+                    assert_same_loop(&got, &want, &what);
+                    // one instant per candidate, and a capped candidate
+                    // either matches its uncapped II or found none
+                    assert_eq!(variants.len(), tried.len(), "{what}");
+                    for ((factor, ii, ceiling), (f, uncapped)) in variants.iter().zip(&tried) {
+                        assert_eq!(factor, f, "{what}");
+                        match uncapped {
+                            Some(u) if *ii != 0 => assert_eq!(ii, u, "{what}"),
+                            Some(u) => {
+                                assert!(*ceiling != 0 && u > ceiling, "{what}");
+                                capped_out += 1;
+                            }
+                            None => assert_eq!(*ii, 0, "{what}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(capped_out > 0, "the ceiling never cut a candidate");
+    }
+
+    #[test]
+    fn ceiling_stops_a_candidate_that_exhausts_the_ii_range() {
+        // epicdec_l5 unrolled ×8: a distance-0 path squeezes an op's window
+        // shut at every II, so the uncapped search walks all of them
+        let ctx = ExperimentContext::full();
+        let model = ctx
+            .models()
+            .into_iter()
+            .find(|m| m.name == "epicdec")
+            .unwrap();
+        let lw = model
+            .loops
+            .iter()
+            .find(|l| l.kernel.name == "epicdec_l5")
+            .unwrap();
+        let mut seen = 0;
+        for policy in ClusterPolicy::ALL {
+            let cfg = RunConfig {
+                policy,
+                ..RunConfig::ipbc()
+            };
+            let machine = ctx.machine_for(&cfg);
+            let (want, tried) = uncapped_reference(&lw.kernel, &machine, &cfg, &ctx);
+            let exhausted = tried.iter().any(|(f, ii)| *f == 8 && ii.is_none());
+            if !exhausted {
+                continue;
+            }
+            seen += 1;
+            let (got, variants) = traced_variants(&lw.kernel, &machine, &cfg, &ctx);
+            assert_same_loop(&got, &want, &format!("{policy:?}"));
+            let (_, ii, ceiling) = variants.iter().find(|(f, _, _)| *f == 8).unwrap();
+            assert_eq!(*ii, 0, "{policy:?}: the ×8 candidate still fails");
+            assert!(*ceiling > 0, "{policy:?}: it failed under a ceiling");
+        }
+        assert!(seen > 0, "epicdec_l5 ×8 no longer exhausts the II range");
+    }
 
     #[test]
     fn quick_context_prepares_and_runs_a_benchmark() {
