@@ -2,8 +2,9 @@
 //!
 //! A [`Golden`] schedules cases through [`schedule_outcome`] and folds
 //! each into a [`StableHasher`]: the schedule's compact text, every
-//! [`SchedStats`] counter, or both — or the error's text when the case
-//! fails. Each test file uses a subset of these helpers.
+//! [`SchedStats`] counter, or both — optionally with the outcome's
+//! quality claim and MaxLive — or the error's text when the case fails.
+//! Each test file uses a subset of these helpers.
 
 #![allow(dead_code)]
 
@@ -14,7 +15,7 @@ use interleaved_vliw::ir::{
     ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand, StableHasher,
 };
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::{schedule_outcome, ClusterPolicy, SchedStats, ScheduleOptions};
+use interleaved_vliw::sched::{schedule_outcome, SchedStats, ScheduleOptions, ScheduleOutcome};
 use interleaved_vliw::workloads::rng::StdRng;
 use interleaved_vliw::workloads::{profile_kernel, spec_by_name, synthesize, ArrayLayout};
 
@@ -34,13 +35,23 @@ pub fn machines() -> Vec<MachineConfig> {
 /// chains, recurrences, and enough bus pressure that multi-slot
 /// transfers wrap the II boundary and failed probes roll them back.
 pub fn suite_kernels(machine: &MachineConfig) -> Vec<LoopKernel> {
+    profiled_kernels(machine, &["gsmdec", "epicdec"], &[1, 4])
+}
+
+/// Every loop of the named suite benchmarks, unrolled by each factor and
+/// profiled on `machine` (quick-context inputs).
+pub fn profiled_kernels(
+    machine: &MachineConfig,
+    benches: &[&str],
+    factors: &[u32],
+) -> Vec<LoopKernel> {
     let ctx = ExperimentContext::quick();
     let mut out = Vec::new();
-    for bench in ["gsmdec", "epicdec"] {
+    for bench in benches {
         let spec = spec_by_name(bench).unwrap();
         let model = synthesize(&spec, &ctx.workloads, machine);
         for lw in &model.loops {
-            for factor in [1u32, 4] {
+            for &factor in factors {
                 let mut k = interleaved_vliw::ir::unroll(&lw.kernel, factor);
                 let layout = ArrayLayout::new(&k, machine, true, ctx.workloads.profile_input);
                 profile_kernel(&mut k, machine, &layout, &ctx.profile);
@@ -99,6 +110,24 @@ fn random_kernel(rng: &mut StdRng, case: usize) -> LoopKernel {
     b.finish(64.0)
 }
 
+/// All-to-all int dataflow: five producers each feeding five consumers.
+/// Copy pressure saturates the buses at the smallest IIs, so transfers
+/// start near the II boundary and wrap while failed placements roll the
+/// split bus runs back.
+pub fn dense_bus_kernel() -> LoopKernel {
+    let mut b = KernelBuilder::new("dense_bus");
+    let mut prods = Vec::new();
+    for i in 0..5 {
+        let (_, v) = b.int_op(format!("p{i}"), Opcode::Add, &[]);
+        prods.push(v);
+    }
+    for j in 0..5 {
+        let srcs: Vec<SrcOperand> = prods.iter().map(|&v| v.into()).collect();
+        let _ = b.int_op(format!("c{j}"), Opcode::Add, &srcs);
+    }
+    b.finish(64.0)
+}
+
 /// A running digest over scheduled cases.
 pub struct Golden {
     hasher: StableHasher,
@@ -106,6 +135,7 @@ pub struct Golden {
     scheduled: u64,
     schedules: bool,
     stats: bool,
+    claims: bool,
 }
 
 impl Golden {
@@ -124,6 +154,15 @@ impl Golden {
         Self::folding(false, true)
     }
 
+    /// Folds in the schedule text, every work counter, the quality claim
+    /// and the reported MaxLive.
+    pub fn outcomes() -> Self {
+        Self {
+            claims: true,
+            ..Self::full()
+        }
+    }
+
     fn folding(schedules: bool, stats: bool) -> Self {
         Self {
             hasher: StableHasher::default(),
@@ -131,20 +170,21 @@ impl Golden {
             scheduled: 0,
             schedules,
             stats,
+            claims: false,
         }
     }
 
-    /// Schedules `kernel` under `policy` and folds the result in; returns
-    /// the work counters when the case schedules.
+    /// Schedules `kernel` under `options` and folds the result in;
+    /// returns the outcome when the case schedules.
     pub fn case(
         &mut self,
         kernel: &LoopKernel,
         machine: &MachineConfig,
-        policy: ClusterPolicy,
-    ) -> Option<SchedStats> {
+        options: ScheduleOptions,
+    ) -> Option<ScheduleOutcome> {
         self.cases += 1;
         self.hasher.write_str(&kernel.name);
-        match schedule_outcome(kernel, machine, ScheduleOptions::new(policy)) {
+        match schedule_outcome(kernel, machine, options) {
             Ok(o) => {
                 self.scheduled += 1;
                 self.hasher.write_u8(1);
@@ -171,7 +211,12 @@ impl Golden {
                         self.hasher.write_u64(v);
                     }
                 }
-                Some(o.stats)
+                if self.claims {
+                    self.hasher.write_str(&format!("{:?}", o.quality));
+                    self.hasher
+                        .write_u64(o.max_live.map_or(u64::MAX, u64::from));
+                }
+                Some(o)
             }
             Err(e) => {
                 self.hasher.write_u8(0);

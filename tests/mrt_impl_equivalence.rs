@@ -14,7 +14,7 @@
 mod common;
 
 use common::{machines, suite_kernels, Golden};
-use interleaved_vliw::sched::ClusterPolicy;
+use interleaved_vliw::sched::{ClusterPolicy, ScheduleOptions};
 
 #[test]
 fn masked_schedules_are_bit_identical_to_scalar_reference_on_the_suite() {
@@ -22,7 +22,7 @@ fn masked_schedules_are_bit_identical_to_scalar_reference_on_the_suite() {
     for machine in machines() {
         for kernel in suite_kernels(&machine) {
             for policy in ClusterPolicy::ALL {
-                g.case(&kernel, &machine, policy);
+                g.case(&kernel, &machine, ScheduleOptions::new(policy));
             }
         }
     }

@@ -16,7 +16,7 @@ mod common;
 
 use common::{machines, suite_kernels, Golden};
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::ClusterPolicy;
+use interleaved_vliw::sched::{ClusterPolicy, ScheduleOptions};
 
 #[test]
 fn journaled_schedules_are_bit_identical_to_clone_based() {
@@ -24,7 +24,7 @@ fn journaled_schedules_are_bit_identical_to_clone_based() {
     for machine in machines() {
         for kernel in suite_kernels(&machine) {
             for policy in ClusterPolicy::ALL {
-                g.case(&kernel, &machine, policy);
+                g.case(&kernel, &machine, ScheduleOptions::new(policy));
             }
         }
     }
@@ -39,9 +39,9 @@ fn both_trial_modes_do_identical_placement_work() {
     let mut g = Golden::stats_only();
     for kernel in suite_kernels(&machine) {
         for policy in ClusterPolicy::ALL {
-            if let Some(s) = g.case(&kernel, &machine, policy) {
+            if let Some(o) = g.case(&kernel, &machine, ScheduleOptions::new(policy)) {
                 assert!(
-                    s.trial_cycles > 0 && s.placements > 0,
+                    o.stats.trial_cycles > 0 && o.stats.placements > 0,
                     "{policy:?} on {}",
                     kernel.name
                 );

@@ -14,16 +14,15 @@
 
 mod common;
 
-use common::{machines, random_cases, Golden};
-use interleaved_vliw::ir::{KernelBuilder, Opcode, SrcOperand};
-use interleaved_vliw::sched::ClusterPolicy;
+use common::{dense_bus_kernel, machines, random_cases, Golden};
+use interleaved_vliw::sched::{ClusterPolicy, ScheduleOptions};
 
 #[test]
 fn seeded_random_kernels_match_the_golden_digest() {
     let mut g = Golden::full();
     for (kernel, machine) in random_cases() {
         for policy in ClusterPolicy::ALL {
-            g.case(&kernel, &machine, policy);
+            g.case(&kernel, &machine, ScheduleOptions::new(policy));
         }
     }
     assert_eq!(g.finish(), RANDOM_GOLDEN);
@@ -31,25 +30,12 @@ fn seeded_random_kernels_match_the_golden_digest() {
 
 #[test]
 fn dense_bus_schedules_match_the_golden_digest() {
-    // All-to-all int dataflow: five producers each feeding five
-    // consumers. Copy pressure saturates the buses at the smallest IIs,
-    // so transfers start near the II boundary and wrap while failed
-    // placements roll the split bus runs back.
-    let mut b = KernelBuilder::new("dense_bus");
-    let mut prods = Vec::new();
-    for i in 0..5 {
-        let (_, v) = b.int_op(format!("p{i}"), Opcode::Add, &[]);
-        prods.push(v);
-    }
-    for j in 0..5 {
-        let srcs: Vec<SrcOperand> = prods.iter().map(|&v| v.into()).collect();
-        let _ = b.int_op(format!("c{j}"), Opcode::Add, &srcs);
-    }
-    let kernel = b.finish(64.0);
+    // wrapped bus transfers under rollback churn (see `dense_bus_kernel`)
+    let kernel = dense_bus_kernel();
     let mut g = Golden::full();
     for machine in machines() {
         for policy in ClusterPolicy::ALL {
-            g.case(&kernel, &machine, policy);
+            g.case(&kernel, &machine, ScheduleOptions::new(policy));
         }
     }
     assert_eq!(g.finish(), DENSE_BUS_GOLDEN);
