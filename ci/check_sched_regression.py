@@ -4,9 +4,11 @@
 Compares the `sched` section of a freshly generated BENCH_repro.json
 against the committed baseline (ci/sched_baseline.json) and fails when:
 
-* `trial_cycles` — a deterministic work counter, immune to machine
-  speed — grew by more than the threshold (an algorithmic regression:
-  the scheduler does more work for the same schedules), or
+* `trial_cycles`, `rollbacks` or `placements` — the swing placement
+  loop's deterministic work counters, immune to machine speed — differ
+  from the baseline at all: the same schedules must come from exactly
+  the same placement work, so any change means a placement decision
+  moved (checked only when the baseline records them), or
 * `circuits` or `latency_steps` — the front-end's deterministic work
   counters over the same population (elementary circuits enumerated,
   §4.3.3 latency-reduction steps applied) — differ from the baseline at
@@ -36,7 +38,11 @@ And the `optgap` section (the exact-search yardstick):
   numbers (node budget fixed at 200k), not wall-clock: falling back to
   the old fractions means the dominance memoization stopped paying;
 * the BASE and IBC proven fractions must not drop below the baseline —
-  the pinned-policy gains must not come out of the free policies.
+  the pinned-policy gains must not come out of the free policies;
+* every optgap metric the baseline records (proven fractions, matched /
+  better / cutoff counts, cutoff IIs, MaxLive, II ratios, the grid
+  cells) must equal it exactly: none is wall-clock, so a difference
+  means the exact search or a heuristic numerator decided differently.
 
 And the `trace` section (the vliw-trace observability subsystem): the
 fresh record must carry it, with a nonzero event count and nonzero span
@@ -102,15 +108,14 @@ def main():
         print("FAIL: fresh record has no sched section")
         return 1
 
-    b_work, f_work = baseline.get("trial_cycles"), fresh.get("trial_cycles")
-    if b_work and f_work:
-        ratio = f_work / b_work
-        print(
-            f"trial cycles (deterministic): baseline {b_work:.0f} -> "
-            f"current {f_work:.0f} ({ratio:.2f}x)"
-        )
-        if ratio > 1 + threshold:
-            print(f"FAIL: scheduling work grew more than {threshold:.0%}")
+    for key in ("trial_cycles", "rollbacks", "placements"):
+        b_count = baseline.get(key)
+        if b_count is None:
+            continue
+        f_count = fresh.get(key)
+        print(f"{key} (deterministic): baseline {b_count:.0f} -> current {f_count}")
+        if f_count != b_count:
+            print(f"FAIL: placement {key} must equal the baseline")
             failed = True
 
     for key in ("circuits", "latency_steps"):
@@ -223,6 +228,12 @@ def check_optgap(baseline, fresh):
             if f < b - 1e-9:
                 print(f"FAIL: {key} regressed below the baseline")
                 failed = True
+
+        moved = [k for k in sorted(baseline) if fresh.get(k) != baseline[k]]
+        print(f"optgap metrics equal to the baseline: {len(baseline) - len(moved)}/{len(baseline)}")
+        for key in moved:
+            print(f"FAIL: optgap {key} is {fresh.get(key)!r}, baseline {baseline[key]!r}")
+            failed = True
     return failed
 
 

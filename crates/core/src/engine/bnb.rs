@@ -47,9 +47,10 @@
 //!   same-kind interior ops are the common source of duplicate states —
 //!   which is where the IPBC and no-chain proof rates gain the most.
 //! * **Mask-walk candidate scan.** Candidate cycles come from
-//!   [`Mrt::next_free_fu_cycle`] — a trailing-/leading-zeros walk over
-//!   the row's free-mask — so fully occupied stretches are skipped a
-//!   word at a time and only *free* cells consume node budget. At a
+//!   [`Mrt::next_free_fu_cycle`](crate::mrt::Mrt::next_free_fu_cycle) —
+//!   a trailing-/leading-zeros walk over the row's free-mask — so fully
+//!   occupied stretches are skipped a word at a time and only *free*
+//!   cells consume node budget. At a
 //!   fixed budget the search therefore reaches strictly deeper than the
 //!   historical scalar probe-every-cell scan.
 //! * **Node-budget cutoff.** The search examines at most
@@ -66,34 +67,36 @@
 //!   optimality claim or the cutoff counters: running out of its budget
 //!   just keeps the incumbent completion.
 //!
-//! Undo is the [`Mrt`] transaction journal from the zero-clone scheduler
-//! core: one transaction spans the whole search, one
-//! [savepoint](Mrt::savepoint) per decision level, and backtracking is
-//! [`Mrt::rollback_to`] — O(reservations since the savepoint), no table
-//! clones.
+//! Placement itself — the neighbor walk, the anchored window, copy
+//! routing, normalisation — is the crate-private `engine::place` module
+//! the swing pass runs too; this file adds only the search around it.
+//! Undo is the [`Mrt`](crate::mrt::Mrt) journal: one
+//! [savepoint](crate::mrt::Mrt::savepoint) per decision level, and
+//! backtracking is [`Mrt::rollback_to`](crate::mrt::Mrt::rollback_to) —
+//! O(reservations since the savepoint), no table clones.
 //!
 //! # Exactness, precisely
 //!
 //! The search is exhaustive over the *anchored-window* schedule space:
 //! each op starts within `II` cycles of the earliest start its placed
-//! neighbors imply (the same window shape the heuristic engine scans,
-//! here explored completely, over every policy-permitted cluster, with
-//! backtracking), and inter-cluster copies take the earliest free bus
-//! slot. "Proven optimal" therefore means: no schedule in that space — a
+//! neighbors imply (the window the heuristic engine scans, computed by
+//! the same code, here explored completely, over every policy-permitted
+//! cluster, with backtracking), and inter-cluster copies take the
+//! earliest free bus slot (the same routing code again). "Proven optimal" therefore means: no schedule in that space — a
 //! superset of everything the heuristic pass can reach under the same
 //! order and constraints — has a smaller II. An II equal to the MII is
 //! optimal unconditionally.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use vliw_ir::{Ddg, DepKind, LoopKernel, OpId};
+use vliw_ir::{Ddg, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
 use super::backend::{SchedQuality, ScheduleOutcome, SchedulerBackend};
+use super::place::{Neighbors, PartialSchedule, Placement};
 use super::{prepare, swing_with_prep, Prep, SchedStats, ScheduleOptions};
-use crate::mrt::Mrt;
-use crate::schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
+use crate::schedule::{Schedule, ScheduleError};
 
 /// Default total node budget per [`ExactBnB`] call: candidate
 /// `(cluster, cycle)` cells examined across all II levels before the
@@ -409,20 +412,9 @@ fn mix_b(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
-/// An already-placed dependence neighbor, with the fields the window
-/// computation needs (mirror of the engine's `Nbr`).
-struct Nbr {
-    other: OpId,
-    other_cluster: usize,
-    other_cycle: i64,
-    lat: i64,
-    dist: i64,
-    regflow: bool,
-}
-
-/// The search state: reservation table (one open transaction, savepoint
-/// per decision level), placements, and the copy bookkeeping shared with
-/// the schedule builder.
+/// The search state: the partial schedule (reservation table with one
+/// savepoint per decision level, placements, copies) and the search's
+/// own bookkeeping.
 struct Search<'a> {
     kernel: &'a LoopKernel,
     ddg: &'a Ddg<'a>,
@@ -459,21 +451,10 @@ struct Search<'a> {
     /// An op placed at depth `d` is *interior* (invisible to every
     /// remaining window computation) iff this bound is `< d`.
     last_nbr_pos: Vec<usize>,
-    mrt: Mrt,
-    /// Per-op `(cluster, cycle)`, indexed by `OpId`.
-    placed: Vec<Option<(usize, i64)>>,
-    /// Ops placed per cluster (the empty-cluster symmetry test).
-    placed_count: Vec<usize>,
-    copies: Vec<ScheduledCopy>,
-    /// Parallel to `copies`: raw (pre-normalization) cycles.
-    copy_cycles: Vec<i64>,
-    copy_map: HashMap<(OpId, usize), usize>,
+    partial: PartialSchedule,
     /// Per-depth neighbor buffers, taken out while a level is active and
     /// put back on unwind — cleared, never reallocated.
-    nbr_pool: Vec<(Vec<Nbr>, Vec<Nbr>)>,
-    /// Per-probe scratch for [`Search::reserve_copies`].
-    seen_pred: Vec<OpId>,
-    dest_bounds: Vec<(usize, i64)>,
+    nbr_pool: Vec<Neighbors>,
     /// Telemetry handle. With no sink attached every probe below is a
     /// skipped branch and `next_sample` is parked at `u64::MAX`.
     trace: Trace<'a>,
@@ -531,15 +512,8 @@ impl<'a> Search<'a> {
             found_count: 0,
             best_live: None,
             last_nbr_pos,
-            mrt: Mrt::new(1, machine),
-            placed: vec![None; kernel.ops.len()],
-            placed_count: vec![0; machine.clusters.n_clusters],
-            copies: Vec::new(),
-            copy_cycles: Vec::new(),
-            copy_map: HashMap::new(),
+            partial: PartialSchedule::new(machine),
             nbr_pool: (0..kernel.ops.len()).map(|_| Default::default()).collect(),
-            seen_pred: Vec::new(),
-            dest_bounds: Vec::new(),
             trace,
             next_sample: if trace.on() {
                 NODE_SAMPLE_EVERY
@@ -596,18 +570,12 @@ impl<'a> Search<'a> {
     /// One full depth-first pass at `ii` under the current [`Mode`].
     fn solve_inner(&mut self, ii: u32, stats: &mut SchedStats) -> Solve {
         self.ii = ii as i64;
-        self.mrt.reset(ii, self.machine);
-        self.placed.iter_mut().for_each(|p| *p = None);
-        self.placed_count.iter_mut().for_each(|c| *c = 0);
-        self.copies.clear();
-        self.copy_cycles.clear();
-        self.copy_map.clear();
+        self.partial.reset(ii, self.kernel.ops.len(), self.machine);
         self.memo.clear();
         self.found_count = 0;
-        self.mrt.begin();
-        let out = self.place(0, stats);
-        self.mrt.rollback(); // the schedule, if any, is already extracted
-        match out {
+        // every placement is undone on the way out; a schedule, if any,
+        // is already extracted
+        match self.place(0, stats) {
             Place::Found(s) => Solve::Feasible(s),
             Place::Exhausted => Solve::Infeasible,
             Place::Cutoff => Solve::Cutoff,
@@ -664,21 +632,23 @@ impl<'a> Search<'a> {
             if self.last_nbr_pos[op.index()] < depth {
                 continue; // interior: no unplaced neighbor reads it
             }
-            let (cl, cy) = self.placed[op.index()].expect("order prefix is placed");
-            let key = (op.index() as u64) << 40 | (cl as u64) << 32 | (cy as u64 & 0xffff_ffff);
+            let at = self.partial.placed[op.index()].expect("order prefix is placed");
+            let key = (op.index() as u64) << 40
+                | (at.cluster as u64) << 32
+                | (at.cycle as u64 & 0xffff_ffff);
             h1 = mix_a(h1 ^ key);
             h2 = mix_b(h2 ^ key);
         }
-        let (fu, bus) = self.mrt.occupancy_words();
+        let (fu, bus) = self.partial.mrt.occupancy_words();
         for &w in fu.iter().chain(bus) {
             h1 = mix_a(h1 ^ w);
             h2 = mix_b(h2 ^ w);
         }
         let (mut x1, mut x2) = (0u64, 0u64);
-        for (c, &raw) in self.copies.iter().zip(&self.copy_cycles) {
+        for c in self.partial.copies.routed() {
             let key = (c.producer.index() as u64) << 40
                 | (c.to as u64) << 32
-                | (raw as u64 & 0xffff_ffff);
+                | (c.cycle as u64 & 0xffff_ffff);
             x1 ^= mix_a(key ^ 0xd6e8_feb8_6659_fd93);
             x2 ^= mix_b(key ^ 0xa076_1d64_78bd_642f);
         }
@@ -689,14 +659,7 @@ impl<'a> Search<'a> {
                 let Some(cid) = self.prep.chains.chain_id(op) else {
                     continue;
                 };
-                let pin = self
-                    .prep
-                    .chains
-                    .members(cid)
-                    .iter()
-                    .find(|&&m| m != op && self.placed[m.index()].is_some())
-                    .map(|&m| self.placed[m.index()].expect("just checked").0);
-                if let Some(p) = pin {
+                if let Some(p) = self.chain_pin(op, cid) {
                     let key = (op.index() as u64) << 8 | p as u64;
                     h1 = mix_a(h1 ^ key);
                     h2 = mix_b(h2 ^ key);
@@ -743,36 +706,10 @@ impl<'a> Search<'a> {
         let completions_before = self.found_count;
         let op_id = self.prep.order[depth];
 
-        // placed neighbors, walked through the incident-edge view
-        // (incoming first, then outgoing; self-edges constrain nothing
-        // within an II)
-        let (mut preds, mut succs) = std::mem::take(&mut self.nbr_pool[depth]);
-        preds.clear();
-        succs.clear();
-        for e in self.ddg.incident_edges(op_id) {
-            if e.from == e.to {
-                continue;
-            }
-            let other = if e.to == op_id { e.from } else { e.to };
-            if let Some((cl, cy)) = self.placed[other.index()] {
-                let nbr = Nbr {
-                    other,
-                    other_cluster: cl,
-                    other_cycle: cy,
-                    lat: self.prep.latencies.edge_latency(e) as i64,
-                    dist: e.distance as i64,
-                    regflow: e.kind == DepKind::RegFlow,
-                };
-                if e.to == op_id {
-                    preds.push(nbr);
-                } else {
-                    succs.push(nbr);
-                }
-            }
-        }
-
-        let out = self.try_clusters(depth, op_id, &preds, &succs, stats);
-        self.nbr_pool[depth] = (preds, succs);
+        let mut nbrs = std::mem::take(&mut self.nbr_pool[depth]);
+        nbrs.gather(self.ddg, &self.prep.latencies, &self.partial.placed, op_id);
+        let out = self.try_clusters(depth, op_id, &nbrs, stats);
+        self.nbr_pool[depth] = nbrs;
         // memoize only subtrees proven dead: fully exhausted (no cutoff
         // truncation) and — the MinimizeLive soundness gate — containing
         // no completion at all
@@ -784,36 +721,38 @@ impl<'a> Search<'a> {
         out
     }
 
+    /// The cluster of the first placed member of chain `cid` other than
+    /// `op` — where IBC's dynamic constraint pins `op`.
+    fn chain_pin(&self, op: OpId, cid: usize) -> Option<usize> {
+        self.prep
+            .chains
+            .members(cid)
+            .iter()
+            .find_map(|&m| self.partial.placed[m.index()].filter(|_| m != op))
+            .map(|at| at.cluster)
+    }
+
     /// Tries every policy-permitted `(cluster, cycle)` placement for
     /// `op_id` at decision level `depth`, recursing on each success.
     fn try_clusters(
         &mut self,
         depth: usize,
         op_id: OpId,
-        preds: &[Nbr],
-        succs: &[Nbr],
+        nbrs: &Neighbors,
         stats: &mut SchedStats,
     ) -> Place {
-        let ii = self.ii;
         let kind = self.kernel.op(op_id).fu_kind();
         let lat_self = self.prep.latencies.latency_of(op_id) as i64;
-        let transfer = self.machine.buses.transfer_cycles as i64;
 
-        // hard policy constraints, mirrored from the heuristic so the
-        // exact II is optimal for the *policy's* problem, not for a
-        // relaxation: precomputed pins (IPBC / the ablation), plus
-        // dynamic chain co-location under IBC
+        // the heuristic's hard policy constraints, so the exact II is
+        // optimal for the *policy's* problem, not for a relaxation:
+        // precomputed pins (IPBC / the ablation), plus dynamic chain
+        // co-location under IBC
         let pinned = self.prep.pins[op_id.index()].or_else(|| {
             if !self.colocate_chains {
                 return None;
             }
-            let cid = self.prep.chains.chain_id(op_id)?;
-            self.prep
-                .chains
-                .members(cid)
-                .iter()
-                .find(|&&m| m != op_id && self.placed[m.index()].is_some())
-                .map(|&m| self.placed[m.index()].expect("just checked").0)
+            self.chain_pin(op_id, self.prep.chains.chain_id(op_id)?)
         });
 
         let n = self.machine.clusters.n_clusters;
@@ -823,7 +762,7 @@ impl<'a> Search<'a> {
                 if cluster != p {
                     continue;
                 }
-            } else if self.symmetry_ok && self.placed_count[cluster] == 0 {
+            } else if self.symmetry_ok && self.partial.per_cluster[cluster] == 0 {
                 // symmetry: with no cluster named by any constraint,
                 // unoccupied clusters are interchangeable — branch into
                 // at most one of them per level
@@ -833,49 +772,12 @@ impl<'a> Search<'a> {
                 tried_empty = true;
             }
 
-            let mut estart: Option<i64> = None;
-            for p in preds {
-                let extra = if p.regflow && p.other_cluster != cluster {
-                    transfer
-                } else {
-                    0
-                };
-                let e = p.other_cycle + p.lat + extra - ii * p.dist;
-                estart = Some(estart.map_or(e, |x: i64| x.max(e)));
-            }
-            let mut lstart: Option<i64> = None;
-            for s in succs {
-                let extra = if s.regflow && s.other_cluster != cluster {
-                    transfer
-                } else {
-                    0
-                };
-                let l = s.other_cycle - s.lat - extra + ii * s.dist;
-                lstart = Some(lstart.map_or(l, |x: i64| x.min(l)));
-            }
-            // the anchored window (same shape and scan direction as the
-            // engine's, but every cell is explored, not just the first fit)
-            let (lo, hi, descending) = match (estart, lstart) {
-                (Some(e), Some(l)) => {
-                    if e > l {
-                        continue;
-                    }
-                    (e, l.min(e + ii - 1), true)
-                }
-                (Some(e), None) => (e, e + ii - 1, false),
-                (None, Some(l)) => (l - ii + 1, l, true),
-                (None, None) => (0, ii - 1, false),
+            // the anchored window, explored completely: every free cell
+            // is a branch, not just the first fit
+            let Some(mut window) = nbrs.window(cluster, self.ii, self.partial.transfer()) else {
+                continue;
             };
-
-            // mask walk: only *free* cells surface, so occupied stretches
-            // cost neither time nor node budget
-            let limit = if descending { lo } else { hi };
-            let mut cursor = if descending { hi } else { lo };
-            while let Some(cycle) = self
-                .mrt
-                .next_free_fu_cycle(cluster, kind, cursor, limit, descending)
-            {
-                cursor = if descending { cycle - 1 } else { cycle + 1 };
+            while let Some(cycle) = window.next_free(&self.partial.mrt, cluster, kind) {
                 if self.nodes >= self.budget {
                     return Place::Cutoff;
                 }
@@ -887,180 +789,29 @@ impl<'a> Search<'a> {
                     self.trace.counter("bnb.nodes", self.nodes as f64);
                     self.next_sample = self.nodes + NODE_SAMPLE_EVERY;
                 }
-                let sp = self.mrt.savepoint();
-                let copies_mark = self.copies.len();
-                self.mrt.fu_reserve(cluster, kind, cycle);
-                if self.reserve_copies(op_id, cluster, cycle, lat_self, preds, succs) {
-                    stats.placements += 1;
-                    self.placed[op_id.index()] = Some((cluster, cycle));
-                    self.placed_count[cluster] += 1;
-                    let deeper = self.place(depth + 1, stats);
-                    self.placed[op_id.index()] = None;
-                    self.placed_count[cluster] -= 1;
-                    self.undo_copies(copies_mark);
-                    self.mrt.rollback_to(sp);
-                    match deeper {
-                        Place::Found(s) => return Place::Found(s),
-                        Place::Cutoff => return Place::Cutoff,
-                        Place::Exhausted => {}
-                    }
-                } else {
+                let at = Placement { cluster, cycle };
+                let Some(undo) = self.partial.try_place(nbrs, op_id, kind, lat_self, at) else {
                     stats.rollbacks += 1;
-                    self.undo_copies(copies_mark);
-                    self.mrt.rollback_to(sp);
+                    continue;
+                };
+                stats.placements += 1;
+                let deeper = self.place(depth + 1, stats);
+                self.partial.unplace(op_id, undo);
+                match deeper {
+                    Place::Found(s) => return Place::Found(s),
+                    Place::Cutoff => return Place::Cutoff,
+                    Place::Exhausted => {}
                 }
             }
         }
         Place::Exhausted
     }
 
-    /// Reserves every inter-cluster copy placing `op_id` at
-    /// `(cluster, cycle)` needs, with the engine's canonical
-    /// earliest-free-bus rule. Returns false when any copy cannot be
-    /// routed in time (the caller unwinds to its savepoint).
-    fn reserve_copies(
-        &mut self,
-        op_id: OpId,
-        cluster: usize,
-        cycle: i64,
-        lat_self: i64,
-        preds: &[Nbr],
-        succs: &[Nbr],
-    ) -> bool {
-        let ii = self.ii;
-        let transfer = self.machine.buses.transfer_cycles as i64;
-
-        // copies for cross-cluster flow predecessors (dedup by producer;
-        // the bound is the tightest over all of that producer's edges)
-        self.seen_pred.clear();
-        for p in preds {
-            if !(p.regflow && p.other_cluster != cluster) {
-                continue;
-            }
-            if self.seen_pred.contains(&p.other) {
-                continue;
-            }
-            self.seen_pred.push(p.other);
-            let bound = preds
-                .iter()
-                .filter(|q| q.regflow && q.other == p.other)
-                .map(|q| cycle + ii * q.dist - transfer)
-                .min()
-                .expect("at least p itself");
-            if let Some(&idx) = self.copy_map.get(&(p.other, cluster)) {
-                if self.copy_cycles[idx] <= bound {
-                    continue; // reuse the existing copy
-                }
-                return false; // existing copy arrives too late
-            }
-            let ready = p.other_cycle + p.lat; // producer completion
-            if !self.route_copy(p.other, p.other_cluster, cluster, ready, bound) {
-                return false;
-            }
-        }
-
-        // copies for cross-cluster flow successors (this op produces):
-        // one copy per destination cluster, at the tightest bound
-        self.dest_bounds.clear();
-        for s in succs
-            .iter()
-            .filter(|s| s.regflow && s.other_cluster != cluster)
-        {
-            let b = s.other_cycle + ii * s.dist - transfer;
-            match self
-                .dest_bounds
-                .iter_mut()
-                .find(|(c, _)| *c == s.other_cluster)
-            {
-                Some((_, bound)) => *bound = (*bound).min(b),
-                None => self.dest_bounds.push((s.other_cluster, b)),
-            }
-        }
-        for di in 0..self.dest_bounds.len() {
-            let (dest, bound) = self.dest_bounds[di];
-            if !self.route_copy(op_id, cluster, dest, cycle + lat_self, bound) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Books the earliest free bus slot in `[ready, bound]` for a copy of
-    /// `producer` from `from` to `to`, recording it in the copy table.
-    fn route_copy(
-        &mut self,
-        producer: OpId,
-        from: usize,
-        to: usize,
-        ready: i64,
-        bound: i64,
-    ) -> bool {
-        let mut tc = ready;
-        while tc <= bound {
-            if let Some(bus) = self.mrt.bus_find(tc) {
-                self.mrt.bus_reserve(bus, tc);
-                self.copy_map.insert((producer, to), self.copies.len());
-                self.copy_cycles.push(tc);
-                self.copies.push(ScheduledCopy {
-                    producer,
-                    from,
-                    to,
-                    cycle: 0, // fixed at normalization
-                    bus,
-                });
-                return true;
-            }
-            tc += 1;
-        }
-        false
-    }
-
-    /// Drops every copy recorded since `mark` (MRT unwinding is the
-    /// caller's savepoint rollback). O(copies dropped): each dropped
-    /// copy's key is removed individually — keys are unique per
-    /// `(producer, destination)` because a copy is only routed when no
-    /// entry exists.
-    fn undo_copies(&mut self, mark: usize) {
-        for c in self.copies.drain(mark..) {
-            self.copy_map.remove(&(c.producer, c.to));
-        }
-        self.copy_cycles.truncate(mark);
-    }
-
     /// Builds the normalized schedule from the complete placement.
     fn build_schedule(&self) -> Schedule {
-        let ii = self.ii as u32;
-        let min_cycle = self
-            .placed
-            .iter()
-            .map(|p| p.expect("all ops placed").1)
-            .chain(self.copy_cycles.iter().copied())
-            .min()
-            .unwrap_or(0);
-        let ops: Vec<ScheduledOp> = self
-            .placed
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let (cluster, cycle) = p.expect("all ops placed");
-                ScheduledOp {
-                    cluster,
-                    cycle: (cycle - min_cycle) as u32,
-                    assumed_latency: self.prep.latencies.latency_of(OpId::new(i)),
-                }
-            })
-            .collect();
-        let copies: Vec<ScheduledCopy> = self
-            .copies
-            .iter()
-            .zip(&self.copy_cycles)
-            .map(|(c, &raw)| ScheduledCopy {
-                cycle: (raw - min_cycle) as u32,
-                ..*c
-            })
-            .collect();
+        let (ops, copies) = self.partial.finish(&self.prep.latencies);
         Schedule {
-            ii,
+            ii: self.ii as u32,
             ops,
             copies,
             mii: self.prep.mii0,

@@ -11,15 +11,18 @@
 //! # Hot-loop data layout
 //!
 //! The II loop restarts the whole placement pipeline on every bump, so the
-//! engine is built for zero steady-state allocation: every trial
-//! reservation goes through the [`Mrt`] transaction journal (no table
-//! clones), candidate cycles come from the table's word-parallel free-mask
-//! walk ([`Mrt::next_free_fu_cycle`] — occupied stretches are skipped a
-//! `u64` word at a time and never counted as trial work), and all
-//! per-attempt / per-op vectors live in one private `Scratch` workspace
-//! that is cleared — never reallocated — across attempts. The placement
-//! loop's output is pinned by golden digests (`tests/schedule_golden.rs`,
-//! `tests/mrt_impl_equivalence.rs`, `tests/mrt_txn_equivalence.rs`).
+//! engine is built for zero steady-state allocation: every trial opens a
+//! [`Mrt`](crate::mrt::Mrt) savepoint and a failed one rolls back to it
+//! (no table clones), candidate cycles come from the table's
+//! word-parallel free-mask walk (occupied stretches are skipped a `u64`
+//! word at a time and never counted as trial work), and all per-attempt /
+//! per-op vectors live in one private `Scratch` workspace that is cleared
+//! — never reallocated — across attempts. The window, copy routing and
+//! normalisation live in the private `place` module, which the exact
+//! backend ([`bnb`]) runs too. The placement loop's output is pinned by
+//! golden digests (`tests/schedule_golden.rs`,
+//! `tests/mrt_impl_equivalence.rs`, `tests/mrt_txn_equivalence.rs`, and
+//! `tests/backend_golden.rs` for the exact and delay backends).
 
 pub mod backend;
 pub mod base;
@@ -28,11 +31,10 @@ pub mod delay;
 pub mod ibc;
 pub mod ipbc;
 pub mod no_chains;
+mod place;
 pub mod policy;
 
-use std::collections::HashMap;
-
-use vliw_ir::{Ddg, DepKind, LoopKernel, OpId};
+use vliw_ir::{Ddg, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
@@ -40,7 +42,6 @@ use crate::chains::MemChains;
 use crate::circuits::{elementary_circuits, EnumLimits};
 use crate::latency::LatencyAssignment;
 use crate::mii;
-use crate::mrt::Mrt;
 use crate::order::sms_order;
 use crate::schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 
@@ -50,6 +51,8 @@ pub use backend::{
 pub use bnb::{ExactBnB, DEFAULT_NODE_BUDGET};
 pub use delay::DelayTracking;
 pub use policy::{AssignContext, AssignState, ClusterAssign, Neighbor};
+
+use place::{Nbr, Neighbors, PartialSchedule, Placement};
 
 /// How memory instructions are assigned to clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -492,7 +495,7 @@ pub(crate) fn swing_with_prep(
         None
     };
 
-    let mut scratch = Scratch::new(kernel.ops.len(), machine);
+    let mut scratch = Scratch::new(machine);
     let mut attempt_order: Vec<OpId> = Vec::with_capacity(order.len());
     for ii in mii0..=max_ii {
         // Up to six placement attempts per II: when an op cannot be
@@ -578,81 +581,31 @@ struct TryState<'a> {
     order: &'a [OpId],
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Placement {
-    cluster: usize,
-    cycle: i64,
-}
-
-/// An already-placed dependence neighbor of the op being placed, with the
-/// timing fields the window computation needs.
-struct Nbr {
-    other_cluster: usize,
-    other_cycle: i64,
-    lat: i64,
-    dist: i64,
-    regflow: bool,
-    other: OpId,
-}
-
 /// The engine's reusable workspace: every vector the placement loop needs,
 /// owned across attempts and II bumps. Buffers are cleared (`clear`) but
 /// never shrunk, so after the first attempt the steady state allocates
 /// nothing.
 struct Scratch {
-    /// The live reservation table, reset per attempt.
-    mrt: Mrt,
-    placed: Vec<Option<Placement>>,
-    copies: Vec<ScheduledCopy>,
-    /// Parallel to `copies`: raw (pre-normalization) cycles.
-    copy_cycles: Vec<i64>,
-    copy_map: HashMap<(OpId, usize), usize>,
+    /// The live partial schedule, reset per attempt.
+    partial: PartialSchedule,
     assign_state: AssignState,
-    load_count: Vec<usize>,
     // per-op buffers
-    preds: Vec<Nbr>,
-    succs: Vec<Nbr>,
+    nbrs: Neighbors,
     nbr_preds: Vec<Neighbor>,
     nbr_succs: Vec<Neighbor>,
     candidates: Vec<usize>,
-    // per-trial buffers
-    new_copies: Vec<(OpId, usize, usize, i64, usize)>,
-    seen_pred: Vec<OpId>,
-    dest_bounds: Vec<(usize, i64)>,
 }
 
 impl Scratch {
-    fn new(n_ops: usize, machine: &MachineConfig) -> Self {
+    fn new(machine: &MachineConfig) -> Self {
         Scratch {
-            mrt: Mrt::new(1, machine),
-            placed: Vec::with_capacity(n_ops),
-            copies: Vec::new(),
-            copy_cycles: Vec::new(),
-            copy_map: HashMap::new(),
+            partial: PartialSchedule::new(machine),
             assign_state: AssignState::default(),
-            load_count: Vec::new(),
-            preds: Vec::new(),
-            succs: Vec::new(),
+            nbrs: Neighbors::default(),
             nbr_preds: Vec::new(),
             nbr_succs: Vec::new(),
             candidates: Vec::new(),
-            new_copies: Vec::new(),
-            seen_pred: Vec::new(),
-            dest_bounds: Vec::new(),
         }
-    }
-
-    /// Resets the attempt-lifetime state for a fresh placement attempt.
-    fn reset_attempt(&mut self, ii: u32, n_ops: usize, machine: &MachineConfig) {
-        self.mrt.reset(ii, machine);
-        self.placed.clear();
-        self.placed.resize(n_ops, None);
-        self.copies.clear();
-        self.copy_cycles.clear();
-        self.copy_map.clear();
-        self.assign_state.chain_pin.clear();
-        self.load_count.clear();
-        self.load_count.resize(machine.clusters.n_clusters, 0);
     }
 }
 
@@ -665,90 +618,54 @@ impl TryState<'_> {
         scratch: &mut Scratch,
         stats: &mut SchedStats,
     ) -> Result<(Vec<ScheduledOp>, Vec<ScheduledCopy>), OpId> {
-        let n_ops = self.kernel.ops.len();
         let n = self.machine.clusters.n_clusters;
-        let transfer = self.machine.buses.transfer_cycles as i64;
-        let iii = ii as i64;
-
-        scratch.reset_attempt(ii, n_ops, self.machine);
+        scratch
+            .partial
+            .reset(ii, self.kernel.ops.len(), self.machine);
+        scratch.assign_state.chain_pin.clear();
+        let transfer = scratch.partial.transfer();
 
         for &op_id in self.order {
-            let op = self.kernel.op(op_id);
-            let kind = op.fu_kind();
+            let kind = self.kernel.op(op_id).fu_kind();
             let lat_self = self.latencies.latency_of(op_id) as i64;
-
-            // gather placed neighbors
-            scratch.preds.clear();
-            scratch.succs.clear();
-            for e in self.ddg.pred_edges(op_id) {
-                if e.from == op_id {
-                    continue; // self-edge constrains nothing within an II
-                }
-                if let Some(p) = scratch.placed[e.from.index()] {
-                    scratch.preds.push(Nbr {
-                        other_cluster: p.cluster,
-                        other_cycle: p.cycle,
-                        lat: self.latencies.edge_latency(e) as i64,
-                        dist: e.distance as i64,
-                        regflow: e.kind == DepKind::RegFlow,
-                        other: e.from,
-                    });
-                }
-            }
-            for e in self.ddg.succ_edges(op_id) {
-                if e.to == op_id {
-                    continue;
-                }
-                if let Some(s) = scratch.placed[e.to.index()] {
-                    scratch.succs.push(Nbr {
-                        other_cluster: s.cluster,
-                        other_cycle: s.cycle,
-                        lat: self.latencies.edge_latency(e) as i64,
-                        dist: e.distance as i64,
-                        regflow: e.kind == DepKind::RegFlow,
-                        other: e.to,
-                    });
-                }
-            }
+            scratch
+                .nbrs
+                .gather(self.ddg, self.latencies, &scratch.partial.placed, op_id);
 
             // candidate clusters, chosen by the policy
+            let as_neighbor = |p: &Nbr| Neighbor {
+                other: p.other,
+                cluster: p.other_cluster,
+                regflow: p.regflow,
+            };
             scratch.nbr_preds.clear();
             scratch
                 .nbr_preds
-                .extend(scratch.preds.iter().map(|p| Neighbor {
-                    other: p.other,
-                    cluster: p.other_cluster,
-                    regflow: p.regflow,
-                }));
+                .extend(scratch.nbrs.preds.iter().map(as_neighbor));
             scratch.nbr_succs.clear();
             scratch
                 .nbr_succs
-                .extend(scratch.succs.iter().map(|s| Neighbor {
-                    other: s.other,
-                    cluster: s.other_cluster,
-                    regflow: s.regflow,
-                }));
+                .extend(scratch.nbrs.succs.iter().map(as_neighbor));
             // the context borrows the mutable bookkeeping immutably, so it
             // is rebuilt at each policy call site instead of held across
             // the placement scan
             macro_rules! assign_ctx {
-                ($has_copy:ident) => {
-                    AssignContext {
+                ($ctx:ident) => {
+                    let copies = &scratch.partial.copies;
+                    let has_copy = |producer: OpId, cluster: usize| copies.has(producer, cluster);
+                    let $ctx = AssignContext {
                         kernel: self.kernel,
                         chains: self.chains,
                         n_clusters: n,
                         preds: &scratch.nbr_preds,
                         succs: &scratch.nbr_succs,
-                        has_copy: &$has_copy,
-                        load_count: &scratch.load_count,
-                    }
+                        has_copy: &has_copy,
+                        load_count: &scratch.partial.per_cluster,
+                    };
                 };
             }
             {
-                let copy_map = &scratch.copy_map;
-                let has_copy =
-                    |producer: OpId, cluster: usize| copy_map.contains_key(&(producer, cluster));
-                let ctx = assign_ctx!(has_copy);
+                assign_ctx!(ctx);
                 self.assigner.candidates_into(
                     op_id,
                     &ctx,
@@ -758,230 +675,41 @@ impl TryState<'_> {
                 );
             }
 
-            // compute placement window per cluster and scan
-            let mut done = false;
-            for ci in 0..scratch.candidates.len() {
-                let cluster = scratch.candidates[ci];
-                let mut estart: Option<i64> = None;
-                for p in &scratch.preds {
-                    let extra = if p.regflow && p.other_cluster != cluster {
-                        transfer
-                    } else {
-                        0
+            // first fit: the first cluster in the policy's ranking, and
+            // the first free cell in its window, where the op and its
+            // copies fit; `trial_cycles` counts the free cells probed
+            let fits = 'fit: {
+                for ci in 0..scratch.candidates.len() {
+                    let cluster = scratch.candidates[ci];
+                    let Some(mut window) = scratch.nbrs.window(cluster, i64::from(ii), transfer)
+                    else {
+                        continue;
                     };
-                    let e = p.other_cycle + p.lat + extra - iii * p.dist;
-                    estart = Some(estart.map_or(e, |x: i64| x.max(e)));
-                }
-                let mut lstart: Option<i64> = None;
-                for s in &scratch.succs {
-                    let extra = if s.regflow && s.other_cluster != cluster {
-                        transfer
-                    } else {
-                        0
-                    };
-                    // s.lat already accounts for edge kind (flow edges carry
-                    // this op's latency, since this op is the producer)
-                    let l = s.other_cycle - s.lat - extra + iii * s.dist;
-                    lstart = Some(lstart.map_or(l, |x: i64| x.min(l)));
-                }
-
-                // The candidate window, iterated lazily (no materialized
-                // range). `descending` scans from `hi` down to `lo`.
-                let (lo, hi, descending) = match (estart, lstart) {
-                    (Some(e), Some(l)) => {
-                        if e > l {
-                            continue;
-                        }
-                        // Both sides constrained: place as close to the
-                        // consumers as possible (descending). The window can
-                        // be II-wide when the pred side connects through a
-                        // loop-carried edge; placing at its bottom would
-                        // stretch the value's lifetime by up to a whole II
-                        // and starve the (pred-side) ops ordered after this
-                        // one of their windows.
-                        (e, l.min(e + iii - 1), true)
-                    }
-                    (Some(e), None) => (e, e + iii - 1, false),
-                    (None, Some(l)) => (l - iii + 1, l, true),
-                    (None, None) => (0, iii - 1, false),
-                };
-
-                // walk the window over the row's free-mask: occupied
-                // stretches are skipped a word at a time and cost no trial
-                // work — `trial_cycles` counts free cells actually probed
-                let limit = if descending { lo } else { hi };
-                let mut cursor = if descending { hi } else { lo };
-                'cycle: while let Some(cycle) = scratch
-                    .mrt
-                    .next_free_fu_cycle(cluster, kind, cursor, limit, descending)
-                {
-                    cursor = if descending { cycle - 1 } else { cycle + 1 };
-                    stats.trial_cycles += 1;
-                    // open a trial: reservations are provisional until the
-                    // whole op (slot + every needed copy) fits
-                    scratch.mrt.begin();
-                    macro_rules! trial_fail {
-                        () => {{
-                            stats.rollbacks += 1;
-                            scratch.mrt.rollback();
-                            continue 'cycle;
-                        }};
-                    }
-                    scratch.mrt.fu_reserve(cluster, kind, cycle);
-                    scratch.new_copies.clear();
-
-                    // copies for cross-cluster flow predecessors
-                    scratch.seen_pred.clear();
-                    for pi in 0..scratch.preds.len() {
-                        let p = &scratch.preds[pi];
-                        if !(p.regflow && p.other_cluster != cluster) {
-                            continue;
-                        }
-                        if scratch.seen_pred.contains(&p.other) {
-                            continue;
-                        }
-                        scratch.seen_pred.push(p.other);
-                        // all edges from this producer to op in this cluster:
-                        // bound = min over them
-                        let bound = scratch
-                            .preds
-                            .iter()
-                            .filter(|q| q.regflow && q.other == p.other)
-                            .map(|q| cycle + iii * q.dist - transfer)
-                            .min()
-                            .unwrap();
-                        if let Some(&idx) = scratch.copy_map.get(&(p.other, cluster)) {
-                            if scratch.copy_cycles[idx] <= bound {
-                                continue; // reuse existing copy
-                            }
-                            trial_fail!(); // existing copy too late
-                        }
-                        let ready = p.other_cycle + p.lat; // producer completion
-                        let (other, other_cluster) = (p.other, p.other_cluster);
-                        let mut found = false;
-                        let mut tc = ready;
-                        while tc <= bound {
-                            if let Some(bus) = scratch.mrt.bus_find(tc) {
-                                scratch.mrt.bus_reserve(bus, tc);
-                                scratch
-                                    .new_copies
-                                    .push((other, other_cluster, cluster, tc, bus));
-                                found = true;
-                                break;
-                            }
-                            tc += 1;
-                        }
-                        if !found {
-                            trial_fail!();
-                        }
-                    }
-
-                    // copies for cross-cluster flow successors (op is the
-                    // producer): one copy per destination cluster
-                    scratch.dest_bounds.clear();
-                    for s in scratch
-                        .succs
-                        .iter()
-                        .filter(|s| s.regflow && s.other_cluster != cluster)
-                    {
-                        let b = s.other_cycle + iii * s.dist - transfer;
-                        match scratch
-                            .dest_bounds
-                            .iter_mut()
-                            .find(|(c, _)| *c == s.other_cluster)
+                    while let Some(cycle) = window.next_free(&scratch.partial.mrt, cluster, kind) {
+                        stats.trial_cycles += 1;
+                        let at = Placement { cluster, cycle };
+                        if scratch
+                            .partial
+                            .try_place(&scratch.nbrs, op_id, kind, lat_self, at)
+                            .is_none()
                         {
-                            Some((_, bound)) => *bound = (*bound).min(b),
-                            None => scratch.dest_bounds.push((s.other_cluster, b)),
+                            stats.rollbacks += 1;
+                            continue;
                         }
-                    }
-                    for di in 0..scratch.dest_bounds.len() {
-                        let (dest, bound) = scratch.dest_bounds[di];
-                        let ready = cycle + lat_self;
-                        let mut found = false;
-                        let mut tc = ready;
-                        while tc <= bound {
-                            if let Some(bus) = scratch.mrt.bus_find(tc) {
-                                scratch.mrt.bus_reserve(bus, tc);
-                                scratch.new_copies.push((op_id, cluster, dest, tc, bus));
-                                found = true;
-                                break;
-                            }
-                            tc += 1;
-                        }
-                        if !found {
-                            trial_fail!();
-                        }
-                    }
-
-                    // success: commit
-                    scratch.mrt.commit();
-                    stats.placements += 1;
-                    scratch.placed[op_id.index()] = Some(Placement { cluster, cycle });
-                    scratch.load_count[cluster] += 1;
-                    for (prod, from, to, tc, bus) in scratch.new_copies.drain(..) {
-                        scratch.copy_map.insert((prod, to), scratch.copies.len());
-                        scratch.copy_cycles.push(tc);
-                        // real cycle is fixed after normalization below
-                        scratch.copies.push(ScheduledCopy {
-                            producer: prod,
-                            from,
-                            to,
-                            cycle: 0,
-                            bus,
-                        });
-                    }
-                    {
-                        let copy_map = &scratch.copy_map;
-                        let has_copy = |producer: OpId, cluster: usize| {
-                            copy_map.contains_key(&(producer, cluster))
-                        };
-                        let ctx = assign_ctx!(has_copy);
+                        stats.placements += 1;
+                        assign_ctx!(ctx);
                         self.assigner
                             .commit(op_id, cluster, &ctx, &mut scratch.assign_state);
+                        break 'fit true;
                     }
-                    done = true;
-                    break;
                 }
-                if done {
-                    break;
-                }
-            }
-            if !done {
+                false
+            };
+            if !fits {
                 return Err(op_id);
             }
         }
-
-        // normalize cycles to start at 0
-        let min_cycle = scratch
-            .placed
-            .iter()
-            .map(|p| p.unwrap().cycle)
-            .chain(scratch.copy_cycles.iter().copied())
-            .min()
-            .unwrap_or(0);
-        let ops: Vec<ScheduledOp> = scratch
-            .placed
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let p = p.expect("all ops placed");
-                ScheduledOp {
-                    cluster: p.cluster,
-                    cycle: (p.cycle - min_cycle) as u32,
-                    assumed_latency: self.latencies.latency_of(OpId::new(i)),
-                }
-            })
-            .collect();
-        let copies: Vec<ScheduledCopy> = scratch
-            .copies
-            .drain(..)
-            .zip(scratch.copy_cycles.drain(..))
-            .map(|(mut c, raw)| {
-                c.cycle = (raw - min_cycle) as u32;
-                c
-            })
-            .collect();
-        Ok((ops, copies))
+        Ok(scratch.partial.finish(self.latencies))
     }
 }
 
@@ -989,7 +717,7 @@ impl TryState<'_> {
 #[allow(clippy::unwrap_used)] // test assertions may unwrap
 mod tests {
     use super::*;
-    use vliw_ir::{ArrayKind, KernelBuilder, Opcode};
+    use vliw_ir::{ArrayKind, DepKind, KernelBuilder, Opcode};
     use vliw_trace::RecordingSink;
 
     /// A load → add → store recurrence (MII above 1).

@@ -7,8 +7,10 @@
 //!
 //! 1. **Selective loop unrolling** ([`unroll_select`]) — per-loop optimal
 //!    unrolling factors (`Ui = N×I / gcd(N×I, Si mod N×I)`, `OUF = lcm Ui`)
-//!    and the three-way selection among no unrolling, unroll×N and OUF by
-//!    the execution-time estimate `Texec = (avgiter + SC − 1) × II`.
+//!    and the candidates of the three-way selection among no unrolling,
+//!    unroll×N and OUF by the execution-time estimate
+//!    `Texec = (avgiter + SC − 1) × II` (the selection itself runs in
+//!    `vliw_experiments::prepare_loop`, which profiles each variant).
 //! 2. **Latency assignment** ([`latency`]) — loads start at the remote-miss
 //!    latency; recurrences are relaxed to the all-local-hit MII by repeatedly
 //!    applying the change with the best benefit `B = ΔII / Δstall`, then
@@ -92,6 +94,5 @@ pub use order::sms_order;
 pub use pressure::{max_live, max_live_per_cluster};
 pub use schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 pub use unroll_select::{
-    individual_unroll_factor, optimal_unroll_factor, select_unrolling, unroll_candidates,
-    SelectiveUnroll, UnrollChoice,
+    individual_unroll_factor, optimal_unroll_factor, unroll_candidates, UnrollChoice,
 };

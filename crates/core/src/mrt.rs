@@ -26,27 +26,23 @@ use vliw_machine::MachineConfig;
 /// [`transfer_cycles`](vliw_machine::BusConfig::transfer_cycles) consecutive
 /// slots on the same bus (the buses run at half the core frequency).
 ///
-/// # Transactions
+/// # Undo
 ///
 /// The scheduler probes thousands of candidate `(cluster, cycle)` slots per
 /// placement, most of which fail on bus availability. Instead of cloning
-/// the whole table per probe, open a transaction with [`Mrt::begin`]: every
-/// [`Mrt::fu_reserve`] / [`Mrt::bus_reserve`] then appends an undo entry to
-/// an internal journal, [`Mrt::rollback`] unwinds exactly those
-/// reservations (O(reservations made), not O(table)), and [`Mrt::commit`]
-/// makes them permanent. Transactions do not nest — one probe at a time —
-/// and `commit`/`rollback` outside a transaction are no-ops, so a commit is
-/// idempotent.
+/// the whole table per probe, every [`Mrt::fu_reserve`] /
+/// [`Mrt::bus_reserve`] appends an undo entry to an internal journal:
+/// [`Mrt::savepoint`] marks a journal position and [`Mrt::rollback_to`]
+/// unwinds every reservation made since the mark, restoring the exact
+/// counters and masks in O(reservations made), not O(table). Savepoints
+/// nest and are released in LIFO order, so the journal serves a single
+/// trial (the swing pass: one savepoint per probe) and a backtracking
+/// search (the exact backend: one savepoint per decision level) alike.
+/// [`Mrt::reset`] empties the journal with the table.
 ///
 /// Bus reservations journal **word-level deltas**: one entry per `u64` word
 /// a transfer touched, carrying the exact bits it set, so a wrapped
 /// multi-slot transfer unwinds in at most two mask operations.
-///
-/// Backtracking searchers (the exact branch-and-bound backend) need more
-/// than one probe of undo depth: [`Mrt::savepoint`] marks a position in
-/// the open transaction's journal and [`Mrt::rollback_to`] unwinds back to
-/// it while keeping the transaction open, so the journal doubles as the
-/// search's undo stack — one savepoint per decision level.
 #[derive(Debug, Clone)]
 pub struct Mrt {
     ii: u32,
@@ -63,13 +59,12 @@ pub struct Mrt {
     bus: Vec<u64>,
     n_buses: usize,
     transfer: u32,
-    // undo log of the open transaction (empty when none is open)
+    /// Undo log of every reservation since the last reset.
     journal: Vec<Undo>,
-    in_txn: bool,
 }
 
-/// A position in an open transaction's journal, taken with
-/// [`Mrt::savepoint`] and released (LIFO) with [`Mrt::rollback_to`].
+/// A position in the journal, taken with [`Mrt::savepoint`] and released
+/// (LIFO) with [`Mrt::rollback_to`].
 #[derive(Debug, Clone, Copy)]
 pub struct MrtSavepoint(usize);
 
@@ -127,7 +122,6 @@ impl Mrt {
             n_buses: machine.buses.reg_buses,
             transfer: machine.buses.transfer_cycles,
             journal: Vec::new(),
-            in_txn: false,
         }
     }
 
@@ -158,36 +152,6 @@ impl Mrt {
         self.n_buses = machine.buses.reg_buses;
         self.transfer = machine.buses.transfer_cycles;
         self.journal.clear();
-        self.in_txn = false;
-    }
-
-    /// Opens a transaction: subsequent reservations are journaled until
-    /// [`Mrt::commit`] or [`Mrt::rollback`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transaction is already open (transactions do not nest).
-    pub fn begin(&mut self) {
-        assert!(!self.in_txn, "MRT transactions do not nest");
-        debug_assert!(self.journal.is_empty());
-        self.in_txn = true;
-    }
-
-    /// Makes the open transaction's reservations permanent. A no-op when
-    /// no transaction is open, so committing twice is harmless.
-    pub fn commit(&mut self) {
-        self.journal.clear();
-        self.in_txn = false;
-    }
-
-    /// Unwinds every reservation made since [`Mrt::begin`], restoring the
-    /// exact functional-unit counters and bus masks. A no-op when no
-    /// transaction is open.
-    pub fn rollback(&mut self) {
-        while let Some(entry) = self.journal.pop() {
-            self.undo(entry);
-        }
-        self.in_txn = false;
     }
 
     fn undo(&mut self, entry: Undo) {
@@ -203,37 +167,22 @@ impl Mrt {
         }
     }
 
-    /// Whether a transaction is currently open.
-    pub fn in_transaction(&self) -> bool {
-        self.in_txn
-    }
-
-    /// Marks the current position in the open transaction's journal.
-    /// [`Mrt::rollback_to`] unwinds back to the mark while leaving the
-    /// transaction (and every reservation made before the mark) intact —
-    /// the nested undo stack a backtracking searcher layers on top of the
-    /// flat begin/commit/rollback probe protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no transaction is open.
+    /// Marks the current position in the journal. [`Mrt::rollback_to`]
+    /// unwinds back to the mark, leaving every reservation made before it
+    /// intact.
     pub fn savepoint(&self) -> MrtSavepoint {
-        assert!(self.in_txn, "savepoint requires an open transaction");
         MrtSavepoint(self.journal.len())
     }
 
     /// Unwinds every reservation made since `sp`, restoring the exact
-    /// functional-unit counters and bus masks at the mark. The transaction
-    /// stays open; earlier savepoints of the same transaction remain
-    /// valid.
+    /// functional-unit counters and bus masks at the mark. Earlier
+    /// savepoints remain valid.
     ///
     /// # Panics
     ///
-    /// Panics if no transaction is open, or if the journal has already
-    /// been unwound past `sp` (a savepoint must be released in LIFO
-    /// order).
+    /// Panics if the journal has already been unwound past `sp` (a
+    /// savepoint must be released in LIFO order).
     pub fn rollback_to(&mut self, sp: MrtSavepoint) {
-        assert!(self.in_txn, "rollback_to requires an open transaction");
         assert!(
             sp.0 <= self.journal.len(),
             "savepoint already unwound (LIFO order violated)"
@@ -292,9 +241,7 @@ impl Mrt {
         if self.fu_cnt[idx] as usize == self.fu_cap[kind_index(kind)] {
             self.fu_full[row * self.words + slot / 64] |= 1u64 << (slot % 64);
         }
-        if self.in_txn {
-            self.journal.push(Undo::Fu(idx as u32));
-        }
+        self.journal.push(Undo::Fu(idx as u32));
     }
 
     /// The first cycle with a free `kind` unit, walking from `from`
@@ -408,12 +355,10 @@ impl Mrt {
             let widx = row + w;
             debug_assert_eq!(self.bus[widx] & bits, 0, "bus_free checked above");
             self.bus[widx] |= bits;
-            if self.in_txn {
-                self.journal.push(Undo::BusWord {
-                    widx: widx as u32,
-                    bits,
-                });
-            }
+            self.journal.push(Undo::BusWord {
+                widx: widx as u32,
+                bits,
+            });
             slot = word_end;
         }
     }
@@ -440,8 +385,8 @@ mod tests {
     /// counters and per-slot `bool` bus flags, probed one scalar at a
     /// time. The reference [`Mrt`] is checked against — the shared
     /// contract suite runs over both, and the random-trace test compares
-    /// them probe for probe. Semantics, including transactions,
-    /// savepoints and panics, match [`Mrt`] exactly.
+    /// them probe for probe. Semantics, including savepoints and panics,
+    /// match [`Mrt`] exactly.
     #[derive(Debug, Clone)]
     struct ScalarMrt {
         ii: u32,
@@ -453,7 +398,6 @@ mod tests {
         n_buses: usize,
         transfer: u32,
         journal: Vec<ScalarUndo>,
-        in_txn: bool,
     }
 
     /// One scalar journal entry: the flat index a reservation touched.
@@ -476,7 +420,6 @@ mod tests {
                 n_buses: 0,
                 transfer: 0,
                 journal: Vec::new(),
-                in_txn: false,
             };
             t.reset(ii, machine);
             t
@@ -499,24 +442,6 @@ mod tests {
             self.n_buses = machine.buses.reg_buses;
             self.transfer = machine.buses.transfer_cycles;
             self.journal.clear();
-            self.in_txn = false;
-        }
-
-        fn begin(&mut self) {
-            assert!(!self.in_txn, "MRT transactions do not nest");
-            self.in_txn = true;
-        }
-
-        fn commit(&mut self) {
-            self.journal.clear();
-            self.in_txn = false;
-        }
-
-        fn rollback(&mut self) {
-            while let Some(entry) = self.journal.pop() {
-                self.undo(entry);
-            }
-            self.in_txn = false;
         }
 
         fn undo(&mut self, entry: ScalarUndo) {
@@ -526,17 +451,11 @@ mod tests {
             }
         }
 
-        fn in_transaction(&self) -> bool {
-            self.in_txn
-        }
-
         fn savepoint(&self) -> MrtSavepoint {
-            assert!(self.in_txn, "savepoint requires an open transaction");
             MrtSavepoint(self.journal.len())
         }
 
         fn rollback_to(&mut self, sp: MrtSavepoint) {
-            assert!(self.in_txn, "rollback_to requires an open transaction");
             assert!(
                 sp.0 <= self.journal.len(),
                 "savepoint already unwound (LIFO order violated)"
@@ -570,9 +489,7 @@ mod tests {
             );
             let idx = self.fu_idx(cluster, kind, cycle);
             self.fu[idx] += 1;
-            if self.in_txn {
-                self.journal.push(ScalarUndo::Fu(idx as u32));
-            }
+            self.journal.push(ScalarUndo::Fu(idx as u32));
         }
 
         /// Probes one cycle at a time, visiting exactly the cycles the
@@ -621,9 +538,7 @@ mod tests {
             for k in 0..self.transfer as i64 {
                 let idx = bus * self.ii as usize + self.slot(cycle + k);
                 self.bus[idx] = true;
-                if self.in_txn {
-                    self.journal.push(ScalarUndo::Bus(idx as u32));
-                }
+                self.journal.push(ScalarUndo::Bus(idx as u32));
             }
         }
 
@@ -634,7 +549,7 @@ mod tests {
 
     /// The shared behavioral suite, instantiated for both implementations:
     /// every contract the scheduler relies on — capacity, wrap, panic
-    /// messages, transactions, savepoints, reset — must hold identically
+    /// messages, savepoints, reset — must hold identically
     /// for the masked and the scalar table.
     macro_rules! mrt_contract_tests {
         ($modname:ident, $table:ty) => {
@@ -714,15 +629,14 @@ mod tests {
                     t.fu_reserve(0, FuKind::Int, 1);
                     t.bus_reserve(0, 3); // slots 3 and 0
                     let before = t.clone();
-                    t.begin();
+                    let sp = t.savepoint();
                     t.fu_reserve(1, FuKind::Mem, 2);
                     t.fu_reserve(1, FuKind::Int, 2);
                     let b = t.bus_find(1).expect("bus free");
                     t.bus_reserve(b, 1);
                     assert!(!t.state_eq(&before), "reservations visible in-flight");
-                    t.rollback();
+                    t.rollback_to(sp);
                     assert!(t.state_eq(&before), "rollback restores exact counters");
-                    assert!(!t.in_transaction());
                     // the unwound resources are reservable again
                     assert!(t.fu_free(1, FuKind::Mem, 2));
                     assert!(t.bus_free(b, 1));
@@ -735,42 +649,35 @@ mod tests {
                     // an earlier whole transfer: every individual slot flag must clear.
                     let mut t = mrt(3);
                     let fresh = t.clone();
-                    t.begin();
+                    let sp = t.savepoint();
                     t.bus_reserve(0, 2); // slots 2 and (wrapping) 0 of bus 0
                     t.bus_reserve(1, 1); // slots 1 and 2 of bus 1
-                    t.rollback();
+                    t.rollback_to(sp);
                     assert!(t.state_eq(&fresh), "all bus slots cleared");
                     assert!(t.bus_free(0, 0) && t.bus_free(0, 1) && t.bus_free(0, 2));
                 }
 
                 #[test]
-                fn commit_is_idempotent_and_keeps_reservations() {
+                fn rollback_keeps_reservations_before_the_savepoint() {
                     let mut t = mrt(4);
-                    t.begin();
                     t.fu_reserve(0, FuKind::Int, 0);
                     t.bus_reserve(0, 0);
-                    t.commit();
-                    let committed = t.clone();
-                    t.commit(); // no open transaction: harmless
-                    assert!(t.state_eq(&committed));
-                    // a later rollback must not unwind committed reservations
-                    t.rollback();
-                    assert!(t.state_eq(&committed));
+                    let kept = t.clone();
+                    let sp = t.savepoint();
+                    t.fu_reserve(0, FuKind::Int, 1);
+                    t.rollback_to(sp);
+                    assert!(t.state_eq(&kept));
+                    // releasing the same mark twice unwinds nothing more
+                    t.rollback_to(sp);
+                    assert!(t.state_eq(&kept));
                     assert!(!t.fu_free(0, FuKind::Int, 0));
-                }
-
-                #[test]
-                #[should_panic(expected = "do not nest")]
-                fn nested_begin_panics() {
-                    let mut t = mrt(4);
-                    t.begin();
-                    t.begin();
                 }
 
                 #[test]
                 fn savepoints_unwind_in_lifo_order() {
                     let mut t = mrt(4);
-                    t.begin();
+                    let fresh = t.clone();
+                    let sp0 = t.savepoint();
                     t.fu_reserve(0, FuKind::Int, 0);
                     let after_first = t.clone();
                     let sp1 = t.savepoint();
@@ -782,20 +689,18 @@ mod tests {
                     t.rollback_to(sp2);
                     assert!(t.fu_free(1, FuKind::Fp, 3));
                     assert!(!t.fu_free(0, FuKind::Mem, 1), "outer level intact");
-                    assert!(t.in_transaction(), "transaction stays open");
                     // outer level unwinds back to the first reservation
                     t.rollback_to(sp1);
                     assert!(t.state_eq(&after_first));
-                    // a full rollback still unwinds everything before the savepoints
-                    t.rollback();
-                    assert!(t.fu_free(0, FuKind::Int, 0));
+                    // the outermost mark still unwinds everything after it
+                    t.rollback_to(sp0);
+                    assert!(t.state_eq(&fresh));
                 }
 
                 #[test]
                 fn savepoint_rollback_restores_wrapped_bus_slots() {
                     // II 3, transfer 2: reservation at slot 2 wraps to slot 0
                     let mut t = mrt(3);
-                    t.begin();
                     t.bus_reserve(1, 1);
                     let sp = t.savepoint();
                     t.bus_reserve(0, 2);
@@ -808,17 +713,9 @@ mod tests {
                 }
 
                 #[test]
-                #[should_panic(expected = "open transaction")]
-                fn savepoint_outside_transaction_panics() {
-                    let t = mrt(4);
-                    let _ = t.savepoint();
-                }
-
-                #[test]
                 #[should_panic(expected = "LIFO")]
                 fn stale_savepoint_panics() {
                     let mut t = mrt(4);
-                    t.begin();
                     t.fu_reserve(0, FuKind::Int, 0);
                     let sp_inner = {
                         let sp_outer = t.savepoint();
@@ -834,14 +731,23 @@ mod tests {
                 fn reset_reuses_table_for_new_ii() {
                     let mut t = mrt(3);
                     t.fu_reserve(0, FuKind::Int, 1);
-                    t.begin();
                     t.fu_reserve(0, FuKind::Int, 2);
                     let m = MachineConfig::word_interleaved_4();
                     t.reset(5, &m);
                     assert_eq!(t.ii(), 5);
-                    assert!(!t.in_transaction());
                     let fresh = <$table>::new(5, &m);
                     assert!(t.state_eq(&fresh), "reset == fresh table");
+                }
+
+                #[test]
+                #[should_panic(expected = "LIFO")]
+                fn reset_empties_the_journal() {
+                    let mut t = mrt(3);
+                    t.fu_reserve(0, FuKind::Int, 1);
+                    let sp = t.savepoint();
+                    t.fu_reserve(0, FuKind::Int, 2);
+                    t.reset(3, &MachineConfig::word_interleaved_4());
+                    t.rollback_to(sp); // the mark lies past the emptied journal
                 }
 
                 #[test]
@@ -902,11 +808,11 @@ mod tests {
                         Some(128)
                     );
                     // a bus transfer crossing the 64-bit word boundary
-                    t.begin();
+                    let sp = t.savepoint();
                     t.bus_reserve(2, 63); // slots 63 (word 0) and 64 (word 1)
                     assert!(!t.bus_free(2, 63));
                     assert!(!t.bus_free(2, 64));
-                    t.rollback();
+                    t.rollback_to(sp);
                     assert!(t.bus_free(2, 63) && t.bus_free(2, 64));
                 }
             }
@@ -934,8 +840,7 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 state >> 33
             };
-            a.begin();
-            b.begin();
+            let (base_a, base_b) = (a.savepoint(), b.savepoint());
             // each savepoint keeps a clone of the masked table as taken
             // there: the journal must unwind to exactly that state
             let mut sps: Vec<(MrtSavepoint, MrtSavepoint, Mrt)> = Vec::new();
@@ -996,8 +901,8 @@ mod tests {
                     }
                 }
             }
-            a.rollback();
-            b.rollback();
+            a.rollback_to(base_a);
+            b.rollback_to(base_b);
             let fresh_a = Mrt::new(ii, &machine);
             let fresh_b = ScalarMrt::new(ii, &machine);
             assert!(a.state_eq(&fresh_a), "masked rollback left residue");

@@ -1,10 +1,9 @@
-//! Unrolling-factor computation and selective unrolling (§4.3.1, step 1).
+//! Unrolling-factor computation and the selective-unrolling candidates
+//! (§4.3.1, step 1). The Texec selection among them is
+//! `vliw_experiments::prepare_loop`.
 
-use vliw_ir::{unroll, LoopKernel};
+use vliw_ir::LoopKernel;
 use vliw_machine::MachineConfig;
-
-use crate::engine::{schedule_kernel, ScheduleOptions};
-use crate::schedule::{Schedule, ScheduleError};
 
 /// Which of the paper's three unrolling strategies a factor came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,81 +90,9 @@ pub fn unroll_candidates(kernel: &LoopKernel, machine: &MachineConfig) -> Vec<(U
     out
 }
 
-/// Result of selective unrolling: the chosen variant and the evaluations
-/// of every candidate.
-#[derive(Debug, Clone)]
-pub struct SelectiveUnroll {
-    /// The strategy chosen.
-    pub choice: UnrollChoice,
-    /// The unroll factor chosen.
-    pub factor: u32,
-    /// The unrolled kernel.
-    pub kernel: LoopKernel,
-    /// The schedule of the chosen kernel.
-    pub schedule: Schedule,
-    /// All candidate evaluations: `(choice, factor, II, Texec)`.
-    pub evaluated: Vec<(UnrollChoice, u32, u32, f64)>,
-}
-
-/// Runs selective unrolling: schedules the loop at each candidate factor
-/// and keeps the variant minimizing the paper's execution-time estimate
-/// `Texec = (avgiter + SC − 1) × II`.
-///
-/// `prepare` is invoked on each unrolled variant before scheduling — the
-/// experiment pipeline uses it to run the profiling pass (per-copy
-/// preferred clusters only exist after unrolling). Pass `|_| {}` to keep
-/// the profiles inherited from the original ops.
-///
-/// # Errors
-///
-/// Propagates the scheduling error of the *first* candidate that fails
-/// (candidates are all-or-nothing: a loop the scheduler cannot handle at
-/// factor 1 is rejected outright).
-pub fn select_unrolling(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: ScheduleOptions,
-    mut prepare: impl FnMut(&mut LoopKernel),
-) -> Result<SelectiveUnroll, ScheduleError> {
-    let mut best: Option<SelectiveUnroll> = None;
-    let mut evaluated = Vec::new();
-    let ouf = optimal_unroll_factor(kernel, machine);
-    for (choice, factor) in unroll_candidates(kernel, machine) {
-        let mut unrolled = unroll(kernel, factor);
-        prepare(&mut unrolled);
-        let schedule = schedule_kernel(&unrolled, machine, options)?;
-        let texec = schedule.texec(unrolled.avg_trip);
-        evaluated.push((choice, factor, schedule.ii, texec));
-        // within a 1% Texec tie (the estimate has no stall term), prefer
-        // the OUF factor — that is where the locality is — and otherwise
-        // the smaller factor
-        let rank = |f: u32| (f == ouf, std::cmp::Reverse(f));
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                let bt = b.schedule.texec(b.kernel.avg_trip);
-                texec < bt * 0.99 || (texec <= bt * 1.01 && rank(factor) > rank(b.factor))
-            }
-        };
-        if better {
-            best = Some(SelectiveUnroll {
-                choice,
-                factor,
-                kernel: unrolled,
-                schedule,
-                evaluated: Vec::new(),
-            });
-        }
-    }
-    let mut best = best.expect("at least the factor-1 candidate exists");
-    best.evaluated = evaluated;
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ClusterPolicy;
     use vliw_ir::{ArrayKind, KernelBuilder};
 
     #[test]
@@ -225,31 +152,5 @@ mod tests {
         let k = b.finish(64.0);
         let c = unroll_candidates(&k, &m);
         assert_eq!(c, vec![(UnrollChoice::None, 1), (UnrollChoice::Ouf, 4)]);
-    }
-
-    #[test]
-    fn selection_prefers_lower_texec() {
-        // A simple strided loop: unrolling amortizes the stage count and
-        // packs more work per II, so some unrolled variant should win over
-        // no-unrolling for a long-trip loop.
-        let m = MachineConfig::word_interleaved_4();
-        let mut b = KernelBuilder::new("t");
-        let a = b.array("a", 65536, ArrayKind::Heap);
-        let out = b.array("b", 65536, ArrayKind::Heap);
-        let (_, v) = b.load("ld", a, 0, 4, 4);
-        let (_, w) = b.int_op("add", vliw_ir::Opcode::Add, &[v.into()]);
-        b.store("st", out, 0, 4, 4, w);
-        let k = b.finish(1024.0);
-        let r =
-            select_unrolling(&k, &m, ScheduleOptions::new(ClusterPolicy::Free), |_| {}).unwrap();
-        assert_eq!(r.evaluated.len(), 2); // factor 1 and OUF=4
-                                          // the chosen variant has minimal Texec among candidates
-        let chosen_texec = r.schedule.texec(r.kernel.avg_trip);
-        let min_texec = r
-            .evaluated
-            .iter()
-            .map(|e| e.3)
-            .fold(f64::INFINITY, f64::min);
-        assert!(chosen_texec <= min_texec * 1.01 + 1e-9);
     }
 }

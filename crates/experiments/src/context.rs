@@ -557,9 +557,9 @@ pub fn prepare_loop(
     }
     match best {
         Some(b) => Ok(b),
-        None => {
-            // no variant scheduled: retry factor 1 explicitly (covers the
-            // Ouf-only mode whose single candidate failed)
+        // the Ouf-only mode's single candidate failed: fall back to
+        // factor 1, which the other modes have already tried
+        None if matches!(cfg.unroll, UnrollMode::Ouf) => {
             let kernel = builder.build(1).map_err(|e| last_err.take().unwrap_or(e))?;
             let outcome = schedule_outcome_traced(&kernel, machine, opts, trace)
                 .map_err(|_| last_err.expect("at least one failure recorded"))?;
@@ -571,6 +571,7 @@ pub fn prepare_loop(
                 factor: 1,
             })
         }
+        None => Err(last_err.expect("at least one failure recorded")),
     }
 }
 

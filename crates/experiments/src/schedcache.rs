@@ -480,11 +480,6 @@ impl SchedCache {
         self
     }
 
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The completed-entry cap per shard (`None` = unbounded).
     pub fn per_shard_capacity(&self) -> Option<usize> {
         self.per_shard_cap
@@ -1290,16 +1285,5 @@ impl ScheduleStore {
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::from_text(&text)
-    }
-
-    /// Reads a store from `path` with the salvage parser: parse damage
-    /// is absorbed into the [`SalvageReport`], only I/O failure errors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures as strings.
-    pub fn load_salvage(path: &Path) -> Result<(Self, SalvageReport), String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Ok(Self::from_text_salvage(&text))
     }
 }

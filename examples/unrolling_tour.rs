@@ -3,12 +3,13 @@
 //!
 //! Run with `cargo run --example unrolling_tour`.
 
+use interleaved_vliw::experiments::{
+    prepare_loop, ExperimentContext, ProfileSource, RunConfig, UnrollMode,
+};
 use interleaved_vliw::ir::{ArrayKind, KernelBuilder, Opcode};
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::{
-    individual_unroll_factor, optimal_unroll_factor, select_unrolling, ClusterPolicy,
-    ScheduleOptions,
-};
+use interleaved_vliw::sched::{individual_unroll_factor, optimal_unroll_factor, unroll_candidates};
+use interleaved_vliw::trace::{RecordingSink, Trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = MachineConfig::word_interleaved_4();
@@ -40,23 +41,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ouf = optimal_unroll_factor(&kernel, &machine);
     println!("\nloop OUF = lcm(4, 8) = {ouf}");
 
-    // selective unrolling schedules all three variants and compares Texec
-    let sel = select_unrolling(
+    // selective unrolling schedules every candidate and keeps the one
+    // with the lowest Texec; each candidate leaves an `unroll.variant`
+    // instant in the trace
+    let cfg = RunConfig {
+        source: ProfileSource::None,
+        unroll: UnrollMode::Selective,
+        ..RunConfig::ipbc()
+    };
+    let sink = RecordingSink::logical();
+    let prepared = prepare_loop(
         &kernel,
         &machine,
-        ScheduleOptions::new(ClusterPolicy::PreBuildChains),
-        |_| {},
+        &cfg,
+        &ExperimentContext::quick(),
+        Trace::new(&sink),
     )?;
+    let candidates = unroll_candidates(&kernel, &machine);
     println!("\nselective unrolling evaluated:");
-    for (choice, factor, ii, texec) in &sel.evaluated {
-        println!("  {choice:<14} factor {factor:>2}: II {ii:>3}, Texec {texec:>9.0}");
+    for event in sink.events().iter().filter(|e| e.name == "unroll.variant") {
+        let arg = |key: &str| {
+            event
+                .args
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or(0.0, |&(_, v)| v)
+        };
+        let factor = arg("factor") as u32;
+        let choice = candidates
+            .iter()
+            .find(|&&(_, f)| f == factor)
+            .map_or(String::new(), |(c, _)| c.to_string());
+        println!(
+            "  {choice:<14} factor {factor:>2}: II {:>3}, Texec {:>9.0}",
+            arg("ii"),
+            arg("texec")
+        );
     }
     println!(
         "\nchosen: {} (factor {}) -> II {} with {} ops in the kernel",
-        sel.choice,
-        sel.factor,
-        sel.schedule.ii,
-        sel.kernel.ops.len()
+        prepared.choice,
+        prepared.factor,
+        prepared.schedule.ii,
+        prepared.kernel.ops.len()
     );
     Ok(())
 }
