@@ -278,8 +278,15 @@ impl CopyTable {
         ready: i64,
         bound: i64,
     ) -> bool {
-        let Some((cycle, bus)) = (ready..=bound).find_map(|c| Some((c, mrt.bus_find(c)?))) else {
-            return false;
+        let mut cycle = ready;
+        let bus = loop {
+            if cycle > bound {
+                return false;
+            }
+            if let Some(bus) = mrt.bus_find(cycle) {
+                break bus;
+            }
+            cycle += 1;
         };
         mrt.bus_reserve(bus, cycle);
         self.staged.push(RoutedCopy {

@@ -645,8 +645,8 @@ mod tests {
                 #[test]
                 fn rollback_after_partial_multi_slot_bus_reservation() {
                     // II 3, transfer 2: a transfer starting at slot 2 wraps to slot 0.
-                    // Roll back a transaction whose bus reservation spans the wrap plus
-                    // an earlier whole transfer: every individual slot flag must clear.
+                    // Roll back past a bus reservation that spans the wrap plus an
+                    // earlier whole transfer: every individual slot flag must clear.
                     let mut t = mrt(3);
                     let fresh = t.clone();
                     let sp = t.savepoint();

@@ -1,5 +1,6 @@
-//! The journaled-MRT contract: schedules produced through the transaction
-//! journal are bit-identical to those of clone-based trial isolation,
+//! The journaled-MRT contract: schedules produced through the MRT's undo
+//! journal (a savepoint per probe, rolled back when the probe fails) are
+//! bit-identical to those of clone-based trial isolation,
 //! which copied the whole reservation table before each probe and
 //! restored the copy on failure.
 //!
