@@ -50,9 +50,9 @@
 //!   [`Mrt::next_free_fu_cycle`](crate::mrt::Mrt::next_free_fu_cycle) —
 //!   a trailing-/leading-zeros walk over the row's free-mask — so fully
 //!   occupied stretches are skipped a word at a time and only *free*
-//!   cells consume node budget. At a
-//!   fixed budget the search therefore reaches strictly deeper than the
-//!   historical scalar probe-every-cell scan.
+//!   cells consume node budget. At a fixed budget the search therefore
+//!   reaches strictly deeper than the historical scalar probe-every-cell
+//!   scan.
 //! * **Node-budget cutoff.** The search examines at most
 //!   [`ScheduleOptions::node_budget`](super::ScheduleOptions) candidate
 //!   cells per call. Exhausting the budget is a *counted, surfaced*
@@ -82,9 +82,10 @@
 //! neighbors imply (the window the heuristic engine scans, computed by
 //! the same code, here explored completely, over every policy-permitted
 //! cluster, with backtracking), and inter-cluster copies take the
-//! earliest free bus slot (the same routing code again). "Proven optimal" therefore means: no schedule in that space — a
-//! superset of everything the heuristic pass can reach under the same
-//! order and constraints — has a smaller II. An II equal to the MII is
+//! earliest free bus slot (the same routing code again). "Proven
+//! optimal" therefore means: no schedule in that space — a superset of
+//! everything the heuristic pass can reach under the same order and
+//! constraints — has a smaller II. An II equal to the MII is
 //! optimal unconditionally.
 
 use std::collections::HashSet;
