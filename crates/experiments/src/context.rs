@@ -369,6 +369,22 @@ impl<'a> VariantBuilder<'a> {
         Ok(self.stream.as_ref().expect("stream just taken"))
     }
 
+    /// One unrolled variant, synthetically profiled. Factor 1 is the
+    /// original itself: unrolling by 1 copies it, and profiling depends
+    /// only on the kernel's structure, so profiling it again would
+    /// reproduce the profile it already carries.
+    fn synthetic(&self, factor: u32) -> LoopKernel {
+        if factor == 1 {
+            return self.original.clone();
+        }
+        profiled(
+            unroll(&self.original, factor),
+            self.machine,
+            self.ctx,
+            self.cfg.padding,
+        )
+    }
+
     /// One unrolled variant's kernel, profiled per the source axis.
     ///
     /// # Errors
@@ -378,15 +394,9 @@ impl<'a> VariantBuilder<'a> {
         let (machine, ctx, cfg) = (self.machine, self.ctx, self.cfg);
         match cfg.source {
             ProfileSource::None => Ok(unroll(&self.original, factor)),
-            ProfileSource::Synthetic => Ok(profiled(
-                unroll(&self.original, factor),
-                machine,
-                ctx,
-                cfg.padding,
-            )),
+            ProfileSource::Synthetic => Ok(self.synthetic(factor)),
             ProfileSource::Measured => {
-                let mut kernel =
-                    profiled(unroll(&self.original, factor), machine, ctx, cfg.padding);
+                let mut kernel = self.synthetic(factor);
                 match self.stream()?.derive_unrolled(&kernel, factor, machine) {
                     Ok(lp) => {
                         vliw_profile::attach_measurements(&mut kernel, &lp)
@@ -969,6 +979,26 @@ mod tests {
             assert!(*ceiling > 0, "{policy:?}: it failed under a ceiling");
         }
         assert!(seen > 0, "epicdec_l5 ×8 no longer exhausts the II range");
+    }
+
+    #[test]
+    fn factor_one_variant_is_the_profiled_original() {
+        // the builder serves its profiled original as the factor-1
+        // variant; profiling that again must reproduce it exactly
+        let ctx = ExperimentContext::quick();
+        let models = ctx.models();
+        for padding in [false, true] {
+            let cfg = RunConfig {
+                padding,
+                ..RunConfig::ipbc()
+            };
+            let machine = ctx.machine_for(&cfg);
+            for lw in models.iter().flat_map(|m| &m.loops) {
+                let mut builder = VariantBuilder::new(&lw.kernel, &machine, &cfg, &ctx);
+                let again = profiled(unroll(builder.original(), 1), &machine, &ctx, padding);
+                assert_eq!(builder.build(1).unwrap(), again, "{}", lw.kernel.name);
+            }
+        }
     }
 
     #[test]
