@@ -370,9 +370,9 @@ impl<'a> VariantBuilder<'a> {
     }
 
     /// One unrolled variant, synthetically profiled. Factor 1 is the
-    /// original itself: unrolling by 1 copies it, and profiling depends
-    /// only on the kernel's structure, so profiling it again would
-    /// reproduce the profile it already carries.
+    /// original itself: unrolling by 1 copies it, and a synthetic profile
+    /// depends only on the kernel's structure and the run's settings, so
+    /// profiling it again would reproduce the profile it already carries.
     fn synthetic(&self, factor: u32) -> LoopKernel {
         if factor == 1 {
             return self.original.clone();
