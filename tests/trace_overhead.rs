@@ -7,10 +7,15 @@
 //!   probes change nothing observable;
 //! * the instrumented repro pass records under the logical clock, so two
 //!   identical runs export byte-identical Chrome trace JSON — the
-//!   deterministic-artifact half of the dual-clock rule.
+//!   deterministic-artifact half of the dual-clock rule;
+//! * that export is pinned by a golden digest, so the order of the
+//!   scheduler's spans and instants (`backend.bnb`, `prepare.*`,
+//!   `backend.swing`, `bnb.incumbent`, `bnb.solve`) cannot drift.
+
+use std::hash::Hasher as _;
 
 use interleaved_vliw::experiments::{optgap, trace_exp, ExperimentContext};
-use interleaved_vliw::ir::LoopKernel;
+use interleaved_vliw::ir::{LoopKernel, StableHasher};
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::sched::{
     schedule_outcome, schedule_outcome_traced, ClusterPolicy, ScheduleOptions,
@@ -99,4 +104,11 @@ fn logical_clock_trace_pass_is_byte_identical_twice_over() {
         "logical-clock Chrome export drifted between identical runs"
     );
     assert_eq!(a.metrics, b.metrics, "metrics snapshot drifted");
+    let mut h = StableHasher::default();
+    h.write_str(&a.chrome_json);
+    assert_eq!(
+        (a.events, h.finish()),
+        (5207, 7_165_517_725_630_222_809),
+        "the logical-clock Chrome export changed"
+    );
 }
