@@ -16,13 +16,9 @@
 //!    `backend.bnb`, `bnb.solve`, `bnb.memo_depth` and the `bnb.nodes`
 //!    counter.
 //!
-//! Everything is recorded by a [`RecordingSink`] in logical-clock mode:
-//! two identical runs export byte-identical Chrome trace JSON (pinned by
-//! `tests/trace_overhead.rs`). The wall-clock [`ClockMode::Profile`]
-//! variant exists for interactive profiling but is never used here —
-//! deterministic artifacts must not see wall time.
-//!
-//! [`ClockMode::Profile`]: vliw_trace::ClockMode::Profile
+//! Everything is recorded by a [`RecordingSink`], whose clock is logical:
+//! two identical runs export byte-identical Chrome trace JSON (pinned,
+//! with a golden digest, by `tests/trace_overhead.rs`).
 
 use vliw_sched::{AttractionHints, SchedBackend};
 use vliw_sim::simulate_loop_traced;

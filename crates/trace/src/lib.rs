@@ -12,12 +12,11 @@
 //!   so the disabled path adds no allocation, no virtual call, and no
 //!   observable work. [`NullSink`] is provided for callers that want an
 //!   attached-but-discarding sink; it compiles to the same nothing.
-//! * [`RecordingSink`] — the in-memory recorder with a **dual clock**. In
-//!   [`ClockMode::Logical`] every event is stamped with a process-wide
-//!   sequence number (deterministic across runs: same work ⇒ byte-identical
-//!   export); in [`ClockMode::Profile`] events carry wall-clock microseconds.
-//!   Deterministic digests must only ever see logical mode — wall time is
-//!   quarantined behind the explicit `profile()` constructor.
+//! * [`RecordingSink`] — the in-memory recorder on a **logical clock**:
+//!   every event is stamped with its sequence number within the recording
+//!   (deterministic across runs: same work ⇒ byte-identical export). Wall
+//!   time never reaches a recording; it is measured from outside, by the
+//!   benchmark harness.
 //!
 //! Exporters: [`RecordingSink::chrome_trace_json`] writes the Chrome
 //! trace-event array format (one event per line, loadable in
@@ -31,7 +30,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// The kind of a trace event, mirroring the Chrome trace-event phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,17 +208,6 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Which clock stamps recorded events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Deterministic sequence numbers: event `n` gets timestamp `n`. Same
-    /// work in the same order produces a byte-identical export.
-    Logical,
-    /// Wall-clock microseconds since the sink was created. Non-deterministic;
-    /// never feed this into a digest.
-    Profile,
-}
-
 /// One recorded event, owned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedEvent {
@@ -230,16 +217,16 @@ pub struct RecordedEvent {
     pub phase: Phase,
     /// Event name.
     pub name: String,
-    /// Timestamp: a sequence number (logical) or microseconds (profile).
+    /// Timestamp: the event's sequence number, starting at 1.
     pub ts: u64,
     /// Key/number argument pairs.
     pub args: Vec<(String, f64)>,
 }
 
-/// An in-memory recording sink with the dual-clock design.
+/// An in-memory recording sink on a logical clock: event `n` gets
+/// timestamp `n`, so the same work in the same order produces a
+/// byte-identical export.
 pub struct RecordingSink {
-    mode: ClockMode,
-    start: Instant,
     events: Mutex<Vec<RecordedEvent>>,
 }
 
@@ -247,25 +234,8 @@ impl RecordingSink {
     /// A recorder stamping events with deterministic sequence numbers.
     pub fn logical() -> Self {
         RecordingSink {
-            mode: ClockMode::Logical,
-            start: Instant::now(),
             events: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A recorder stamping events with wall-clock microseconds
-    /// (non-deterministic; for interactive profiling only).
-    pub fn profile() -> Self {
-        RecordingSink {
-            mode: ClockMode::Profile,
-            start: Instant::now(),
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The clock mode this recorder stamps with.
-    pub fn mode(&self) -> ClockMode {
-        self.mode
     }
 
     /// A snapshot of everything recorded so far, in arrival order.
@@ -287,8 +257,8 @@ impl RecordingSink {
     }
 
     /// Render the recording as a Chrome trace-event JSON array, one event per
-    /// line (loadable in `chrome://tracing` and Perfetto). In logical mode the
-    /// output is byte-identical across runs performing the same work.
+    /// line (loadable in `chrome://tracing` and Perfetto). The output is
+    /// byte-identical across runs performing the same work.
     pub fn chrome_trace_json(&self) -> String {
         chrome_trace_json(&self.events())
     }
@@ -302,10 +272,7 @@ impl RecordingSink {
 impl TraceSink for RecordingSink {
     fn record(&self, track: u32, phase: Phase, name: &str, args: &[(&str, f64)]) {
         let mut events = self.events.lock().unwrap_or_else(|p| p.into_inner());
-        let ts = match self.mode {
-            ClockMode::Logical => events.len() as u64 + 1,
-            ClockMode::Profile => self.start.elapsed().as_micros() as u64,
-        };
+        let ts = events.len() as u64 + 1;
         events.push(RecordedEvent {
             track,
             phase,
@@ -386,7 +353,7 @@ fn json_number_into(out: &mut String, v: f64) {
 ///
 /// * `span_count/<name>` — completed spans per name;
 /// * `span_ticks/<name>` — total timestamp units spent inside spans of that
-///   name (sequence steps in logical mode, microseconds in profile mode);
+///   name, in sequence steps;
 /// * `instant_count/<name>` — point events per name;
 /// * `counter_last/<name>` — final sample of each counter;
 /// * `events_total` — every recorded event.

@@ -6,8 +6,7 @@
 //!   uninstrumented entry points, across every §4 cluster policy — the
 //!   probes change nothing observable;
 //! * the instrumented repro pass records under the logical clock, so two
-//!   identical runs export byte-identical Chrome trace JSON — the
-//!   deterministic-artifact half of the dual-clock rule;
+//!   identical runs export byte-identical Chrome trace JSON;
 //! * that export is pinned by a golden digest, so the order of the
 //!   scheduler's spans and instants (`backend.bnb`, `prepare.*`,
 //!   `backend.swing`, `bnb.incumbent`, `bnb.solve`) cannot drift.
