@@ -1,18 +1,10 @@
-//! The scheduler-backend extension seam.
+//! The scheduler backends as a value, and what their results claim.
 //!
-//! [`SchedulerBackend`] abstracts the *entire* kernel → [`Schedule`]
-//! transformation — front-end included — so whole alternative pipeliners
-//! (not just cluster-assignment heuristics, which plug in one level lower
-//! via [`ClusterAssign`](super::ClusterAssign)) are a single trait
-//! implementation plus one [`SchedBackend`] arm. Two backends ship:
-//!
-//! * [`SwingModulo`] — the paper's §4.3.1 pipeline (latency assignment →
-//!   SMS ordering → no-backtracking cluster assignment + slot placement),
-//!   extracted verbatim from the historical `schedule_kernel` body; its
-//!   output is bit-identical to the pre-seam scheduler.
-//! * [`ExactBnB`] — an exact branch-and-bound modulo scheduler used as
-//!   the optimality yardstick for the `optgap` study (see the
-//!   [`bnb`](super::bnb) module).
+//! [`SchedBackend`] names a whole kernel → [`Schedule`] pipeline;
+//! [`schedule_outcome_traced`](super::schedule_outcome_traced) matches on
+//! it, so a new backend is one enum arm plus one match arm there. Cluster
+//! assignment plugs in one level lower, through
+//! [`ClusterAssign`](super::ClusterAssign).
 //!
 //! Backends return a [`ScheduleOutcome`] whose [`SchedQuality`] records
 //! what the result *claims*: a heuristic makes no claim, an exact search
@@ -20,43 +12,8 @@
 //! the proof. Cutoffs are first-class, counted outcomes
 //! ([`SchedStats::cutoffs`](super::SchedStats)) — never a silent fallback.
 
-use vliw_ir::LoopKernel;
-use vliw_machine::MachineConfig;
-use vliw_trace::Trace;
-
-use super::{ExactBnB, SchedStats, ScheduleOptions};
-use crate::schedule::{Schedule, ScheduleError};
-
-/// A complete modulo-scheduling pipeline: everything between a profiled
-/// kernel and a verified [`Schedule`].
-///
-/// Implementations must be stateless (`Sync`) — one static instance per
-/// backend is handed out by [`SchedBackend::backend`], exactly like the
-/// [`ClusterAssign`](super::ClusterAssign) policy objects one seam below.
-pub trait SchedulerBackend: std::fmt::Debug + Sync {
-    /// Short backend name (reports, memo diagnostics, bench labels).
-    fn name(&self) -> &'static str;
-
-    /// Schedules `kernel` for `machine`, returning the schedule together
-    /// with the work counters and the backend's quality claim. Per-stage
-    /// spans and telemetry go to `trace`; with [`Trace::off`] the result
-    /// must be identical to a traced call's (the
-    /// `tests/trace_overhead.rs` digest test pins this).
-    ///
-    /// # Errors
-    ///
-    /// [`ScheduleError::EmptyKernel`] for empty kernels;
-    /// [`ScheduleError::NoSchedule`] when the search space is exhausted up
-    /// to the II limit; [`ScheduleError::SearchCutoff`] when an exact
-    /// backend ran out of node budget before finding any schedule.
-    fn schedule(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-        trace: Trace<'_>,
-    ) -> Result<ScheduleOutcome, ScheduleError>;
-}
+use super::SchedStats;
+use crate::schedule::Schedule;
 
 /// What a backend's result claims about schedule quality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,8 +29,8 @@ pub enum SchedQuality {
     CutoffFeasible,
     /// The exact search exhausted its budget ladder
     /// ([`FallbackPolicy::RetryReducedBudget`]) and the service degraded
-    /// to the heuristic incumbent — the [`SwingModulo`] schedule computed
-    /// as the search's warm start. A *counted* degradation, never a
+    /// to the heuristic incumbent — the swing schedule computed as the
+    /// search's warm start. A *counted* degradation, never a
     /// silent one: the retry rungs are in
     /// [`SchedStats::fallback_retries`](super::SchedStats) and the
     /// cutoffs that forced them in
@@ -89,8 +46,9 @@ impl SchedQuality {
 }
 
 /// What an exact backend does when its deterministic deadline — the node
-/// budget composed with [`ScheduleOptions::cost_ceiling`] — runs out
-/// before the II question is decided.
+/// budget composed with
+/// [`ScheduleOptions::cost_ceiling`](super::ScheduleOptions::cost_ceiling)
+/// — runs out before the II question is decided.
 ///
 /// The ladder is entirely wall-clock-free: every rung is measured in
 /// candidate cells examined, so the same inputs exhaust the same rungs in
@@ -151,30 +109,50 @@ pub struct ScheduleOutcome {
 /// The scheduler backends, as a value the experiment grid can sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedBackend {
-    /// The paper's heuristic pipeline ([`SwingModulo`]).
+    /// The paper's §4.3.1 pipeline: the shared front-end (latency
+    /// assignment, SMS ordering), then one no-backtracking cluster
+    /// assignment + slot placement pass per II.
     SwingModulo,
-    /// The exact branch-and-bound pipeliner ([`ExactBnB`]).
+    /// An exact branch-and-bound modulo scheduler, the optimality
+    /// yardstick of the `optgap` study: the swing front-end, then a
+    /// depth-first search over `(cluster, cycle)` placements below the
+    /// swing schedule's II, under a node budget.
     ExactBnB,
-    /// The load-delay-tracking pipeliner
-    /// ([`DelayTracking`](super::DelayTracking)): swing placement over
-    /// measured expected/percentile load latencies instead of the §4.3.3
-    /// class latencies.
+    /// The load-delay-tracking pipeliner. The §4.3.3 class model collapses
+    /// every load's behavior into four latencies and a benefit-driven
+    /// reduction; the delay-tracking direction of the related work (see
+    /// `PAPERS.md`) schedules each load at a latency derived from its
+    /// *measured* per-load latency distribution instead:
+    ///
+    /// * the front-end runs unchanged — same circuits, same policy pins,
+    ///   same SMS ordering — except that the latency-assignment stage is
+    ///   [`assign_profiled_latencies`](crate::latency::assign_profiled_latencies):
+    ///   every load is scheduled at the expectation of its measured
+    ///   latency histogram (or, with
+    ///   [`ScheduleOptions::delay_percentile`](super::ScheduleOptions), at
+    ///   a chosen percentile — the risk knob), falling back to the
+    ///   class-mix expectation when only a synthetic profile is attached;
+    /// * placement is the swing pass: identical search, identical
+    ///   resource model, different promises.
+    ///
+    /// The measured histograms reach the kernel through
+    /// [`MemProfile::latency`](vliw_ir::MemProfile), populated by the
+    /// `vliw-profile` measurement subsystem: simulate, measure,
+    /// re-schedule against what was measured. Like the swing pipeline
+    /// this is a heuristic — the outcome claims
+    /// [`SchedQuality::Heuristic`] — and the `optgap` study measures what
+    /// the richer latency model buys against the exact yardstick.
     DelayTracking,
 }
 
 impl SchedBackend {
-    /// The [`SchedulerBackend`] implementation behind this value.
-    pub fn backend(&self) -> &'static dyn SchedulerBackend {
-        match self {
-            SchedBackend::SwingModulo => &SwingModulo,
-            SchedBackend::ExactBnB => &ExactBnB,
-            SchedBackend::DelayTracking => &super::DelayTracking,
-        }
-    }
-
-    /// Short name (same as the backend object's).
+    /// Short name (reports, memo diagnostics, bench labels, store keys).
     pub fn name(&self) -> &'static str {
-        self.backend().name()
+        match self {
+            SchedBackend::SwingModulo => "swing",
+            SchedBackend::ExactBnB => "bnb",
+            SchedBackend::DelayTracking => "delay",
+        }
     }
 
     /// Relative per-cell cost rank, used by the experiment grid to shard
@@ -198,44 +176,12 @@ impl SchedBackend {
     ];
 }
 
-/// The paper's §4.3.1 pipeline as a [`SchedulerBackend`]: the historical
-/// `schedule_kernel` body, extracted behind the seam with bit-identical
-/// output (guarded by the MRT-equivalence and grid-determinism tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SwingModulo;
-
-impl SchedulerBackend for SwingModulo {
-    fn name(&self) -> &'static str {
-        "swing"
-    }
-
-    fn schedule(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-        trace: Trace<'_>,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        if kernel.ops.is_empty() {
-            return Err(ScheduleError::EmptyKernel);
-        }
-        let (ddg, prep) = super::prepare(kernel, machine, options, trace);
-        super::swing_with_prep(kernel, machine, options.policy, &ddg, prep, trace).map(
-            |(schedule, stats)| ScheduleOutcome {
-                schedule,
-                stats,
-                quality: SchedQuality::Heuristic,
-                max_live: None,
-            },
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{schedule_outcome, ClusterPolicy};
-    use vliw_ir::{ArrayKind, KernelBuilder};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
+    use vliw_ir::{ArrayKind, KernelBuilder, LoopKernel};
+    use vliw_machine::MachineConfig;
 
     fn kernel() -> LoopKernel {
         let mut b = KernelBuilder::new("t");
@@ -243,19 +189,6 @@ mod tests {
         let (_, v) = b.load("ld", a, 0, 4, 4);
         b.store("st", a, 512, 4, 4, v);
         b.finish(16.0)
-    }
-
-    #[test]
-    fn swing_backend_is_bit_identical_to_direct_entry_point() {
-        let k = kernel();
-        let m = MachineConfig::word_interleaved_4();
-        let opts = ScheduleOptions::new(ClusterPolicy::PreBuildChains);
-        let direct = crate::engine::schedule_kernel(&k, &m, opts).unwrap();
-        let via_trait = SwingModulo
-            .schedule(&k, &m, &opts, Trace::off())
-            .unwrap()
-            .schedule;
-        assert_eq!(direct, via_trait);
     }
 
     #[test]

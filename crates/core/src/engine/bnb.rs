@@ -1,12 +1,12 @@
-//! `ExactBnB` — an exact branch-and-bound modulo scheduler, the
-//! optimality yardstick behind the `optgap` study.
+//! [`SchedBackend::ExactBnB`](super::SchedBackend::ExactBnB) — an exact
+//! branch-and-bound modulo scheduler, the optimality yardstick behind the
+//! `optgap` study.
 //!
 //! The heuristic pipeline commits to one placement per op and bumps the II
 //! on any failure; how much II that greed costs is exactly what this
-//! backend measures. `ExactBnB` shares the whole front-end with
-//! [`SwingModulo`](super::SwingModulo) — same pins, same latency
-//! assignment, same MII bounds, same SMS order (the crate-private
-//! `engine::prepare` step) — then replaces the no-backtracking pass
+//! backend measures. It shares the whole front-end with the swing
+//! backend — same pins, same latency assignment, same MII bounds, same
+//! SMS order (`engine::prepare`) — then replaces the no-backtracking pass
 //! with a depth-first search over `(cluster, cycle)` placements:
 //!
 //! * **MII lower-bounding.** The II search starts at
@@ -94,12 +94,12 @@ use vliw_ir::{Ddg, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
-use super::backend::{SchedQuality, ScheduleOutcome, SchedulerBackend};
+use super::backend::{FallbackPolicy, SchedQuality, ScheduleOutcome};
 use super::place::{Neighbors, PartialSchedule, Placement};
 use super::{prepare, swing_with_prep, Prep, SchedStats, ScheduleOptions};
 use crate::schedule::{Schedule, ScheduleError};
 
-/// Default total node budget per [`ExactBnB`] call: candidate
+/// Default total node budget per exact-backend call: candidate
 /// `(cluster, cycle)` cells examined across all II levels before the
 /// search reports a cutoff. Sized so every small (factor-1) suite kernel
 /// is decided exactly while deeply unrolled kernels cut off in
@@ -110,256 +110,167 @@ pub const DEFAULT_NODE_BUDGET: u64 = 200_000;
 /// `ops × II levels ≤ ADAPTIVE_REF_CELLS` runs under the base budget
 /// unchanged (the whole factor-1 suite sits below this), larger kernels
 /// scale linearly.
-pub const ADAPTIVE_REF_CELLS: u64 = 512;
+const ADAPTIVE_REF_CELLS: u64 = 512;
 
 /// Upper bound on the adaptive scale factor, so pathological unrolled
 /// kernels cut off in bounded time instead of searching for minutes.
-pub const ADAPTIVE_MAX_SCALE: u64 = 16;
+const ADAPTIVE_MAX_SCALE: u64 = 16;
 
 /// Node budget of the MaxLive tie-break re-search at the proven-optimal
 /// II (capped further by whatever remains of the call's main budget).
 /// The tie-break is best-effort by construction: exhausting this budget
 /// keeps the incumbent completion and touches neither the quality claim
 /// nor [`SchedStats::cutoffs`](super::SchedStats).
-pub const TIEBREAK_NODE_BUDGET: u64 = 32_000;
+const TIEBREAK_NODE_BUDGET: u64 = 32_000;
 
 /// Sampling stride of the budget-consumption curve: with a sink attached
 /// the search emits a `bnb.nodes` counter sample every this many expanded
 /// nodes. With tracing off the sample threshold is parked at `u64::MAX`,
 /// so the per-node cost is one always-false compare.
-pub const NODE_SAMPLE_EVERY: u64 = 1_024;
+const NODE_SAMPLE_EVERY: u64 = 1_024;
 
-/// The exact branch-and-bound pipeliner (see the module docs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactBnB;
-
-impl ExactBnB {
-    /// The node budget one call actually runs under.
-    ///
-    /// With [`ScheduleOptions::adaptive_budget`] unset this is the flat
-    /// [`ScheduleOptions::node_budget`]. With it set (the default), the
-    /// base is scaled by the problem size `n_ops × ii_levels` relative to
-    /// [`ADAPTIVE_REF_CELLS`] — big unrolled kernels get proportionally
-    /// more search effort, small kernels keep the base exactly — capped
-    /// at [`ADAPTIVE_MAX_SCALE`]× the base. A zero base stays zero under
-    /// either policy (budget exhaustion stays testable).
-    pub fn resolved_node_budget(options: &ScheduleOptions, n_ops: usize, ii_levels: u32) -> u64 {
-        if !options.adaptive_budget {
-            return options.node_budget;
-        }
-        let cells = (n_ops as u64).saturating_mul(u64::from(ii_levels.max(1)));
-        let scale = (cells / ADAPTIVE_REF_CELLS).clamp(1, ADAPTIVE_MAX_SCALE);
-        options.node_budget.saturating_mul(scale)
+/// The node budget one call actually runs under.
+///
+/// With [`ScheduleOptions::adaptive_budget`] unset this is the flat
+/// [`ScheduleOptions::node_budget`]. With it set (the default), the base
+/// is scaled by the problem size `n_ops × ii_levels` relative to
+/// [`ADAPTIVE_REF_CELLS`] — big unrolled kernels get proportionally more
+/// search effort, small kernels keep the base exactly — capped at
+/// [`ADAPTIVE_MAX_SCALE`]× the base. A zero base stays zero under either
+/// policy (budget exhaustion stays testable).
+pub(crate) fn resolved_node_budget(options: &ScheduleOptions, n_ops: usize, ii_levels: u32) -> u64 {
+    if !options.adaptive_budget {
+        return options.node_budget;
     }
+    let cells = (n_ops as u64).saturating_mul(u64::from(ii_levels.max(1)));
+    let scale = (cells / ADAPTIVE_REF_CELLS).clamp(1, ADAPTIVE_MAX_SCALE);
+    options.node_budget.saturating_mul(scale)
 }
 
-impl SchedulerBackend for ExactBnB {
-    fn name(&self) -> &'static str {
-        "bnb"
+/// Runs the exact backend on a non-empty `kernel` (see the module docs).
+pub(crate) fn schedule(
+    kernel: &LoopKernel,
+    machine: &MachineConfig,
+    options: &ScheduleOptions,
+    trace: Trace<'_>,
+) -> Result<ScheduleOutcome, ScheduleError> {
+    let _backend_span = if trace.on() {
+        Some(trace.span("backend.bnb"))
+    } else {
+        None
+    };
+    let mut stats = SchedStats::default();
+    let (ddg, prep) = prepare(kernel, machine, options, trace);
+
+    // Incumbent: the heuristic result bounds the II search from above
+    // (standard warm-started B&B), run off the same preparation so the
+    // front-end executes once per call. Its work counters fold into ours.
+    let incumbent =
+        match swing_with_prep(kernel, machine, options.policy, &ddg, prep.clone(), trace) {
+            Ok((s, st)) => {
+                stats.merge(&st);
+                Some(s)
+            }
+            Err(_) => None,
+        };
+    let upper = incumbent.as_ref().map_or(prep.max_ii + 1, |s| s.ii);
+    if trace.on() {
+        if let Some(s) = &incumbent {
+            trace.instant("bnb.incumbent", &[("ii", s.ii as f64)]);
+        }
     }
 
-    fn schedule(
-        &self,
-        kernel: &LoopKernel,
-        machine: &MachineConfig,
-        options: &ScheduleOptions,
-        trace: Trace<'_>,
-    ) -> Result<ScheduleOutcome, ScheduleError> {
-        if kernel.ops.is_empty() {
-            return Err(ScheduleError::EmptyKernel);
-        }
-        let _backend_span = if trace.on() {
-            Some(trace.span("backend.bnb"))
-        } else {
-            None
-        };
-        let mut stats = SchedStats::default();
-        let (ddg, prep) = prepare(kernel, machine, options, trace);
+    // the budget policy resolves here, where the real problem size (ops ×
+    // II levels left to decide) is known; a caller-supplied cost ceiling
+    // composes by `min` — a deadline can only tighten the search, never
+    // extend it
+    let resolved = resolved_node_budget(options, kernel.ops.len(), upper.saturating_sub(prep.mii0));
+    let node_budget = match options.cost_ceiling {
+        Some(ceiling) => resolved.min(ceiling),
+        None => resolved,
+    };
 
-        // Incumbent: the heuristic result bounds the II search from above
-        // (standard warm-started B&B), run off the same preparation so
-        // the front-end executes once per call. Its work counters fold
-        // into ours.
-        let incumbent =
-            match swing_with_prep(kernel, machine, options.policy, &ddg, prep.clone(), trace) {
-                Ok((s, st)) => {
-                    stats.merge(&st);
-                    Some(s)
-                }
-                Err(_) => None,
-            };
-        let upper = incumbent.as_ref().map_or(prep.max_ii + 1, |s| s.ii);
-        if trace.on() {
-            if let Some(s) = &incumbent {
-                trace.instant("bnb.incumbent", &[("ii", s.ii as f64)]);
-            }
-        }
+    let colocate_chains = options.policy.assigner().constrains_chains_dynamically();
+    let search = |budget| Search::new(kernel, &ddg, machine, &prep, budget, colocate_chains, trace);
+    let mut main = search(node_budget);
+    let mut out = main.walk(upper, &mut stats);
 
-        // the budget policy resolves here, where the real problem size
-        // (ops × II levels left to decide) is known; a caller-supplied
-        // cost ceiling composes by `min` — a deadline can only tighten
-        // the search, never extend it
-        let resolved = ExactBnB::resolved_node_budget(
-            options,
-            kernel.ops.len(),
-            upper.saturating_sub(prep.mii0),
-        );
-        let node_budget = match options.cost_ceiling {
-            Some(ceiling) => resolved.min(ceiling),
-            None => resolved,
-        };
-
-        let colocate_chains = options.policy.assigner().constrains_chains_dynamically();
-        let mut search = Search::new(
-            kernel,
-            &ddg,
-            machine,
-            &prep,
-            node_budget,
-            colocate_chains,
-            trace,
-        );
-        let mut cutoff = false;
-        let mut found: Option<Schedule> = None;
-        for ii in prep.mii0..upper {
-            stats.attempts += 1;
-            let out = search.solve(ii, &mut stats);
+    // the degradation ladder: a cutoff under `RetryReducedBudget` re-runs
+    // the walk with the budget divided per rung. The search is
+    // deterministic, so each rung re-explores a prefix of the same tree —
+    // a cheap, bounded confirmation of the exhaustion (the service
+    // analogue of retrying at cheaper tiers) — and every rung is counted
+    // before the result degrades to the incumbent.
+    if let (
+        Solve::Cutoff,
+        FallbackPolicy::RetryReducedBudget {
+            factor,
+            max_retries,
+        },
+    ) = (&out, options.fallback)
+    {
+        let factor = u64::from(factor.max(2));
+        let mut rung_budget = node_budget;
+        for rung in 0..max_retries {
+            rung_budget /= factor;
+            stats.fallback_retries += 1;
             if trace.on() {
-                let verdict = match &out {
-                    Solve::Feasible(_) => 1.0,
-                    Solve::Infeasible => 0.0,
-                    Solve::Cutoff => -1.0,
-                };
                 trace.instant(
-                    "bnb.solve",
-                    &[
-                        ("ii", ii as f64),
-                        ("nodes", search.nodes as f64),
-                        ("feasible", verdict),
-                    ],
+                    "bnb.retry",
+                    &[("rung", rung as f64), ("budget", rung_budget as f64)],
                 );
             }
-            match out {
-                Solve::Feasible(s) => {
-                    found = Some(s);
-                    break;
-                }
-                Solve::Infeasible => {}
-                Solve::Cutoff => {
-                    // budget is global: once it is gone, no smaller II can
-                    // be refuted, so stop and report
-                    stats.cutoffs += 1;
-                    cutoff = true;
-                    break;
-                }
+            out = search(rung_budget).walk(upper, &mut stats);
+            if !matches!(out, Solve::Cutoff) || rung_budget == 0 {
+                break; // decided, or the ladder has bottomed out
             }
         }
-
-        // the degradation ladder: a cutoff under `RetryReducedBudget`
-        // re-runs the search with the budget divided per rung. The search
-        // is deterministic, so each rung re-explores a prefix of the same
-        // tree — a cheap, bounded confirmation of the exhaustion (the
-        // service analogue of retrying at cheaper tiers) — and every rung
-        // is counted before the result degrades to the incumbent.
-        let mut degraded = false;
-        if cutoff {
-            if let super::FallbackPolicy::RetryReducedBudget {
-                factor,
-                max_retries,
-            } = options.fallback
-            {
-                let factor = u64::from(factor.max(2));
-                let mut rung_budget = node_budget;
-                for rung in 0..max_retries {
-                    rung_budget /= factor;
-                    stats.fallback_retries += 1;
-                    if trace.on() {
-                        trace.instant(
-                            "bnb.retry",
-                            &[("rung", rung as f64), ("budget", rung_budget as f64)],
-                        );
-                    }
-                    let mut retry = Search::new(
-                        kernel,
-                        &ddg,
-                        machine,
-                        &prep,
-                        rung_budget,
-                        colocate_chains,
-                        trace,
-                    );
-                    let mut undecided = false;
-                    for ii in prep.mii0..upper {
-                        stats.attempts += 1;
-                        match retry.solve(ii, &mut stats) {
-                            Solve::Feasible(s) => {
-                                found = Some(s);
-                                break;
-                            }
-                            Solve::Infeasible => {}
-                            Solve::Cutoff => {
-                                stats.cutoffs += 1;
-                                undecided = true;
-                                break;
-                            }
-                        }
-                    }
-                    if found.is_some() || !undecided {
-                        cutoff = false;
-                        break;
-                    }
-                    if rung_budget == 0 {
-                        break; // the ladder has bottomed out
-                    }
-                }
-                degraded = cutoff;
-            }
-        }
-
+    }
+    let cutoff = matches!(out, Solve::Cutoff);
+    let quality = match (cutoff, options.fallback) {
+        (false, _) => SchedQuality::ProvenOptimal,
+        (true, FallbackPolicy::Heuristic) => SchedQuality::CutoffFeasible,
+        (true, FallbackPolicy::RetryReducedBudget { .. }) => SchedQuality::DegradedFallback,
         // under `Fail`, an undecided search is an error even when a
         // feasible incumbent exists
-        if cutoff && options.fallback == super::FallbackPolicy::Fail {
+        (true, FallbackPolicy::Fail) => {
             return Err(ScheduleError::SearchCutoff {
                 loop_name: kernel.name.clone(),
                 node_budget,
-            });
+            })
         }
-
-        let quality = if degraded {
-            SchedQuality::DegradedFallback
-        } else if cutoff {
-            SchedQuality::CutoffFeasible
-        } else {
-            SchedQuality::ProvenOptimal
-        };
-        match found.or(incumbent) {
-            Some(schedule) => {
-                let live = crate::pressure::max_live(kernel, &schedule) as u32;
-                // with the II proven minimal, spend a bounded slice of the
-                // leftover budget minimizing MaxLive among the optimal-II
-                // completions; a cutoff result skips this (the remaining
-                // budget belongs to nothing — it is already exhausted)
-                let (schedule, live) = if quality == SchedQuality::ProvenOptimal {
-                    search.minimize_live(schedule.ii, (schedule, live), &mut stats)
-                } else {
-                    (schedule, live)
-                };
-                Ok(ScheduleOutcome {
-                    schedule,
-                    stats,
-                    quality,
-                    max_live: Some(live),
-                })
-            }
-            None if cutoff => Err(ScheduleError::SearchCutoff {
-                loop_name: kernel.name.clone(),
-                node_budget,
-            }),
-            None => Err(ScheduleError::NoSchedule {
-                loop_name: kernel.name.clone(),
-                max_ii: prep.max_ii,
-            }),
+    };
+    let found = match out {
+        Solve::Feasible(s) => Some(s),
+        Solve::Infeasible | Solve::Cutoff => None,
+    };
+    match found.or(incumbent) {
+        Some(schedule) => {
+            let live = crate::pressure::max_live(kernel, &schedule) as u32;
+            // with the II proven minimal, spend a bounded slice of the
+            // leftover budget minimizing MaxLive among the optimal-II
+            // completions; a cutoff result skips this (the remaining
+            // budget belongs to nothing — it is already exhausted)
+            let (schedule, live) = if quality == SchedQuality::ProvenOptimal {
+                main.minimize_live(schedule.ii, (schedule, live), &mut stats)
+            } else {
+                (schedule, live)
+            };
+            Ok(ScheduleOutcome {
+                schedule,
+                stats,
+                quality,
+                max_live: Some(live),
+            })
         }
+        None if cutoff => Err(ScheduleError::SearchCutoff {
+            loop_name: kernel.name.clone(),
+            node_budget,
+        }),
+        None => Err(ScheduleError::NoSchedule {
+            loop_name: kernel.name.clone(),
+            max_ii: prep.max_ii,
+        }),
     }
 }
 
@@ -532,6 +443,43 @@ impl<'a> Search<'a> {
                 Vec::new()
             },
         }
+    }
+
+    /// Decides the II levels `mii0..upper` in turn until one is feasible
+    /// or the node budget runs out, counting one attempt per level and
+    /// one cutoff when the budget ran out, and emitting a `bnb.solve`
+    /// instant per level. [`Solve::Infeasible`] refutes every level.
+    fn walk(&mut self, upper: u32, stats: &mut SchedStats) -> Solve {
+        for ii in self.prep.mii0..upper {
+            stats.attempts += 1;
+            let out = self.solve(ii, stats);
+            if self.trace.on() {
+                let verdict = match &out {
+                    Solve::Feasible(_) => 1.0,
+                    Solve::Infeasible => 0.0,
+                    Solve::Cutoff => -1.0,
+                };
+                self.trace.instant(
+                    "bnb.solve",
+                    &[
+                        ("ii", ii as f64),
+                        ("nodes", self.nodes as f64),
+                        ("feasible", verdict),
+                    ],
+                );
+            }
+            match out {
+                Solve::Infeasible => {}
+                // budget is global: once it is gone, no smaller II can be
+                // refuted, so stop and report
+                Solve::Cutoff => {
+                    stats.cutoffs += 1;
+                    return Solve::Cutoff;
+                }
+                found @ Solve::Feasible(_) => return found,
+            }
+        }
+        Solve::Infeasible
     }
 
     /// Decides one II level. The node budget persists across levels.
@@ -892,36 +840,24 @@ mod tests {
         let o = opts(ClusterPolicy::Free);
         assert!(o.adaptive_budget, "adaptive is the default policy");
         // at or below the reference size the base budget is untouched
-        assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 16, 4),
-            DEFAULT_NODE_BUDGET
-        );
-        assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 128, 4),
-            DEFAULT_NODE_BUDGET
-        );
+        assert_eq!(resolved_node_budget(&o, 16, 4), DEFAULT_NODE_BUDGET);
+        assert_eq!(resolved_node_budget(&o, 128, 4), DEFAULT_NODE_BUDGET);
         // beyond it the budget scales linearly…
-        assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 256, 8),
-            4 * DEFAULT_NODE_BUDGET
-        );
+        assert_eq!(resolved_node_budget(&o, 256, 8), 4 * DEFAULT_NODE_BUDGET);
         // …up to the cap
         assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 4096, 64),
+            resolved_node_budget(&o, 4096, 64),
             ADAPTIVE_MAX_SCALE * DEFAULT_NODE_BUDGET
         );
         // zero II levels still count as one (the proof at the MII)
-        assert_eq!(
-            ExactBnB::resolved_node_budget(&o, 64, 0),
-            DEFAULT_NODE_BUDGET
-        );
+        assert_eq!(resolved_node_budget(&o, 64, 0), DEFAULT_NODE_BUDGET);
         // a zero base stays zero, and the flat policy ignores size
         let mut flat = o;
         flat.node_budget = 0;
-        assert_eq!(ExactBnB::resolved_node_budget(&flat, 4096, 64), 0);
+        assert_eq!(resolved_node_budget(&flat, 4096, 64), 0);
         flat.node_budget = 7;
         flat.adaptive_budget = false;
-        assert_eq!(ExactBnB::resolved_node_budget(&flat, 4096, 64), 7);
+        assert_eq!(resolved_node_budget(&flat, 4096, 64), 7);
     }
 
     #[test]
@@ -1022,6 +958,48 @@ mod tests {
         let rerun = schedule_outcome(&k, &m, o).unwrap();
         assert_eq!(rerun.schedule, out.schedule);
         assert_eq!(rerun.stats, out.stats);
+    }
+
+    #[test]
+    fn ladder_rungs_only_ever_confirm_the_cutoff() {
+        // a rung re-explores a prefix of the same deterministic search,
+        // so it can never decide a level: the ladder degrades exactly
+        // where the plain policy serves a cutoff, and changes nothing
+        // else. The dense kernel cuts off at every ceiling; saxpy's
+        // search under the free policy is decided from a ceiling of 4 up.
+        let m = MachineConfig::word_interleaved_4();
+        let (mut degraded_cases, mut decided_cases) = (0, 0);
+        for k in [dense(), saxpy()] {
+            for ceiling in [0, 1, 4, 16, 64, 256] {
+                let mut plain = opts(ClusterPolicy::Free);
+                plain.cost_ceiling = Some(ceiling);
+                let base = schedule_outcome(&k, &m, plain).unwrap();
+                for (factor, max_retries) in [(2, 1), (2, 3), (3, 1), (3, 3)] {
+                    let ladder = ScheduleOptions {
+                        fallback: FallbackPolicy::RetryReducedBudget {
+                            factor,
+                            max_retries,
+                        },
+                        ..plain
+                    };
+                    let o = schedule_outcome(&k, &m, ladder).unwrap();
+                    let case = format!("{}: ceiling {ceiling}, {factor}/{max_retries}", k.name);
+                    assert_eq!(o.schedule, base.schedule, "{case}");
+                    assert_eq!(o.max_live, base.max_live, "{case}");
+                    if base.quality == SchedQuality::CutoffFeasible {
+                        degraded_cases += 1;
+                        assert_eq!(o.quality, SchedQuality::DegradedFallback, "{case}");
+                        assert!(o.stats.fallback_retries >= 1, "{case}");
+                        assert_eq!(o.stats.cutoffs, 1 + o.stats.fallback_retries, "{case}");
+                    } else {
+                        decided_cases += 1;
+                        assert_eq!(o.quality, base.quality, "{case}");
+                        assert_eq!(o.stats, base.stats, "{case}");
+                    }
+                }
+            }
+        }
+        assert_eq!((degraded_cases, decided_cases), (32, 16));
     }
 
     #[test]

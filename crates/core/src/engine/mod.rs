@@ -19,15 +19,17 @@
 //! per-op vectors live in one private `Scratch` workspace that is cleared
 //! — never reallocated — across attempts. The window, copy routing and
 //! normalisation live in the private `place` module, which the exact
-//! backend ([`bnb`]) runs too. The placement loop's output is pinned by
-//! golden digests (`tests/schedule_golden.rs`,
+//! backend (the private `bnb` module) runs too. The placement loop's
+//! output is pinned by golden digests (`tests/schedule_golden.rs`,
 //! `tests/mrt_impl_equivalence.rs`, `tests/mrt_txn_equivalence.rs`, and
 //! `tests/backend_golden.rs` for the exact and delay backends).
+//!
+//! Whole pipelines are chosen one level up: [`SchedBackend`] names them
+//! and [`schedule_outcome_traced`] matches on it.
 
-pub mod backend;
+mod backend;
 pub mod base;
-pub mod bnb;
-pub mod delay;
+mod bnb;
 pub mod ibc;
 pub mod ipbc;
 pub mod no_chains;
@@ -45,11 +47,8 @@ use crate::mii;
 use crate::order::sms_order;
 use crate::schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 
-pub use backend::{
-    FallbackPolicy, SchedBackend, SchedQuality, ScheduleOutcome, SchedulerBackend, SwingModulo,
-};
-pub use bnb::{ExactBnB, DEFAULT_NODE_BUDGET};
-pub use delay::DelayTracking;
+pub use backend::{FallbackPolicy, SchedBackend, SchedQuality, ScheduleOutcome};
+pub use bnb::DEFAULT_NODE_BUDGET;
 pub use policy::{AssignContext, AssignState, ClusterAssign, Neighbor};
 
 use place::{Nbr, Neighbors, PartialSchedule, Placement};
@@ -148,21 +147,21 @@ pub struct ScheduleOptions {
     pub max_ii: Option<u32>,
     /// Circuit-enumeration safety caps.
     pub enum_limits: EnumLimits,
-    /// Which [`SchedulerBackend`] runs the kernel → [`Schedule`]
-    /// transformation (default [`SchedBackend::SwingModulo`], the paper's
-    /// pipeline).
+    /// Which backend runs the kernel → [`Schedule`] transformation
+    /// (default [`SchedBackend::SwingModulo`], the paper's pipeline).
     pub backend: SchedBackend,
     /// Base node budget for the exact backend: candidate placements it
     /// may explore across all II levels of one call before reporting a
     /// cutoff. With [`ScheduleOptions::adaptive_budget`] set (the
-    /// default) this base is scaled by kernel size; see
-    /// [`ExactBnB::resolved_node_budget`]. Ignored by heuristic backends.
+    /// default) this base is scaled by kernel size. Ignored by heuristic
+    /// backends.
     pub node_budget: u64,
     /// Scale [`ScheduleOptions::node_budget`] by kernel size
     /// (`ops × II search range`, the ROADMAP's adaptive-budget item) so
     /// big unrolled kernels get proportional search effort instead of the
-    /// flat default. Kernels at or below the reference size keep the base
-    /// budget exactly, so small-suite results are unchanged.
+    /// flat default: the base is multiplied by `ops × II levels / 512`,
+    /// clamped to `1..=16`. Kernels at or below the reference size keep
+    /// the base budget exactly, so small-suite results are unchanged.
     pub adaptive_budget: bool,
     /// Deterministic per-call deadline for the exact backend: a hard
     /// ceiling on candidate cells examined, composed by `min` with the
@@ -177,8 +176,8 @@ pub struct ScheduleOptions {
     /// historical serve-the-incumbent behavior). Ignored by heuristic
     /// backends.
     pub fallback: FallbackPolicy,
-    /// The [`DelayTracking`] backend's latency knob: `None` schedules
-    /// each load at the *expectation* of its measured latency
+    /// The [`SchedBackend::DelayTracking`] backend's latency knob: `None`
+    /// schedules each load at the *expectation* of its measured latency
     /// distribution, `Some(p)` at the p-th percentile (`p ∈ [0, 1]`;
     /// higher = more conservative, fewer broken promises, larger II).
     /// Ignored by the other backends.
@@ -216,12 +215,12 @@ impl Default for ScheduleOptions {
 
 /// Modulo-schedules `kernel` for `machine`.
 ///
-/// Dispatches to the backend selected by [`ScheduleOptions::backend`]
-/// (default: [`SwingModulo`], the paper's §4.3.1 pipeline of latency
+/// Runs the backend selected by [`ScheduleOptions::backend`] (default:
+/// [`SchedBackend::SwingModulo`], the paper's §4.3.1 pipeline of latency
 /// assignment, SMS node ordering, then cluster assignment + scheduling at
 /// increasing II). The cluster-assignment policy is resolved through
 /// [`ClusterPolicy::assigner`] — see [`ClusterAssign`] for that extension
-/// seam, and [`SchedulerBackend`] for the whole-pipeline seam.
+/// seam, and [`schedule_outcome_traced`] for the backend dispatch.
 ///
 /// # Errors
 ///
@@ -259,6 +258,11 @@ pub fn schedule_outcome(
 /// [`Trace::off`] (what [`schedule_outcome`] passes) every probe reduces
 /// to a skipped branch and the call is behaviorally identical.
 ///
+/// This is the one backend dispatch. The swing-based backends run the
+/// front-end and then the swing placement pass; the delay-tracking one
+/// differs only in the latencies `prepare` assigns. The exact backend
+/// opens its `backend.bnb` span before running the same front-end.
+///
 /// # Errors
 ///
 /// Same as [`schedule_kernel`].
@@ -268,15 +272,23 @@ pub fn schedule_outcome_traced(
     options: ScheduleOptions,
     trace: Trace<'_>,
 ) -> Result<ScheduleOutcome, ScheduleError> {
-    // checked at the dispatch point so every backend — current and
-    // future — honors the EmptyKernel contract structurally
     if kernel.ops.is_empty() {
         return Err(ScheduleError::EmptyKernel);
     }
-    options
-        .backend
-        .backend()
-        .schedule(kernel, machine, &options, trace)
+    match options.backend {
+        SchedBackend::SwingModulo | SchedBackend::DelayTracking => {
+            let (ddg, prep) = prepare(kernel, machine, &options, trace);
+            swing_with_prep(kernel, machine, options.policy, &ddg, prep, trace).map(
+                |(schedule, stats)| ScheduleOutcome {
+                    schedule,
+                    stats,
+                    quality: SchedQuality::Heuristic,
+                    max_live: None,
+                },
+            )
+        }
+        SchedBackend::ExactBnB => bnb::schedule(kernel, machine, &options, trace),
+    }
 }
 
 /// The front-end's output as a self-contained public snapshot: what an
@@ -328,7 +340,7 @@ pub fn schedule_problem(
 
 /// The shared §4.3.1 front-end every backend runs before placement:
 /// circuits → policy pins → latency assignment → MII bounds → SMS node
-/// ordering. Extracted so [`SwingModulo`] and [`ExactBnB`] prepare
+/// ordering. Shared so the swing and exact backends prepare
 /// bit-identically (same latencies, same MII, same order) and differ only
 /// in how they search the placement space. `Clone` so the exact backend
 /// runs its heuristic incumbent off the same preparation instead of
@@ -717,7 +729,7 @@ impl TryState<'_> {
 #[allow(clippy::unwrap_used)] // test assertions may unwrap
 mod tests {
     use super::*;
-    use vliw_ir::{ArrayKind, DepKind, KernelBuilder, Opcode};
+    use vliw_ir::{ArrayKind, DepKind, KernelBuilder, LatencyProfile, MemProfile, Opcode};
     use vliw_trace::RecordingSink;
 
     /// A load → add → store recurrence (MII above 1).
@@ -797,5 +809,94 @@ mod tests {
                     .any(|e| e.name == "backend.swing" || e.name == "swing.attempt"));
             }
         }
+    }
+
+    /// A recurrence kernel whose load carries a measured latency
+    /// distribution concentrated at `lat`.
+    fn kernel_with_measured(lat: u32, samples: u64) -> LoopKernel {
+        let mut b = KernelBuilder::new("t");
+        let a = b.array("a", 1024, ArrayKind::Global);
+        let (ld, v) = b.load("ld", a, 0, 4, 4);
+        let (_, w) = b.int_op("add", Opcode::Add, &[v.into()]);
+        let (st, _) = b.store("st", a, 512, 4, 4, w);
+        b.mem_dep(st, ld, DepKind::MemFlow, 1);
+        let mut p = MemProfile::with_local_ratio(0.9, 0, 0.9, 4);
+        let mut lp = LatencyProfile::default();
+        for _ in 0..samples {
+            lp.record(lat);
+        }
+        p.latency = Some(lp);
+        b.set_profile(ld, p);
+        b.finish(64.0)
+    }
+
+    fn delay_opts(policy: ClusterPolicy) -> ScheduleOptions {
+        ScheduleOptions::new(policy).with_backend(SchedBackend::DelayTracking)
+    }
+
+    #[test]
+    fn loads_are_scheduled_at_the_measured_expectation() {
+        let k = kernel_with_measured(7, 50);
+        let m = MachineConfig::word_interleaved_4();
+        let o = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
+        assert_eq!(o.quality, SchedQuality::Heuristic);
+        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 7);
+        assert!(o.schedule.verify(&k, &m).is_empty());
+    }
+
+    #[test]
+    fn percentile_knob_raises_the_promise() {
+        let mut k = kernel_with_measured(1, 90);
+        // a 10% tail at the remote-miss latency
+        if let Some(p) = &mut k.ops[0].mem.as_mut().unwrap().profile {
+            let lp = p.latency.as_mut().unwrap();
+            for _ in 0..10 {
+                lp.record(15);
+            }
+        }
+        let m = MachineConfig::word_interleaved_4();
+        let expected = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
+        // expectation = 0.9·1 + 0.1·15 = 2.4 -> rounds to 2
+        assert_eq!(expected.schedule.op(OpId::new(0)).assumed_latency, 2);
+        let mut conservative = delay_opts(ClusterPolicy::Free);
+        conservative.delay_percentile = Some(0.95);
+        let o = schedule_outcome(&k, &m, conservative).unwrap();
+        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 15);
+        assert!(o.schedule.ii >= expected.schedule.ii);
+    }
+
+    #[test]
+    fn synthetic_profiles_fall_back_to_the_class_mix_expectation() {
+        // no measured histogram: hit 0.9, local 0.9 ->
+        // E = .81·1 + .09·5 + .09·10 + .01·15 = 2.31 -> 2
+        let mut b = KernelBuilder::new("t");
+        let a = b.array("a", 1024, ArrayKind::Global);
+        let (ld, v) = b.load("ld", a, 0, 4, 4);
+        b.store("st", a, 512, 4, 4, v);
+        b.set_profile(ld, MemProfile::with_local_ratio(0.9, 0, 0.9, 4));
+        let k = b.finish(64.0);
+        let m = MachineConfig::word_interleaved_4();
+        let o = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
+        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 2);
+    }
+
+    #[test]
+    fn unprofiled_loads_keep_the_most_expensive_class() {
+        let mut b = KernelBuilder::new("t");
+        let a = b.array("a", 1024, ArrayKind::Global);
+        let (_, v) = b.load("ld", a, 0, 4, 4);
+        b.store("st", a, 512, 4, 4, v);
+        let k = b.finish(64.0);
+        let m = MachineConfig::word_interleaved_4();
+        let o = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
+        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 15);
+    }
+
+    #[test]
+    fn delay_tracking_rejects_an_empty_kernel() {
+        let k = KernelBuilder::new("empty").finish(1.0);
+        let m = MachineConfig::word_interleaved_4();
+        let err = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap_err();
+        assert_eq!(err, ScheduleError::EmptyKernel);
     }
 }

@@ -19,10 +19,11 @@
 //! 4. **Cluster assignment + scheduling** ([`engine`]) in a single
 //!    no-backtracking pass with explicit inter-cluster copies on
 //!    half-frequency register buses, under four policies: BASE (unified /
-//!    multiVLIW), IBC, IPBC and the chain-less ablation. The whole
-//!    pipeline sits behind the [`SchedulerBackend`] seam: [`SwingModulo`]
-//!    is the paper's heuristic, [`ExactBnB`] an exact branch-and-bound
-//!    reference that measures its optimality gap.
+//!    multiVLIW), IBC, IPBC and the chain-less ablation.
+//!    [`schedule_outcome_traced`] dispatches on [`SchedBackend`]:
+//!    `SwingModulo` is the paper's heuristic, `ExactBnB` an exact
+//!    branch-and-bound reference that measures its optimality gap, and
+//!    `DelayTracking` the swing pass over measured load latencies.
 //! 5. **Memory dependent chains** ([`chains`]) for memory correctness, and
 //!    **Attraction-Buffer hints** ([`hints`]) for the §5.2 overflow fix.
 //!
@@ -79,9 +80,9 @@ pub use chains::MemChains;
 pub use circuits::{elementary_circuits, Circuit, EnumLimits};
 pub use engine::{
     schedule_kernel, schedule_outcome, schedule_outcome_traced, schedule_problem, AssignContext,
-    AssignState, ClusterAssign, ClusterPolicy, DelayTracking, ExactBnB, FallbackPolicy, Neighbor,
-    SchedBackend, SchedQuality, SchedStats, ScheduleOptions, ScheduleOutcome, ScheduleProblem,
-    SchedulerBackend, SwingModulo, DEFAULT_NODE_BUDGET,
+    AssignState, ClusterAssign, ClusterPolicy, FallbackPolicy, Neighbor, SchedBackend,
+    SchedQuality, SchedStats, ScheduleOptions, ScheduleOutcome, ScheduleProblem,
+    DEFAULT_NODE_BUDGET,
 };
 pub use hints::{attraction_hints, AttractionHints};
 pub use latency::{

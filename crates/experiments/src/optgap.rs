@@ -4,8 +4,9 @@
 //! For every factor-1 loop of the context's suite and every §4 cluster
 //! policy, this driver schedules the loop twice under the *same*
 //! front-end (pins, latency assignment, MII, SMS order): once with the
-//! heuristic [`SwingModulo`](vliw_sched::SwingModulo) pipeline and once
-//! with the exact [`ExactBnB`](vliw_sched::ExactBnB) branch-and-bound
+//! heuristic [`SwingModulo`](vliw_sched::SchedBackend::SwingModulo)
+//! pipeline and once with the exact
+//! [`ExactBnB`](vliw_sched::SchedBackend::ExactBnB) branch-and-bound
 //! reference. Because the exact search is seeded with the heuristic
 //! incumbent and only explores strictly smaller IIs, its result is never
 //! worse — the ratio `heuristic II / exact II` is a per-loop optimality
@@ -19,8 +20,8 @@
 //! visibly.
 //!
 //! The table also carries a second backend: per policy, the
-//! [`DelayTracking`](vliw_sched::DelayTracking) pipeliner scheduling the
-//! *measured* factor-1 kernels (profiles collected by `vliw-profile`),
+//! [`DelayTracking`](vliw_sched::SchedBackend::DelayTracking) pipeliner
+//! scheduling the *measured* factor-1 kernels (profiles collected by `vliw-profile`),
 //! compared against the same exact reference on the same kernels. Because
 //! delay-tracking schedules loads at measured expected latencies —
 //! usually far below the class model's worst case — its recurrence MII

@@ -20,8 +20,8 @@
 //! 3. **Cycle deltas per policy**: each §4 cluster policy runs the
 //!    factor-1 suite under [`ProfileSource::Synthetic`] and
 //!    [`ProfileSource::Measured`], plus the
-//!    [`DelayTracking`](vliw_sched::DelayTracking) backend on measured
-//!    profiles — the simulated total cycles of feedback-directed
+//!    [`DelayTracking`](vliw_sched::SchedBackend::DelayTracking) backend
+//!    on measured profiles — the simulated total cycles of feedback-directed
 //!    scheduling vs the synthetic baseline.
 //! 4. **Delay-tracking suite check**: the `DelayTracking` backend
 //!    schedules every measured factor-1 kernel, every schedule is

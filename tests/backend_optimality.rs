@@ -1,7 +1,7 @@
-//! The `SchedulerBackend` seam contract, pinned over the suite and over
-//! seeded random kernels:
+//! The exact backend's contract against the heuristic ones, pinned over
+//! the suite and over seeded random kernels:
 //!
-//! * `ExactBnB` never reports a worse II than any heuristic policy run
+//! * `SchedBackend::ExactBnB` never reports a worse II than any heuristic policy run
 //!   under the same front-end (the incumbent-seeded search only explores
 //!   strictly smaller IIs);
 //! * every exact schedule passes `Schedule::verify`;
