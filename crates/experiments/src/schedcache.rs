@@ -167,21 +167,12 @@ fn parse_policy(tok: &str) -> Result<ClusterPolicy, String> {
     }
 }
 
-fn backend_token(backend: SchedBackend) -> &'static str {
-    match backend {
-        SchedBackend::SwingModulo => "swing",
-        SchedBackend::ExactBnB => "bnb",
-        SchedBackend::DelayTracking => "delay",
-    }
-}
-
+/// The backend's store token is its [`SchedBackend::name`].
 fn parse_backend(tok: &str) -> Result<SchedBackend, String> {
-    match tok {
-        "swing" => Ok(SchedBackend::SwingModulo),
-        "bnb" => Ok(SchedBackend::ExactBnB),
-        "delay" => Ok(SchedBackend::DelayTracking),
-        _ => Err(format!("unknown backend token `{tok}`")),
-    }
+    SchedBackend::ALL
+        .into_iter()
+        .find(|b| b.name() == tok)
+        .ok_or_else(|| format!("unknown backend token `{tok}`"))
 }
 
 fn source_token(source: ProfileSource) -> &'static str {
@@ -283,7 +274,7 @@ impl CacheKey {
         h.write_u64(self.env_fp);
         h.write_str(&arch_token(self.arch));
         h.write_str(policy_token(self.policy));
-        h.write_str(backend_token(self.backend));
+        h.write_str(self.backend.name());
         h.write_str(source_token(self.source));
         h.write_str(unroll_token(self.unroll));
         h.write_u8(u8::from(self.padding));
@@ -897,7 +888,7 @@ impl StoreEntry {
             self.key.env_fp,
             arch_token(self.key.arch),
             policy_token(self.key.policy),
-            backend_token(self.key.backend),
+            self.key.backend.name(),
             source_token(self.key.source),
             unroll_token(self.key.unroll),
             u8::from(self.key.padding),
@@ -1285,5 +1276,54 @@ impl ScheduleStore {
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::from_text(&text)
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)] // test assertions may unwrap
+mod tests {
+    use super::*;
+
+    #[test]
+    fn entry_headers_round_trip_over_every_backend_and_quality() {
+        let backends = [
+            (SchedBackend::SwingModulo, "swing"),
+            (SchedBackend::ExactBnB, "bnb"),
+            (SchedBackend::DelayTracking, "delay"),
+        ];
+        let qualities = [
+            (SchedQuality::Heuristic, "heur"),
+            (SchedQuality::ProvenOptimal, "opt"),
+            (SchedQuality::CutoffFeasible, "cutoff"),
+            (SchedQuality::DegradedFallback, "degraded"),
+        ];
+        assert_eq!(backends.len(), SchedBackend::ALL.len());
+        let header = |backend: &str, quality: &str| {
+            format!(
+                "entry k kfp 7 efp 11 arch wi policy ipbc backend {backend} source syn \
+                 unroll sel pad 1 choice xn factor 4 pfp 13 quality {quality}"
+            )
+        };
+        let template = StoreEntry::parse_header(&header("swing", "heur")).unwrap();
+        for (backend, backend_tok) in backends {
+            for (quality, quality_tok) in qualities {
+                let entry = StoreEntry {
+                    key: CacheKey {
+                        backend,
+                        ..template.key
+                    },
+                    quality,
+                    ..template.clone()
+                };
+                // the store text is pinned token for token
+                let line = entry.header_line();
+                assert_eq!(line, header(backend_tok, quality_tok));
+                assert_eq!(StoreEntry::parse_header(&line).unwrap(), entry);
+            }
+        }
+        assert_eq!(
+            parse_backend("exact"),
+            Err("unknown backend token `exact`".to_string())
+        );
     }
 }
