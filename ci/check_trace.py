@@ -22,10 +22,12 @@ import json
 import sys
 
 # Every instrumented stage must appear at least once in the repro trace:
-# the prepare pipeline, both scheduler backends, the cache fill path,
+# every prepare stage, both placement backends, the cache fill path,
 # the unroll-selection driver and the simulator.
 REQUIRED_SPANS = [
     "prepare.ddg",
+    "prepare.circuits",
+    "prepare.chains",
     "prepare.pins",
     "prepare.latency",
     "prepare.mii",
@@ -37,9 +39,21 @@ REQUIRED_SPANS = [
     "sim.loop",
 ]
 
-# Point events and counters the instrumented pass must have emitted.
-REQUIRED_INSTANTS = ["cache.miss", "cache.hit", "sim.window", "bnb.solve"]
-REQUIRED_COUNTERS = ["batch.queue_depth"]
+# Point events and counters the instrumented pass must have emitted: the
+# cache lifecycle, the simulator's stall windows, each backend's search
+# decisions (the exact search's incumbent, levels and node-budget curve;
+# the swing pass's attempts and finds) and each unroll-variant decision.
+REQUIRED_INSTANTS = [
+    "cache.miss",
+    "cache.hit",
+    "sim.window",
+    "bnb.solve",
+    "bnb.incumbent",
+    "swing.attempt",
+    "swing.found",
+    "unroll.variant",
+]
+REQUIRED_COUNTERS = ["batch.queue_depth", "bnb.nodes"]
 
 
 def main():
