@@ -50,7 +50,7 @@ fn main() {
     let mut total_seconds = 0.0f64;
     let mut total_problem_seconds = 0.0f64;
     for policy in ClusterPolicy::ALL {
-        let name = policy.assigner().name();
+        let name = policy.name();
         let mut stats = SchedStats::default();
         let r = b.run(name, || {
             let (st, _) = sched_pass(&kernels, &machine, policy);

@@ -38,7 +38,7 @@ fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
     let mut total_problem_secs = 0.0;
     let mut total_schedules = 0u64;
     for policy in ClusterPolicy::ALL {
-        let label = policy.assigner().name();
+        let label = policy.name();
         let (stats, elapsed) = vliw_bench::sched_pass(&kernels, &machine, policy);
         let secs = elapsed.as_secs_f64();
         let per_sec = kernels.len() as f64 / secs;

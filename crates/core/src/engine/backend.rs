@@ -3,8 +3,8 @@
 //! [`SchedBackend`] names a whole kernel → [`Schedule`] pipeline;
 //! [`schedule_outcome_traced`](super::schedule_outcome_traced) matches on
 //! it, so a new backend is one enum arm plus one match arm there. Cluster
-//! assignment plugs in one level lower, through
-//! [`ClusterAssign`](super::ClusterAssign).
+//! assignment is one level lower, a `match` on
+//! [`ClusterPolicy`](super::ClusterPolicy).
 //!
 //! Backends return a [`ScheduleOutcome`] whose [`SchedQuality`] records
 //! what the result *claims*: a heuristic makes no claim, an exact search

@@ -22,10 +22,12 @@
 //!   same hard constraints the heuristic does: precomputed cluster pins
 //!   (IPBC's chain pins, the ablation's per-op preferences) restrict a
 //!   pinned op to its pinned cluster, and under IBC
-//!   ([`ClusterAssign::constrains_chains_dynamically`](super::ClusterAssign::constrains_chains_dynamically))
-//!   every chain member must share the cluster of its first-placed
-//!   member. "Optimal" therefore means optimal *for the policy's
-//!   problem*; only the heuristic's soft preferences (rankings,
+//!   ([`ClusterPolicy::BuildChains`]) every chain member must share the
+//!   cluster of its first-placed member. A policy with a dynamic
+//!   constraint of its own must be stated here too, in
+//!   [`Search::try_clusters`] and [`Search::state_sig`], or the search
+//!   solves a relaxation. "Optimal" therefore means optimal *for the
+//!   policy's problem*; only the heuristic's soft preferences (rankings,
 //!   tie-breaks, greedy first-fit) are relaxed.
 //! * **Empty-cluster symmetry.** When no precomputed pin names a
 //!   specific cluster, clusters holding no operation are interchangeable
@@ -96,7 +98,9 @@ use vliw_trace::Trace;
 
 use super::backend::{FallbackPolicy, SchedQuality, ScheduleOutcome};
 use super::place::{Neighbors, PartialSchedule, Placement};
-use super::{prepare, swing_with_prep, Prep, SchedStats, ScheduleOptions};
+use super::{
+    prepare, swing_with_prep, ClusterPolicy, SchedStats, ScheduleOptions, ScheduleProblem,
+};
 use crate::schedule::{Schedule, ScheduleError};
 
 /// Default total node budget per exact-backend call: candidate
@@ -184,13 +188,13 @@ pub(crate) fn schedule(
     // II levels left to decide) is known; a caller-supplied cost ceiling
     // composes by `min` — a deadline can only tighten the search, never
     // extend it
-    let resolved = resolved_node_budget(options, kernel.ops.len(), upper.saturating_sub(prep.mii0));
+    let resolved = resolved_node_budget(options, kernel.ops.len(), upper.saturating_sub(prep.mii));
     let node_budget = match options.cost_ceiling {
         Some(ceiling) => resolved.min(ceiling),
         None => resolved,
     };
 
-    let colocate_chains = options.policy.assigner().constrains_chains_dynamically();
+    let colocate_chains = options.policy == ClusterPolicy::BuildChains;
     let search = |budget| Search::new(kernel, &ddg, machine, &prep, budget, colocate_chains, trace);
     let mut main = search(node_budget);
     let mut out = main.walk(upper, &mut stats);
@@ -331,7 +335,7 @@ struct Search<'a> {
     kernel: &'a LoopKernel,
     ddg: &'a Ddg<'a>,
     machine: &'a MachineConfig,
-    prep: &'a Prep,
+    prep: &'a ScheduleProblem,
     budget: u64,
     nodes: u64,
     /// The II level currently being decided (set by [`Search::solve`]).
@@ -385,7 +389,7 @@ impl<'a> Search<'a> {
         kernel: &'a LoopKernel,
         ddg: &'a Ddg<'a>,
         machine: &'a MachineConfig,
-        prep: &'a Prep,
+        prep: &'a ScheduleProblem,
         budget: u64,
         colocate_chains: bool,
         trace: Trace<'a>,
@@ -450,7 +454,7 @@ impl<'a> Search<'a> {
     /// one cutoff when the budget ran out, and emitting a `bnb.solve`
     /// instant per level. [`Solve::Infeasible`] refutes every level.
     fn walk(&mut self, upper: u32, stats: &mut SchedStats) -> Solve {
-        for ii in self.prep.mii0..upper {
+        for ii in self.prep.mii..upper {
             stats.attempts += 1;
             let out = self.solve(ii, stats);
             if self.trace.on() {
@@ -671,7 +675,9 @@ impl<'a> Search<'a> {
     }
 
     /// The cluster of the first placed member of chain `cid` other than
-    /// `op` — where IBC's dynamic constraint pins `op`.
+    /// `op` — where IBC's dynamic constraint pins `op`. Derived from the
+    /// placements rather than recorded on commit as the swing pass does,
+    /// because backtracking can unplace the member that set it.
     fn chain_pin(&self, op: OpId, cid: usize) -> Option<usize> {
         self.prep
             .chains
@@ -763,9 +769,9 @@ impl<'a> Search<'a> {
             ii: self.ii as u32,
             ops,
             copies,
-            mii: self.prep.mii0,
-            res_mii: self.prep.res,
-            rec_mii: self.prep.rec,
+            mii: self.prep.mii,
+            res_mii: self.prep.res_mii,
+            rec_mii: self.prep.rec_mii,
             latencies: self.prep.latencies.clone(),
         }
     }

@@ -2,11 +2,14 @@
 //! step (§4.2 and §4.3.1 step 4), with no backtracking — any failure bumps
 //! the II and restarts, exactly as the paper describes.
 //!
-//! Cluster-assignment heuristics are pluggable: the engine drives a
-//! [`ClusterAssign`] trait object, one implementation per policy module
-//! ([`base`], [`ibc`], [`ipbc`], [`no_chains`]). [`ClusterPolicy`] is the
-//! thin enum mapping the paper's names onto those implementations; adding a
-//! heuristic is one new module plus one enum arm.
+//! The paper's four cluster-assignment policies are the arms of
+//! [`ClusterPolicy`], and the engine matches on it directly. They differ
+//! in two ways only: which pins are known before scheduling
+//! ([`ClusterPolicy::precompute_pins`]), and IBC's rule that a memory
+//! chain follows the cluster of its first-placed member. Every op left
+//! unpinned takes the §4.2 communication/balance ranking. The exact
+//! backend (the private `bnb` module) states the same pins and the same
+//! chain rule as hard constraints, so its optimum is the policy's.
 //!
 //! # Hot-loop data layout
 //!
@@ -28,13 +31,8 @@
 //! and [`schedule_outcome_traced`] matches on it.
 
 mod backend;
-pub mod base;
 mod bnb;
-pub mod ibc;
-pub mod ipbc;
-pub mod no_chains;
 mod place;
-pub mod policy;
 
 use vliw_ir::{Ddg, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
@@ -49,7 +47,6 @@ use crate::schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 
 pub use backend::{FallbackPolicy, SchedBackend, SchedQuality, ScheduleOutcome};
 pub use bnb::DEFAULT_NODE_BUDGET;
-pub use policy::{AssignContext, AssignState, ClusterAssign, Neighbor};
 
 use place::{Nbr, Neighbors, PartialSchedule, Placement};
 
@@ -57,15 +54,20 @@ use place::{Nbr, Neighbors, PartialSchedule, Placement};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterPolicy {
     /// BASE (§4.2): memory ops are placed like any other op — best
-    /// communication/balance trade-off, no chain constraint. Used for the
-    /// unified-cache and multiVLIW machines.
+    /// communication/balance trade-off, no chain constraint and no pins.
+    /// Only memory-correct where the cache serializes accesses globally:
+    /// the unified-cache and multiVLIW machines.
     Free,
-    /// IBC — Interleaved Build Chains: memory ops use the communication/
-    /// balance heuristic, but all members of a memory dependent chain
-    /// follow the cluster chosen for the chain's first-scheduled member.
+    /// IBC — Interleaved Build Chains (§4.3.2): memory ops use the
+    /// communication/balance heuristic, but all members of a memory
+    /// dependent chain follow the cluster chosen for the chain's
+    /// first-scheduled member. Profile information is not consulted.
     BuildChains,
-    /// IPBC — Interleaved Pre-Build Chains: chains are computed before
-    /// scheduling and pinned to their average preferred cluster.
+    /// IPBC — Interleaved Pre-Build Chains (§4.3.2): chains are computed
+    /// before scheduling and pinned to their average preferred cluster
+    /// (each member votes with its profiled preferred cluster; ties go to
+    /// the lowest-numbered cluster). Chains with no profile data, and all
+    /// non-memory ops, take the communication/balance heuristic.
     PreBuildChains,
     /// Analysis-only ablation (Figures 4 and 7, fourth/third bars): every
     /// memory op goes to its own preferred cluster, ignoring chains.
@@ -74,14 +76,59 @@ pub enum ClusterPolicy {
 }
 
 impl ClusterPolicy {
-    /// The [`ClusterAssign`] implementation behind this policy.
-    pub fn assigner(&self) -> &'static dyn ClusterAssign {
+    /// Short policy name (report labels, bench metrics, CSV keys).
+    pub fn name(&self) -> &'static str {
         match self {
-            ClusterPolicy::Free => &base::Base,
-            ClusterPolicy::BuildChains => &ibc::Ibc,
-            ClusterPolicy::PreBuildChains => &ipbc::Ipbc,
-            ClusterPolicy::NoChains => &no_chains::NoChains,
+            ClusterPolicy::Free => "BASE",
+            ClusterPolicy::BuildChains => "IBC",
+            ClusterPolicy::PreBuildChains => "IPBC",
+            ClusterPolicy::NoChains => "no-chains",
         }
+    }
+
+    /// The policy itself; kept so existing `policy.assigner().name()`
+    /// and `policy.assigner().precompute_pins(..)` call chains still
+    /// compile.
+    #[doc(hidden)]
+    pub fn assigner(self) -> ClusterPolicy {
+        self
+    }
+
+    /// Per-op cluster pins known before scheduling starts; `None` entries
+    /// are assigned while scheduling. They also steer the latency
+    /// assignment, which estimates stall against the pinned cluster.
+    ///
+    /// BASE and IBC pin nothing up front. IPBC pins every member of a
+    /// chain to the chain's vote ([`MemChains::preferred_cluster`]). The
+    /// ablation pins each memory op to its own preferred cluster, clamped
+    /// to the machine.
+    pub fn precompute_pins(
+        &self,
+        kernel: &LoopKernel,
+        chains: &MemChains,
+        n_clusters: usize,
+    ) -> Vec<Option<usize>> {
+        let mut pins = vec![None; kernel.ops.len()];
+        match self {
+            ClusterPolicy::Free | ClusterPolicy::BuildChains => {}
+            ClusterPolicy::PreBuildChains => {
+                for (cid, members) in chains.iter() {
+                    if let Some(c) = chains.preferred_cluster(cid, kernel, n_clusters) {
+                        for &m in members {
+                            pins[m.index()] = Some(c);
+                        }
+                    }
+                }
+            }
+            ClusterPolicy::NoChains => {
+                for op in kernel.mem_ops() {
+                    if let Some(c) = op.mem.as_ref().and_then(|m| m.preferred_cluster()) {
+                        pins[op.id.index()] = Some(c.min(n_clusters - 1));
+                    }
+                }
+            }
+        }
+        pins
     }
 
     /// All four paper policies, in the paper's presentation order.
@@ -218,9 +265,9 @@ impl Default for ScheduleOptions {
 /// Runs the backend selected by [`ScheduleOptions::backend`] (default:
 /// [`SchedBackend::SwingModulo`], the paper's §4.3.1 pipeline of latency
 /// assignment, SMS node ordering, then cluster assignment + scheduling at
-/// increasing II). The cluster-assignment policy is resolved through
-/// [`ClusterPolicy::assigner`] — see [`ClusterAssign`] for that extension
-/// seam, and [`schedule_outcome_traced`] for the backend dispatch.
+/// increasing II) under the [`ClusterPolicy`] in
+/// [`ScheduleOptions::policy`]; see [`schedule_outcome_traced`] for the
+/// backend dispatch.
 ///
 /// # Errors
 ///
@@ -291,9 +338,14 @@ pub fn schedule_outcome_traced(
     }
 }
 
-/// The front-end's output as a self-contained public snapshot: what an
-/// *external* solver needs to restate the placement problem — MII
-/// bounds, the policy's cluster pins, and the latency assignment (whose
+/// The shared §4.3.1 front-end's output: circuits → policy pins → latency
+/// assignment → MII bounds → SMS node ordering. Every backend schedules
+/// against it, so the swing and exact backends prepare bit-identically
+/// and differ only in how they search the placement space.
+///
+/// It is also what an *external* solver needs to restate the placement
+/// problem — MII bounds, the policy's cluster pins, the memory chains
+/// IBC co-locates, and the latency assignment (whose
 /// [`LatencyAssignment::edge_latency`](crate::latency::LatencyAssignment)
 /// prices every dependence edge). Code outside the crate that restates
 /// or audits the placement problem — a solver, a stage-by-stage replica
@@ -312,6 +364,9 @@ pub struct ScheduleProblem {
     pub max_ii: u32,
     /// Per-op cluster pins known before scheduling (IPBC / NoChains).
     pub pins: Vec<Option<usize>>,
+    /// Memory dependent chains (§4.3.2); under IBC every member of a
+    /// chain shares the cluster of its first-placed member.
+    pub chains: MemChains,
     /// The §4.3.3 latency assignment the backends schedule against.
     pub latencies: LatencyAssignment,
     /// SMS placement order (documentation of the heuristic's search
@@ -319,51 +374,14 @@ pub struct ScheduleProblem {
     pub order: Vec<OpId>,
 }
 
-/// Runs the shared front-end and returns its output as a public
-/// [`ScheduleProblem`] snapshot (see there).
+/// Runs the shared front-end and returns its output (see
+/// [`ScheduleProblem`]).
 pub fn schedule_problem(
     kernel: &LoopKernel,
     machine: &MachineConfig,
     options: &ScheduleOptions,
 ) -> ScheduleProblem {
-    let (_, prep) = prepare(kernel, machine, options, Trace::off());
-    ScheduleProblem {
-        res_mii: prep.res,
-        rec_mii: prep.rec,
-        mii: prep.mii0,
-        max_ii: prep.max_ii,
-        pins: prep.pins,
-        latencies: prep.latencies,
-        order: prep.order,
-    }
-}
-
-/// The shared §4.3.1 front-end every backend runs before placement:
-/// circuits → policy pins → latency assignment → MII bounds → SMS node
-/// ordering. Shared so the swing and exact backends prepare
-/// bit-identically (same latencies, same MII, same order) and differ only
-/// in how they search the placement space. `Clone` so the exact backend
-/// runs its heuristic incumbent off the same preparation instead of
-/// recomputing it.
-#[derive(Clone)]
-pub(crate) struct Prep {
-    /// Memory dependent chains (§4.3.2).
-    pub chains: MemChains,
-    /// Per-op cluster pins known before scheduling (IPBC / NoChains).
-    pub pins: Vec<Option<usize>>,
-    /// The latency assignment (§4.3.3) computed against those pins.
-    pub latencies: LatencyAssignment,
-    /// Resource-constrained MII component.
-    pub res: u32,
-    /// Recurrence-constrained MII component.
-    pub rec: u32,
-    /// `max(res, rec, 1)` — the II search floor.
-    pub mii0: u32,
-    /// The II search ceiling: `2 × MII + 96`, lowered to
-    /// `options.max_ii` when that is smaller.
-    pub max_ii: u32,
-    /// SMS placement order.
-    pub order: Vec<OpId>,
+    prepare(kernel, machine, options, Trace::off()).1
 }
 
 /// Runs the front-end for `kernel`. The returned [`Ddg`] borrows the
@@ -377,7 +395,7 @@ pub(crate) fn prepare<'k>(
     machine: &MachineConfig,
     options: &ScheduleOptions,
     trace: Trace<'_>,
-) -> (Ddg<'k>, Prep) {
+) -> (Ddg<'k>, ScheduleProblem) {
     let ddg = {
         let _s = trace.span("prepare.ddg");
         Ddg::build(kernel)
@@ -390,14 +408,14 @@ pub(crate) fn prepare<'k>(
         let _s = trace.span("prepare.chains");
         MemChains::build(kernel)
     };
-    let assigner = options.policy.assigner();
 
     // pre-computed pins (IPBC / NoChains) — known before scheduling, so
     // the latency assignment can estimate stall against the real cluster
-    let n = machine.clusters.n_clusters;
     let pins = {
         let _s = trace.span("prepare.pins");
-        assigner.precompute_pins(kernel, &chains, n)
+        options
+            .policy
+            .precompute_pins(kernel, &chains, machine.clusters.n_clusters)
     };
 
     // the latency model is the one front-end stage backends may replace:
@@ -420,17 +438,17 @@ pub(crate) fn prepare<'k>(
     };
 
     let _mii_span = trace.span("prepare.mii");
-    let res = mii::res_mii(kernel, machine);
-    let rec = mii::rec_mii(&ddg, |op| latencies.latency_of(op));
-    let mii0 = res.max(rec).max(1);
-    let max_ii = (2 * mii0 + 96).min(options.max_ii.unwrap_or(u32::MAX));
+    let res_mii = mii::res_mii(kernel, machine);
+    let rec_mii = mii::rec_mii(&ddg, |op| latencies.latency_of(op));
+    let mii = res_mii.max(rec_mii).max(1);
+    let max_ii = (2 * mii + 96).min(options.max_ii.unwrap_or(u32::MAX));
     if trace.on() {
         trace.instant(
             "prepare.mii.bounds",
             &[
-                ("res", res as f64),
-                ("rec", rec as f64),
-                ("mii", mii0 as f64),
+                ("res", res_mii as f64),
+                ("rec", rec_mii as f64),
+                ("mii", mii as f64),
                 ("max_ii", max_ii as f64),
             ],
         );
@@ -443,14 +461,14 @@ pub(crate) fn prepare<'k>(
     };
     (
         ddg,
-        Prep {
-            chains,
-            pins,
-            latencies,
-            res,
-            rec,
-            mii0,
+        ScheduleProblem {
+            res_mii,
+            rec_mii,
+            mii,
             max_ii,
+            pins,
+            chains,
+            latencies,
             order,
         },
     )
@@ -472,28 +490,27 @@ pub(crate) fn swing_with_prep(
     machine: &MachineConfig,
     policy: ClusterPolicy,
     ddg: &Ddg<'_>,
-    prep: Prep,
+    prep: ScheduleProblem,
     trace: Trace<'_>,
 ) -> Result<(Schedule, SchedStats), ScheduleError> {
     let mut stats = SchedStats::default();
-    let Prep {
-        chains,
-        pins,
-        latencies,
-        res,
-        rec,
-        mii0,
+    let ScheduleProblem {
+        res_mii,
+        rec_mii,
+        mii,
         max_ii,
+        pins,
+        chains,
+        latencies,
         order,
     } = prep;
-    if max_ii < mii0 {
+    if max_ii < mii {
         // a caller's ceiling below the floor: nothing to try
         return Err(ScheduleError::NoSchedule {
             loop_name: kernel.name.clone(),
             max_ii,
         });
     }
-    let assigner = policy.assigner();
 
     // Span granularity stops here: probes wrap whole placement attempts,
     // never the inside of `TryState::run`, so the zero-allocation hot loop
@@ -501,7 +518,7 @@ pub(crate) fn swing_with_prep(
     let _backend_span = if trace.on() {
         Some(trace.span_with(
             "backend.swing",
-            &[("mii", mii0 as f64), ("max_ii", max_ii as f64)],
+            &[("mii", mii as f64), ("max_ii", max_ii as f64)],
         ))
     } else {
         None
@@ -509,7 +526,7 @@ pub(crate) fn swing_with_prep(
 
     let mut scratch = Scratch::new(machine);
     let mut attempt_order: Vec<OpId> = Vec::with_capacity(order.len());
-    for ii in mii0..=max_ii {
+    for ii in mii..=max_ii {
         // Up to six placement attempts per II: when an op cannot be
         // placed (its window was squeezed shut by loosely-connected
         // neighbors anchored earlier), hoist it to the front of the order
@@ -533,7 +550,7 @@ pub(crate) fn swing_with_prep(
                 machine,
                 latencies: &latencies,
                 chains: &chains,
-                assigner,
+                policy,
                 pins: &pins,
                 order: &attempt_order,
             };
@@ -554,9 +571,9 @@ pub(crate) fn swing_with_prep(
                             ii,
                             ops,
                             copies,
-                            mii: mii0,
-                            res_mii: res,
-                            rec_mii: rec,
+                            mii,
+                            res_mii,
+                            rec_mii,
                             latencies,
                         },
                         stats,
@@ -588,7 +605,7 @@ struct TryState<'a> {
     machine: &'a MachineConfig,
     latencies: &'a LatencyAssignment,
     chains: &'a MemChains,
-    assigner: &'a dyn ClusterAssign,
+    policy: ClusterPolicy,
     pins: &'a [Option<usize>],
     order: &'a [OpId],
 }
@@ -600,11 +617,11 @@ struct TryState<'a> {
 struct Scratch {
     /// The live partial schedule, reset per attempt.
     partial: PartialSchedule,
-    assign_state: AssignState,
+    /// Per chain: the cluster its first-placed member took (IBC's pin),
+    /// reset per attempt.
+    chain_pin: Vec<Option<usize>>,
     // per-op buffers
     nbrs: Neighbors,
-    nbr_preds: Vec<Neighbor>,
-    nbr_succs: Vec<Neighbor>,
     candidates: Vec<usize>,
 }
 
@@ -612,10 +629,8 @@ impl Scratch {
     fn new(machine: &MachineConfig) -> Self {
         Scratch {
             partial: PartialSchedule::new(machine),
-            assign_state: AssignState::default(),
+            chain_pin: Vec::new(),
             nbrs: Neighbors::default(),
-            nbr_preds: Vec::new(),
-            nbr_succs: Vec::new(),
             candidates: Vec::new(),
         }
     }
@@ -630,11 +645,12 @@ impl TryState<'_> {
         scratch: &mut Scratch,
         stats: &mut SchedStats,
     ) -> Result<(Vec<ScheduledOp>, Vec<ScheduledCopy>), OpId> {
-        let n = self.machine.clusters.n_clusters;
         scratch
             .partial
             .reset(ii, self.kernel.ops.len(), self.machine);
-        scratch.assign_state.chain_pin.clear();
+        scratch.chain_pin.clear();
+        scratch.chain_pin.resize(self.chains.len(), None);
+        let ibc = self.policy == ClusterPolicy::BuildChains;
         let transfer = scratch.partial.transfer();
 
         for &op_id in self.order {
@@ -644,47 +660,24 @@ impl TryState<'_> {
                 .nbrs
                 .gather(self.ddg, self.latencies, &scratch.partial.placed, op_id);
 
-            // candidate clusters, chosen by the policy
-            let as_neighbor = |p: &Nbr| Neighbor {
-                other: p.other,
-                cluster: p.other_cluster,
-                regflow: p.regflow,
-            };
-            scratch.nbr_preds.clear();
-            scratch
-                .nbr_preds
-                .extend(scratch.nbrs.preds.iter().map(as_neighbor));
-            scratch.nbr_succs.clear();
-            scratch
-                .nbr_succs
-                .extend(scratch.nbrs.succs.iter().map(as_neighbor));
-            // the context borrows the mutable bookkeeping immutably, so it
-            // is rebuilt at each policy call site instead of held across
-            // the placement scan
-            macro_rules! assign_ctx {
-                ($ctx:ident) => {
+            // candidate clusters: the op's pin, or under IBC its chain's
+            // pin, or else the communication/balance ranking
+            let ibc_chain = self.chains.chain_id(op_id).filter(|_| ibc);
+            let pin = self.pins[op_id.index()]
+                .or_else(|| ibc_chain.and_then(|cid| scratch.chain_pin[cid]));
+            scratch.candidates.clear();
+            match pin {
+                Some(c) => scratch.candidates.push(c),
+                None => {
                     let copies = &scratch.partial.copies;
-                    let has_copy = |producer: OpId, cluster: usize| copies.has(producer, cluster);
-                    let $ctx = AssignContext {
-                        kernel: self.kernel,
-                        chains: self.chains,
-                        n_clusters: n,
-                        preds: &scratch.nbr_preds,
-                        succs: &scratch.nbr_succs,
-                        has_copy: &has_copy,
-                        load_count: &scratch.partial.per_cluster,
-                    };
-                };
-            }
-            {
-                assign_ctx!(ctx);
-                self.assigner.candidates_into(
-                    op_id,
-                    &ctx,
-                    self.pins,
-                    &scratch.assign_state,
-                    &mut scratch.candidates,
-                );
+                    rank_clusters(
+                        &scratch.nbrs.preds,
+                        &scratch.nbrs.succs,
+                        |producer, cluster| copies.has(producer, cluster),
+                        &scratch.partial.per_cluster,
+                        &mut scratch.candidates,
+                    );
+                }
             }
 
             // first fit: the first cluster in the policy's ranking, and
@@ -709,9 +702,9 @@ impl TryState<'_> {
                             continue;
                         }
                         stats.placements += 1;
-                        assign_ctx!(ctx);
-                        self.assigner
-                            .commit(op_id, cluster, &ctx, &mut scratch.assign_state);
+                        if let Some(cid) = ibc_chain {
+                            scratch.chain_pin[cid].get_or_insert(cluster);
+                        }
                         break 'fit true;
                     }
                 }
@@ -725,10 +718,74 @@ impl TryState<'_> {
     }
 }
 
+/// The most clusters [`rank_clusters`] can rank: it scores clusters into
+/// a stack array of this length and tracks successor clusters in a `u32`
+/// bitmask. Every paper machine has 4 clusters, and the default cache
+/// geometry (32-byte blocks, 4-byte interleaving) validates at most 8.
+const MAX_RANKED_CLUSTERS: usize = 32;
+
+/// The §4.2 communication/balance ranking of every cluster for an op
+/// with placed neighbors `preds` and `succs`, written into `out` (cleared
+/// first): prefer the cluster that (1) needs the fewest new inter-cluster
+/// copies, then (2) holds the most register-flow neighbors (affinity),
+/// then (3) has the lightest workload (`load_count`, one entry per
+/// cluster), then (4) the lowest index. `has_copy(producer, cluster)`
+/// says whether a copy of `producer`'s value already reaches `cluster`.
+///
+/// Each cluster is scored once — one walk of the predecessors per
+/// cluster for the copy check, per-cluster affinity counts and a bitmask
+/// of successor clusters shared by all of them — and the
+/// `(score, cluster)` pairs are sorted. The pair is a total order, so the
+/// ranking does not depend on the sort's stability.
+///
+/// # Panics
+///
+/// If there are more than 32 clusters.
+fn rank_clusters(
+    preds: &[Nbr],
+    succs: &[Nbr],
+    has_copy: impl Fn(OpId, usize) -> bool,
+    load_count: &[usize],
+    out: &mut Vec<usize>,
+) {
+    let n = load_count.len();
+    assert!(
+        n <= MAX_RANKED_CLUSTERS,
+        "the cluster ranking supports at most {MAX_RANKED_CLUSTERS} clusters, got {n}"
+    );
+    // register-flow neighbors per cluster, and the clusters that hold a
+    // register-flow successor (one copy each when placed elsewhere)
+    let mut affinity = [0isize; MAX_RANKED_CLUSTERS];
+    let mut succ_clusters = 0u32;
+    for s in succs.iter().filter(|s| s.regflow) {
+        affinity[s.other_cluster] += 1;
+        succ_clusters |= 1 << s.other_cluster;
+    }
+    for p in preds.iter().filter(|p| p.regflow) {
+        affinity[p.other_cluster] += 1;
+    }
+    let mut keys = [((0usize, 0isize, 0usize), 0usize); MAX_RANKED_CLUSTERS];
+    for (c, key) in keys[..n].iter_mut().enumerate() {
+        // copies needed now if placed in c
+        let mut need = (succ_clusters & !(1 << c)).count_ones() as usize;
+        for p in preds {
+            if p.regflow && p.other_cluster != c && !has_copy(p.other, c) {
+                need += 1;
+            }
+        }
+        *key = ((need, -affinity[c], load_count[c]), c);
+    }
+    let keys = &mut keys[..n];
+    keys.sort_unstable();
+    out.clear();
+    out.extend(keys.iter().map(|&(_, c)| c));
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // test assertions may unwrap
 mod tests {
     use super::*;
+    use crate::examples_443::{figure3_kernel, figure3_machine};
     use vliw_ir::{ArrayKind, DepKind, KernelBuilder, LatencyProfile, MemProfile, Opcode};
     use vliw_trace::RecordingSink;
 
@@ -898,5 +955,251 @@ mod tests {
         let m = MachineConfig::word_interleaved_4();
         let err = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap_err();
         assert_eq!(err, ScheduleError::EmptyKernel);
+    }
+
+    /// §4.3.3 worked example under BASE: the schedule is legal and reaches
+    /// the MII of 8, but nothing keeps the n1–n2–n4 memory chain together —
+    /// BASE is the unified/multiVLIW policy, where chains need no pinning.
+    #[test]
+    fn figure3_base_reaches_mii_with_no_chain_guarantee() {
+        let (k, _) = figure3_kernel();
+        let m = figure3_machine();
+        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+            .expect("schedulable");
+        assert!(s.verify(&k, &m).is_empty(), "legal schedule");
+        assert_eq!(s.ii, 8, "BASE also achieves the MII on Figure 3");
+    }
+
+    /// §4.3.3 worked example under IBC: the n1–n2–n4 chain stays together
+    /// in whichever cluster its first-scheduled member landed, REC2's load
+    /// n6 lands in the other cluster purely for balance, and the schedule
+    /// reaches the MII of 8.
+    #[test]
+    fn figure3_ibc_keeps_chain_together_at_mii() {
+        let (k, ops) = figure3_kernel();
+        let m = figure3_machine();
+        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
+            .expect("schedulable");
+        assert!(s.verify(&k, &m).is_empty(), "legal schedule");
+        let c = s.op(ops.n1).cluster;
+        assert_eq!(s.op(ops.n2).cluster, c, "chain member n2 follows n1");
+        assert_eq!(s.op(ops.n4).cluster, c, "chain member n4 follows n1");
+        assert_ne!(
+            s.op(ops.n6).cluster,
+            c,
+            "n6 balances into the other cluster"
+        );
+        assert_eq!(s.ii, 8, "schedule achieves the MII");
+    }
+
+    /// §4.3.3 worked example under IPBC: the n1–n2–n4 chain (preferences
+    /// {0, 0, 1}) is pre-pinned to its average preferred cluster 0, n6 goes
+    /// to its preferred cluster 1, and the schedule reaches the MII of 8.
+    #[test]
+    fn figure3_ipbc_pins_chain_to_average_preferred_cluster() {
+        let (k, ops) = figure3_kernel();
+        let m = figure3_machine();
+        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .expect("schedulable");
+        assert!(s.verify(&k, &m).is_empty(), "legal schedule");
+        assert_eq!(s.op(ops.n1).cluster, 0);
+        assert_eq!(s.op(ops.n2).cluster, 0);
+        assert_eq!(s.op(ops.n4).cluster, 0);
+        assert_eq!(
+            s.op(ops.n6).cluster,
+            1,
+            "n6 pinned to its preferred cluster"
+        );
+        assert_eq!(s.ii, 8, "schedule achieves the MII");
+    }
+
+    /// The precomputed pins match the chain votes directly; BASE and IBC
+    /// pin nothing up front.
+    #[test]
+    fn figure3_precomputed_pins_follow_the_votes() {
+        let (k, ops) = figure3_kernel();
+        let chains = MemChains::build(&k);
+        let pins = ClusterPolicy::PreBuildChains.precompute_pins(&k, &chains, 2);
+        assert_eq!(pins[ops.n1.index()], Some(0));
+        assert_eq!(pins[ops.n2.index()], Some(0));
+        assert_eq!(
+            pins[ops.n4.index()],
+            Some(0),
+            "outvoted member follows the chain"
+        );
+        assert_eq!(pins[ops.n6.index()], Some(1));
+        assert_eq!(
+            pins[ops.n3.index()],
+            None,
+            "non-memory ops are never pinned"
+        );
+        for policy in [ClusterPolicy::Free, ClusterPolicy::BuildChains] {
+            let pins = policy.precompute_pins(&k, &chains, 2);
+            assert_eq!(pins, vec![None; k.ops.len()], "{policy:?}");
+        }
+    }
+
+    /// §4.3.3 worked example under the ablation: chain membership is
+    /// ignored, so n4 (preference 1) splits away from n1/n2 (preference 0)
+    /// — exactly the split the chain constraint exists to forbid.
+    #[test]
+    fn figure3_no_chains_splits_the_chain_to_preferences() {
+        let (k, ops) = figure3_kernel();
+        let m = figure3_machine();
+        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains))
+            .expect("schedulable");
+        assert!(s.verify(&k, &m).is_empty(), "resource/dependence legal");
+        assert_eq!(s.op(ops.n1).cluster, 0);
+        assert_eq!(s.op(ops.n2).cluster, 0);
+        assert_eq!(s.op(ops.n4).cluster, 1, "n4 follows its own preference");
+        assert_eq!(s.op(ops.n6).cluster, 1);
+    }
+
+    /// The ablation's pins come from per-op preferences, clamped to the
+    /// machine.
+    #[test]
+    fn pins_are_per_op_preferences() {
+        let (k, ops) = figure3_kernel();
+        let chains = MemChains::build(&k);
+        let pins = ClusterPolicy::NoChains.precompute_pins(&k, &chains, 2);
+        assert_eq!(pins[ops.n1.index()], Some(0));
+        assert_eq!(pins[ops.n2.index()], Some(0));
+        assert_eq!(pins[ops.n4.index()], Some(1), "chain membership ignored");
+        assert_eq!(pins[ops.n6.index()], Some(1));
+    }
+
+    /// A placed neighbor for the ranking tests (timing fields unused).
+    fn nbr(other: usize, cluster: usize, regflow: bool) -> Nbr {
+        Nbr {
+            other: OpId::new(other),
+            other_cluster: cluster,
+            other_cycle: 0,
+            lat: 0,
+            dist: 0,
+            regflow,
+        }
+    }
+
+    fn ranked(
+        preds: &[Nbr],
+        succs: &[Nbr],
+        has_copy: impl Fn(OpId, usize) -> bool,
+        load_count: &[usize],
+    ) -> Vec<usize> {
+        // a stale buffer must be cleared, not appended to
+        let mut out = vec![99, 98];
+        rank_clusters(preds, succs, has_copy, load_count, &mut out);
+        out
+    }
+
+    #[test]
+    fn ranking_prefers_copy_free_then_affinity_then_balance() {
+        let preds = [nbr(0, 2, true)];
+        let ranked = ranked(&preds, &[], |_, _| false, &[5, 0, 3, 0]);
+        // cluster 2 holds the producer: no copy needed AND affinity
+        assert_eq!(ranked[0], 2);
+        // the rest need one copy each; balance then index break the tie
+        assert_eq!(ranked[1..], [1, 3, 0]);
+    }
+
+    #[test]
+    fn existing_copy_removes_the_penalty() {
+        let producer = OpId::new(0);
+        // a copy of the producer's value already sits in cluster 1
+        let has_copy = |op: OpId, c: usize| op == producer && c == 1;
+        let preds = [nbr(0, 2, true)];
+        let ranked = ranked(&preds, &[], has_copy, &[0, 0, 0, 0]);
+        // cluster 2 wins on affinity; cluster 1 rides the existing copy
+        assert_eq!(&ranked[..2], &[2, 1]);
+    }
+
+    /// The ranking as it stood before the single-pass scoring: a stable
+    /// sort that re-scores a cluster on every comparison.
+    fn rank_by_resorting(
+        preds: &[Nbr],
+        succs: &[Nbr],
+        has_copy: &dyn Fn(OpId, usize) -> bool,
+        load_count: &[usize],
+    ) -> Vec<usize> {
+        let mut cs: Vec<usize> = (0..load_count.len()).collect();
+        let score = |c: usize| -> (usize, isize, usize) {
+            let mut need = 0usize;
+            let mut affinity = 0isize;
+            for p in preds {
+                if p.regflow {
+                    if p.other_cluster != c {
+                        if !has_copy(p.other, c) {
+                            need += 1;
+                        }
+                    } else {
+                        affinity += 1;
+                    }
+                }
+            }
+            let mut succ_clusters: Vec<usize> = Vec::new();
+            for s in succs {
+                if s.regflow {
+                    if s.other_cluster != c {
+                        if !succ_clusters.contains(&s.other_cluster) {
+                            succ_clusters.push(s.other_cluster);
+                            need += 1;
+                        }
+                    } else {
+                        affinity += 1;
+                    }
+                }
+            }
+            (need, -affinity, load_count[c])
+        };
+        cs.sort_by_key(|&c| (score(c), c));
+        cs
+    }
+
+    #[test]
+    fn single_pass_ranking_matches_the_resorting_ranking() {
+        // a deterministic LCG so every case is reproducible
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut out = Vec::new();
+        for case in 0..4000 {
+            let n = 1 + case % 8;
+            let neighbors = |count: u64, next: &mut dyn FnMut(u64) -> u64| {
+                (0..count)
+                    .map(|_| {
+                        // few producers, so one repeats across edges
+                        let other = next(6) as usize;
+                        let cluster = next(n as u64) as usize;
+                        nbr(other, cluster, next(3) != 0)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let n_preds = next(7);
+            let preds = neighbors(n_preds, &mut next);
+            // successors pile onto few clusters: several share one
+            let n_succs = next(9);
+            let succs = neighbors(n_succs, &mut next);
+            let copies: Vec<(OpId, usize)> = (0..next(10))
+                .map(|_| (OpId::new(next(6) as usize), next(n as u64) as usize))
+                .collect();
+            let has_copy = |op: OpId, c: usize| copies.contains(&(op, c));
+            let load_count: Vec<usize> = (0..n).map(|_| next(4) as usize).collect();
+            rank_clusters(&preds, &succs, has_copy, &load_count, &mut out);
+            assert_eq!(
+                out,
+                rank_by_resorting(&preds, &succs, &has_copy, &load_count),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 32 clusters")]
+    fn more_clusters_than_the_bound_are_rejected() {
+        rank_clusters(&[], &[], |_, _| false, &[0; 33], &mut Vec::new());
     }
 }

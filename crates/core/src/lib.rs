@@ -18,8 +18,10 @@
 //! 3. **SMS node ordering** ([`order`]) after Llosa et al.
 //! 4. **Cluster assignment + scheduling** ([`engine`]) in a single
 //!    no-backtracking pass with explicit inter-cluster copies on
-//!    half-frequency register buses, under four policies: BASE (unified /
-//!    multiVLIW), IBC, IPBC and the chain-less ablation.
+//!    half-frequency register buses, under the four [`ClusterPolicy`]
+//!    arms: BASE (unified / multiVLIW), IBC, IPBC and the chain-less
+//!    ablation. [`schedule_problem`] returns the shared front-end's
+//!    output, the [`ScheduleProblem`] every backend schedules against.
 //!    [`schedule_outcome_traced`] dispatches on [`SchedBackend`]:
 //!    `SwingModulo` is the paper's heuristic, `ExactBnB` an exact
 //!    branch-and-bound reference that measures its optimality gap, and
@@ -79,10 +81,9 @@ pub use balance::weighted_workload_balance;
 pub use chains::MemChains;
 pub use circuits::{elementary_circuits, Circuit, EnumLimits};
 pub use engine::{
-    schedule_kernel, schedule_outcome, schedule_outcome_traced, schedule_problem, AssignContext,
-    AssignState, ClusterAssign, ClusterPolicy, FallbackPolicy, Neighbor, SchedBackend,
-    SchedQuality, SchedStats, ScheduleOptions, ScheduleOutcome, ScheduleProblem,
-    DEFAULT_NODE_BUDGET,
+    schedule_kernel, schedule_outcome, schedule_outcome_traced, schedule_problem, ClusterPolicy,
+    FallbackPolicy, SchedBackend, SchedQuality, SchedStats, ScheduleOptions, ScheduleOutcome,
+    ScheduleProblem, DEFAULT_NODE_BUDGET,
 };
 pub use hints::{attraction_hints, AttractionHints};
 pub use latency::{

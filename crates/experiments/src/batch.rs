@@ -198,14 +198,17 @@ impl BatchReport {
     ///
     /// The trailing `worker_steals`/`worker_peak_depth` columns are a
     /// parallel table: row `i` carries worker `i`'s cold-parallel-pass
-    /// stats (shards and workers are independent dimensions; rows past
-    /// the worker count read 0).
+    /// stats. Shards and workers are independent dimensions, so there is
+    /// one row per shard or worker, whichever is more; shard columns past
+    /// the shard count and worker columns past the worker count read 0.
     pub fn shard_csv(&self) -> String {
         let mut out = String::from(
             "shard,entries,hits,store_hits,prepares,stale,inflight_waits,map_contended,evictions,\
              panics_contained,slots_recovered,worker_steals,worker_peak_depth\n",
         );
-        for (i, s) in self.cold_shards.iter().enumerate() {
+        let rows = self.cold_shards.len().max(self.worker_steals.len());
+        for i in 0..rows {
+            let s = self.cold_shards.get(i).copied().unwrap_or_default();
             out.push_str(&format!(
                 "{i},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 s.entries,
@@ -826,6 +829,26 @@ mod tests {
         // evicted keys re-prepare: strictly more prepares than resident keys
         let prepares: u64 = r.cold_shards.iter().map(|s| s.prepares).sum();
         assert!(prepares > r.unique_keys as u64);
+        // one CSV row per worker when workers outnumber shards, so no
+        // worker's steal and depth columns are dropped
+        let csv = r.shard_csv();
+        let rows: Vec<&str> = csv.lines().skip(1).collect();
+        assert_eq!(rows.len(), opts.workers.max(opts.shards));
+        let column = |row: &str, i: usize| -> u64 {
+            let cell = row.split(',').nth(i).expect("13 columns");
+            cell.parse().expect("integer cell")
+        };
+        for (w, row) in rows.iter().enumerate() {
+            assert_eq!(column(row, 11), r.worker_steals[w], "worker {w} steals");
+            assert_eq!(
+                column(row, 12),
+                r.worker_peak_depth[w],
+                "worker {w} peak depth"
+            );
+            if w >= opts.shards {
+                assert!((1..11).all(|i| column(row, i) == 0), "no shard {w}: {row}");
+            }
+        }
     }
 
     #[test]

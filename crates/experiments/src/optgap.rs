@@ -180,7 +180,7 @@ fn policy_row(
     .with_backend(numerator);
     let exact_opts = heuristic_opts.with_backend(SchedBackend::ExactBnB);
     let mut row = OptGapRow {
-        policy: policy.assigner().name(),
+        policy: policy.name(),
         backend: numerator.name(),
         kernels: 0,
         proven: 0,

@@ -442,7 +442,7 @@ pub fn profile_fidelity(ctx: &ExperimentContext) -> ProfileFidelityResult {
     // (factor-1 so the simulated kernels match the collected store)
     let mut grid = RunGrid::new("profile-fidelity");
     for policy in ClusterPolicy::ALL {
-        let name = policy.assigner().name();
+        let name = policy.name();
         let base = RunConfig {
             policy,
             unroll: UnrollMode::NoUnroll,
@@ -466,7 +466,7 @@ pub fn profile_fidelity(ctx: &ExperimentContext) -> ProfileFidelityResult {
         .iter()
         .enumerate()
         .map(|(i, policy)| PolicyDelta {
-            policy: policy.assigner().name(),
+            policy: policy.name(),
             synthetic_cycles: means[3 * i],
             measured_cycles: means[3 * i + 1],
             delay_cycles: means[3 * i + 2],

@@ -9,7 +9,7 @@
 //!   formatting (which silently changes when a field is added or a derive
 //!   is reordered). [`StableHasher`] is a hand-rolled 64-bit FNV-1a over an
 //!   explicitly defined byte stream.
-//! * **Profile blindness** — attached [`MemProfile`]s describe *how* a
+//! * **Profile blindness** — attached [`MemProfile`](crate::MemProfile)s describe *how* a
 //!   kernel behaved, not *what* it is. [`kernel_fingerprint`] walks every
 //!   schedule-relevant structural field and skips `MemAccessInfo::profile`,
 //!   so attaching or re-attaching measurements never changes a kernel's

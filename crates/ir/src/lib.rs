@@ -26,7 +26,7 @@
 //!   output).
 //! * [`Ddg`] — an adjacency view used by the scheduler.
 //! * [`KernelBuilder`] — a fluent constructor for kernels.
-//! * [`unroll`] — loop unrolling with register renaming and stride/offset
+//! * [`unroll()`] — loop unrolling with register renaming and stride/offset
 //!   bookkeeping (step 1 of the paper's algorithm).
 //!
 //! # Example

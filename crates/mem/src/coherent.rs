@@ -1,5 +1,5 @@
 //! The multiVLIW cache organization: per-cluster caches with snoopy
-//! coherence and data replication (Sánchez & González, MICRO-33 [20]).
+//! coherence and data replication (Sánchez & González, MICRO-33 \[20\]).
 
 use vliw_machine::{AccessClass, ArchKind, MachineConfig};
 

@@ -112,7 +112,7 @@ impl AccessObserver for Collector {
 /// One observed access of one operation in one measured iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessSample {
-    /// Access-class index (the `classes` slot order of [`OpProfile`](crate::OpProfile)).
+    /// Access-class index (the `classes` slot order of [`OpProfile`]).
     pub class: u8,
     /// Home cluster of the accessed address.
     pub home: u8,

@@ -23,9 +23,10 @@
 //! 3. **Feed back** ([`attach_measurements`]): measurements are derived
 //!    into [`MemProfile`](vliw_ir::MemProfile)s (hit rate, preferred
 //!    clusters, plus the measured [`LatencyProfile`](vliw_ir::LatencyProfile))
-//!    and attached to the kernel, where `engine::prepare`, the
-//!    `ClusterAssign` policies and the `DelayTracking` backend consume
-//!    them exactly as they would a synthetic profile — only truer.
+//!    and attached to the kernel, where `engine::prepare` (IPBC's and the
+//!    ablation's cluster pins, the latency assignment) and the
+//!    `DelayTracking` backend consume them exactly as they would a
+//!    synthetic profile — only truer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,10 +59,7 @@ fn exact_backend_dominates_every_heuristic_on_the_suite() {
             // the exact search honors the policy's hard constraints — its
             // "optimal" is for the policy's problem, not a relaxation
             let chains = MemChains::build(kernel);
-            let pins =
-                policy
-                    .assigner()
-                    .precompute_pins(kernel, &chains, machine.clusters.n_clusters);
+            let pins = policy.precompute_pins(kernel, &chains, machine.clusters.n_clusters);
             for (i, pin) in pins.iter().enumerate() {
                 if let Some(c) = pin {
                     assert_eq!(
