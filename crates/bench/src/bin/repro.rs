@@ -545,7 +545,8 @@ fn main() {
     if want("batch") {
         // the scheduling-as-a-service study: drain a replicated suite
         // queue through the sharded schedule cache cold, warm and from
-        // the round-tripped on-disk store, with work-stealing workers
+        // the round-tripped on-disk store, workers claiming the
+        // most expensive requests first from one shared queue
         let t0 = Instant::now();
         let mut opts = if scale == "quick" {
             batch::BatchOptions::quick()

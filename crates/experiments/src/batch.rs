@@ -1,6 +1,6 @@
 //! The batch scheduling service: drain a large kernel×config request
 //! queue through the sharded schedule cache ([`crate::schedcache`]) with
-//! work-stealing workers, and prove the answers identical cold, warm and
+//! a pool of workers, and prove the answers identical cold, warm and
 //! reloaded-from-disk.
 //!
 //! The workload replicates the suite: every factor-1 loop of the context
@@ -10,31 +10,32 @@
 //! compiler-server clientele, thousands of near-duplicate jobs with a
 //! long cost tail.
 //!
-//! Four passes over the *same* request list:
+//! Every pass drains the requests most-expensive-first (backend
+//! [`cost_rank`](vliw_sched::SchedBackend::cost_rank), then dynamic
+//! size): each worker claims the next request of that order from one
+//! shared cursor (the crate's one worker pool, `grid::claim_loop`), so
+//! the expensive head spreads over the workers and the cheap tail
+//! back-fills them. Every cache has the default shard count. Four passes
+//! over the *same* request list:
 //!
-//! 1. **cold serial** — fresh cache, one thread, request order: the
-//!    reference answers and the throughput floor;
-//! 2. **cold parallel** — fresh cache, work-stealing drain: requests are
-//!    sorted most-expensive-first (backend
-//!    [`cost_rank`](vliw_sched::SchedBackend::cost_rank),
-//!    then dynamic size) and dealt round-robin to per-worker deques;
-//!    idle workers steal the *back half* of a victim's deque, so the
-//!    expensive head jobs spread out and the cheap tail amortizes;
+//! 1. **cold serial** — fresh cache, one worker: the reference answers
+//!    and the throughput floor;
+//! 2. **cold parallel** — fresh cache, every worker;
 //! 3. **warm memory** — the pass-2 cache drained again: every request is
 //!    an in-memory hit (hit rate exactly 1.0);
 //! 4. **warm disk** — the cache is exported to a [`ScheduleStore`],
 //!    reloaded through its text form, and a *fresh* cache backed by it
 //!    drains the queue: no candidate scheduling, only rebuild+verify.
 //!
-//! Every pass folds its per-request schedule digests (in request order)
-//! into one fingerprint; all four must be bit-identical. Per-shard
-//! hit/contention counters from the cold parallel pass expose how the
-//! lock striping behaved under real load.
+//! Every pass folds its per-request schedule digests in request order,
+//! whatever order they were answered in, into one fingerprint; all four
+//! must be bit-identical. Per-shard hit/contention counters from the
+//! cold parallel pass expose how the lock striping behaved under real
+//! load.
 
-use std::collections::VecDeque;
 use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use vliw_ir::{kernel_fingerprint, LoopKernel, StableHasher};
@@ -42,6 +43,7 @@ use vliw_sched::{ClusterPolicy, ScheduleError};
 use vliw_trace::Trace;
 
 use crate::context::{ExperimentContext, RunConfig, UnrollMode};
+use crate::grid::claim_loop;
 use crate::schedcache::{SchedCache, ScheduleStore, ShardCounters};
 
 /// How many times one request re-attempts a preparation whose previous
@@ -69,12 +71,6 @@ pub struct BatchOptions {
     pub target_requests: usize,
     /// Worker threads of the parallel passes.
     pub workers: usize,
-    /// Shard count of the caches.
-    pub shards: usize,
-    /// Completed-entry cap per cache shard
-    /// ([`SchedCache::into_capped`]); `None` (both presets) keeps every
-    /// cache unbounded.
-    pub per_shard_cap: Option<usize>,
 }
 
 impl BatchOptions {
@@ -83,8 +79,6 @@ impl BatchOptions {
         BatchOptions {
             target_requests: 10_000,
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            shards: 16,
-            per_shard_cap: None,
         }
     }
 
@@ -95,8 +89,6 @@ impl BatchOptions {
             workers: std::thread::available_parallelism()
                 .map_or(4, |n| n.get())
                 .min(8),
-            shards: 16,
-            per_shard_cap: None,
         }
     }
 }
@@ -110,8 +102,6 @@ pub struct PassReport {
     pub per_sec: f64,
     /// The order-sensitive fold of all request digests.
     pub fingerprint: u64,
-    /// Deque steals performed (0 for the serial pass).
-    pub steals: u64,
 }
 
 /// The whole batch study.
@@ -119,8 +109,7 @@ pub struct PassReport {
 pub struct BatchReport {
     /// Requests drained per pass.
     pub requests: usize,
-    /// Distinct cache keys the queue resolves to (under a capacity cap:
-    /// the keys still resident after the cold parallel pass).
+    /// Distinct cache keys the queue resolves to.
     pub unique_keys: usize,
     /// Perturbed variants per suite loop.
     pub variants: usize,
@@ -128,9 +117,9 @@ pub struct BatchReport {
     pub workers: usize,
     /// Cache shards used.
     pub shards: usize,
-    /// Pass 1: cold, one thread, request order.
+    /// Pass 1: cold, one worker.
     pub cold_serial: PassReport,
-    /// Pass 2: cold, work-stealing drain.
+    /// Pass 2: cold, every worker.
     pub cold_parallel: PassReport,
     /// Pass 3: pass-2 cache drained again (all in-memory hits).
     pub warm_mem: PassReport,
@@ -151,11 +140,6 @@ pub struct BatchReport {
     /// Requests whose preparation failed (hashed into the fingerprint;
     /// 0 on the shipped suite).
     pub failures: u64,
-    /// Completed-entry cap per shard the caches ran under (`None` =
-    /// unbounded).
-    pub per_shard_cap: Option<usize>,
-    /// LRU evictions in the cold parallel pass (always 0 unbounded).
-    pub evictions: u64,
     /// Preparation panics contained at the cache's slot boundary, summed
     /// over every pass's cache (0 without injected faults).
     pub panics_contained: u64,
@@ -177,10 +161,6 @@ pub struct BatchReport {
     pub unrecovered_slots: u64,
     /// Per-shard counters captured after the cold parallel pass.
     pub cold_shards: Vec<ShardCounters>,
-    /// Steals performed by each worker in the cold parallel pass.
-    pub worker_steals: Vec<u64>,
-    /// Peak own-deque depth each worker saw in the cold parallel pass.
-    pub worker_peak_depth: Vec<u64>,
     /// Panic reasons of slots still marked failed after all passes
     /// (the diagnostic payload behind `unrecovered_slots`; empty on
     /// clean runs).
@@ -194,23 +174,16 @@ impl BatchReport {
         self.warm_mem.per_sec / self.cold_parallel.per_sec
     }
 
-    /// The per-shard counter CSV (`results/batch_shards.csv`).
-    ///
-    /// The trailing `worker_steals`/`worker_peak_depth` columns are a
-    /// parallel table: row `i` carries worker `i`'s cold-parallel-pass
-    /// stats. Shards and workers are independent dimensions, so there is
-    /// one row per shard or worker, whichever is more; shard columns past
-    /// the shard count and worker columns past the worker count read 0.
+    /// The per-shard counter CSV (`results/batch_shards.csv`): one row
+    /// per shard of the cold parallel pass.
     pub fn shard_csv(&self) -> String {
         let mut out = String::from(
-            "shard,entries,hits,store_hits,prepares,stale,inflight_waits,map_contended,evictions,\
-             panics_contained,slots_recovered,worker_steals,worker_peak_depth\n",
+            "shard,entries,hits,store_hits,prepares,stale,inflight_waits,map_contended,\
+             panics_contained,slots_recovered\n",
         );
-        let rows = self.cold_shards.len().max(self.worker_steals.len());
-        for i in 0..rows {
-            let s = self.cold_shards.get(i).copied().unwrap_or_default();
+        for (i, s) in self.cold_shards.iter().enumerate() {
             out.push_str(&format!(
-                "{i},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{i},{},{},{},{},{},{},{},{},{}\n",
                 s.entries,
                 s.hits,
                 s.store_hits,
@@ -218,11 +191,8 @@ impl BatchReport {
                 s.stale,
                 s.inflight_waits,
                 s.map_contended,
-                s.evictions,
                 s.panics_contained,
                 s.slots_recovered,
-                self.worker_steals.get(i).copied().unwrap_or(0),
-                self.worker_peak_depth.get(i).copied().unwrap_or(0),
             ));
         }
         out
@@ -241,7 +211,6 @@ impl BatchReport {
             ("cold_serial_per_sec".into(), self.cold_serial.per_sec),
             ("cold_seconds".into(), self.cold_parallel.seconds),
             ("cold_schedules_per_sec".into(), self.cold_parallel.per_sec),
-            ("cold_steals".into(), self.cold_parallel.steals as f64),
             ("warm_seconds".into(), self.warm_mem.seconds),
             ("warm_schedules_per_sec".into(), self.warm_mem.per_sec),
             ("warm_hit_rate".into(), self.warm_hit_rate),
@@ -273,7 +242,6 @@ impl BatchReport {
                     .map(|s| s.map_contended)
                     .sum::<u64>() as f64,
             ),
-            ("evictions".into(), self.evictions as f64),
         ]
     }
 }
@@ -293,8 +261,8 @@ impl std::fmt::Display for BatchReport {
         )?;
         writeln!(
             f,
-            "  cold parallel {:>9.1} req/s ({:.3}s, {} steals)",
-            self.cold_parallel.per_sec, self.cold_parallel.seconds, self.cold_parallel.steals
+            "  cold parallel {:>9.1} req/s ({:.3}s)",
+            self.cold_parallel.per_sec, self.cold_parallel.seconds
         )?;
         writeln!(
             f,
@@ -311,7 +279,7 @@ impl std::fmt::Display for BatchReport {
         )?;
         writeln!(
             f,
-            "  store: {} entries, round-trip {}; determinism {}; {} failures; {} evictions{}",
+            "  store: {} entries, round-trip {}; determinism {}; {} failures",
             self.store_entries,
             if self.store_roundtrip_ok {
                 "exact"
@@ -320,11 +288,6 @@ impl std::fmt::Display for BatchReport {
             },
             if self.deterministic { "ok" } else { "BROKEN" },
             self.failures,
-            self.evictions,
-            match self.per_shard_cap {
-                Some(cap) => format!(" (cap {cap}/shard)"),
-                None => String::new(),
-            }
         )?;
         if self.panics_contained + self.slots_recovered + self.worker_panics > 0 {
             writeln!(
@@ -425,15 +388,9 @@ fn cost_order(requests: &[BatchRequest]) -> Vec<usize> {
 pub(crate) struct Drain {
     pub(crate) digests: Vec<u64>,
     pub(crate) seconds: f64,
-    pub(crate) steals: u64,
     pub(crate) failures: u64,
     pub(crate) panic_retries: u64,
     pub(crate) worker_panics: u64,
-    /// Steals performed by each worker (empty for the serial drain).
-    pub(crate) worker_steals: Vec<u64>,
-    /// Peak depth each worker's own deque reached during the drain
-    /// (empty for the serial drain).
-    pub(crate) worker_peak_depth: Vec<u64>,
 }
 
 /// Answers one request: prepare through the cache, re-attempting after a
@@ -471,12 +428,13 @@ fn answer(
     }
 }
 
-/// One work-stealing drain of the whole queue through `cache`.
+/// One drain of the whole queue through `cache`: `workers` claim the
+/// requests in [`cost_order`], and each digest lands at its request's
+/// index.
 ///
 /// With an attached trace, worker `w` records on track `w + 1` (track 0
-/// stays the main pipeline): each pop samples the worker's own deque
-/// depth as a `batch.queue_depth` counter, and each steal emits a
-/// `batch.steal` instant naming the victim and the number of jobs moved.
+/// stays the main pipeline): each claim samples the requests not yet
+/// claimed as a `batch.queue_depth` counter.
 pub(crate) fn drain(
     cache: &SchedCache,
     requests: &[BatchRequest],
@@ -484,92 +442,28 @@ pub(crate) fn drain(
     workers: usize,
     trace: Trace<'_>,
 ) -> Drain {
-    let workers = workers.max(1).min(requests.len().max(1));
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, idx) in cost_order(requests).into_iter().enumerate() {
-        deques[i % workers]
-            .lock()
-            .expect("deque lock")
-            .push_back(idx);
-    }
     let slots: Vec<OnceLock<u64>> = (0..requests.len()).map(|_| OnceLock::new()).collect();
-    let steals = AtomicU64::new(0);
     let failures = AtomicU64::new(0);
     let panic_retries = AtomicU64::new(0);
     let worker_panics = AtomicU64::new(0);
-    let per_worker_steals: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let per_worker_peak: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let steals = &steals;
-            let failures = &failures;
-            let panic_retries = &panic_retries;
-            let worker_panics = &worker_panics;
-            let per_worker_steals = &per_worker_steals;
-            let per_worker_peak = &per_worker_peak;
-            let wtrace = trace.with_track(w as u32 + 1);
-            s.spawn(move || loop {
-                let (job, depth) = {
-                    let mut own = deques[w].lock().expect("deque lock");
-                    let depth = own.len() as u64;
-                    (own.pop_front(), depth)
-                };
-                per_worker_peak[w].fetch_max(depth, Ordering::Relaxed);
-                if wtrace.on() {
-                    wtrace.counter("batch.queue_depth", depth as f64);
-                }
-                let job = match job {
-                    Some(j) => Some(j),
-                    None => {
-                        // steal the back half of the first non-empty victim:
-                        // the head (expensive) jobs stay with their owner,
-                        // the tail spreads out
-                        let mut found = None;
-                        for off in 1..workers {
-                            let v = (w + off) % workers;
-                            let mut victim = deques[v].lock().expect("deque lock");
-                            let len = victim.len();
-                            if len == 0 {
-                                continue;
-                            }
-                            let mut stolen = victim.split_off(len - len.div_ceil(2));
-                            drop(victim);
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            per_worker_steals[w].fetch_add(1, Ordering::Relaxed);
-                            if wtrace.on() {
-                                wtrace.instant(
-                                    "batch.steal",
-                                    &[("victim", v as f64), ("grabbed", stolen.len() as f64)],
-                                );
-                            }
-                            let first = stolen.pop_front();
-                            if !stolen.is_empty() {
-                                deques[w].lock().expect("deque lock").append(&mut stolen);
-                            }
-                            found = first;
-                            break;
-                        }
-                        found
-                    }
-                };
-                let Some(i) = job else { break };
-                let (d, failed, retries, panicked) = answer(cache, &requests[i], ctx, wtrace);
-                if failed {
-                    failures.fetch_add(1, Ordering::Relaxed);
-                }
-                if retries > 0 {
-                    panic_retries.fetch_add(retries, Ordering::Relaxed);
-                }
-                if panicked {
-                    worker_panics.fetch_add(1, Ordering::Relaxed);
-                }
-                slots[i].set(d).expect("each request answered once");
-            });
+    claim_loop(&cost_order(requests), workers, |w, remaining, claimed| {
+        let wtrace = trace.with_track(w as u32 + 1);
+        if wtrace.on() {
+            wtrace.counter("batch.queue_depth", remaining as f64);
         }
+        let Some(i) = claimed else { return };
+        let (d, failed, retries, panicked) = answer(cache, &requests[i], ctx, wtrace);
+        if failed {
+            failures.fetch_add(1, Ordering::Relaxed);
+        }
+        if retries > 0 {
+            panic_retries.fetch_add(retries, Ordering::Relaxed);
+        }
+        if panicked {
+            worker_panics.fetch_add(1, Ordering::Relaxed);
+        }
+        slots[i].set(d).expect("each request answered once");
     });
     let seconds = t0.elapsed().as_secs_f64();
     Drain {
@@ -578,55 +472,9 @@ pub(crate) fn drain(
             .map(|s| s.into_inner().expect("request drained"))
             .collect(),
         seconds,
-        steals: steals.load(Ordering::Relaxed),
-        failures: failures.load(Ordering::Relaxed),
-        panic_retries: panic_retries.load(Ordering::Relaxed),
-        worker_panics: worker_panics.load(Ordering::Relaxed),
-        worker_steals: per_worker_steals
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect(),
-        worker_peak_depth: per_worker_peak
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect(),
-    }
-}
-
-/// The strictly serial reference drain, in request order.
-pub(crate) fn drain_serial(
-    cache: &SchedCache,
-    requests: &[BatchRequest],
-    ctx: &ExperimentContext,
-    trace: Trace<'_>,
-) -> Drain {
-    let t0 = Instant::now();
-    let mut failures = 0;
-    let mut panic_retries = 0;
-    let mut worker_panics = 0;
-    let digests = requests
-        .iter()
-        .map(|req| {
-            let (d, failed, retries, panicked) = answer(cache, req, ctx, trace);
-            if failed {
-                failures += 1;
-            }
-            panic_retries += retries;
-            if panicked {
-                worker_panics += 1;
-            }
-            d
-        })
-        .collect();
-    Drain {
-        digests,
-        seconds: t0.elapsed().as_secs_f64(),
-        steals: 0,
-        failures,
-        panic_retries,
-        worker_panics,
-        worker_steals: Vec::new(),
-        worker_peak_depth: Vec::new(),
+        failures: failures.into_inner(),
+        panic_retries: panic_retries.into_inner(),
+        worker_panics: worker_panics.into_inner(),
     }
 }
 
@@ -643,7 +491,6 @@ pub(crate) fn pass(d: &Drain, n: usize) -> PassReport {
         seconds: d.seconds,
         per_sec: n as f64 / d.seconds.max(1e-9),
         fingerprint: fold(&d.digests),
-        steals: d.steals,
     }
 }
 
@@ -651,23 +498,15 @@ pub(crate) fn pass(d: &Drain, n: usize) -> PassReport {
 pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
     let (requests, variants) = build_requests(ctx, opts.target_requests);
     let n = requests.len();
-    let new_cache = || {
-        let c = SchedCache::with_shards(opts.shards);
-        match opts.per_shard_cap {
-            Some(cap) => c.into_capped(cap),
-            None => c,
-        }
-    };
 
     // pass 1: cold serial (the reference answers)
-    let serial_cache = new_cache();
-    let serial = drain_serial(&serial_cache, &requests, ctx, Trace::off());
+    let serial_cache = SchedCache::new();
+    let serial = drain(&serial_cache, &requests, ctx, 1, Trace::off());
 
-    // pass 2: cold parallel (work-stealing)
-    let cache = new_cache();
+    // pass 2: cold parallel
+    let cache = SchedCache::new();
     let cold = drain(&cache, &requests, ctx, opts.workers, Trace::off());
     let cold_shards = cache.shard_counters();
-    let evictions = cache.evictions();
     let unique_keys = cache.len();
 
     // pass 3: warm memory (same cache; every request hits)
@@ -682,7 +521,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
         .as_ref()
         .map(|r| r.to_text() == store.to_text())
         .unwrap_or(false);
-    let disk_cache = new_cache().into_stored(reloaded.unwrap_or_else(|_| store.clone()));
+    let disk_cache = SchedCache::with_store(reloaded.unwrap_or_else(|_| store.clone()));
     let disk = drain(&disk_cache, &requests, ctx, opts.workers, Trace::off());
     let store_hit_rate = disk_cache.store_hits() as f64 / n as f64;
     let store_stale = disk_cache.stale();
@@ -698,7 +537,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
         unique_keys,
         variants,
         workers: opts.workers,
-        shards: opts.shards,
+        shards: cold_shards.len(),
         cold_serial: pass(&serial, n),
         cold_parallel: pass(&cold, n),
         warm_mem: pass(&warm, n),
@@ -714,8 +553,6 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
             .max(cold.failures)
             .max(warm.failures)
             .max(disk.failures),
-        per_shard_cap: opts.per_shard_cap,
-        evictions,
         panics_contained: serial_cache.panics_contained()
             + cache.panics_contained()
             + disk_cache.panics_contained(),
@@ -734,8 +571,6 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
             + cache.failed_slots()
             + disk_cache.failed_slots()) as u64,
         cold_shards,
-        worker_steals: cold.worker_steals,
-        worker_peak_depth: cold.worker_peak_depth,
         failed_slot_reasons: [&serial_cache, &cache, &disk_cache]
             .iter()
             .flat_map(|c| c.failed_slot_reasons())
@@ -761,13 +596,9 @@ mod tests {
         let opts = BatchOptions {
             target_requests: 64,
             workers: 4,
-            shards: 8,
-            per_shard_cap: None,
         };
         let r = run_batch(&ctx, &opts);
         assert!(r.requests >= 64);
-        assert_eq!(r.evictions, 0, "unbounded caches never evict");
-        assert!(r.cold_shards.iter().all(|s| s.evictions == 0));
         assert!(r.deterministic, "pass fingerprints diverged");
         assert_eq!(r.failures, 0);
         // clean runs never trip the containment machinery
@@ -790,65 +621,78 @@ mod tests {
         // every request answered exactly once across shards
         let total: u64 = r.cold_shards.iter().map(|s| s.hits + s.prepares).sum();
         assert_eq!(total, r.requests as u64);
-    }
-
-    /// A far-too-small capacity cap forces evictions through the whole
-    /// run yet never changes any answer: the four pass fingerprints
-    /// still agree, the evictions show up in the per-shard counters, and
-    /// residency respects the cap (modulo slots a concurrent reader held
-    /// during an eviction scan — bounded by the worker count).
-    #[test]
-    fn capped_batch_evicts_but_stays_deterministic() {
-        let ctx = tiny_ctx();
-        let cap = 4;
-        let opts = BatchOptions {
-            target_requests: 64,
-            workers: 4,
-            shards: 2,
-            per_shard_cap: Some(cap),
-        };
-        let r = run_batch(&ctx, &opts);
-        assert_eq!(r.per_shard_cap, Some(cap));
-        assert!(r.deterministic, "eviction must never change an answer");
-        assert_eq!(r.failures, 0);
-        assert!(
-            r.evictions > 0,
-            "a {}-entry cache under {} requests must evict",
-            cap * opts.shards,
-            r.requests
-        );
-        let per_shard: u64 = r.cold_shards.iter().map(|s| s.evictions).sum();
-        assert_eq!(per_shard, r.evictions, "counters surface the evictions");
-        for s in &r.cold_shards {
-            assert!(
-                s.entries <= (cap + opts.workers) as u64,
-                "shard residency {} far above cap {cap}",
-                s.entries
-            );
-        }
-        // evicted keys re-prepare: strictly more prepares than resident keys
-        let prepares: u64 = r.cold_shards.iter().map(|s| s.prepares).sum();
-        assert!(prepares > r.unique_keys as u64);
-        // one CSV row per worker when workers outnumber shards, so no
-        // worker's steal and depth columns are dropped
+        // the shard CSV is one row per shard, cell for cell the counters
+        assert_eq!(r.shards, r.cold_shards.len());
         let csv = r.shard_csv();
         let rows: Vec<&str> = csv.lines().skip(1).collect();
-        assert_eq!(rows.len(), opts.workers.max(opts.shards));
-        let column = |row: &str, i: usize| -> u64 {
-            let cell = row.split(',').nth(i).expect("13 columns");
-            cell.parse().expect("integer cell")
-        };
-        for (w, row) in rows.iter().enumerate() {
-            assert_eq!(column(row, 11), r.worker_steals[w], "worker {w} steals");
-            assert_eq!(
-                column(row, 12),
-                r.worker_peak_depth[w],
-                "worker {w} peak depth"
-            );
-            if w >= opts.shards {
-                assert!((1..11).all(|i| column(row, i) == 0), "no shard {w}: {row}");
-            }
+        assert_eq!(rows.len(), r.shards);
+        for (i, (row, s)) in rows.iter().zip(&r.cold_shards).enumerate() {
+            let expected = [
+                i as u64,
+                s.entries,
+                s.hits,
+                s.store_hits,
+                s.prepares,
+                s.stale,
+                s.inflight_waits,
+                s.map_contended,
+                s.panics_contained,
+                s.slots_recovered,
+            ];
+            let cells: Vec<u64> = row
+                .split(',')
+                .map(|c| c.parse().expect("integer cell"))
+                .collect();
+            assert_eq!(cells, expected, "shard {i}");
         }
+    }
+
+    #[test]
+    fn empty_queue_drains_to_no_digests() {
+        let ctx = tiny_ctx();
+        for workers in [1, 4] {
+            let d = drain(&SchedCache::new(), &[], &ctx, workers, Trace::off());
+            assert!(d.digests.is_empty());
+            assert_eq!(d.failures, 0);
+        }
+    }
+
+    /// More workers than requests: each request is answered exactly once
+    /// (a second answer would trip the slot's `OnceLock`) and the digests
+    /// fold exactly as one worker's do.
+    #[test]
+    fn surplus_workers_answer_each_request_once() {
+        let ctx = tiny_ctx();
+        let (requests, _) = build_requests(&ctx, 1);
+        let requests = &requests[..3];
+        let one = drain(&SchedCache::new(), requests, &ctx, 1, Trace::off());
+        let cache = SchedCache::new();
+        let many = drain(&cache, requests, &ctx, 8, Trace::off());
+        assert_eq!(many.digests.len(), requests.len());
+        assert_eq!(fold(&many.digests), fold(&one.digests));
+        assert_eq!(
+            cache.hits() as u64 + cache.prepares(),
+            requests.len() as u64
+        );
+    }
+
+    /// One worker samples the unclaimed queue at each of its n + 1
+    /// claims, the final empty claim included, on track 1.
+    #[test]
+    fn one_worker_samples_the_queue_depth_down_to_zero() {
+        let ctx = tiny_ctx();
+        let (requests, _) = build_requests(&ctx, 1);
+        let requests = &requests[..5];
+        let sink = vliw_trace::RecordingSink::logical();
+        drain(&SchedCache::new(), requests, &ctx, 1, Trace::new(&sink));
+        let depths: Vec<(u32, f64)> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.name == "batch.queue_depth")
+            .map(|e| (e.track, e.args[0].1))
+            .collect();
+        let expected: Vec<(u32, f64)> = (0..=requests.len()).rev().map(|d| (1, d as f64)).collect();
+        assert_eq!(depths, expected);
     }
 
     #[test]

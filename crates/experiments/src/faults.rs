@@ -23,13 +23,14 @@
 //!   the version-2 store.
 //!
 //! Four drains of the same request queue run under these faults (cold
-//! serial, cold parallel, warm memory, warm from the *salvaged* store);
-//! their order-sensitive digest folds must agree bit-for-bit — injected
-//! faults may cost retries and hit rate, never answers. The
-//! [`FaultReport`] closes the loop: [`FaultReport::accounted`] is true
-//! only when every injected fault shows up in exactly one recovery
-//! counter and nothing leaked (no worker-level panic, no unrecovered
-//! slot, no failed request).
+//! serial on one worker, cold parallel, warm memory, warm from the
+//! *salvaged* store), each through the batch driver's claim loop and a
+//! default-sharded [`SchedCache`]; their digest folds (in request
+//! order) must agree bit-for-bit — injected faults may cost retries and
+//! hit rate, never answers. The [`FaultReport`] closes the loop:
+//! [`FaultReport::accounted`] is true only when every injected fault
+//! shows up in exactly one recovery counter and nothing leaked (no
+//! worker-level panic, no unrecovered slot, no failed request).
 //!
 //! Everything is deterministic: same seed, same context, same faults,
 //! same counters. `repro [quick|full] faults` prints the lane table,
@@ -45,7 +46,7 @@ use vliw_sched::{FallbackPolicy, SchedBackend, SchedQuality};
 use vliw_trace::Trace;
 use vliw_workloads::rng::StdRng;
 
-use crate::batch::{build_requests, drain, drain_serial, fold, BatchRequest, Drain};
+use crate::batch::{build_requests, drain, fold, BatchRequest, Drain};
 use crate::context::{prepare_loop, ExperimentContext, RunConfig, UnrollMode};
 use crate::report::Table;
 use crate::schedcache::{PrepareFn, SalvageReport, SchedCache, ScheduleStore};
@@ -59,8 +60,6 @@ pub struct FaultOptions {
     pub target_requests: usize,
     /// Worker threads of the parallel drains.
     pub workers: usize,
-    /// Shard count of the caches.
-    pub shards: usize,
     /// Kernels whose first preparation panics, per cache generation.
     pub panic_victims: usize,
     /// Store records corrupted by a digit flip.
@@ -76,7 +75,6 @@ impl FaultOptions {
             seed: 0xFA17_F00D,
             target_requests: 2_000,
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            shards: 16,
             panic_victims: 6,
             bit_flips: 8,
             starved_requests: 8,
@@ -91,7 +89,6 @@ impl FaultOptions {
             workers: std::thread::available_parallelism()
                 .map_or(4, |n| n.get())
                 .min(8),
-            shards: 8,
             panic_victims: 3,
             bit_flips: 4,
             starved_requests: 4,
@@ -420,7 +417,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
 
     // a probe generation with no faults yields the healthy store the
     // corruption lanes need, and the record count the plan draws from
-    let probe = SchedCache::with_shards(opts.shards);
+    let probe = SchedCache::new();
     let probe_drain = drain(&probe, &requests, ctx, opts.workers, Trace::off());
     let healthy_store = probe.export_store();
     let healthy = healthy_store.to_text();
@@ -430,11 +427,9 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
 
     // drains 1-3: cold serial, cold parallel, warm memory — each cold
     // cache is one shim generation (each victim panics once per cache)
-    let serial_cache =
-        SchedCache::with_shards(opts.shards).into_preparer(panic_shim(Arc::clone(&victims)));
-    let serial = drain_serial(&serial_cache, &requests, ctx, Trace::off());
-    let cache =
-        SchedCache::with_shards(opts.shards).into_preparer(panic_shim(Arc::clone(&victims)));
+    let serial_cache = SchedCache::new().into_preparer(panic_shim(Arc::clone(&victims)));
+    let serial = drain(&serial_cache, &requests, ctx, 1, Trace::off());
+    let cache = SchedCache::new().into_preparer(panic_shim(Arc::clone(&victims)));
     let cold = drain(&cache, &requests, ctx, opts.workers, Trace::off());
     let warm = drain(&cache, &requests, ctx, opts.workers, Trace::off());
 
@@ -478,7 +473,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
                 .any(|e| &e.name == *v && salvaged.get(&e.key).is_none())
         })
         .count() as u64;
-    let disk_cache = SchedCache::with_shards(opts.shards)
+    let disk_cache = SchedCache::new()
         .into_preparer(panic_shim(Arc::clone(&victims)))
         .into_stored(salvaged);
     let disk = drain(&disk_cache, &requests, ctx, opts.workers, Trace::off());
@@ -506,7 +501,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
             .take(opts.starved_requests)
             .collect()
     };
-    let starved_cache = SchedCache::with_shards(opts.shards);
+    let starved_cache = SchedCache::new();
     let degraded = starved_kernels
         .iter()
         .filter(|k| {

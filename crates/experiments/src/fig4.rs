@@ -85,15 +85,6 @@ impl Fig4 {
         self.amean[2][0] - self.amean[0][0]
     }
 
-    /// Local-hit-ratio gain of dropping chains (bar iv − bar iii) for one
-    /// benchmark.
-    pub fn chain_cost(&self, bench: &str) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.bench == bench)
-            .map(|r| r.bars[3][0] - r.bars[2][0])
-    }
-
     /// Renders the paper-style table.
     pub fn table(&self) -> Table {
         let mut t = Table::new(

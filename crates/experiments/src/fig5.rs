@@ -16,19 +16,9 @@
 
 use std::fmt;
 
-use vliw_ir::OpId;
-
 use crate::context::{BenchRun, ExperimentContext, RunConfig};
 use crate::grid::{GridResult, RunGrid};
 use crate::report::{f3, Table};
-
-/// The four factor labels, in the paper's legend order.
-pub const FACTOR_LABELS: [&str; 4] = [
-    "more than one cluster",
-    "unclear preferred info",
-    "not in preferred",
-    "granularity",
-];
 
 /// One benchmark's two bars (IBC, IPBC), each a normalized 4-factor split.
 #[derive(Debug, Clone)]
@@ -88,14 +78,6 @@ fn factor_split(run: &BenchRun, machine: &vliw_machine::MachineConfig) -> [f64; 
     } else {
         [0.0; 4]
     }
-}
-
-/// Per-op stall lookup helper exposed for the hints/chains experiments.
-pub fn op_stall(run: &BenchRun, loop_name: &str, op: OpId) -> f64 {
-    run.loops
-        .iter()
-        .find(|l| l.name == loop_name)
-        .map_or(0.0, |l| l.sim.stall_by_op[op.index()])
 }
 
 impl Fig5 {

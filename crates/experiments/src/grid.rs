@@ -192,6 +192,39 @@ impl Parallelism {
     }
 }
 
+/// The worker pool of every experiments driver: `min(workers, n)` scoped
+/// threads (inline with one) claim the positions of `order` from one
+/// shared cursor until it runs past the end. At every claim worker `w`
+/// calls `job(w, remaining, claimed)`: `remaining` is the queue length
+/// before the claim, and `claimed` the next index of `order`, or `None`
+/// on the worker's final, empty claim. With one worker the claims run
+/// in `order`, and `remaining` counts down n, n−1, …, 0.
+pub(crate) fn claim_loop(
+    order: &[usize],
+    workers: usize,
+    job: impl Fn(usize, usize, Option<usize>) + Sync,
+) {
+    let next = AtomicUsize::new(0);
+    let work = |w: usize| loop {
+        let q = next.fetch_add(1, Ordering::Relaxed);
+        let claimed = order.get(q).copied();
+        job(w, order.len().saturating_sub(q), claimed);
+        if claimed.is_none() {
+            break;
+        }
+    };
+    let workers = workers.clamp(1, order.len().max(1));
+    if workers == 1 {
+        work(0);
+    } else {
+        thread::scope(|s| {
+            for w in 0..workers {
+                s.spawn(move || work(w));
+            }
+        });
+    }
+}
+
 /// A declarative experiment grid: labeled configurations × benchmarks.
 #[derive(Debug, Clone)]
 pub struct RunGrid {
@@ -304,8 +337,6 @@ impl RunGrid {
         let memo = SchedCache::new();
         let slots: Vec<Mutex<Option<BenchRun>>> =
             (0..cells_total).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = par.workers().min(cells_total.max(1));
 
         // The work queue, sharded by per-cell cost: heavy cells (the
         // exact search, and any cell whose measured profile source runs
@@ -330,26 +361,12 @@ impl RunGrid {
         let mut queue: Vec<usize> = (0..cells_total).collect();
         queue.sort_by_key(|&i| std::cmp::Reverse(cell_cost(&self.configs[i / n_models].1)));
 
-        let work = |_worker: usize| loop {
-            let q = next.fetch_add(1, Ordering::Relaxed);
-            if q >= cells_total {
-                break;
-            }
-            let i = queue[q];
+        claim_loop(&queue, par.workers(), |_, _, claimed| {
+            let Some(i) = claimed else { return };
             let (b, c) = (i % n_models, i / n_models);
             let run = run_benchmark_memo(&models[b], &self.configs[c].1, ctx, Some(&memo));
             *slots[b * n_cfg + c].lock().expect("cell slot") = Some(run);
-        };
-
-        if workers <= 1 {
-            work(0);
-        } else {
-            thread::scope(|s| {
-                for w in 0..workers {
-                    s.spawn(move || work(w));
-                }
-            });
-        }
+        });
 
         let cells: Vec<BenchRun> = slots
             .into_iter()

@@ -157,8 +157,7 @@ pub fn backend_quality_table(result: &GridResult) -> Table {
 
 /// Renders the schedule-cache health summary of a batch run: one row per
 /// shard with the full counter set — including `inflight_waits` (threads
-/// that blocked on another's in-flight fill of the same cell) and
-/// `evictions` (completed cells dropped under a capacity cap) — then one
+/// that blocked on another's in-flight fill of the same cell) — then one
 /// `failed` row per slot still marked failed, carrying the contained
 /// panic's reason in the `note` column. Clean runs have no `failed` rows.
 pub fn shard_health_table(report: &BatchReport) -> Table {
@@ -171,7 +170,6 @@ pub fn shard_health_table(report: &BatchReport) -> Table {
             "prepares",
             "inflight_waits",
             "map_contended",
-            "evictions",
             "panics",
             "recovered",
             "note",
@@ -185,7 +183,6 @@ pub fn shard_health_table(report: &BatchReport) -> Table {
             s.prepares.to_string(),
             s.inflight_waits.to_string(),
             s.map_contended.to_string(),
-            s.evictions.to_string(),
             s.panics_contained.to_string(),
             s.slots_recovered.to_string(),
             String::new(),
@@ -193,7 +190,7 @@ pub fn shard_health_table(report: &BatchReport) -> Table {
     }
     for reason in &report.failed_slot_reasons {
         let mut row = vec!["failed".to_string()];
-        row.extend((0..8).map(|_| "-".to_string()));
+        row.extend((0..7).map(|_| "-".to_string()));
         row.push(reason.clone());
         t.row(row);
     }

@@ -13,21 +13,15 @@
 //!   fingerprint masks Attraction Buffers and MSHRs (consumed by the
 //!   cache timing model, downstream of scheduling), so buffer/hint/MSHR
 //!   sweeps share preparations exactly as before.
-//! * **Shards** ([`SchedCache`]): the key's stable hash picks one of N
-//!   independently locked shards; a shard's map lock is held only to
-//!   resolve the key to a slot. Each slot's own mutex doubles as the
-//!   in-flight guard: concurrent requests for the *same* cell block on
-//!   the first computer (one preparation per key, ever), while requests
-//!   for other cells — even in the same shard — proceed as soon as the
-//!   map lock is released. `try_lock` front-ends count real contention
-//!   per shard.
-//! * **Capacity** ([`SchedCache::into_capped`]): optionally each shard
-//!   keeps at most N *completed* entries, evicting the least recently
-//!   used (per-shard logical clock; hits count as use) after every
-//!   insertion. The default is unbounded — exactly the historical
-//!   behavior — and eviction never touches an in-flight preparation, so
-//!   the one-preparation-per-key-at-a-time guarantee is unaffected;
-//!   an evicted key simply prepares again on its next request.
+//! * **Shards** ([`SchedCache`]): the key's stable hash picks one of
+//!   [`DEFAULT_SHARDS`] independently locked shards; a shard's map lock
+//!   is held only to resolve the key to a slot. A slot is just its
+//!   mutex, which doubles as the in-flight guard: concurrent requests
+//!   for the *same* cell block on the first computer (one preparation
+//!   per key, ever), while requests for other cells — even in the same
+//!   shard — proceed as soon as the map lock is released. `try_lock`
+//!   front-ends count real contention per shard. A completed cell stays
+//!   for the cache's lifetime.
 //! * **Store** ([`ScheduleStore`]): completed cells can be exported to a
 //!   versioned text form and fed back into a fresh cache. A warm hit
 //!   rebuilds the prepared kernel (unroll + profile — no candidate
@@ -310,15 +304,6 @@ enum SlotState {
     Failed(String),
 }
 
-/// One key's entry. The slot's own mutex is the in-flight guard.
-#[derive(Debug, Default)]
-struct Slot {
-    data: Mutex<SlotState>,
-    /// Logical timestamp of the last touch (hit or insert), drawn from
-    /// the owning shard's clock — the LRU rank under a capacity cap.
-    last_used: AtomicU64,
-}
-
 #[derive(Debug, Default)]
 struct ShardStats {
     hits: AtomicU64,
@@ -327,18 +312,16 @@ struct ShardStats {
     stale: AtomicU64,
     inflight_waits: AtomicU64,
     map_contended: AtomicU64,
-    evictions: AtomicU64,
     panics_contained: AtomicU64,
     slots_recovered: AtomicU64,
 }
 
+/// One lock stripe: key → slot, where a slot's own mutex is the key's
+/// in-flight guard.
 #[derive(Debug, Default)]
 struct Shard {
-    map: Mutex<HashMap<CacheKey, Arc<Slot>>>,
+    map: Mutex<HashMap<CacheKey, Arc<Mutex<SlotState>>>>,
     stats: ShardStats,
-    /// Monotonic logical clock stamping [`Slot::last_used`] on every
-    /// touch; per shard, so stamping never crosses shard cache lines.
-    clock: AtomicU64,
 }
 
 /// A per-shard counter snapshot (see [`SchedCache::shard_counters`]).
@@ -360,9 +343,6 @@ pub struct ShardCounters {
     /// Times the shard's map lock was busy on arrival (real lock-striping
     /// contention; the map lock is only held to resolve key → slot).
     pub map_contended: u64,
-    /// Completed cells evicted to honor the shard's capacity cap (always
-    /// 0 for an unbounded cache).
-    pub evictions: u64,
     /// Preparation panics contained at the slot boundary (`catch_unwind`):
     /// each one failed its own request with
     /// [`ScheduleError::PreparationPanicked`] and marked the slot
@@ -392,8 +372,6 @@ pub type PrepareFn = dyn Fn(
 pub struct SchedCache {
     shards: Vec<Shard>,
     store: Option<ScheduleStore>,
-    /// Completed-entry cap per shard; `None` (the default) never evicts.
-    per_shard_cap: Option<usize>,
     /// Slot-fill override (`None` =
     /// [`prepare_loop`]).
     preparer: Option<Arc<PrepareFn>>,
@@ -404,7 +382,6 @@ impl std::fmt::Debug for SchedCache {
         f.debug_struct("SchedCache")
             .field("shards", &self.shards.len())
             .field("store", &self.store.as_ref().map(ScheduleStore::len))
-            .field("per_shard_cap", &self.per_shard_cap)
             .field("custom_preparer", &self.preparer.is_some())
             .finish()
     }
@@ -423,21 +400,14 @@ impl SchedCache {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
-    /// An empty cache with `n` shards (`n ≥ 1`).
+    /// An empty cache with `n` shards (`n ≥ 1`). No answer depends on
+    /// the shard count; fewer shards only force more lock contention.
     pub fn with_shards(n: usize) -> Self {
         SchedCache {
             shards: (0..n.max(1)).map(|_| Shard::default()).collect(),
             store: None,
-            per_shard_cap: None,
             preparer: None,
         }
-    }
-
-    /// An empty cache ([`DEFAULT_SHARDS`] shards) that keeps at most
-    /// `per_shard_cap` completed entries per shard, evicting the least
-    /// recently used beyond that. See [`SchedCache::into_capped`].
-    pub fn with_capacity(per_shard_cap: usize) -> Self {
-        Self::new().into_capped(per_shard_cap)
     }
 
     /// A cache warmed by `store`: lookups that miss in memory consult the
@@ -452,16 +422,6 @@ impl SchedCache {
         self
     }
 
-    /// This cache, capped at `per_shard_cap` *completed* entries per
-    /// shard. After each insertion the shard evicts least-recently-used
-    /// completed cells (a hit counts as use) until it is back at the cap;
-    /// in-flight preparations are never evicted. A cap of 0 caches
-    /// nothing while still deduplicating concurrent same-key work.
-    pub fn into_capped(mut self, per_shard_cap: usize) -> Self {
-        self.per_shard_cap = Some(per_shard_cap);
-        self
-    }
-
     /// This cache, filling cold slots through `preparer` instead of
     /// [`prepare_loop`] — the
     /// fault-injection seam. Panics thrown by the
@@ -471,11 +431,6 @@ impl SchedCache {
         self
     }
 
-    /// The completed-entry cap per shard (`None` = unbounded).
-    pub fn per_shard_capacity(&self) -> Option<usize> {
-        self.per_shard_cap
-    }
-
     /// Number of cached schedules (completed preparations).
     pub fn len(&self) -> usize {
         self.shards
@@ -483,7 +438,7 @@ impl SchedCache {
             .map(|s| {
                 let map = lock_recover(&s.map);
                 map.values()
-                    .filter(|slot| matches!(*lock_recover(&slot.data), SlotState::Ready(_)))
+                    .filter(|slot| matches!(*lock_recover(slot), SlotState::Ready(_)))
                     .count()
             })
             .sum()
@@ -523,11 +478,6 @@ impl SchedCache {
         self.sum(|s| &s.stale)
     }
 
-    /// Completed cells evicted under the capacity cap.
-    pub fn evictions(&self) -> u64 {
-        self.sum(|s| &s.evictions)
-    }
-
     /// Preparation panics contained at the slot boundary.
     pub fn panics_contained(&self) -> u64 {
         self.sum(|s| &s.panics_contained)
@@ -557,7 +507,7 @@ impl SchedCache {
             .flat_map(|s| {
                 let map = lock_recover(&s.map);
                 map.values()
-                    .filter_map(|slot| match &*lock_recover(&slot.data) {
+                    .filter_map(|slot| match &*lock_recover(slot) {
                         SlotState::Failed(reason) => Some(reason.clone()),
                         _ => None,
                     })
@@ -574,7 +524,7 @@ impl SchedCache {
                 let entries = {
                     let map = lock_recover(&s.map);
                     map.values()
-                        .filter(|slot| matches!(*lock_recover(&slot.data), SlotState::Ready(_)))
+                        .filter(|slot| matches!(*lock_recover(slot), SlotState::Ready(_)))
                         .count() as u64
                 };
                 ShardCounters {
@@ -585,7 +535,6 @@ impl SchedCache {
                     stale: s.stats.stale.load(Ordering::Relaxed),
                     inflight_waits: s.stats.inflight_waits.load(Ordering::Relaxed),
                     map_contended: s.stats.map_contended.load(Ordering::Relaxed),
-                    evictions: s.stats.evictions.load(Ordering::Relaxed),
                     panics_contained: s.stats.panics_contained.load(Ordering::Relaxed),
                     slots_recovered: s.stats.slots_recovered.load(Ordering::Relaxed),
                 }
@@ -654,7 +603,7 @@ impl SchedCache {
         // the slot lock is held across the computation: waiters for the
         // same key block here (instead of duplicating the dominant cost),
         // while cells with other keys proceed untouched
-        let mut guard = match slot.data.try_lock() {
+        let mut guard = match slot.try_lock() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
                 shard.stats.inflight_waits.fetch_add(1, Ordering::Relaxed);
@@ -665,21 +614,15 @@ impl SchedCache {
                 } else {
                     None
                 };
-                lock_recover(&slot.data)
+                lock_recover(&slot)
             }
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
-        };
-        let touch = || {
-            let stamp = shard.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            slot.last_used.store(stamp, Ordering::Relaxed);
         };
         match &*guard {
             SlotState::Ready(hit) => {
                 shard.stats.hits.fetch_add(1, Ordering::Relaxed);
                 trace.instant("cache.hit", &[("shard", sh)]);
-                let hit = Arc::clone(hit);
-                touch();
-                return Ok(hit);
+                return Ok(Arc::clone(hit));
             }
             SlotState::Failed(_) => {
                 // a previous filler panicked; this request adopts the
@@ -697,9 +640,6 @@ impl SchedCache {
                     trace.instant("cache.store_hit", &[("shard", sh)]);
                     let p = Arc::new(p);
                     *guard = SlotState::Ready(Arc::clone(&p));
-                    touch();
-                    drop(guard);
-                    self.enforce_capacity(shard);
                     return Ok(p);
                 }
                 Err(_) => {
@@ -743,49 +683,7 @@ impl SchedCache {
             }
         };
         *guard = SlotState::Ready(Arc::clone(&prepared));
-        touch();
-        // the slot guard must be released before the map lock is taken:
-        // every other path orders map → slot, and eviction keeps that
-        // order by only ever try-locking slot data under the map lock
-        drop(guard);
-        self.enforce_capacity(shard);
         Ok(prepared)
-    }
-
-    /// Evicts least-recently-used completed cells until `shard` is back
-    /// at the capacity cap. In-flight slots (data lock held elsewhere)
-    /// are skipped — they are about to become the most recent anyway.
-    /// Outstanding `Arc`s keep an evicted preparation alive for holders;
-    /// eviction only drops the cache's reference.
-    fn enforce_capacity(&self, shard: &Shard) {
-        let Some(cap) = self.per_shard_cap else {
-            return;
-        };
-        let mut map = lock_recover(&shard.map);
-        loop {
-            let mut completed = 0usize;
-            let mut victim: Option<(CacheKey, u64)> = None;
-            for (k, slot) in map.iter() {
-                let g = match slot.data.try_lock() {
-                    Ok(g) => g,
-                    Err(TryLockError::Poisoned(e)) => e.into_inner(),
-                    Err(TryLockError::WouldBlock) => continue,
-                };
-                if matches!(*g, SlotState::Ready(_)) {
-                    completed += 1;
-                    let used = slot.last_used.load(Ordering::Relaxed);
-                    if victim.is_none_or(|(_, u)| used < u) {
-                        victim = Some((*k, used));
-                    }
-                }
-            }
-            if completed <= cap {
-                break;
-            }
-            let (k, _) = victim.expect("completed > cap implies a victim");
-            map.remove(&k);
-            shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Exports every completed cell into a [`ScheduleStore`].
@@ -794,7 +692,7 @@ impl SchedCache {
         for shard in &self.shards {
             let map = lock_recover(&shard.map);
             for (key, slot) in map.iter() {
-                if let SlotState::Ready(p) = &*lock_recover(&slot.data) {
+                if let SlotState::Ready(p) = &*lock_recover(slot) {
                     store.insert(StoreEntry {
                         name: p.kernel.name.clone(),
                         key: *key,
@@ -1077,7 +975,8 @@ impl ScheduleStore {
     ///
     /// Returns a description of the first framing or token error; a
     /// version mismatch is an error (stale major format, not silently
-    /// reinterpreted).
+    /// reinterpreted), and so is any line after the declared count of
+    /// records (a miscounted store is not silently cut short).
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty store")?;
@@ -1128,6 +1027,11 @@ impl ScheduleStore {
                 return Err(format!("entry `{}`: missing endentry", entry.name));
             }
             store.insert(entry);
+        }
+        if let Some(extra) = lines.next() {
+            return Err(format!(
+                "store declares {n} entries but continues with `{extra}`"
+            ));
         }
         if store.len() != n {
             return Err(format!(
@@ -1325,5 +1229,28 @@ mod tests {
             parse_backend("exact"),
             Err("unknown backend token `exact`".to_string())
         );
+    }
+
+    /// The strict loader rejects records past the declared count, where
+    /// the salvage loader still recovers every intact record.
+    #[test]
+    fn strict_loader_rejects_records_past_the_declared_count() {
+        let header = |kfp: u64| {
+            format!(
+                "entry k{kfp} kfp {kfp} efp 11 arch wi policy ipbc backend swing source syn \
+                 unroll sel pad 1 choice xn factor 4 pfp 13 quality heur"
+            )
+        };
+        let mut store = ScheduleStore::new();
+        for kfp in [7, 8] {
+            store.insert(StoreEntry::parse_header(&header(kfp)).unwrap());
+        }
+        let text = store.to_text();
+        assert_eq!(ScheduleStore::from_text(&text).unwrap().len(), 2);
+        let miscounted = text.replacen("entries 2", "entries 1", 1);
+        let err = ScheduleStore::from_text(&miscounted).unwrap_err();
+        assert!(err.contains("declares 1 entries"), "{err}");
+        let (salvaged, rep) = ScheduleStore::from_text_salvage(&miscounted);
+        assert_eq!((salvaged.len(), rep.recovered, rep.dropped()), (2, 2, 0));
     }
 }

@@ -211,26 +211,6 @@ impl KernelBuilder {
         (id, value)
     }
 
-    /// Adds an indirect store.
-    pub fn store_indirect(
-        &mut self,
-        name: impl Into<String>,
-        array: ArrayId,
-        index_value: VirtReg,
-        granularity: u8,
-        value: VirtReg,
-    ) -> (OpId, VirtReg) {
-        let mem = MemAccessInfo::indirect(array, granularity);
-        let id = self.push_op(
-            name,
-            Opcode::Store,
-            None,
-            vec![SrcOperand::new(value), SrcOperand::new(index_value)],
-            Some(mem),
-        );
-        (id, value)
-    }
-
     /// Adds a memory dependence edge (the conservative disambiguator's
     /// output). `kind` must be a memory dependence kind.
     ///

@@ -44,11 +44,6 @@ impl<C: DataCache, O: AccessObserver> ObservedCache<C, O> {
         &self.observer
     }
 
-    /// Mutable access to the observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
-    }
-
     /// Unwraps into the inner cache and the observer.
     pub fn into_parts(self) -> (C, O) {
         (self.inner, self.observer)
