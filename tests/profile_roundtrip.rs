@@ -60,6 +60,18 @@ fn collect_persist_reload_is_identity() {
     }
 }
 
+/// The committed quick-scale store is the golden of the whole measurement
+/// path: bootstrap schedule, observed timing simulation, per-op
+/// aggregation and serialization.
+#[test]
+fn quick_collection_matches_the_committed_store() {
+    let suite = profile_fidelity::collect_suite(&ExperimentContext::quick());
+    assert!(
+        suite.store.to_text() == include_str!("../results/profiles/factor1-quick.profile"),
+        "a fresh quick-scale collection differs from results/profiles/factor1-quick.profile"
+    );
+}
+
 #[test]
 fn reloaded_profiles_schedule_bit_identically() {
     let ctx = tiny_ctx();
