@@ -5,6 +5,7 @@ use std::sync::Arc;
 use vliw_ir::{unroll, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_mem::build_cache;
+use vliw_profile::{attach_measurements, measure_kernel, MeasureOptions, StreamProfile};
 use vliw_sched::{
     attraction_hints, schedule_outcome_traced, unroll_candidates, AttractionHints, ClusterPolicy,
     EnumLimits, FallbackPolicy, SchedBackend, SchedQuality, Schedule, ScheduleError,
@@ -266,58 +267,24 @@ pub(crate) fn profiled(
     kernel
 }
 
-/// Replaces `kernel`'s synthetic profiles with *measured* ones: runs the
-/// synthetic pipeline's schedule through the timing simulator on the
-/// profile input (`vliw-profile`) and attaches the derived measurements.
-/// The bootstrap schedule uses the configuration's own policy, so the
-/// measurements describe the code the policy would actually run.
-///
-/// # Errors
-///
-/// Propagates bootstrap scheduling failures (the measurement run needs a
-/// schedule; a kernel the policy cannot schedule has no measurement).
-fn measured(
-    mut kernel: LoopKernel,
-    machine: &MachineConfig,
-    cfg: &RunConfig,
-    ctx: &ExperimentContext,
-) -> Result<LoopKernel, ScheduleError> {
-    let opts = vliw_profile::MeasureOptions {
-        policy: cfg.policy,
-        enum_limits: ctx.enum_limits,
-        sim: ctx.sim,
-    };
-    let profile = vliw_profile::measure_kernel_on_input(
-        &kernel,
-        machine,
-        cfg.padding,
-        ctx.workloads.profile_input,
-        &opts,
-    )?;
-    vliw_profile::attach_measurements(&mut kernel, &profile)
-        .expect("a fresh measurement always matches its kernel");
-    Ok(kernel)
-}
-
 /// Builds the unroll variants of one original kernel per a
 /// configuration's profile source.
 ///
 /// For the `Measured` source, factor 1 is measured **once** (on first
-/// use) and kept as a [`StreamProfile`]; the measurements of every
-/// unrolled variant are then *derived* by residue-slicing that stream
-/// ([`StreamProfile::derive_unrolled`]) instead of paying another
-/// bootstrap schedule + timing simulation per variant. A stream the
-/// derivation rejects (mis-aligned sample counts) falls back to direct
-/// re-measurement of that variant.
+/// use, [`VariantBuilder::measure`]) and kept as a [`StreamProfile`];
+/// the measurements of every variant, factor 1 included, are then
+/// *derived* from that stream ([`StreamProfile::derive_unrolled`])
+/// instead of paying another bootstrap schedule + timing simulation per
+/// variant. A stream the derivation rejects (mis-aligned sample counts)
+/// falls back to measuring that variant itself and taking its factor-1
+/// derivation.
 pub(crate) struct VariantBuilder<'a> {
     original: LoopKernel,
-    stream: Option<vliw_profile::StreamProfile>,
+    stream: Option<StreamProfile>,
     machine: &'a MachineConfig,
     cfg: &'a RunConfig,
     ctx: &'a ExperimentContext,
 }
-
-use vliw_profile::StreamProfile;
 
 impl<'a> VariantBuilder<'a> {
     /// Profiles `original` per the source axis and wraps it for variant
@@ -350,23 +317,29 @@ impl<'a> VariantBuilder<'a> {
         &self.original
     }
 
-    /// The factor-1 measurement stream, taken on first use.
-    fn stream(&mut self) -> Result<&StreamProfile, ScheduleError> {
-        if self.stream.is_none() {
-            let opts = vliw_profile::MeasureOptions {
-                policy: self.cfg.policy,
-                enum_limits: self.ctx.enum_limits,
-                sim: self.ctx.sim,
-            };
-            self.stream = Some(vliw_profile::measure_kernel_stream_on_input(
-                &self.original,
-                self.machine,
-                self.cfg.padding,
-                self.ctx.workloads.profile_input,
-                &opts,
-            )?);
-        }
-        Ok(self.stream.as_ref().expect("stream just taken"))
+    /// The measurement run of `kernel` (`vliw-profile`): the synthetic
+    /// pipeline's schedule under the configuration's own policy, simulated
+    /// on the profile input — so the measurements describe the code the
+    /// policy would actually run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bootstrap scheduling failures (the measurement run
+    /// needs a schedule; a kernel the policy cannot schedule has no
+    /// measurement).
+    fn measure(&self, kernel: &LoopKernel) -> Result<StreamProfile, ScheduleError> {
+        let opts = MeasureOptions {
+            policy: self.cfg.policy,
+            enum_limits: self.ctx.enum_limits,
+            sim: self.ctx.sim,
+        };
+        measure_kernel(
+            kernel,
+            self.machine,
+            self.cfg.padding,
+            self.ctx.workloads.profile_input,
+            &opts,
+        )
     }
 
     /// One unrolled variant, synthetically profiled. Factor 1 is the
@@ -391,20 +364,26 @@ impl<'a> VariantBuilder<'a> {
     ///
     /// Propagates bootstrap scheduling failures of the measurement run.
     pub(crate) fn build(&mut self, factor: u32) -> Result<LoopKernel, ScheduleError> {
-        let (machine, ctx, cfg) = (self.machine, self.ctx, self.cfg);
-        match cfg.source {
+        let machine = self.machine;
+        match self.cfg.source {
             ProfileSource::None => Ok(unroll(&self.original, factor)),
             ProfileSource::Synthetic => Ok(self.synthetic(factor)),
             ProfileSource::Measured => {
-                let mut kernel = self.synthetic(factor);
-                match self.stream()?.derive_unrolled(&kernel, factor, machine) {
-                    Ok(lp) => {
-                        vliw_profile::attach_measurements(&mut kernel, &lp)
-                            .expect("a derived measurement matches the kernel it was derived for");
-                        Ok(kernel)
-                    }
-                    Err(_) => measured(kernel, machine, cfg, ctx),
+                let mut variant = self.synthetic(factor);
+                if self.stream.is_none() {
+                    self.stream = Some(self.measure(&self.original)?);
                 }
+                let stream = self.stream.as_ref().expect("stream just taken");
+                let lp = match stream.derive_unrolled(&variant, factor, machine) {
+                    Ok(lp) => lp,
+                    Err(_) => self
+                        .measure(&variant)?
+                        .derive_unrolled(&variant, 1, machine)
+                        .expect("a kernel's own run derives at factor 1"),
+                };
+                attach_measurements(&mut variant, &lp)
+                    .expect("a derived measurement matches the kernel it was derived for");
+                Ok(variant)
             }
         }
     }

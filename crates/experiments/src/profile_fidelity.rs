@@ -31,11 +31,10 @@
 use std::fmt;
 
 use vliw_ir::LoopKernel;
-use vliw_profile::{attach_measurements, measure_kernel_on_input, MeasureOptions, ProfileStore};
+use vliw_profile::{attach_measurements, measure_kernel, MeasureOptions, ProfileStore};
 use vliw_sched::{schedule_kernel, schedule_outcome, ClusterPolicy, SchedBackend, ScheduleOptions};
-use vliw_workloads::{profile_kernel, ArrayLayout};
 
-use crate::context::{ExperimentContext, ProfileSource, RunConfig, UnrollMode};
+use crate::context::{profiled, ExperimentContext, ProfileSource, RunConfig, UnrollMode};
 use crate::grid::RunGrid;
 use crate::report::{f3, fcycles, Table};
 
@@ -75,18 +74,18 @@ pub fn collect_suite(ctx: &ExperimentContext) -> CollectedSuite {
     let mut skipped = 0;
     for model in ctx.models() {
         for lw in &model.loops {
-            let mut synthetic = lw.kernel.clone();
-            let layout =
-                ArrayLayout::new(&synthetic, &ctx.machine, true, ctx.workloads.profile_input);
-            profile_kernel(&mut synthetic, &ctx.machine, &layout, &ctx.profile);
-            match measure_kernel_on_input(
+            let synthetic = profiled(lw.kernel.clone(), &ctx.machine, ctx, true);
+            match measure_kernel(
                 &synthetic,
                 &ctx.machine,
                 true,
                 ctx.workloads.profile_input,
                 &opts,
             ) {
-                Ok(profile) => {
+                Ok(stream) => {
+                    let profile = stream
+                        .derive_unrolled(&synthetic, 1, &ctx.machine)
+                        .expect("a kernel's own run derives at factor 1");
                     let mut measured = synthetic.clone();
                     attach_measurements(&mut measured, &profile)
                         .expect("fresh measurement attaches");

@@ -797,10 +797,34 @@ impl StoreEntry {
         )
     }
 
-    fn parse_header(line: &str) -> Result<Self, String> {
-        let t: Vec<&str> = line.split_whitespace().collect();
+    /// Parses one serialized record — its [`RECORD_LINES`] lines, from
+    /// the `entry` header through `endentry` — and checks its digest.
+    fn parse_record(rec: &[&str]) -> Result<Self, String> {
+        let &[head, s0, s1, s2, s3, check, end] = rec else {
+            return Err(format!(
+                "a record has {RECORD_LINES} lines, found {}",
+                rec.len()
+            ));
+        };
+        let t: Vec<&str> = head.split_whitespace().collect();
         if t.len() != 26 || t[0] != "entry" {
-            return Err(format!("bad entry header: `{line}`"));
+            return Err(format!("bad entry header: `{head}`"));
+        }
+        let name = t[1];
+        let sched_text = format!("{s0}\n{s1}\n{s2}\n{s3}\n");
+        let stored: u64 = check
+            .strip_prefix("check ")
+            .ok_or_else(|| format!("entry `{name}`: bad check line"))?
+            .parse()
+            .map_err(|e| format!("entry `{name}`: bad checksum: {e}"))?;
+        let computed = record_checksum(head, &sched_text);
+        if stored != computed {
+            return Err(format!(
+                "entry `{name}`: checksum mismatch (stored {stored}, computed {computed})"
+            ));
+        }
+        if end != "endentry" {
+            return Err(format!("entry `{name}`: missing endentry"));
         }
         let field = |tag: usize, name: &str| -> Result<&str, String> {
             if t[tag] != name {
@@ -827,20 +851,21 @@ impl StoreEntry {
             },
         };
         Ok(StoreEntry {
-            name: t[1].to_string(),
+            name: name.to_string(),
             key,
             choice: parse_choice(field(18, "choice")?)?,
             factor: int(field(20, "factor")?)? as u32,
             prepared_fp: int(field(22, "pfp")?)?,
             quality: parse_quality(field(24, "quality")?)?,
-            // placeholder; the caller parses the schedule block next
-            schedule: Schedule::from_compact_text(
-                "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n",
-            )
-            .expect("placeholder schedule parses"),
+            schedule: Schedule::from_compact_text(&sched_text)
+                .map_err(|e| format!("entry `{name}`: {e}"))?,
         })
     }
 }
+
+/// Lines of one serialized record: the `entry` header, the 4-line
+/// schedule block, `check` and `endentry`.
+const RECORD_LINES: usize = 7;
 
 /// The versioned on-disk form of a [`SchedCache`] — same discipline as
 /// the measured-profile store: plain text, integers only, deterministic
@@ -1001,32 +1026,12 @@ impl ScheduleStore {
             .parse()
             .map_err(|e| format!("bad count: {e}"))?;
         let mut store = ScheduleStore::new();
+        let mut rec = [""; RECORD_LINES];
         for _ in 0..n {
-            let head = lines.next().ok_or("missing entry header")?;
-            let mut entry = StoreEntry::parse_header(head)?;
-            let sched_lines: Vec<&str> = (0..4)
-                .map(|_| lines.next().ok_or("truncated schedule block"))
-                .collect::<Result<_, _>>()?;
-            let sched_text = sched_lines.join("\n") + "\n";
-            entry.schedule = Schedule::from_compact_text(&sched_text)
-                .map_err(|e| format!("entry `{}`: {e}", entry.name))?;
-            let check_line = lines.next().ok_or("missing check line")?;
-            let stored: u64 = check_line
-                .strip_prefix("check ")
-                .ok_or_else(|| format!("entry `{}`: bad check line", entry.name))?
-                .parse()
-                .map_err(|e| format!("entry `{}`: bad checksum: {e}", entry.name))?;
-            let computed = record_checksum(head, &sched_text);
-            if stored != computed {
-                return Err(format!(
-                    "entry `{}`: checksum mismatch (stored {stored}, computed {computed})",
-                    entry.name
-                ));
+            for line in &mut rec {
+                *line = lines.next().ok_or("truncated record")?;
             }
-            if lines.next() != Some("endentry") {
-                return Err(format!("entry `{}`: missing endentry", entry.name));
-            }
-            store.insert(entry);
+            store.insert(StoreEntry::parse_record(&rec)?);
         }
         if let Some(extra) = lines.next() {
             return Err(format!(
@@ -1077,39 +1082,24 @@ impl ScheduleStore {
             .get(1)
             .and_then(|l| l.strip_prefix("entries "))
             .and_then(|n| n.parse().ok());
-        // entry + 4 sched lines + check + endentry
-        let rec_lines = 7;
         let mut i = 2;
         while i < lines.len() {
-            if i + rec_lines > lines.len() {
+            let Some(rec) = lines.get(i..i + RECORD_LINES) else {
                 rep.dropped_truncated += 1; // partial record at the tail
                 break;
-            }
-            let header = lines[i];
-            if !header.starts_with("entry ") || lines[i + rec_lines - 1] != "endentry" {
+            };
+            if !rec[0].starts_with("entry ") || rec[RECORD_LINES - 1] != "endentry" {
                 rep.dropped_truncated += 1; // framing broken: stop here
                 break;
             }
-            let sched_text = lines[i + 1..i + 5].join("\n") + "\n";
-            let checksum_ok = lines[i + 5]
-                .strip_prefix("check ")
-                .and_then(|c| c.parse::<u64>().ok())
-                .is_some_and(|stored| stored == record_checksum(header, &sched_text));
-            let entry = checksum_ok
-                .then(|| {
-                    let mut e = StoreEntry::parse_header(header).ok()?;
-                    e.schedule = Schedule::from_compact_text(&sched_text).ok()?;
-                    Some(e)
-                })
-                .flatten();
-            match entry {
-                Some(e) => {
+            match StoreEntry::parse_record(rec) {
+                Ok(e) => {
                     store.insert(e);
                     rep.recovered += 1;
                 }
-                None => rep.dropped_corrupt += 1,
+                Err(_) => rep.dropped_corrupt += 1,
             }
-            i += rec_lines;
+            i += RECORD_LINES;
         }
         // records the damage swallowed wholesale (truncation past whole
         // records): the declared count still names them
@@ -1188,6 +1178,16 @@ impl ScheduleStore {
 mod tests {
     use super::*;
 
+    /// Parses the record made of `header` and an empty schedule.
+    fn entry(header: &str) -> StoreEntry {
+        let sched = "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
+        let check = format!("check {}", record_checksum(header, sched));
+        let mut rec = vec![header];
+        rec.extend(sched.lines());
+        rec.extend([check.as_str(), "endentry"]);
+        StoreEntry::parse_record(&rec).unwrap()
+    }
+
     #[test]
     fn entry_headers_round_trip_over_every_backend_and_quality() {
         let backends = [
@@ -1208,10 +1208,10 @@ mod tests {
                  unroll sel pad 1 choice xn factor 4 pfp 13 quality {quality}"
             )
         };
-        let template = StoreEntry::parse_header(&header("swing", "heur")).unwrap();
+        let template = entry(&header("swing", "heur"));
         for (backend, backend_tok) in backends {
             for (quality, quality_tok) in qualities {
-                let entry = StoreEntry {
+                let want = StoreEntry {
                     key: CacheKey {
                         backend,
                         ..template.key
@@ -1220,9 +1220,9 @@ mod tests {
                     ..template.clone()
                 };
                 // the store text is pinned token for token
-                let line = entry.header_line();
+                let line = want.header_line();
                 assert_eq!(line, header(backend_tok, quality_tok));
-                assert_eq!(StoreEntry::parse_header(&line).unwrap(), entry);
+                assert_eq!(entry(&line), want);
             }
         }
         assert_eq!(
@@ -1243,7 +1243,7 @@ mod tests {
         };
         let mut store = ScheduleStore::new();
         for kfp in [7, 8] {
-            store.insert(StoreEntry::parse_header(&header(kfp)).unwrap());
+            store.insert(entry(&header(kfp)));
         }
         let text = store.to_text();
         assert_eq!(ScheduleStore::from_text(&text).unwrap().len(), 2);

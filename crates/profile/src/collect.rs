@@ -1,5 +1,5 @@
-//! Measurement collection: the [`AccessObserver`] that turns a timed
-//! simulation into per-operation measurements, and the drivers that run a
+//! Measurement collection: the [`AccessObserver`] that records a timed
+//! simulation's per-iteration access samples, and the driver that runs a
 //! kernel in profiling mode.
 
 use vliw_ir::{LoopKernel, OpId};
@@ -14,8 +14,8 @@ use vliw_workloads::{address_for, ArrayLayout};
 
 use crate::store::{class_index, kernel_fingerprint, LoopProfile, OpProfile};
 
-/// The measurement sink: accumulates one [`OpProfile`] per operation from
-/// the observation stream of an [`ObservedCache`].
+/// The measurement sink: records one [`AccessSample`] per observed access
+/// of each operation, in iteration order.
 ///
 /// The simulator runs a warm-up pass before the measured pass and calls
 /// [`AccessObserver::loop_boundary`] at the end of each; the collector
@@ -24,47 +24,29 @@ use crate::store::{class_index, kernel_fingerprint, LoopProfile, OpProfile};
 /// segment and the second closes the measurement; without one, the single
 /// boundary closes the measurement directly).
 #[derive(Debug)]
-pub struct Collector {
+struct Collector {
     n_clusters: usize,
     interleave: u64,
-    current: Vec<OpProfile>,
-    finished: Option<Vec<OpProfile>>,
-    current_samples: Vec<Vec<AccessSample>>,
-    finished_samples: Option<Vec<Vec<AccessSample>>>,
+    current: Vec<Vec<AccessSample>>,
+    finished: Option<Vec<Vec<AccessSample>>>,
 }
 
 impl Collector {
     /// A collector for `n_ops` operations on `machine`'s geometry.
-    pub fn new(n_ops: usize, machine: &MachineConfig) -> Self {
+    fn new(n_ops: usize, machine: &MachineConfig) -> Self {
         Collector {
             n_clusters: machine.n_clusters(),
             interleave: machine.cache.interleave_bytes as u64,
-            current: (0..n_ops)
-                .map(|_| OpProfile::new(machine.n_clusters()))
-                .collect(),
+            current: vec![Vec::new(); n_ops],
             finished: None,
-            current_samples: (0..n_ops).map(|_| Vec::new()).collect(),
-            finished_samples: None,
         }
     }
 
-    /// The home cluster of `addr` under the collector's geometry.
-    fn home_cluster(&self, addr: u64) -> usize {
-        ((addr / self.interleave) % self.n_clusters as u64) as usize
-    }
-
-    /// The measured segment: the one closed by the last loop boundary, or
-    /// the running segment if no boundary was seen yet.
-    pub fn measurements(&self) -> &[OpProfile] {
-        self.finished.as_deref().unwrap_or(&self.current)
-    }
-
-    /// Per-operation, per-iteration samples of the measured segment (same
-    /// segment selection as [`Collector::measurements`]).
-    pub fn samples(&self) -> &[Vec<AccessSample>] {
-        self.finished_samples
-            .as_deref()
-            .unwrap_or(&self.current_samples)
+    /// The per-operation samples of the measured segment: the one closed
+    /// by the last loop boundary, or the running segment if no boundary
+    /// was seen yet.
+    fn into_samples(self) -> Vec<Vec<AccessSample>> {
+        self.finished.unwrap_or(self.current)
     }
 }
 
@@ -73,39 +55,22 @@ impl AccessObserver for Collector {
         if req.tag == AccessRequest::UNTAGGED {
             return;
         }
-        let home = self.home_cluster(req.addr);
-        let Some(p) = self.current.get_mut(req.tag as usize) else {
+        let home = (req.addr / self.interleave) % self.n_clusters as u64;
+        let Some(samples) = self.current.get_mut(req.tag as usize) else {
             return;
         };
-        let class = class_index(out.class);
-        let latency = (out.ready_at - req.now).min(u64::from(u32::MAX)) as u32;
-        p.classes[class] = p.classes[class].saturating_add(1);
-        p.cluster_hist[home] = p.cluster_hist[home].saturating_add(1);
-        if out.combined {
-            p.combined = p.combined.saturating_add(1);
-        }
-        if out.ab_hit {
-            p.ab_hits = p.ab_hits.saturating_add(1);
-        }
-        p.latency.record(latency);
-        self.current_samples[req.tag as usize].push(AccessSample {
-            class: class as u8,
+        samples.push(AccessSample {
+            class: class_index(out.class) as u8,
             home: home as u8,
             combined: out.combined,
             ab_hit: out.ab_hit,
-            latency,
+            latency: (out.ready_at - req.now).min(u64::from(u32::MAX)) as u32,
         });
     }
 
     fn loop_boundary(&mut self) {
-        let fresh = (0..self.current.len())
-            .map(|_| OpProfile::new(self.n_clusters))
-            .collect();
+        let fresh = vec![Vec::new(); self.current.len()];
         self.finished = Some(std::mem::replace(&mut self.current, fresh));
-        let fresh_samples = (0..self.current_samples.len())
-            .map(|_| Vec::new())
-            .collect();
-        self.finished_samples = Some(std::mem::replace(&mut self.current_samples, fresh_samples));
     }
 }
 
@@ -124,9 +89,11 @@ pub struct AccessSample {
     pub latency: u32,
 }
 
-/// A factor-1 measurement that keeps the per-iteration sample stream, so
-/// the measurements of *unrolled* variants can be **derived** instead of
-/// re-measured.
+/// One measurement run: the per-iteration sample stream of every
+/// operation of the measured kernel. Its aggregate and the measurements
+/// of *unrolled* variants are both **derived** from it
+/// ([`StreamProfile::derive_unrolled`] at factor 1 and at factor `U`), so
+/// no variant needs another run.
 ///
 /// Copy `k` of an unroll-by-`U` kernel executes exactly the original
 /// iterations `≡ k (mod U)` (unrolling rewrites `offset += k·stride`,
@@ -181,36 +148,22 @@ impl StreamProfile {
         p
     }
 
-    /// The aggregate [`LoopProfile`] of the factor-1 kernel itself —
-    /// identical to what [`measure_kernel`] returns for the same run.
-    pub fn to_loop_profile(&self, kernel: &LoopKernel, machine: &MachineConfig) -> LoopProfile {
-        let n_clusters = machine.n_clusters();
-        LoopProfile {
-            name: self.name.clone(),
-            fingerprint: self.fingerprint,
-            n_ops: self.n_ops,
-            ops: kernel
-                .ops
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.is_mem())
-                .map(|(i, _)| (i, self.aggregate_residue(i, 1, 0, n_clusters)))
-                .collect(),
-        }
-    }
-
     /// Derives the measurement of `unrolled` (the factor-`factor` variant
     /// of the measured kernel) by residue-slicing the factor-1 streams:
     /// copy `k` of original op `i` (unrolled index `k·n + i`) receives the
-    /// samples of iterations `≡ k (mod factor)`.
+    /// samples of iterations `≡ k (mod factor)`. At factor 1 this is the
+    /// aggregate of the run itself.
     ///
     /// # Errors
     ///
     /// Rejects an `unrolled` kernel whose shape does not match
-    /// (`n_ops × factor`), or a stream in which some memory operation
-    /// recorded a different number of samples than its peers (which would
-    /// break the sample-index = iteration-index alignment the slicing
-    /// relies on). Callers fall back to direct measurement.
+    /// (`n_ops × factor`), a factor-1 kernel whose [`kernel_fingerprint`]
+    /// is not the measured one (a different body with the same op count
+    /// must not receive these measurements), or, above factor 1, a stream
+    /// in which some memory operation recorded a different number of
+    /// samples than its peers (which would break the sample-index =
+    /// iteration-index alignment the slicing relies on). Callers fall back
+    /// to measuring the variant itself.
     pub fn derive_unrolled(
         &self,
         unrolled: &LoopKernel,
@@ -227,13 +180,20 @@ impl StreamProfile {
                 u
             ));
         }
+        if u == 1 && kernel_fingerprint(unrolled) != self.fingerprint {
+            return Err(format!(
+                "kernel `{}` is not the measured body of `{}` (stale stream)",
+                unrolled.name, self.name
+            ));
+        }
         let mut counts = self
             .samples
             .iter()
             .enumerate()
             .filter(|(_, s)| !s.is_empty())
             .map(|(i, s)| (i, s.len()));
-        if let Some((_, first)) = counts.next() {
+        // factor 1 takes every sample, so only slicing needs the alignment
+        if let Some((_, first)) = counts.next().filter(|_| u > 1) {
             if let Some((i, len)) = counts.find(|&(_, len)| len != first) {
                 return Err(format!(
                     "op {i} recorded {len} samples where its peers recorded {first}; \
@@ -284,9 +244,9 @@ impl Default for MeasureOptions {
 /// Runs `kernel` in profiling mode: schedules it with the paper's
 /// heuristic pipeline (the bootstrap — measurement needs *a* schedule,
 /// and before any measurement exists the class-based pipeline is the only
-/// one available), simulates it against an observed cache with
-/// `addresses` supplying each operation's address stream, and returns the
-/// per-operation measurements of the measured pass.
+/// one available), lays its arrays out for `input` (with or without
+/// §4.3.4 padding), simulates it against an observed cache on those
+/// addresses, and returns the per-iteration samples of the measured pass.
 ///
 /// The kernel should carry its synthetic (functional) profiles, so the
 /// bootstrap schedule is exactly the one the synthetic pipeline would
@@ -299,77 +259,8 @@ impl Default for MeasureOptions {
 pub fn measure_kernel(
     kernel: &LoopKernel,
     machine: &MachineConfig,
-    addresses: &mut dyn FnMut(OpId, u64) -> u64,
-    options: &MeasureOptions,
-) -> Result<LoopProfile, ScheduleError> {
-    let sched_opts = ScheduleOptions {
-        enum_limits: options.enum_limits,
-        backend: SchedBackend::SwingModulo,
-        ..ScheduleOptions::new(options.policy)
-    };
-    let schedule = schedule_kernel(kernel, machine, sched_opts)?;
-    let hints = AttractionHints::allow_all(kernel);
-    let mut cache = ObservedCache::new(
-        build_cache(machine),
-        Collector::new(kernel.ops.len(), machine),
-    );
-    simulate_loop(
-        kernel,
-        &schedule,
-        machine,
-        &mut cache,
-        addresses,
-        &hints,
-        &options.sim,
-    );
-    let (_, collector) = cache.into_parts();
-    let measured = collector.measurements();
-    let ops = kernel
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.is_mem())
-        .map(|(i, _)| (i, measured[i].clone()))
-        .collect();
-    Ok(LoopProfile {
-        name: kernel.name.clone(),
-        fingerprint: kernel_fingerprint(kernel),
-        n_ops: kernel.ops.len(),
-        ops,
-    })
-}
-
-/// [`measure_kernel`] with the workload crate's address streams: lays the
-/// kernel's arrays out for `input` (with or without §4.3.4 padding) and
-/// measures against those addresses — the profile-input measurement run
-/// of the feedback loop.
-///
-/// # Errors
-///
-/// Propagates bootstrap scheduling failures.
-pub fn measure_kernel_on_input(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
     padding: bool,
     input: u64,
-    options: &MeasureOptions,
-) -> Result<LoopProfile, ScheduleError> {
-    let layout = ArrayLayout::new(kernel, machine, padding, input);
-    let mut addresses = |op: OpId, iter: u64| address_for(kernel, &layout, op, iter);
-    measure_kernel(kernel, machine, &mut addresses, options)
-}
-
-/// [`measure_kernel`], but returning the full per-iteration sample stream
-/// ([`StreamProfile`]) instead of only the aggregate — one measurement run
-/// from which the profiles of every unroll variant can be derived.
-///
-/// # Errors
-///
-/// Propagates bootstrap scheduling failures.
-pub fn measure_kernel_stream(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    addresses: &mut dyn FnMut(OpId, u64) -> u64,
     options: &MeasureOptions,
 ) -> Result<StreamProfile, ScheduleError> {
     let sched_opts = ScheduleOptions {
@@ -378,7 +269,8 @@ pub fn measure_kernel_stream(
         ..ScheduleOptions::new(options.policy)
     };
     let schedule = schedule_kernel(kernel, machine, sched_opts)?;
-    let hints = AttractionHints::allow_all(kernel);
+    let layout = ArrayLayout::new(kernel, machine, padding, input);
+    let mut addresses = |op: OpId, iter: u64| address_for(kernel, &layout, op, iter);
     let mut cache = ObservedCache::new(
         build_cache(machine),
         Collector::new(kernel.ops.len(), machine),
@@ -388,8 +280,8 @@ pub fn measure_kernel_stream(
         &schedule,
         machine,
         &mut cache,
-        addresses,
-        &hints,
+        &mut addresses,
+        &AttractionHints::allow_all(kernel),
         &options.sim,
     );
     let (_, collector) = cache.into_parts();
@@ -397,26 +289,8 @@ pub fn measure_kernel_stream(
         name: kernel.name.clone(),
         fingerprint: kernel_fingerprint(kernel),
         n_ops: kernel.ops.len(),
-        samples: collector.samples().to_vec(),
+        samples: collector.into_samples(),
     })
-}
-
-/// [`measure_kernel_stream`] with the workload crate's address streams
-/// (mirrors [`measure_kernel_on_input`]).
-///
-/// # Errors
-///
-/// Propagates bootstrap scheduling failures.
-pub fn measure_kernel_stream_on_input(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    padding: bool,
-    input: u64,
-    options: &MeasureOptions,
-) -> Result<StreamProfile, ScheduleError> {
-    let layout = ArrayLayout::new(kernel, machine, padding, input);
-    let mut addresses = |op: OpId, iter: u64| address_for(kernel, &layout, op, iter);
-    measure_kernel_stream(kernel, machine, &mut addresses, options)
 }
 
 #[cfg(test)]
@@ -452,12 +326,21 @@ mod tests {
         }
     }
 
+    /// The factor-1 aggregate of one measurement run.
+    fn aggregate(k: &LoopKernel, m: &MachineConfig) -> LoopProfile {
+        measure_kernel(k, m, true, 1, &opts())
+            .unwrap()
+            .derive_unrolled(k, 1, m)
+            .unwrap()
+    }
+
     #[test]
     fn measurement_counts_the_measured_pass_only() {
         let k = kernel();
         let m = machine();
-        let lp = measure_kernel_on_input(&k, &m, true, 1, &opts()).unwrap();
+        let lp = aggregate(&k, &m);
         assert_eq!(lp.n_ops, 2);
+        assert_eq!(lp.fingerprint, kernel_fingerprint(&k));
         assert_eq!(lp.ops.len(), 2, "both memory ops measured");
         let (idx, ld) = &lp.ops[0];
         assert_eq!(*idx, 0);
@@ -480,7 +363,7 @@ mod tests {
     fn attach_feeds_measurements_back_into_the_kernel() {
         let mut k = kernel();
         let m = machine();
-        let lp = measure_kernel_on_input(&k, &m, true, 1, &opts()).unwrap();
+        let lp = aggregate(&k, &m);
         attach_measurements(&mut k, &lp).unwrap();
         let p = k.ops[0].mem.as_ref().unwrap().profile.as_ref().unwrap();
         assert!(p.latency.as_ref().is_some_and(|l| !l.is_empty()));
@@ -494,28 +377,29 @@ mod tests {
     }
 
     #[test]
-    fn stream_aggregate_matches_direct_measurement() {
+    fn factor1_derivation_rejects_a_different_body() {
         let k = kernel();
         let m = machine();
-        let direct = measure_kernel_on_input(&k, &m, true, 1, &opts()).unwrap();
-        let stream = measure_kernel_stream_on_input(&k, &m, true, 1, &opts()).unwrap();
-        assert_eq!(stream.to_loop_profile(&k, &m), direct);
-        // deriving at factor 1 is the aggregate
-        assert_eq!(stream.derive_unrolled(&k, 1, &m).unwrap(), direct);
+        let stream = measure_kernel(&k, &m, true, 1, &opts()).unwrap();
+        // same op count, one memory offset moved: another loop
+        let mut other = k.clone();
+        other.ops[0].mem.as_mut().unwrap().offset += 4;
+        let err = stream.derive_unrolled(&other, 1, &m).unwrap_err();
+        assert!(err.contains("stale"), "{err}");
     }
 
     #[test]
     fn derived_unroll_slices_by_residue() {
         let k = kernel();
         let m = machine();
-        let stream = measure_kernel_stream_on_input(&k, &m, true, 1, &opts()).unwrap();
+        let stream = measure_kernel(&k, &m, true, 1, &opts()).unwrap();
         let unrolled = vliw_ir::unroll(&k, 4);
         let lp = stream.derive_unrolled(&unrolled, 4, &m).unwrap();
         assert_eq!(lp.n_ops, k.ops.len() * 4);
         assert_eq!(lp.fingerprint, kernel_fingerprint(&unrolled));
         // each copy receives exactly a quarter of the 128 measured
         // iterations, and the total reconstructs the factor-1 aggregate
-        let direct = stream.to_loop_profile(&k, &m);
+        let direct = stream.derive_unrolled(&k, 1, &m).unwrap();
         let copies_total: u64 = lp
             .ops
             .iter()
@@ -534,8 +418,8 @@ mod tests {
     fn measurement_is_deterministic() {
         let k = kernel();
         let m = machine();
-        let a = measure_kernel_on_input(&k, &m, true, 1, &opts()).unwrap();
-        let b = measure_kernel_on_input(&k, &m, true, 1, &opts()).unwrap();
+        let a = measure_kernel(&k, &m, true, 1, &opts()).unwrap();
+        let b = measure_kernel(&k, &m, true, 1, &opts()).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -7,12 +7,16 @@
 //! scheduler *synthetic* profiles (the timeless functional-cache pass in
 //! `vliw-workloads`); this crate replaces invention with measurement:
 //!
-//! 1. **Collect** ([`Collector`], [`measure_kernel`]): run a kernel
-//!    through the *timing* simulator against an
+//! 1. **Collect** ([`measure_kernel`]): run a kernel through the
+//!    *timing* simulator against an
 //!    [`ObservedCache`](vliw_mem::ObservedCache) and record, per memory
-//!    operation, the access-class counts (local/remote × hit/miss), the
-//!    home-cluster histogram, combining/Attraction-Buffer activity, and
-//!    the full observed-latency histogram — contention included. The
+//!    operation and measured iteration, one [`AccessSample`]: access
+//!    class (local/remote × hit/miss), home cluster,
+//!    combining/Attraction-Buffer activity and the observed latency —
+//!    contention included. The sample stream ([`StreamProfile`]) is the
+//!    measurement; [`StreamProfile::derive_unrolled`] aggregates it into
+//!    per-op [`OpProfile`]s — at factor 1 for the measured kernel itself,
+//!    at factor `U` for its unrolled variants, without another run. The
 //!    bootstrap schedule for the measurement run comes from the paper's
 //!    own pipeline, so the loop is genuinely closed: schedule → measure →
 //!    re-schedule against the measurements.
@@ -34,8 +38,5 @@
 mod collect;
 mod store;
 
-pub use collect::{
-    measure_kernel, measure_kernel_on_input, measure_kernel_stream, measure_kernel_stream_on_input,
-    AccessSample, Collector, MeasureOptions, StreamProfile,
-};
+pub use collect::{measure_kernel, AccessSample, MeasureOptions, StreamProfile};
 pub use store::{attach_measurements, kernel_fingerprint, LoopProfile, OpProfile, ProfileStore};
