@@ -370,10 +370,10 @@ impl<'a> VariantBuilder<'a> {
             ProfileSource::Synthetic => Ok(self.synthetic(factor)),
             ProfileSource::Measured => {
                 let mut variant = self.synthetic(factor);
-                if self.stream.is_none() {
-                    self.stream = Some(self.measure(&self.original)?);
-                }
-                let stream = self.stream.as_ref().expect("stream just taken");
+                let stream = match &self.stream {
+                    Some(stream) => stream,
+                    None => self.stream.insert(self.measure(&self.original)?),
+                };
                 let lp = match stream.derive_unrolled(&variant, factor, machine) {
                     Ok(lp) => lp,
                     Err(_) => self
