@@ -445,7 +445,8 @@ fn main() {
             ("proven_optimal_fraction".into(), g.proven_fraction()),
         ];
         for r in &g.rows {
-            let key = format!("{}/{}", r.policy, r.backend);
+            // the key names the heuristic numerator, the swing backend
+            let key = format!("{}/swing", r.policy);
             m.push((format!("ii_ratio/{key}"), r.mean_ratio));
             m.push((format!("proven_fraction/{key}"), r.proven_fraction()));
             m.push((format!("matched/{key}"), r.matched as f64));
@@ -481,14 +482,12 @@ fn main() {
     if want("profile") {
         // the measured-profile subsystem end to end: collect profiles
         // from the timing simulator, persist the versioned store, report
-        // synthetic-vs-measured divergence and per-policy cycle deltas,
-        // and run the delay-tracking backend over the measured suite
+        // synthetic-vs-measured divergence and per-policy cycle deltas
         let t0 = Instant::now();
         let p = profile_fidelity::profile_fidelity(&ctx);
         println!("{p}");
         save("profile_fidelity", p.table().to_csv());
         save("profile_divergence", p.divergence_table().to_csv());
-        save("profile_percentiles", p.percentile_table().to_csv());
         let store_path = Path::new("results")
             .join("profiles")
             .join(format!("factor1-{scale}.profile"));
@@ -503,19 +502,7 @@ fn main() {
                 if p.roundtrip_ok { 1.0 } else { 0.0 },
             ),
             ("skipped".into(), p.skipped as f64),
-            ("delay_kernels".into(), p.delay.kernels as f64),
-            (
-                "delay_verify_failures".into(),
-                p.delay.verify_failures as f64,
-            ),
-            ("delay_better".into(), p.delay.better as f64),
-            ("delay_skipped".into(), p.delay.skipped as f64),
-            ("delay_worse".into(), p.delay.worse as f64),
-            ("delay_mean_ii_ratio".into(), p.delay.mean_ii_ratio),
         ];
-        for row in &p.percentiles {
-            m.push((format!("cycles_delay_p{}", row.p), row.cycles));
-        }
         for r in &p.divergence {
             m.push((format!("hit_delta/{}", r.bench), r.mean_hit_delta));
             m.push((format!("pref_agreement/{}", r.bench), r.pref_agreement));
@@ -530,14 +517,9 @@ fn main() {
                 pd.synthetic_cycles,
             ));
             m.push((format!("cycles_measured/{}", pd.policy), pd.measured_cycles));
-            m.push((format!("cycles_delay/{}", pd.policy), pd.delay_cycles));
             m.push((
                 format!("measured_delta_pct/{}", pd.policy),
                 pd.measured_delta_pct(),
-            ));
-            m.push((
-                format!("delay_delta_pct/{}", pd.policy),
-                pd.delay_delta_pct(),
             ));
         }
         record("profile", t0, m);

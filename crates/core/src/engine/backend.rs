@@ -118,31 +118,6 @@ pub enum SchedBackend {
     /// depth-first search over `(cluster, cycle)` placements below the
     /// swing schedule's II, under a node budget.
     ExactBnB,
-    /// The load-delay-tracking pipeliner. The §4.3.3 class model collapses
-    /// every load's behavior into four latencies and a benefit-driven
-    /// reduction; the delay-tracking direction of the related work (see
-    /// `PAPERS.md`) schedules each load at a latency derived from its
-    /// *measured* per-load latency distribution instead:
-    ///
-    /// * the front-end runs unchanged — same circuits, same policy pins,
-    ///   same SMS ordering — except that the latency-assignment stage is
-    ///   [`assign_profiled_latencies`](crate::latency::assign_profiled_latencies):
-    ///   every load is scheduled at the expectation of its measured
-    ///   latency histogram (or, with
-    ///   [`ScheduleOptions::delay_percentile`](super::ScheduleOptions), at
-    ///   a chosen percentile — the risk knob), falling back to the
-    ///   class-mix expectation when only a synthetic profile is attached;
-    /// * placement is the swing pass: identical search, identical
-    ///   resource model, different promises.
-    ///
-    /// The measured histograms reach the kernel through
-    /// [`MemProfile::latency`](vliw_ir::MemProfile), populated by the
-    /// `vliw-profile` measurement subsystem: simulate, measure,
-    /// re-schedule against what was measured. Like the swing pipeline
-    /// this is a heuristic — the outcome claims
-    /// [`SchedQuality::Heuristic`] — and the `optgap` study measures what
-    /// the richer latency model buys against the exact yardstick.
-    DelayTracking,
 }
 
 impl SchedBackend {
@@ -151,7 +126,6 @@ impl SchedBackend {
         match self {
             SchedBackend::SwingModulo => "swing",
             SchedBackend::ExactBnB => "bnb",
-            SchedBackend::DelayTracking => "delay",
         }
     }
 
@@ -163,17 +137,12 @@ impl SchedBackend {
     pub fn cost_rank(&self) -> u8 {
         match self {
             SchedBackend::SwingModulo => 0,
-            SchedBackend::DelayTracking => 1,
             SchedBackend::ExactBnB => 2,
         }
     }
 
     /// Every backend, the heuristic pipeline first.
-    pub const ALL: [SchedBackend; 3] = [
-        SchedBackend::SwingModulo,
-        SchedBackend::ExactBnB,
-        SchedBackend::DelayTracking,
-    ];
+    pub const ALL: [SchedBackend; 2] = [SchedBackend::SwingModulo, SchedBackend::ExactBnB];
 }
 
 #[cfg(test)]
@@ -205,10 +174,8 @@ mod tests {
     fn backend_enum_resolves_names() {
         assert_eq!(SchedBackend::SwingModulo.name(), "swing");
         assert_eq!(SchedBackend::ExactBnB.name(), "bnb");
-        assert_eq!(SchedBackend::DelayTracking.name(), "delay");
-        assert_eq!(SchedBackend::ALL.len(), 3);
-        // the exact search outranks both heuristics in the shard order
-        assert!(SchedBackend::ExactBnB.cost_rank() > SchedBackend::DelayTracking.cost_rank());
-        assert!(SchedBackend::DelayTracking.cost_rank() > SchedBackend::SwingModulo.cost_rank());
+        assert_eq!(SchedBackend::ALL.len(), 2);
+        // the exact search outranks the heuristic in the shard order
+        assert!(SchedBackend::ExactBnB.cost_rank() > SchedBackend::SwingModulo.cost_rank());
     }
 }

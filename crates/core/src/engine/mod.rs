@@ -25,7 +25,7 @@
 //! backend (the private `bnb` module) runs too. The placement loop's
 //! output is pinned by golden digests (`tests/schedule_golden.rs`,
 //! `tests/mrt_impl_equivalence.rs`, `tests/mrt_txn_equivalence.rs`, and
-//! `tests/backend_golden.rs` for the exact and delay backends).
+//! `tests/backend_golden.rs` for the exact backend).
 //!
 //! Whole pipelines are chosen one level up: [`SchedBackend`] names them
 //! and [`schedule_outcome_traced`] matches on it.
@@ -223,11 +223,8 @@ pub struct ScheduleOptions {
     /// historical serve-the-incumbent behavior). Ignored by heuristic
     /// backends.
     pub fallback: FallbackPolicy,
-    /// The [`SchedBackend::DelayTracking`] backend's latency knob: `None`
-    /// schedules each load at the *expectation* of its measured latency
-    /// distribution, `Some(p)` at the p-th percentile (`p ∈ [0, 1]`;
-    /// higher = more conservative, fewer broken promises, larger II).
-    /// Ignored by the other backends.
+    /// Ignored; set only by the frozen perfbench replica, removed with the benchmark-edit change.
+    #[doc(hidden)]
     pub delay_percentile: Option<f64>,
 }
 
@@ -305,10 +302,9 @@ pub fn schedule_outcome(
 /// [`Trace::off`] (what [`schedule_outcome`] passes) every probe reduces
 /// to a skipped branch and the call is behaviorally identical.
 ///
-/// This is the one backend dispatch. The swing-based backends run the
-/// front-end and then the swing placement pass; the delay-tracking one
-/// differs only in the latencies `prepare` assigns. The exact backend
-/// opens its `backend.bnb` span before running the same front-end.
+/// This is the one backend dispatch. The swing backend runs the front-end
+/// and then the swing placement pass; the exact backend opens its
+/// `backend.bnb` span before running the same front-end.
 ///
 /// # Errors
 ///
@@ -323,7 +319,7 @@ pub fn schedule_outcome_traced(
         return Err(ScheduleError::EmptyKernel);
     }
     match options.backend {
-        SchedBackend::SwingModulo | SchedBackend::DelayTracking => {
+        SchedBackend::SwingModulo => {
             let (ddg, prep) = prepare(kernel, machine, &options, trace);
             swing_with_prep(kernel, machine, options.policy, &ddg, prep, trace).map(
                 |(schedule, stats)| ScheduleOutcome {
@@ -418,23 +414,9 @@ pub(crate) fn prepare<'k>(
             .precompute_pins(kernel, &chains, machine.clusters.n_clusters)
     };
 
-    // the latency model is the one front-end stage backends may replace:
-    // the delay-tracking backend schedules loads at measured expected /
-    // percentile latencies instead of running the §4.3.3 class reduction
     let latencies = {
         let _s = trace.span("prepare.latency");
-        match options.backend {
-            SchedBackend::DelayTracking => crate::latency::assign_profiled_latencies(
-                kernel,
-                &ddg,
-                machine,
-                &pins,
-                options.delay_percentile,
-            ),
-            _ => {
-                crate::latency::assign_latencies_with_pins(kernel, &ddg, machine, &circuits, &pins)
-            }
-        }
+        crate::latency::assign_latencies_with_pins(kernel, &ddg, machine, &circuits, &pins)
     };
 
     let _mii_span = trace.span("prepare.mii");
@@ -786,7 +768,7 @@ fn rank_clusters(
 mod tests {
     use super::*;
     use crate::examples_443::{figure3_kernel, figure3_machine};
-    use vliw_ir::{ArrayKind, DepKind, KernelBuilder, LatencyProfile, MemProfile, Opcode};
+    use vliw_ir::{ArrayKind, DepKind, KernelBuilder, Opcode};
     use vliw_trace::RecordingSink;
 
     /// A load → add → store recurrence (MII above 1).
@@ -810,18 +792,16 @@ mod tests {
     #[test]
     fn max_ii_above_the_default_is_the_default() {
         let (k, m) = (recurrence(), MachineConfig::word_interleaved_4());
-        for backend in [SchedBackend::SwingModulo, SchedBackend::DelayTracking] {
-            let free = options(backend, None);
-            let default = schedule_problem(&k, &m, &free).max_ii;
-            assert!(default > 96);
-            let reference = schedule_outcome(&k, &m, free).unwrap();
-            for x in [default, default + 1, u32::MAX] {
-                let capped = options(backend, Some(x));
-                assert_eq!(schedule_problem(&k, &m, &capped).max_ii, default);
-                let o = schedule_outcome(&k, &m, capped).unwrap();
-                assert_eq!(o.schedule, reference.schedule);
-                assert_eq!(o.stats, reference.stats);
-            }
+        let free = options(SchedBackend::SwingModulo, None);
+        let default = schedule_problem(&k, &m, &free).max_ii;
+        assert!(default > 96);
+        let reference = schedule_outcome(&k, &m, free).unwrap();
+        for x in [default, default + 1, u32::MAX] {
+            let capped = options(SchedBackend::SwingModulo, Some(x));
+            assert_eq!(schedule_problem(&k, &m, &capped).max_ii, default);
+            let o = schedule_outcome(&k, &m, capped).unwrap();
+            assert_eq!(o.schedule, reference.schedule);
+            assert_eq!(o.stats, reference.stats);
         }
     }
 
@@ -844,116 +824,32 @@ mod tests {
         let (k, m) = (recurrence(), MachineConfig::word_interleaved_4());
         let mii = schedule_problem(&k, &m, &options(SchedBackend::SwingModulo, None)).mii;
         assert!(mii > 1);
-        for backend in [SchedBackend::SwingModulo, SchedBackend::DelayTracking] {
-            for x in [0, mii - 1] {
-                let sink = RecordingSink::logical();
-                let err =
-                    schedule_outcome_traced(&k, &m, options(backend, Some(x)), Trace::new(&sink))
-                        .unwrap_err();
-                assert_eq!(
-                    err,
-                    ScheduleError::NoSchedule {
-                        loop_name: "rec".into(),
-                        max_ii: x
-                    }
-                );
-                // the front-end ran; the placement loop (its span, its
-                // scratch table, its attempts) never started
-                let events = sink.events();
-                assert!(events.iter().any(|e| e.name == "prepare.order"));
-                assert!(!events
-                    .iter()
-                    .any(|e| e.name == "backend.swing" || e.name == "swing.attempt"));
-            }
+        for x in [0, mii - 1] {
+            let sink = RecordingSink::logical();
+            let capped = options(SchedBackend::SwingModulo, Some(x));
+            let err = schedule_outcome_traced(&k, &m, capped, Trace::new(&sink)).unwrap_err();
+            assert_eq!(
+                err,
+                ScheduleError::NoSchedule {
+                    loop_name: "rec".into(),
+                    max_ii: x
+                }
+            );
+            // the front-end ran; the placement loop (its span, its
+            // scratch table, its attempts) never started
+            let events = sink.events();
+            assert!(events.iter().any(|e| e.name == "prepare.order"));
+            assert!(!events
+                .iter()
+                .any(|e| e.name == "backend.swing" || e.name == "swing.attempt"));
         }
     }
 
-    /// A recurrence kernel whose load carries a measured latency
-    /// distribution concentrated at `lat`.
-    fn kernel_with_measured(lat: u32, samples: u64) -> LoopKernel {
-        let mut b = KernelBuilder::new("t");
-        let a = b.array("a", 1024, ArrayKind::Global);
-        let (ld, v) = b.load("ld", a, 0, 4, 4);
-        let (_, w) = b.int_op("add", Opcode::Add, &[v.into()]);
-        let (st, _) = b.store("st", a, 512, 4, 4, w);
-        b.mem_dep(st, ld, DepKind::MemFlow, 1);
-        let mut p = MemProfile::with_local_ratio(0.9, 0, 0.9, 4);
-        let mut lp = LatencyProfile::default();
-        for _ in 0..samples {
-            lp.record(lat);
-        }
-        p.latency = Some(lp);
-        b.set_profile(ld, p);
-        b.finish(64.0)
-    }
-
-    fn delay_opts(policy: ClusterPolicy) -> ScheduleOptions {
-        ScheduleOptions::new(policy).with_backend(SchedBackend::DelayTracking)
-    }
-
     #[test]
-    fn loads_are_scheduled_at_the_measured_expectation() {
-        let k = kernel_with_measured(7, 50);
-        let m = MachineConfig::word_interleaved_4();
-        let o = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
-        assert_eq!(o.quality, SchedQuality::Heuristic);
-        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 7);
-        assert!(o.schedule.verify(&k, &m).is_empty());
-    }
-
-    #[test]
-    fn percentile_knob_raises_the_promise() {
-        let mut k = kernel_with_measured(1, 90);
-        // a 10% tail at the remote-miss latency
-        if let Some(p) = &mut k.ops[0].mem.as_mut().unwrap().profile {
-            let lp = p.latency.as_mut().unwrap();
-            for _ in 0..10 {
-                lp.record(15);
-            }
-        }
-        let m = MachineConfig::word_interleaved_4();
-        let expected = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
-        // expectation = 0.9·1 + 0.1·15 = 2.4 -> rounds to 2
-        assert_eq!(expected.schedule.op(OpId::new(0)).assumed_latency, 2);
-        let mut conservative = delay_opts(ClusterPolicy::Free);
-        conservative.delay_percentile = Some(0.95);
-        let o = schedule_outcome(&k, &m, conservative).unwrap();
-        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 15);
-        assert!(o.schedule.ii >= expected.schedule.ii);
-    }
-
-    #[test]
-    fn synthetic_profiles_fall_back_to_the_class_mix_expectation() {
-        // no measured histogram: hit 0.9, local 0.9 ->
-        // E = .81·1 + .09·5 + .09·10 + .01·15 = 2.31 -> 2
-        let mut b = KernelBuilder::new("t");
-        let a = b.array("a", 1024, ArrayKind::Global);
-        let (ld, v) = b.load("ld", a, 0, 4, 4);
-        b.store("st", a, 512, 4, 4, v);
-        b.set_profile(ld, MemProfile::with_local_ratio(0.9, 0, 0.9, 4));
-        let k = b.finish(64.0);
-        let m = MachineConfig::word_interleaved_4();
-        let o = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
-        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 2);
-    }
-
-    #[test]
-    fn unprofiled_loads_keep_the_most_expensive_class() {
-        let mut b = KernelBuilder::new("t");
-        let a = b.array("a", 1024, ArrayKind::Global);
-        let (_, v) = b.load("ld", a, 0, 4, 4);
-        b.store("st", a, 512, 4, 4, v);
-        let k = b.finish(64.0);
-        let m = MachineConfig::word_interleaved_4();
-        let o = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap();
-        assert_eq!(o.schedule.op(OpId::new(0)).assumed_latency, 15);
-    }
-
-    #[test]
-    fn delay_tracking_rejects_an_empty_kernel() {
+    fn swing_rejects_an_empty_kernel() {
         let k = KernelBuilder::new("empty").finish(1.0);
         let m = MachineConfig::word_interleaved_4();
-        let err = schedule_outcome(&k, &m, delay_opts(ClusterPolicy::Free)).unwrap_err();
+        let err = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free)).unwrap_err();
         assert_eq!(err, ScheduleError::EmptyKernel);
     }
 

@@ -129,26 +129,9 @@ pub fn stall_estimate(
     let Some(mem) = &kernel.op(op).mem else {
         return 0.0;
     };
-    class_mix(mem, machine, cluster, &mut [(0.0, 0); 4])
-        .iter()
-        .map(|&(p, l)| p * (l.saturating_sub(assumed)) as f64)
-        .sum()
-}
-
-/// The access-class probability mix of one memory operation, as
-/// `(probability, class latency)` pairs — the §4.3.3 four-class model
-/// (`f·h, (1−f)·h, f·(1−h), (1−f)·(1−h)`) built from the operation's
-/// profile, shared by the stall estimator and the expected-latency
-/// derivation of the delay-tracking backend. The pairs are written into
-/// `buf`, and the filled prefix is returned, so no call allocates.
-fn class_mix<'b>(
-    mem: &vliw_ir::MemAccessInfo,
-    machine: &MachineConfig,
-    cluster: Option<usize>,
-    buf: &'b mut [(f64, u32); 4],
-) -> &'b [(f64, u32)] {
     let h = mem.hit_rate();
     let lats = &machine.mem_latencies;
+    let stall = |p: f64, class_latency: u32| p * class_latency.saturating_sub(assumed) as f64;
     if machine.has_remote_accesses() {
         let f = if mem.granularity as usize > machine.cache.interleave_bytes {
             0.0
@@ -159,97 +142,12 @@ fn class_mix<'b>(
                 (None, _) => 1.0 / machine.n_clusters() as f64,
             }
         };
-        *buf = [
-            (f * h, lats.local_hit),
-            ((1.0 - f) * h, lats.remote_hit),
-            (f * (1.0 - h), lats.local_miss),
-            ((1.0 - f) * (1.0 - h), lats.remote_miss),
-        ];
-        buf
+        stall(f * h, lats.local_hit)
+            + stall((1.0 - f) * h, lats.remote_hit)
+            + stall(f * (1.0 - h), lats.local_miss)
+            + stall((1.0 - f) * (1.0 - h), lats.remote_miss)
     } else {
-        buf[..2].copy_from_slice(&[(h, lats.local_hit), (1.0 - h, lats.local_miss)]);
-        &buf[..2]
-    }
-}
-
-/// The latency the delay-tracking backend schedules one load at.
-///
-/// Preference order:
-/// 1. the *measured* latency distribution attached to the load's profile
-///    (`percentile = None` takes the expectation, `Some(p)` the p-th
-///    percentile — the knob trading stall risk against II). Measured
-///    values are **not** capped at the class-model ceiling: observing
-///    latencies above the remote-miss class (queueing, combining, MSHR
-///    back-pressure) is precisely what measurement adds, and a high
-///    percentile must be allowed to promise more than the class worst
-///    case;
-/// 2. with a profile but no measurements, the expectation of the §4.3.3
-///    class mix (the best class-model estimate of the same quantity),
-///    which is bounded by the class latencies by construction;
-/// 3. with no profile at all, the most expensive class — exactly the
-///    initial assumption of the class-based assignment.
-///
-/// The result is always at least 1.
-pub fn delay_tracking_latency(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    op: OpId,
-    cluster: Option<usize>,
-    percentile: Option<f64>,
-) -> u32 {
-    let lats = &machine.mem_latencies;
-    let max_class = *available_classes(machine).last().expect("classes");
-    let ceiling = lats.of(max_class);
-    let Some(mem) = &kernel.op(op).mem else {
-        return ceiling;
-    };
-    let measured = mem.profile.as_ref().and_then(|p| p.latency.as_ref());
-    let raw = match measured {
-        Some(lp) if !lp.is_empty() => match percentile {
-            Some(p) => lp.percentile(p).expect("nonempty") as f64,
-            None => lp.expected().expect("nonempty"),
-        },
-        _ if mem.profile.is_some() => class_mix(mem, machine, cluster, &mut [(0.0, 0); 4])
-            .iter()
-            .map(|&(p, l)| p * l as f64)
-            .sum(),
-        _ => ceiling as f64,
-    };
-    (raw.round() as u32).max(1)
-}
-
-/// The delay-tracking latency assignment: every load scheduled at its
-/// measured expected (or percentile) latency via
-/// [`delay_tracking_latency`]; stores and non-memory operations take
-/// their class/FU latencies exactly as in the class-based assignment.
-///
-/// Replaces the whole §4.3.3 benefit-driven reduction — there is no
-/// per-recurrence lowering and no de-slack step, so `steps` is empty and
-/// `target_mii` records the recurrence MII *at these latencies* (what
-/// the measured model believes the loop can sustain).
-pub fn assign_profiled_latencies(
-    kernel: &LoopKernel,
-    ddg: &Ddg<'_>,
-    machine: &MachineConfig,
-    pins: &[Option<usize>],
-    percentile: Option<f64>,
-) -> LatencyAssignment {
-    let lat: Vec<u32> = kernel
-        .ops
-        .iter()
-        .map(|o| match o.opcode {
-            Opcode::Load => {
-                let pin = pins.get(o.id.index()).copied().flatten();
-                delay_tracking_latency(kernel, machine, o.id, pin, percentile)
-            }
-            op => machine.op_latencies.of(op),
-        })
-        .collect();
-    let rec = mii::rec_mii(ddg, |op| lat[op.index()]);
-    LatencyAssignment {
-        lat,
-        target_mii: mii::res_mii(kernel, machine).max(rec),
-        steps: Vec::new(),
+        stall(h, lats.local_hit) + stall(1.0 - h, lats.local_miss)
     }
 }
 

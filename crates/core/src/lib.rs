@@ -23,9 +23,8 @@
 //!    ablation. [`schedule_problem`] returns the shared front-end's
 //!    output, the [`ScheduleProblem`] every backend schedules against.
 //!    [`schedule_outcome_traced`] dispatches on [`SchedBackend`]:
-//!    `SwingModulo` is the paper's heuristic, `ExactBnB` an exact
-//!    branch-and-bound reference that measures its optimality gap, and
-//!    `DelayTracking` the swing pass over measured load latencies.
+//!    `SwingModulo` is the paper's heuristic and `ExactBnB` an exact
+//!    branch-and-bound reference that measures its optimality gap.
 //! 5. **Memory dependent chains** ([`chains`]) for memory correctness, and
 //!    **Attraction-Buffer hints** ([`hints`]) for the §5.2 overflow fix.
 //!
@@ -87,8 +86,7 @@ pub use engine::{
 };
 pub use hints::{attraction_hints, AttractionHints};
 pub use latency::{
-    assign_latencies, assign_latencies_with_pins, assign_profiled_latencies,
-    delay_tracking_latency, BenefitStep, CandidateEval, LatencyAssignment,
+    assign_latencies, assign_latencies_with_pins, BenefitStep, CandidateEval, LatencyAssignment,
 };
 pub use mii::{edge_latency, rec_mii, res_mii};
 pub use mrt::{Mrt, MrtSavepoint};

@@ -162,10 +162,8 @@ pub struct ExperimentContext {
     pub benchmarks: Vec<String>,
     /// Circuit-enumeration caps passed to the scheduler.
     pub enum_limits: EnumLimits,
-    /// The `DelayTracking` backend's latency knob (see
-    /// [`ScheduleOptions::delay_percentile`]): `None` schedules at the
-    /// expectation of each measured latency distribution, `Some(p)` at
-    /// the p-th percentile. Part of the schedule-cache key.
+    /// Ignored; set only by the frozen perfbench replica, removed with the benchmark-edit change.
+    #[doc(hidden)]
     pub delay_percentile: Option<f64>,
     /// Deterministic deadline for the exact backend (see
     /// [`ScheduleOptions::cost_ceiling`]): a hard node-count ceiling
@@ -394,7 +392,6 @@ pub(crate) fn schedule_options(cfg: &RunConfig, ctx: &ExperimentContext) -> Sche
     ScheduleOptions {
         enum_limits: ctx.enum_limits,
         backend: cfg.backend,
-        delay_percentile: ctx.delay_percentile,
         cost_ceiling: ctx.cost_ceiling,
         fallback: ctx.fallback,
         ..ScheduleOptions::new(cfg.policy)
@@ -437,11 +434,11 @@ fn texec_ceiling(avg_trip: f64, incumbent: f64) -> Option<u32> {
 /// ceiling it was scheduled under (0 = none) and whether it became the
 /// incumbent.
 ///
-/// Once an incumbent exists, a first-fit backend
-/// ([`SchedBackend::SwingModulo`], [`SchedBackend::DelayTracking`]: each
-/// returns the first II from the MII upward that places) schedules a
-/// later candidate with [`ScheduleOptions::max_ii`] set to the largest II
-/// that could still win (`texec_ceiling`). Any II above it loses whatever
+/// Once an incumbent exists, the first-fit backend
+/// ([`SchedBackend::SwingModulo`]: it returns the first II from the MII
+/// upward that places) schedules a later candidate with
+/// [`ScheduleOptions::max_ii`] set to the largest II that could still win
+/// (`texec_ceiling`). Any II above it loses whatever
 /// its schedule, and every II up to it is searched exactly as before, so
 /// the chosen variant is the one an uncapped search chooses.
 /// [`SchedBackend::ExactBnB`] is never capped: its adaptive node budget
@@ -470,10 +467,7 @@ pub fn prepare_loop(
         UnrollMode::Ouf => vec![(UnrollChoice::Ouf, ouf)],
         UnrollMode::Selective => unroll_candidates(builder.original(), machine),
     };
-    let first_fit = matches!(
-        opts.backend,
-        SchedBackend::SwingModulo | SchedBackend::DelayTracking
-    );
+    let first_fit = opts.backend == SchedBackend::SwingModulo;
     let variant_instant = |factor: u32, ceiling: Option<u32>, ii: u32, texec: f64, best: bool| {
         if trace.on() {
             trace.instant(
@@ -891,31 +885,29 @@ mod tests {
         let ctx = ExperimentContext::quick();
         let models = ctx.models();
         let mut capped_out = 0;
-        for backend in [SchedBackend::SwingModulo, SchedBackend::DelayTracking] {
-            for policy in ClusterPolicy::ALL {
-                let cfg = RunConfig {
-                    policy,
-                    ..RunConfig::ipbc().with_backend(backend)
-                };
-                let machine = ctx.machine_for(&cfg);
-                for lw in models.iter().flat_map(|m| &m.loops) {
-                    let what = format!("{} {policy:?} {backend:?}", lw.kernel.name);
-                    let (got, variants) = traced_variants(&lw.kernel, &machine, &cfg, &ctx);
-                    let (want, tried) = uncapped_reference(&lw.kernel, &machine, &cfg, &ctx);
-                    assert_same_loop(&got, &want, &what);
-                    // one instant per candidate, and a capped candidate
-                    // either matches its uncapped II or found none
-                    assert_eq!(variants.len(), tried.len(), "{what}");
-                    for ((factor, ii, ceiling), (f, uncapped)) in variants.iter().zip(&tried) {
-                        assert_eq!(factor, f, "{what}");
-                        match uncapped {
-                            Some(u) if *ii != 0 => assert_eq!(ii, u, "{what}"),
-                            Some(u) => {
-                                assert!(*ceiling != 0 && u > ceiling, "{what}");
-                                capped_out += 1;
-                            }
-                            None => assert_eq!(*ii, 0, "{what}"),
+        for policy in ClusterPolicy::ALL {
+            let cfg = RunConfig {
+                policy,
+                ..RunConfig::ipbc()
+            };
+            let machine = ctx.machine_for(&cfg);
+            for lw in models.iter().flat_map(|m| &m.loops) {
+                let what = format!("{} {policy:?}", lw.kernel.name);
+                let (got, variants) = traced_variants(&lw.kernel, &machine, &cfg, &ctx);
+                let (want, tried) = uncapped_reference(&lw.kernel, &machine, &cfg, &ctx);
+                assert_same_loop(&got, &want, &what);
+                // one instant per candidate, and a capped candidate
+                // either matches its uncapped II or found none
+                assert_eq!(variants.len(), tried.len(), "{what}");
+                for ((factor, ii, ceiling), (f, uncapped)) in variants.iter().zip(&tried) {
+                    assert_eq!(factor, f, "{what}");
+                    match uncapped {
+                        Some(u) if *ii != 0 => assert_eq!(ii, u, "{what}"),
+                        Some(u) => {
+                            assert!(*ceiling != 0 && u > ceiling, "{what}");
+                            capped_out += 1;
                         }
+                        None => assert_eq!(*ii, 0, "{what}"),
                     }
                 }
             }

@@ -49,7 +49,7 @@ use vliw_workloads::rng::StdRng;
 use crate::batch::{build_requests, drain, fold, BatchRequest, Drain};
 use crate::context::{prepare_loop, ExperimentContext, RunConfig, UnrollMode};
 use crate::report::Table;
-use crate::schedcache::{PrepareFn, SalvageReport, SchedCache, ScheduleStore};
+use crate::schedcache::{PrepareFn, SalvageReport, SchedCache, ScheduleStore, RECORD_LINES};
 
 /// Knobs of the fault run.
 #[derive(Debug, Clone, Copy)]
@@ -195,9 +195,8 @@ fn line_ends(text: &str) -> Vec<usize> {
 /// and a cut inside the final record's `endentry` line. Returns the
 /// damaged text and the number of records actually flipped.
 fn corrupt_store_text(healthy: &str, plan: &FaultPlan) -> (String, usize) {
-    const REC_LINES: usize = 7; // entry + 4 sched + check + endentry
     let ends = line_ends(healthy);
-    let n_records = (ends.len() - 2) / REC_LINES;
+    let n_records = (ends.len() - 2) / RECORD_LINES;
     let mut bytes = healthy.as_bytes().to_vec();
     let mut flipped = 0;
     for &r in &plan.flip_records {
@@ -207,8 +206,8 @@ fn corrupt_store_text(healthy: &str, plan: &FaultPlan) -> (String, usize) {
         // first digit of the record's schedule block (line 1 of the
         // record, right after the header): inside the checksummed
         // region, so the flip must surface as `dropped_corrupt`
-        let lo = ends[2 + r * REC_LINES];
-        let hi = ends[2 + r * REC_LINES + 4];
+        let lo = ends[2 + r * RECORD_LINES];
+        let hi = ends[2 + r * RECORD_LINES + 4];
         if let Some(i) = (lo..hi).find(|&i| bytes[i].is_ascii_digit()) {
             bytes[i] = if bytes[i] == b'9' { b'8' } else { bytes[i] + 1 };
             flipped += 1;
@@ -444,12 +443,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
             .map(|t| t == healthy)
             .unwrap_or(false);
     std::fs::remove_file(&path).ok();
-    std::fs::remove_file(path.with_file_name(format!(
-        "{}.tmp.{}",
-        path.file_name().unwrap_or_default().to_string_lossy(),
-        std::process::id()
-    )))
-    .ok();
+    std::fs::remove_file(ScheduleStore::temp_sibling(&path)).ok();
 
     // corruption lanes: flips + truncation on one copy, version tamper
     // on another; salvage the first, reject the second

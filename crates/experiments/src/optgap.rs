@@ -19,16 +19,6 @@
 //! own column — a cell that cut off contributes no ratio and no proof,
 //! visibly.
 //!
-//! The table also carries a second backend: per policy, the
-//! [`DelayTracking`](vliw_sched::SchedBackend::DelayTracking) pipeliner
-//! scheduling the *measured* factor-1 kernels (profiles collected by `vliw-profile`),
-//! compared against the same exact reference on the same kernels. Because
-//! delay-tracking schedules loads at measured expected latencies —
-//! usually far below the class model's worst case — its recurrence MII
-//! can undercut the class-latency optimum: a ratio *below 1* in a delay
-//! row is the measured latency model buying II the class model provably
-//! cannot reach.
-//!
 //! `repro [quick|full] optgap` prints the table, writes
 //! `results/optgap.csv` and records the per-policy ratios and
 //! proven-optimal fractions into the `optgap` section of
@@ -50,9 +40,6 @@ use crate::report::{f3, Table};
 pub struct OptGapRow {
     /// Policy name (`IPBC`, `IBC`, `BASE`, `no-chains`).
     pub policy: &'static str,
-    /// The backend in the ratio's numerator (`swing` on synthetic
-    /// profiles, `delay` on measured profiles).
-    pub backend: &'static str,
     /// Kernels the heuristic scheduled (the cell population).
     pub kernels: usize,
     /// Cells where the exact backend proved the optimal II.
@@ -121,14 +108,13 @@ impl OptGapResult {
                 self.n_kernels, self.node_budget
             ),
             &[
-                "policy", "backend", "kernels", "proven", "proven%", "matched", "better", "cutoff",
+                "policy", "kernels", "proven", "proven%", "matched", "better", "cutoff",
                 "II ratio", "max_live",
             ],
         );
         for r in &self.rows {
             t.row(vec![
                 r.policy.to_string(),
-                r.backend.to_string(),
                 r.kernels.to_string(),
                 r.proven.to_string(),
                 f3(r.proven_fraction()),
@@ -165,23 +151,16 @@ pub fn factor1_kernels(ctx: &ExperimentContext) -> Vec<LoopKernel> {
     out
 }
 
-/// One `(policy, numerator backend)` aggregate over `kernels`.
-fn policy_row(
-    policy: ClusterPolicy,
-    numerator: SchedBackend,
-    kernels: &[LoopKernel],
-    ctx: &ExperimentContext,
-) -> OptGapRow {
+/// One policy's aggregate over `kernels`.
+fn policy_row(policy: ClusterPolicy, kernels: &[LoopKernel], ctx: &ExperimentContext) -> OptGapRow {
     let machine = &ctx.machine;
     let heuristic_opts = ScheduleOptions {
         enum_limits: ctx.enum_limits,
         ..ScheduleOptions::new(policy)
-    }
-    .with_backend(numerator);
+    };
     let exact_opts = heuristic_opts.with_backend(SchedBackend::ExactBnB);
     let mut row = OptGapRow {
         policy: policy.name(),
-        backend: numerator.name(),
         kernels: 0,
         proven: 0,
         cutoff: 0,
@@ -247,26 +226,14 @@ fn policy_row(
 }
 
 /// Runs the study over the context's suite: per policy, the swing
-/// pipeline on synthetic profiles and the delay-tracking pipeline on
-/// measured profiles, each against the exact reference on its own kernel
-/// population.
+/// pipeline against the exact reference on the factor-1 kernels.
 pub fn optgap(ctx: &ExperimentContext) -> OptGapResult {
     let kernels = factor1_kernels(ctx);
-    let measured = crate::profile_fidelity::measured_factor1_kernels(ctx);
-    let mut rows = Vec::new();
-    for policy in ClusterPolicy::ALL {
-        rows.push(policy_row(policy, SchedBackend::SwingModulo, &kernels, ctx));
-    }
-    for policy in ClusterPolicy::ALL {
-        rows.push(policy_row(
-            policy,
-            SchedBackend::DelayTracking,
-            &measured,
-            ctx,
-        ));
-    }
     OptGapResult {
-        rows,
+        rows: ClusterPolicy::ALL
+            .iter()
+            .map(|&policy| policy_row(policy, &kernels, ctx))
+            .collect(),
         n_kernels: kernels.len(),
         node_budget: ScheduleOptions::new(ClusterPolicy::Free).node_budget,
     }
@@ -284,31 +251,26 @@ mod tests {
         ctx.sim.iteration_cap = 32;
         ctx.sim.warmup_iterations = 32;
         let g = optgap(&ctx);
-        assert_eq!(g.rows.len(), 8, "one row per policy per backend");
+        assert_eq!(g.rows.len(), 4, "one row per policy");
         assert!(g.n_kernels > 0);
         for r in &g.rows {
             assert_eq!(r.kernels, g.n_kernels, "factor-1 always schedules");
             assert_eq!(r.proven + r.cutoff, r.kernels, "every cell is decided");
-            if r.backend == "swing" && r.proven > 0 {
+            if r.proven > 0 {
                 // the exact search never returns a worse II than the
-                // incumbent it was seeded with, so swing rows sit at ≥ 1;
-                // delay rows may legitimately drop below 1 (the measured
-                // latency model can beat the class-latency optimum)
+                // incumbent it was seeded with
                 assert!(r.mean_ratio >= 1.0, "{}: {}", r.policy, r.mean_ratio);
             }
             // every decided cell carries the exact backend's MaxLive, so
             // the column is populated (at least one value alive per row)
             assert!(
                 r.mean_max_live >= 1.0,
-                "{}/{}: max_live column empty",
-                r.policy,
-                r.backend
+                "{}: max_live column empty",
+                r.policy
             );
         }
-        assert!(g.rows[..4].iter().all(|r| r.backend == "swing"));
-        assert!(g.rows[4..].iter().all(|r| r.backend == "delay"));
         // the table renders with one line per row plus headers
         let rendered = g.table().render();
-        assert_eq!(rendered.lines().count(), 3 + 8);
+        assert_eq!(rendered.lines().count(), 3 + 4);
     }
 }

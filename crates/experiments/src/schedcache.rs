@@ -75,7 +75,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// `kernel_fp` is the structural fingerprint of the *original* (factor-1,
 /// profile-blind) kernel; `env_fp` digests the masked machine and every
 /// context knob preparation reads (workload seeds/inputs, profiling and
-/// simulation caps, enumeration limits, the delay percentile). The
+/// simulation caps, enumeration limits, the exact backend's deadline). The
 /// remaining axes are the `RunConfig` fields preparation depends on —
 /// not Attraction Buffers, MSHRs or hints, which act downstream of
 /// scheduling. Backend and source are part of the key: two backends on
@@ -116,7 +116,9 @@ fn env_fingerprint(machine: &MachineConfig, ctx: &ExperimentContext) -> u64 {
     ctx.profile.hash(&mut h);
     ctx.sim.hash(&mut h);
     ctx.enum_limits.hash(&mut h);
-    h.write_opt_u64(ctx.delay_percentile.map(f64::to_bits));
+    // the slot of the retired delay percentile, always empty: writing it
+    // keeps every env fingerprint, and so every stored key, unchanged
+    h.write_opt_u64(None);
     h.write_opt_u64(ctx.cost_ceiling);
     ctx.fallback.hash(&mut h);
     h.finish()
@@ -865,7 +867,7 @@ impl StoreEntry {
 
 /// Lines of one serialized record: the `entry` header, the 4-line
 /// schedule block, `check` and `endentry`.
-const RECORD_LINES: usize = 7;
+pub(crate) const RECORD_LINES: usize = 7;
 
 /// The versioned on-disk form of a [`SchedCache`] — same discipline as
 /// the measured-profile store: plain text, integers only, deterministic
@@ -1156,7 +1158,7 @@ impl ScheduleStore {
     /// The temporary-file path [`ScheduleStore::save`] writes before the
     /// rename: a sibling of `path` (same filesystem, so the rename is
     /// atomic), suffixed with the process id.
-    fn temp_sibling(path: &Path) -> std::path::PathBuf {
+    pub(crate) fn temp_sibling(path: &Path) -> std::path::PathBuf {
         let mut name = path.file_name().unwrap_or_default().to_os_string();
         name.push(format!(".tmp.{}", std::process::id()));
         path.with_file_name(name)
@@ -1193,7 +1195,6 @@ mod tests {
         let backends = [
             (SchedBackend::SwingModulo, "swing"),
             (SchedBackend::ExactBnB, "bnb"),
-            (SchedBackend::DelayTracking, "delay"),
         ];
         let qualities = [
             (SchedQuality::Heuristic, "heur"),
@@ -1225,9 +1226,47 @@ mod tests {
                 assert_eq!(entry(&line), want);
             }
         }
+        for tok in ["exact", "delay"] {
+            assert_eq!(
+                parse_backend(tok),
+                Err(format!("unknown backend token `{tok}`"))
+            );
+        }
+    }
+
+    /// A store written while the retired `delay` backend existed: its
+    /// delay records fail the strict loader and are dropped one by one by
+    /// the salvage loader, so they cost a cold preparation, never an error
+    /// on the serving path.
+    #[test]
+    fn retired_delay_records_salvage_as_corrupt() {
+        let header = |kfp: u64, backend: &str| {
+            format!(
+                "entry k{kfp} kfp {kfp} efp 11 arch wi policy ipbc backend {backend} source meas \
+                 unroll sel pad 1 choice xn factor 4 pfp 13 quality heur"
+            )
+        };
+        let mut store = ScheduleStore::new();
+        for kfp in [7, 9] {
+            store.insert(entry(&header(kfp, "swing")));
+        }
+        let text = store.to_text().replacen("entries 2", "entries 3", 1);
+        // a well-framed, correctly checksummed record between the two
+        let delay = header(8, "delay");
+        let sched = "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
+        let record = format!(
+            "{delay}\n{sched}check {}\nendentry\n",
+            record_checksum(&delay, sched)
+        );
+        let at = text.find("entry k9").unwrap();
+        let text = format!("{}{record}{}", &text[..at], &text[at..]);
+        let err = ScheduleStore::from_text(&text).unwrap_err();
+        assert!(err.contains("unknown backend token `delay`"), "{err}");
+        let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
+        assert_eq!(salvaged.len(), 2);
         assert_eq!(
-            parse_backend("exact"),
-            Err("unknown backend token `exact`".to_string())
+            (rep.recovered, rep.dropped_corrupt, rep.dropped()),
+            (2, 1, 1)
         );
     }
 

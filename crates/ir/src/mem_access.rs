@@ -111,25 +111,6 @@ impl LatencyProfile {
         let sum: f64 = self.counts.iter().map(|&(l, c)| l as f64 * c as f64).sum();
         Some(sum / total as f64)
     }
-
-    /// The smallest latency `L` such that at least a fraction `p` of the
-    /// accesses completed in `<= L` cycles (`p` clamped to `[0, 1]`), or
-    /// `None` when empty.
-    pub fn percentile(&self, p: f64) -> Option<u32> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let need = (p.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(l, c) in &self.counts {
-            seen = seen.saturating_add(c);
-            if seen >= need {
-                return Some(l);
-            }
-        }
-        self.counts.last().map(|&(l, _)| l)
-    }
 }
 
 /// Profile information for a single memory operation, gathered on the
@@ -143,7 +124,7 @@ pub struct MemProfile {
     pub cluster_hist: Vec<u64>,
     /// Measured latency distribution, when the profile came from a timed
     /// (measured) profiling run; `None` for synthetic / functional
-    /// profiles. Consumed by the delay-tracking scheduler backend.
+    /// profiles. Read by the profile-fidelity divergence report.
     pub latency: Option<LatencyProfile>,
 }
 
@@ -345,7 +326,6 @@ mod tests {
         let mut lp = LatencyProfile::default();
         assert!(lp.is_empty());
         assert_eq!(lp.expected(), None);
-        assert_eq!(lp.percentile(0.5), None);
         for _ in 0..3 {
             lp.record(1);
         }
@@ -355,10 +335,6 @@ mod tests {
         assert_eq!(lp.counts, vec![(1, 3), (5, 1), (15, 1)]);
         assert_eq!(lp.total(), 5);
         assert!((lp.expected().unwrap() - 23.0 / 5.0).abs() < 1e-12);
-        assert_eq!(lp.percentile(0.0), Some(1));
-        assert_eq!(lp.percentile(0.6), Some(1));
-        assert_eq!(lp.percentile(0.8), Some(5));
-        assert_eq!(lp.percentile(1.0), Some(15));
     }
 
     #[test]
@@ -369,12 +345,11 @@ mod tests {
         lp.record(4);
         assert_eq!(lp.counts, vec![(4, u64::MAX)], "count saturates");
         assert_eq!(lp.total(), u64::MAX);
-        // a second entry at another latency still saturates the total; at
-        // saturation the cumulative count reaches the total at the first
-        // entry, so percentiles degrade conservatively (downwards)
+        // a second entry at another latency is kept in order, and the
+        // total still saturates
         lp.record(9);
+        assert_eq!(lp.counts, vec![(4, u64::MAX), (9, 1)]);
         assert_eq!(lp.total(), u64::MAX);
-        assert_eq!(lp.percentile(1.0), Some(4));
     }
 
     #[test]

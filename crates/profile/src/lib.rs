@@ -28,9 +28,10 @@
 //!    into [`MemProfile`](vliw_ir::MemProfile)s (hit rate, preferred
 //!    clusters, plus the measured [`LatencyProfile`](vliw_ir::LatencyProfile))
 //!    and attached to the kernel, where `engine::prepare` (IPBC's and the
-//!    ablation's cluster pins, the latency assignment) and the
-//!    `DelayTracking` backend consume them exactly as they would a
-//!    synthetic profile — only truer.
+//!    ablation's cluster pins, the latency assignment) consumes them
+//!    exactly as it would a synthetic profile — only truer. The latency
+//!    distribution rides along for reports: the profile-fidelity study's
+//!    divergence table reads its expectation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -65,7 +65,7 @@ impl OpProfile {
 
     /// Derives the [`MemProfile`] the scheduler consumes: measured hit
     /// rate, measured home-cluster histogram, and the measured latency
-    /// distribution attached for the delay-tracking backend.
+    /// distribution (read by the profile-fidelity divergence table).
     pub fn to_mem_profile(&self) -> MemProfile {
         MemProfile {
             hit_rate: self.hit_rate(),

@@ -1,24 +1,21 @@
-//! Golden outcome digests for the exact and delay-tracking backends.
+//! Golden outcome digests for the exact backend.
 //!
 //! `schedule_golden.rs` and the equivalence tests pin the swing backend;
-//! these pin the two backends that reach placement another way.
-//! `ExactBnB` explores the same placement space exhaustively (window,
-//! copy routing, normalisation, reservation-table undo), and
-//! `DelayTracking` runs the swing pass against measured load latencies.
-//! Every case folds the schedule text, all six `SchedStats` counters,
+//! these pin `ExactBnB`, which explores the same placement space
+//! exhaustively (window, copy routing, normalisation, reservation-table
+//! undo). Every case folds the schedule text, all six `SchedStats` counters,
 //! the quality claim and the reported MaxLive (see `common::Golden`), so
 //! a change that moves any exact-search decision, node count, proof or
 //! tie-break changes a digest.
 
 mod common;
 
-use common::{dense_bus_kernel, machines, profiled_kernels, random_cases, Golden};
+use common::{dense_bus_kernel, machines, random_cases, Golden};
 use interleaved_vliw::ir::{ArrayKind, DepKind, KernelBuilder, LoopKernel, Opcode};
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::sched::{
     ClusterPolicy, FallbackPolicy, SchedBackend, SchedQuality, ScheduleOptions,
 };
-use interleaved_vliw::workloads::SUITE_NAMES;
 
 fn exact(policy: ClusterPolicy) -> ScheduleOptions {
     ScheduleOptions::new(policy).with_backend(SchedBackend::ExactBnB)
@@ -124,23 +121,9 @@ fn exact_ibc_chain_colocation_matches_the_golden_digest() {
     assert_eq!(g.finish(), EXACT_IBC_GOLDEN);
 }
 
-#[test]
-fn delay_suite_kernels_match_the_golden_digest() {
-    let machine = MachineConfig::word_interleaved_4();
-    let mut g = Golden::outcomes();
-    for kernel in profiled_kernels(&machine, &SUITE_NAMES, &[1]) {
-        for policy in ClusterPolicy::ALL {
-            let options = ScheduleOptions::new(policy).with_backend(SchedBackend::DelayTracking);
-            g.case(&kernel, &machine, options);
-        }
-    }
-    assert_eq!(g.finish(), DELAY_SUITE_GOLDEN);
-}
-
 /// `(cases, scheduled, digest)` per population, recorded before the
 /// swing and exact backends shared their placement code.
 const EXACT_RANDOM_GOLDEN: (u64, u64, u64) = (120, 120, 0x3c7b_0be4_e076_8bf9);
 const EXACT_DENSE_BUS_GOLDEN: (u64, u64, u64) = (20, 20, 0x2551_787e_bd0c_a6a1);
 const EXACT_LADDER_GOLDEN: (u64, u64, u64) = (2, 2, 0x60bd_2fbb_7eae_7778);
 const EXACT_IBC_GOLDEN: (u64, u64, u64) = (2, 2, 0xd11c_b9ef_ec66_0897);
-const DELAY_SUITE_GOLDEN: (u64, u64, u64) = (432, 432, 0xd832_e307_459c_f473);

@@ -78,8 +78,8 @@ fn grid_equals_direct_pipeline_calls() {
     }
 }
 
-/// The backend-sharded work queue (heavy exact / delay-tracking cells
-/// dispatched first, heuristic cells back-filled) must not change a
+/// The backend-sharded work queue (heavy exact cells dispatched first,
+/// heuristic cells back-filled) must not change a
 /// single bit: a sweep over every backend and profile source is
 /// bit-identical between the serial queue and four parallel workers.
 #[test]
@@ -102,7 +102,10 @@ fn backend_sharded_queue_stays_bit_identical() {
     );
     // every (backend, source) cell is a distinct preparation key
     let n_loops: usize = grid.models(&ctx).iter().map(|m| m.loops.len()).sum();
-    assert_eq!(serial.memoized_schedules(), 6 * n_loops);
+    assert_eq!(
+        serial.memoized_schedules(),
+        SchedBackend::ALL.len() * 2 * n_loops
+    );
 }
 
 #[test]
