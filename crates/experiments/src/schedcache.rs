@@ -1292,4 +1292,21 @@ mod tests {
         let (salvaged, rep) = ScheduleStore::from_text_salvage(&miscounted);
         assert_eq!((salvaged.len(), rep.recovered, rep.dropped()), (2, 2, 0));
     }
+
+    /// The key of one quick-suite kernel under the quick context, pinned:
+    /// a change to what `env_fingerprint` or `kernel_fingerprint` writes
+    /// re-keys every cached and stored schedule, and fails here first.
+    #[test]
+    fn quick_suite_cache_key_is_pinned() {
+        let ctx = ExperimentContext::quick();
+        let models = ctx.models();
+        let original = &models[0].loops[0].kernel;
+        let cfg = RunConfig::ipbc().with_backend(SchedBackend::ExactBnB);
+        let key = CacheKey::of(original, &ctx.machine_for(&cfg), &cfg, &ctx);
+        assert_eq!(original.name, "epicdec_l0");
+        assert_eq!(
+            (key.env_fp, key.kernel_fp, key.stable_hash()),
+            (0x4c11f2401468df36, 0x6c3058494290d6e9, 0x3cdd42743855e10b)
+        );
+    }
 }

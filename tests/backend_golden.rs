@@ -45,7 +45,7 @@ fn exact_dense_bus_matches_the_golden_digest() {
 }
 
 #[test]
-fn exact_budget_ladder_matches_the_golden_digest() {
+fn exact_small_budget_matches_the_golden_digest() {
     let kernel = dense_bus_kernel();
     let machine = MachineConfig::word_interleaved_4();
     let mut g = Golden::outcomes();
@@ -59,6 +59,14 @@ fn exact_budget_ladder_matches_the_golden_digest() {
     let o = g.case(&kernel, &machine, small).unwrap();
     assert_eq!(o.quality, SchedQuality::CutoffFeasible);
     assert_eq!(o.stats.cutoffs, 1);
+    assert_eq!(g.finish(), EXACT_SMALL_BUDGET_GOLDEN);
+}
+
+#[test]
+fn exact_budget_ladder_matches_the_golden_digest() {
+    let kernel = dense_bus_kernel();
+    let machine = MachineConfig::word_interleaved_4();
+    let mut g = Golden::outcomes();
     // a starved deadline under the retry ladder walks every rung, then
     // degrades to the swing incumbent
     let starved = ScheduleOptions {
@@ -125,5 +133,6 @@ fn exact_ibc_chain_colocation_matches_the_golden_digest() {
 /// swing and exact backends shared their placement code.
 const EXACT_RANDOM_GOLDEN: (u64, u64, u64) = (120, 120, 0x3c7b_0be4_e076_8bf9);
 const EXACT_DENSE_BUS_GOLDEN: (u64, u64, u64) = (20, 20, 0x2551_787e_bd0c_a6a1);
-const EXACT_LADDER_GOLDEN: (u64, u64, u64) = (2, 2, 0x60bd_2fbb_7eae_7778);
+const EXACT_SMALL_BUDGET_GOLDEN: (u64, u64, u64) = (1, 1, 0xfbcdfbf1348bda7b);
+const EXACT_LADDER_GOLDEN: (u64, u64, u64) = (1, 1, 0x76cd714cc9b47bd6);
 const EXACT_IBC_GOLDEN: (u64, u64, u64) = (2, 2, 0xd11c_b9ef_ec66_0897);
