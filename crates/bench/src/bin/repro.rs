@@ -92,7 +92,6 @@ fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
     metrics.push(("rollbacks".into(), total.rollbacks as f64));
     metrics.push(("placements".into(), total.placements as f64));
     metrics.push(("cutoffs".into(), total.cutoffs as f64));
-    metrics.push(("fallback_retries".into(), total.fallback_retries as f64));
 
     // memo probe: two configs differing only in a non-preparation axis
     // share every preparation, so the second sweep is all memo hits
@@ -435,13 +434,6 @@ fn main() {
         let mut m = vec![
             ("kernels".into(), g.n_kernels as f64),
             ("node_budget".into(), g.node_budget as f64),
-            // the adaptive-budget policy in force: base budget scaled by
-            // ops × II range (tracked so budget-policy changes show up
-            // next to the proven-optimal fraction they move)
-            (
-                "adaptive_budget".into(),
-                f64::from(vliw_sched::ScheduleOptions::new(ClusterPolicy::Free).adaptive_budget),
-            ),
             ("proven_optimal_fraction".into(), g.proven_fraction()),
         ];
         for r in &g.rows {

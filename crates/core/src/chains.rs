@@ -120,12 +120,6 @@ impl MemChains {
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(c, _)| c)
     }
-
-    /// Whether chain `id` has more than one member (singleton chains impose
-    /// no constraint beyond the op's own placement).
-    pub fn is_constrained(&self, id: usize) -> bool {
-        self.chains[id].len() > 1
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +138,6 @@ mod tests {
         let c = MemChains::build(&k);
         assert_eq!(c.len(), 3);
         assert!(c.iter().all(|(_, m)| m.len() == 1));
-        assert!(!c.is_constrained(0));
     }
 
     #[test]
@@ -162,7 +155,6 @@ mod tests {
         assert_eq!(c.chain_id(ld1), c.chain_id(st));
         assert_ne!(c.chain_id(ld1), c.chain_id(ld2));
         let chained = c.chain_id(ld1).unwrap();
-        assert!(c.is_constrained(chained));
         assert_eq!(c.members(chained).len(), 2);
     }
 

@@ -8,9 +8,12 @@
 //!
 //! Backends return a [`ScheduleOutcome`] whose [`SchedQuality`] records
 //! what the result *claims*: a heuristic makes no claim, an exact search
-//! either proves optimality or reports that a node-budget cutoff limited
-//! the proof. Cutoffs are first-class, counted outcomes
-//! ([`SchedStats::cutoffs`](super::SchedStats)) — never a silent fallback.
+//! reports one of two things — a proof, or an unproven answer cut off by
+//! its node budget. Cutoffs are first-class, counted outcomes
+//! ([`SchedStats::cutoffs`](super::SchedStats)) — never a silent
+//! fallback: an exhausted search with an incumbent serves it as
+//! [`SchedQuality::CutoffFeasible`], one without fails with
+//! [`ScheduleError::SearchCutoff`](crate::schedule::ScheduleError).
 
 use super::SchedStats;
 use crate::schedule::Schedule;
@@ -27,15 +30,6 @@ pub enum SchedQuality {
     /// some smaller II, so optimality is unproven. The cutoff count is in
     /// [`SchedStats::cutoffs`](super::SchedStats).
     CutoffFeasible,
-    /// The exact search exhausted its budget ladder
-    /// ([`FallbackPolicy::RetryReducedBudget`]) and the service degraded
-    /// to the heuristic incumbent — the swing schedule computed as the
-    /// search's warm start. A *counted* degradation, never a
-    /// silent one: the retry rungs are in
-    /// [`SchedStats::fallback_retries`](super::SchedStats) and the
-    /// cutoffs that forced them in
-    /// [`SchedStats::cutoffs`](super::SchedStats).
-    DegradedFallback,
 }
 
 impl SchedQuality {
@@ -45,44 +39,15 @@ impl SchedQuality {
     }
 }
 
-/// What an exact backend does when its deterministic deadline — the node
-/// budget composed with
-/// [`ScheduleOptions::cost_ceiling`](super::ScheduleOptions::cost_ceiling)
-/// — runs out before the II question is decided.
-///
-/// The ladder is entirely wall-clock-free: every rung is measured in
-/// candidate cells examined, so the same inputs exhaust the same rungs in
-/// the same order on any machine, and a degraded answer is bit-identical
-/// across runs (the determinism contract the fault-injection harness
-/// asserts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+/// Ignored; set only by the frozen perfbench replica, removed with the
+/// benchmark-edit change. Its one value is the only exhaustion rule the
+/// exact backend has: an incumbent is served as a counted
+/// [`SchedQuality::CutoffFeasible`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum FallbackPolicy {
-    /// Exhaustion is an error: return
-    /// [`ScheduleError::SearchCutoff`](crate::schedule::ScheduleError)
-    /// even when a feasible incumbent exists. For callers that would
-    /// rather fail a request than serve an unproven answer.
-    Fail,
-    /// Exhaustion serves the heuristic incumbent as
-    /// [`SchedQuality::CutoffFeasible`] (the historical behavior, and the
-    /// default); with no incumbent the cutoff is an error.
-    #[default]
+    /// Serve the incumbent as a counted cutoff.
     Heuristic,
-    /// Exhaustion walks a counted retry ladder before degrading: the
-    /// search is re-run up to `max_retries` times, the budget divided by
-    /// `factor` at each rung (a deterministic search re-explores a prefix
-    /// of the same tree, so each rung is a cheap, bounded confirmation of
-    /// the cutoff — the service analogue of retrying at cheaper tiers).
-    /// When every rung confirms exhaustion the heuristic incumbent is
-    /// served as [`SchedQuality::DegradedFallback`]; with no incumbent
-    /// the cutoff is an error. Rungs are counted in
-    /// [`SchedStats::fallback_retries`](super::SchedStats).
-    RetryReducedBudget {
-        /// Budget divisor per rung (clamped to ≥ 2 so the ladder always
-        /// descends).
-        factor: u32,
-        /// Maximum rungs before degrading to the incumbent.
-        max_retries: u32,
-    },
 }
 
 /// A backend's full result: the schedule, the work counters, and the

@@ -55,12 +55,17 @@
 //!   cells consume node budget. At a fixed budget the search therefore
 //!   reaches strictly deeper than the historical scalar probe-every-cell
 //!   scan.
-//! * **Node-budget cutoff.** The search examines at most
-//!   [`ScheduleOptions::node_budget`](super::ScheduleOptions) candidate
-//!   cells per call. Exhausting the budget is a *counted, surfaced*
-//!   outcome — [`SchedStats::cutoffs`](super::SchedStats) and
-//!   [`SchedQuality::CutoffFeasible`](super::SchedQuality) — never a
-//!   silent fallback to the heuristic result.
+//! * **Node-budget cutoff.** The search examines at most one budget of
+//!   candidate cells per call: [`DEFAULT_NODE_BUDGET`] scaled by the
+//!   problem size (`ops × II levels / 512`, clamped to `1..=16`),
+//!   tightened by `min` with
+//!   [`ScheduleOptions::cost_ceiling`](super::ScheduleOptions::cost_ceiling).
+//!   The search is deterministic, so it can report just two things: a
+//!   proof, or an answer cut off by that budget. Exhausting the budget is
+//!   a *counted, surfaced* outcome — [`SchedStats::cutoffs`](super::SchedStats)
+//!   and [`SchedQuality::CutoffFeasible`](super::SchedQuality) when an
+//!   incumbent exists, [`ScheduleError::SearchCutoff`] when none does —
+//!   never a silent fallback to the heuristic result.
 //! * **MaxLive tie-break.** Once the II is proven optimal, a bounded
 //!   re-search at that II ([`TIEBREAK_NODE_BUDGET`]) enumerates further
 //!   completions and keeps the one minimizing Rau's MaxLive
@@ -96,29 +101,29 @@ use vliw_ir::{Ddg, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_trace::Trace;
 
-use super::backend::{FallbackPolicy, SchedQuality, ScheduleOutcome};
+use super::backend::{SchedQuality, ScheduleOutcome};
 use super::place::{Neighbors, PartialSchedule, Placement};
 use super::{
     prepare, swing_with_prep, ClusterPolicy, SchedStats, ScheduleOptions, ScheduleProblem,
 };
 use crate::schedule::{Schedule, ScheduleError};
 
-/// Default total node budget per exact-backend call: candidate
-/// `(cluster, cycle)` cells examined across all II levels before the
-/// search reports a cutoff. Sized so every small (factor-1) suite kernel
-/// is decided exactly while deeply unrolled kernels cut off in
-/// milliseconds rather than minutes.
+/// Base node budget per exact-backend call: candidate `(cluster, cycle)`
+/// cells examined across all II levels before the search reports a
+/// cutoff, scaled up for big kernels (`scaled_node_budget`). Sized so
+/// every small (factor-1) suite kernel is decided exactly while deeply
+/// unrolled kernels cut off in milliseconds rather than minutes.
 pub const DEFAULT_NODE_BUDGET: u64 = 200_000;
 
-/// Reference problem size of the adaptive node budget: a kernel of
-/// `ops × II levels ≤ ADAPTIVE_REF_CELLS` runs under the base budget
-/// unchanged (the whole factor-1 suite sits below this), larger kernels
-/// scale linearly.
-const ADAPTIVE_REF_CELLS: u64 = 512;
+/// Reference problem size of the node budget: a kernel of
+/// `ops × II levels ≤ BUDGET_REF_CELLS` runs under
+/// [`DEFAULT_NODE_BUDGET`] unchanged (the whole factor-1 suite sits below
+/// this), larger kernels scale linearly.
+const BUDGET_REF_CELLS: u64 = 512;
 
-/// Upper bound on the adaptive scale factor, so pathological unrolled
+/// Upper bound on the budget's scale factor, so pathological unrolled
 /// kernels cut off in bounded time instead of searching for minutes.
-const ADAPTIVE_MAX_SCALE: u64 = 16;
+const BUDGET_MAX_SCALE: u64 = 16;
 
 /// Node budget of the MaxLive tie-break re-search at the proven-optimal
 /// II (capped further by whatever remains of the call's main budget).
@@ -133,22 +138,15 @@ const TIEBREAK_NODE_BUDGET: u64 = 32_000;
 /// so the per-node cost is one always-false compare.
 const NODE_SAMPLE_EVERY: u64 = 1_024;
 
-/// The node budget one call actually runs under.
-///
-/// With [`ScheduleOptions::adaptive_budget`] unset this is the flat
-/// [`ScheduleOptions::node_budget`]. With it set (the default), the base
-/// is scaled by the problem size `n_ops × ii_levels` relative to
-/// [`ADAPTIVE_REF_CELLS`] — big unrolled kernels get proportionally more
-/// search effort, small kernels keep the base exactly — capped at
-/// [`ADAPTIVE_MAX_SCALE`]× the base. A zero base stays zero under either
-/// policy (budget exhaustion stays testable).
-pub(crate) fn resolved_node_budget(options: &ScheduleOptions, n_ops: usize, ii_levels: u32) -> u64 {
-    if !options.adaptive_budget {
-        return options.node_budget;
-    }
+/// The node budget one call runs under before any cost ceiling:
+/// [`DEFAULT_NODE_BUDGET`] scaled by the problem size `n_ops × ii_levels`
+/// relative to [`BUDGET_REF_CELLS`] — big unrolled kernels get
+/// proportionally more search effort, small kernels keep the base
+/// exactly — capped at [`BUDGET_MAX_SCALE`]× the base.
+fn scaled_node_budget(n_ops: usize, ii_levels: u32) -> u64 {
     let cells = (n_ops as u64).saturating_mul(u64::from(ii_levels.max(1)));
-    let scale = (cells / ADAPTIVE_REF_CELLS).clamp(1, ADAPTIVE_MAX_SCALE);
-    options.node_budget.saturating_mul(scale)
+    let scale = (cells / BUDGET_REF_CELLS).clamp(1, BUDGET_MAX_SCALE);
+    DEFAULT_NODE_BUDGET * scale
 }
 
 /// Runs the exact backend on a non-empty `kernel` (see the module docs).
@@ -184,65 +182,29 @@ pub(crate) fn schedule(
         }
     }
 
-    // the budget policy resolves here, where the real problem size (ops ×
-    // II levels left to decide) is known; a caller-supplied cost ceiling
+    // the budget scales here, where the real problem size (ops × II
+    // levels left to decide) is known; a caller-supplied cost ceiling
     // composes by `min` — a deadline can only tighten the search, never
     // extend it
-    let resolved = resolved_node_budget(options, kernel.ops.len(), upper.saturating_sub(prep.mii));
-    let node_budget = match options.cost_ceiling {
-        Some(ceiling) => resolved.min(ceiling),
-        None => resolved,
-    };
+    let scaled = scaled_node_budget(kernel.ops.len(), upper.saturating_sub(prep.mii));
+    let node_budget = options.cost_ceiling.map_or(scaled, |c| scaled.min(c));
 
     let colocate_chains = options.policy == ClusterPolicy::BuildChains;
-    let search = |budget| Search::new(kernel, &ddg, machine, &prep, budget, colocate_chains, trace);
-    let mut main = search(node_budget);
-    let mut out = main.walk(upper, &mut stats);
-
-    // the degradation ladder: a cutoff under `RetryReducedBudget` re-runs
-    // the walk with the budget divided per rung. The search is
-    // deterministic, so each rung re-explores a prefix of the same tree —
-    // a cheap, bounded confirmation of the exhaustion (the service
-    // analogue of retrying at cheaper tiers) — and every rung is counted
-    // before the result degrades to the incumbent.
-    if let (
-        Solve::Cutoff,
-        FallbackPolicy::RetryReducedBudget {
-            factor,
-            max_retries,
-        },
-    ) = (&out, options.fallback)
-    {
-        let factor = u64::from(factor.max(2));
-        let mut rung_budget = node_budget;
-        for rung in 0..max_retries {
-            rung_budget /= factor;
-            stats.fallback_retries += 1;
-            if trace.on() {
-                trace.instant(
-                    "bnb.retry",
-                    &[("rung", rung as f64), ("budget", rung_budget as f64)],
-                );
-            }
-            out = search(rung_budget).walk(upper, &mut stats);
-            if !matches!(out, Solve::Cutoff) || rung_budget == 0 {
-                break; // decided, or the ladder has bottomed out
-            }
-        }
-    }
+    let mut search = Search::new(
+        kernel,
+        &ddg,
+        machine,
+        &prep,
+        node_budget,
+        colocate_chains,
+        trace,
+    );
+    let out = search.walk(upper, &mut stats);
     let cutoff = matches!(out, Solve::Cutoff);
-    let quality = match (cutoff, options.fallback) {
-        (false, _) => SchedQuality::ProvenOptimal,
-        (true, FallbackPolicy::Heuristic) => SchedQuality::CutoffFeasible,
-        (true, FallbackPolicy::RetryReducedBudget { .. }) => SchedQuality::DegradedFallback,
-        // under `Fail`, an undecided search is an error even when a
-        // feasible incumbent exists
-        (true, FallbackPolicy::Fail) => {
-            return Err(ScheduleError::SearchCutoff {
-                loop_name: kernel.name.clone(),
-                node_budget,
-            })
-        }
+    let quality = if cutoff {
+        SchedQuality::CutoffFeasible
+    } else {
+        SchedQuality::ProvenOptimal
     };
     let found = match out {
         Solve::Feasible(s) => Some(s),
@@ -256,7 +218,7 @@ pub(crate) fn schedule(
             // completions; a cutoff result skips this (the remaining
             // budget belongs to nothing — it is already exhausted)
             let (schedule, live) = if quality == SchedQuality::ProvenOptimal {
-                main.minimize_live(schedule.ii, (schedule, live), &mut stats)
+                search.minimize_live(schedule.ii, (schedule, live), &mut stats)
             } else {
                 (schedule, live)
             };
@@ -842,28 +804,19 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_budget_scales_with_problem_size() {
-        let o = opts(ClusterPolicy::Free);
-        assert!(o.adaptive_budget, "adaptive is the default policy");
+    fn node_budget_scales_with_problem_size() {
         // at or below the reference size the base budget is untouched
-        assert_eq!(resolved_node_budget(&o, 16, 4), DEFAULT_NODE_BUDGET);
-        assert_eq!(resolved_node_budget(&o, 128, 4), DEFAULT_NODE_BUDGET);
+        assert_eq!(scaled_node_budget(16, 4), DEFAULT_NODE_BUDGET);
+        assert_eq!(scaled_node_budget(128, 4), DEFAULT_NODE_BUDGET);
         // beyond it the budget scales linearly…
-        assert_eq!(resolved_node_budget(&o, 256, 8), 4 * DEFAULT_NODE_BUDGET);
+        assert_eq!(scaled_node_budget(256, 8), 4 * DEFAULT_NODE_BUDGET);
         // …up to the cap
         assert_eq!(
-            resolved_node_budget(&o, 4096, 64),
-            ADAPTIVE_MAX_SCALE * DEFAULT_NODE_BUDGET
+            scaled_node_budget(4096, 64),
+            BUDGET_MAX_SCALE * DEFAULT_NODE_BUDGET
         );
         // zero II levels still count as one (the proof at the MII)
-        assert_eq!(resolved_node_budget(&o, 64, 0), DEFAULT_NODE_BUDGET);
-        // a zero base stays zero, and the flat policy ignores size
-        let mut flat = o;
-        flat.node_budget = 0;
-        assert_eq!(resolved_node_budget(&flat, 4096, 64), 0);
-        flat.node_budget = 7;
-        flat.adaptive_budget = false;
-        assert_eq!(resolved_node_budget(&flat, 4096, 64), 7);
+        assert_eq!(scaled_node_budget(64, 0), DEFAULT_NODE_BUDGET);
     }
 
     #[test]
@@ -875,13 +828,33 @@ mod tests {
                 .unwrap();
         assert!(heuristic.ii > heuristic.mii, "kernel must have a gap");
         let mut o = opts(ClusterPolicy::Free);
-        o.node_budget = 0;
+        o.cost_ceiling = Some(0);
         let out = schedule_outcome(&k, &m, o).unwrap();
         // the zero budget must be a *reported* cutoff: the result falls
         // back to the incumbent schedule, visibly, with the cutoff counted
         assert_eq!(out.quality, SchedQuality::CutoffFeasible);
         assert_eq!(out.stats.cutoffs, 1);
-        assert_eq!(out.schedule.ii, heuristic.ii);
+        assert_eq!(out.schedule, heuristic);
+        // determinism: the same starved request is served identically
+        let rerun = schedule_outcome(&k, &m, o).unwrap();
+        assert_eq!(rerun.schedule, out.schedule);
+        assert_eq!(rerun.stats, out.stats);
+    }
+
+    #[test]
+    fn exhaustion_without_an_incumbent_is_an_error() {
+        // capped at its ResMII, the dense kernel has no swing schedule, so
+        // a starved search has nothing to serve
+        let k = dense();
+        let m = MachineConfig::word_interleaved_4();
+        let mut o = opts(ClusterPolicy::Free);
+        o.max_ii = Some(3);
+        o.cost_ceiling = Some(0);
+        let err = schedule_outcome(&k, &m, o).unwrap_err();
+        assert!(
+            matches!(err, ScheduleError::SearchCutoff { node_budget: 0, .. }),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
@@ -898,114 +871,21 @@ mod tests {
             SchedQuality::ProvenOptimal => assert!(out.schedule.ii <= 4),
             SchedQuality::CutoffFeasible => assert_eq!(out.stats.cutoffs, 1),
             SchedQuality::Heuristic => panic!("exact backend cannot claim Heuristic"),
-            SchedQuality::DegradedFallback => {
-                panic!("default policy never degrades")
-            }
         }
     }
 
     #[test]
     fn cost_ceiling_composes_by_min() {
+        // a huge ceiling changes nothing: min picks the scaled budget
         let k = dense();
         let m = MachineConfig::word_interleaved_4();
-        // a zero ceiling is a zero budget: the cutoff path, counted
-        let mut o = opts(ClusterPolicy::Free);
-        o.cost_ceiling = Some(0);
-        let out = schedule_outcome(&k, &m, o).unwrap();
-        assert_eq!(out.quality, SchedQuality::CutoffFeasible);
-        assert_eq!(out.stats.cutoffs, 1);
-        // a huge ceiling changes nothing: min picks the resolved budget
         let base = schedule_outcome(&k, &m, opts(ClusterPolicy::Free)).unwrap();
-        let mut o2 = opts(ClusterPolicy::Free);
-        o2.cost_ceiling = Some(u64::MAX);
-        let out2 = schedule_outcome(&k, &m, o2).unwrap();
-        assert_eq!(out2.schedule, base.schedule);
-        assert_eq!(out2.quality, base.quality);
-        assert_eq!(out2.stats, base.stats);
-    }
-
-    #[test]
-    fn fail_policy_turns_cutoff_into_error() {
-        let k = dense();
-        let m = MachineConfig::word_interleaved_4();
         let mut o = opts(ClusterPolicy::Free);
-        o.node_budget = 0;
-        o.fallback = crate::engine::FallbackPolicy::Fail;
-        // the incumbent exists, but `Fail` refuses to serve it
-        let err = schedule_outcome(&k, &m, o).unwrap_err();
-        assert!(
-            matches!(err, ScheduleError::SearchCutoff { .. }),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn retry_ladder_degrades_to_counted_fallback() {
-        let k = dense();
-        let m = MachineConfig::word_interleaved_4();
-        let heuristic =
-            crate::engine::schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
-                .unwrap();
-        let mut o = opts(ClusterPolicy::Free);
-        o.cost_ceiling = Some(4);
-        o.fallback = crate::engine::FallbackPolicy::RetryReducedBudget {
-            factor: 2,
-            max_retries: 3,
-        };
+        o.cost_ceiling = Some(u64::MAX);
         let out = schedule_outcome(&k, &m, o).unwrap();
-        // rungs 2, 1, 0 all confirm the exhaustion, then the heuristic
-        // incumbent is served — visibly degraded, every rung counted
-        assert_eq!(out.quality, SchedQuality::DegradedFallback);
-        assert_eq!(out.stats.fallback_retries, 3);
-        assert_eq!(out.stats.cutoffs, 4, "the initial cutoff plus one per rung");
-        assert_eq!(out.schedule, heuristic, "degrades to the swing schedule");
-        assert!(!out.quality.is_proven());
-        // determinism: the same starved request degrades identically
-        let rerun = schedule_outcome(&k, &m, o).unwrap();
-        assert_eq!(rerun.schedule, out.schedule);
-        assert_eq!(rerun.stats, out.stats);
-    }
-
-    #[test]
-    fn ladder_rungs_only_ever_confirm_the_cutoff() {
-        // a rung re-explores a prefix of the same deterministic search,
-        // so it can never decide a level: the ladder degrades exactly
-        // where the plain policy serves a cutoff, and changes nothing
-        // else. The dense kernel cuts off at every ceiling; saxpy's
-        // search under the free policy is decided from a ceiling of 4 up.
-        let m = MachineConfig::word_interleaved_4();
-        let (mut degraded_cases, mut decided_cases) = (0, 0);
-        for k in [dense(), saxpy()] {
-            for ceiling in [0, 1, 4, 16, 64, 256] {
-                let mut plain = opts(ClusterPolicy::Free);
-                plain.cost_ceiling = Some(ceiling);
-                let base = schedule_outcome(&k, &m, plain).unwrap();
-                for (factor, max_retries) in [(2, 1), (2, 3), (3, 1), (3, 3)] {
-                    let ladder = ScheduleOptions {
-                        fallback: FallbackPolicy::RetryReducedBudget {
-                            factor,
-                            max_retries,
-                        },
-                        ..plain
-                    };
-                    let o = schedule_outcome(&k, &m, ladder).unwrap();
-                    let case = format!("{}: ceiling {ceiling}, {factor}/{max_retries}", k.name);
-                    assert_eq!(o.schedule, base.schedule, "{case}");
-                    assert_eq!(o.max_live, base.max_live, "{case}");
-                    if base.quality == SchedQuality::CutoffFeasible {
-                        degraded_cases += 1;
-                        assert_eq!(o.quality, SchedQuality::DegradedFallback, "{case}");
-                        assert!(o.stats.fallback_retries >= 1, "{case}");
-                        assert_eq!(o.stats.cutoffs, 1 + o.stats.fallback_retries, "{case}");
-                    } else {
-                        decided_cases += 1;
-                        assert_eq!(o.quality, base.quality, "{case}");
-                        assert_eq!(o.stats, base.stats, "{case}");
-                    }
-                }
-            }
-        }
-        assert_eq!((degraded_cases, decided_cases), (32, 16));
+        assert_eq!(out.schedule, base.schedule);
+        assert_eq!(out.quality, base.quality);
+        assert_eq!(out.stats, base.stats);
     }
 
     #[test]
@@ -1056,7 +936,7 @@ mod tests {
         let k = dense();
         let m = MachineConfig::word_interleaved_4();
         let mut o = opts(ClusterPolicy::Free);
-        o.node_budget = 0;
+        o.cost_ceiling = Some(0);
         let out = schedule_outcome(&k, &m, o).unwrap();
         assert_eq!(out.quality, SchedQuality::CutoffFeasible);
         assert_eq!(

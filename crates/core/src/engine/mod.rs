@@ -161,10 +161,6 @@ pub struct SchedStats {
     /// optimality. Surfaced (never silently absorbed) by the `optgap`
     /// report.
     pub cutoffs: u64,
-    /// Retry rungs walked by [`FallbackPolicy::RetryReducedBudget`] after
-    /// a budget cutoff, before the result degraded to the heuristic
-    /// incumbent. Always 0 under the other policies.
-    pub fallback_retries: u64,
 }
 
 impl SchedStats {
@@ -175,7 +171,6 @@ impl SchedStats {
         self.rollbacks += other.rollbacks;
         self.placements += other.placements;
         self.cutoffs += other.cutoffs;
-        self.fallback_retries += other.fallback_retries;
     }
 }
 
@@ -197,31 +192,16 @@ pub struct ScheduleOptions {
     /// Which backend runs the kernel → [`Schedule`] transformation
     /// (default [`SchedBackend::SwingModulo`], the paper's pipeline).
     pub backend: SchedBackend,
-    /// Base node budget for the exact backend: candidate placements it
-    /// may explore across all II levels of one call before reporting a
-    /// cutoff. With [`ScheduleOptions::adaptive_budget`] set (the
-    /// default) this base is scaled by kernel size. Ignored by heuristic
-    /// backends.
-    pub node_budget: u64,
-    /// Scale [`ScheduleOptions::node_budget`] by kernel size
-    /// (`ops × II search range`, the ROADMAP's adaptive-budget item) so
-    /// big unrolled kernels get proportional search effort instead of the
-    /// flat default: the base is multiplied by `ops × II levels / 512`,
-    /// clamped to `1..=16`. Kernels at or below the reference size keep
-    /// the base budget exactly, so small-suite results are unchanged.
-    pub adaptive_budget: bool,
     /// Deterministic per-call deadline for the exact backend: a hard
     /// ceiling on candidate cells examined, composed by `min` with the
-    /// resolved node budget (so a caller-supplied deadline can only
+    /// size-scaled node budget (so a caller-supplied deadline can only
     /// tighten the search, never extend it). Node counts, not wall-clock:
     /// the same request hits the same deadline on any machine. `None`
     /// (the default) leaves the node budget alone. Ignored by heuristic
     /// backends.
     pub cost_ceiling: Option<u64>,
-    /// What the exact backend does when the deadline runs out before the
-    /// II question is decided (default [`FallbackPolicy::Heuristic`], the
-    /// historical serve-the-incumbent behavior). Ignored by heuristic
-    /// backends.
+    /// Ignored; set only by the frozen perfbench replica, removed with the benchmark-edit change.
+    #[doc(hidden)]
     pub fallback: FallbackPolicy,
     /// Ignored; set only by the frozen perfbench replica, removed with the benchmark-edit change.
     #[doc(hidden)]
@@ -236,8 +216,6 @@ impl ScheduleOptions {
             max_ii: None,
             enum_limits: EnumLimits::default(),
             backend: SchedBackend::SwingModulo,
-            node_budget: DEFAULT_NODE_BUDGET,
-            adaptive_budget: true,
             cost_ceiling: None,
             fallback: FallbackPolicy::Heuristic,
             delay_percentile: None,

@@ -91,7 +91,7 @@ pub use latency::{
 pub use mii::{edge_latency, rec_mii, res_mii};
 pub use mrt::{Mrt, MrtSavepoint};
 pub use order::sms_order;
-pub use pressure::{max_live, max_live_per_cluster};
+pub use pressure::max_live;
 pub use schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};
 pub use unroll_select::{
     individual_unroll_factor, optimal_unroll_factor, unroll_candidates, UnrollChoice,

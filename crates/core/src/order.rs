@@ -19,8 +19,6 @@
 //!    first), seeding the direction from how the set connects to the nodes
 //!    already ordered.
 
-use std::collections::HashSet;
-
 use vliw_ir::{Ddg, OpId};
 
 use crate::circuits::Circuit;
@@ -376,39 +374,40 @@ pub fn sms_order(ddg: &Ddg<'_>, circuits: &[Circuit], lat_of: impl Fn(OpId) -> u
     order.into_iter().map(OpId::new).collect()
 }
 
-/// Checks the SMS invariant the paper relies on: every node except (at
-/// most) one per recurrence has, at the moment of its placement in the
-/// order, only predecessors or only successors among the earlier nodes
-/// (intra-iteration edges). Returns the number of violating nodes.
-pub fn order_violations(ddg: &Ddg<'_>, order: &[OpId]) -> usize {
-    let mut placed = HashSet::new();
-    let mut bad = 0;
-    for &v in order {
-        let preds: HashSet<usize> = ddg
-            .pred_edges(v)
-            .filter(|e| e.distance == 0)
-            .map(|e| e.from.index())
-            .collect();
-        let succs: HashSet<usize> = ddg
-            .succ_edges(v)
-            .filter(|e| e.distance == 0)
-            .map(|e| e.to.index())
-            .collect();
-        let has_p = preds.iter().any(|p| placed.contains(p));
-        let has_s = succs.iter().any(|s| placed.contains(s));
-        if has_p && has_s {
-            bad += 1;
-        }
-        placed.insert(v.index());
-    }
-    bad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::circuits::{elementary_circuits, EnumLimits};
+    use std::collections::HashSet;
     use vliw_ir::{DepKind, KernelBuilder, Opcode};
+
+    /// Checks the SMS invariant the paper relies on: every node except (at
+    /// most) one per recurrence has, at the moment of its placement in the
+    /// order, only predecessors or only successors among the earlier nodes
+    /// (intra-iteration edges). Returns the number of violating nodes.
+    fn order_violations(ddg: &Ddg<'_>, order: &[OpId]) -> usize {
+        let mut placed = HashSet::new();
+        let mut bad = 0;
+        for &v in order {
+            let preds: HashSet<usize> = ddg
+                .pred_edges(v)
+                .filter(|e| e.distance == 0)
+                .map(|e| e.from.index())
+                .collect();
+            let succs: HashSet<usize> = ddg
+                .succ_edges(v)
+                .filter(|e| e.distance == 0)
+                .map(|e| e.to.index())
+                .collect();
+            let has_p = preds.iter().any(|p| placed.contains(p));
+            let has_s = succs.iter().any(|s| placed.contains(s));
+            if has_p && has_s {
+                bad += 1;
+            }
+            placed.insert(v.index());
+        }
+        bad
+    }
 
     fn order_of(k: &vliw_ir::LoopKernel) -> (Vec<OpId>, Ddg<'_>) {
         let g = Ddg::build(k);

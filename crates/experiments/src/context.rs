@@ -167,11 +167,11 @@ pub struct ExperimentContext {
     pub delay_percentile: Option<f64>,
     /// Deterministic deadline for the exact backend (see
     /// [`ScheduleOptions::cost_ceiling`]): a hard node-count ceiling
-    /// composed by `min` with the resolved budget. Part of the
+    /// composed by `min` with the size-scaled node budget. Part of the
     /// schedule-cache key.
     pub cost_ceiling: Option<u64>,
-    /// What the exact backend does when its deadline runs out (see
-    /// [`vliw_sched::FallbackPolicy`]). Part of the schedule-cache key.
+    /// Ignored; set only by the frozen perfbench replica, removed with the benchmark-edit change.
+    #[doc(hidden)]
     pub fallback: FallbackPolicy,
 }
 
@@ -393,7 +393,6 @@ pub(crate) fn schedule_options(cfg: &RunConfig, ctx: &ExperimentContext) -> Sche
         enum_limits: ctx.enum_limits,
         backend: cfg.backend,
         cost_ceiling: ctx.cost_ceiling,
-        fallback: ctx.fallback,
         ..ScheduleOptions::new(cfg.policy)
     }
 }
@@ -645,19 +644,17 @@ impl BenchRun {
         out
     }
 
-    /// Per-quality loop counts `[heuristic, proven optimal, cutoff,
-    /// degraded]` — how many of this run's schedules carry which backend
-    /// claim. The cutoff and degraded columns are how exact-backend
-    /// budget exhaustion surfaces in aggregated reports (never a silent
-    /// fallback).
-    pub fn quality_counts(&self) -> [usize; 4] {
-        let mut out = [0usize; 4];
+    /// Per-quality loop counts `[heuristic, proven optimal, cutoff]` —
+    /// how many of this run's schedules carry which backend claim. The
+    /// cutoff column is how exact-backend budget exhaustion surfaces in
+    /// aggregated reports (never a silent fallback).
+    pub fn quality_counts(&self) -> [usize; 3] {
+        let mut out = [0usize; 3];
         for l in &self.loops {
             match l.prepared.quality {
                 SchedQuality::Heuristic => out[0] += 1,
                 SchedQuality::ProvenOptimal => out[1] += 1,
                 SchedQuality::CutoffFeasible => out[2] += 1,
-                SchedQuality::DegradedFallback => out[3] += 1,
             }
         }
         out

@@ -17,9 +17,8 @@
 //!   killing a rewrite before the atomic rename (the committed store
 //!   must survive byte-intact);
 //! * **budget starvation** — exact-search requests under a zero cost
-//!   ceiling and a [`FallbackPolicy::RetryReducedBudget`] ladder, which
-//!   must degrade to the heuristic incumbent as *counted*
-//!   [`SchedQuality::DegradedFallback`] answers that round-trip through
+//!   ceiling, which must serve the heuristic incumbent as *counted*
+//!   [`SchedQuality::CutoffFeasible`] answers that round-trip through
 //!   the version-2 store.
 //!
 //! Four drains of the same request queue run under these faults (cold
@@ -42,7 +41,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use vliw_ir::LoopKernel;
-use vliw_sched::{FallbackPolicy, SchedBackend, SchedQuality};
+use vliw_sched::{SchedBackend, SchedQuality};
 use vliw_trace::Trace;
 use vliw_workloads::rng::StdRng;
 
@@ -259,11 +258,11 @@ pub struct FaultReport {
     pub atomic_export_ok: bool,
     /// Exact-search requests run under the starvation ceiling.
     pub starved_requests: usize,
-    /// Starved requests that degraded to a counted
-    /// [`SchedQuality::DegradedFallback`] answer (must equal
+    /// Starved requests served as a counted
+    /// [`SchedQuality::CutoffFeasible`] answer (must equal
     /// `starved_requests`).
-    pub degraded: usize,
-    /// Whether the degraded quality claim survives a store round-trip.
+    pub starved_cutoffs: usize,
+    /// Whether the cutoff quality claim survives a store round-trip.
     pub quality_roundtrip_ok: bool,
     /// Wall time of the whole run.
     pub seconds: f64,
@@ -282,7 +281,7 @@ impl FaultReport {
             && !self.salvage.version_rejected
             && self.version_tamper_rejected
             && self.atomic_export_ok
-            && self.degraded == self.starved_requests
+            && self.starved_cutoffs == self.starved_requests
             && self.quality_roundtrip_ok
     }
 
@@ -320,7 +319,7 @@ impl FaultReport {
             ),
             ("atomic_export_ok".into(), b(self.atomic_export_ok)),
             ("starved_requests".into(), self.starved_requests as f64),
-            ("degraded".into(), self.degraded as f64),
+            ("starved_cutoffs".into(), self.starved_cutoffs as f64),
             ("quality_roundtrip_ok".into(), b(self.quality_roundtrip_ok)),
             ("accounted".into(), b(self.accounted())),
             ("seconds".into(), self.seconds),
@@ -376,8 +375,8 @@ impl FaultReport {
         t.row(vec![
             "budget starvation".into(),
             self.starved_requests.to_string(),
-            self.degraded.to_string(),
-            "degraded fallback".into(),
+            self.starved_cutoffs.to_string(),
+            "starved_cutoffs".into(),
         ]);
         t
     }
@@ -472,14 +471,10 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
         .into_stored(salvaged);
     let disk = drain(&disk_cache, &requests, ctx, opts.workers, Trace::off());
 
-    // starvation lane: exact search under a zero cost ceiling and a
-    // retry ladder — every request must degrade, visibly
+    // starvation lane: exact search under a zero cost ceiling — every
+    // request must be served as a cutoff, visibly
     let mut starved_ctx = ctx.clone();
     starved_ctx.cost_ceiling = Some(0);
-    starved_ctx.fallback = FallbackPolicy::RetryReducedBudget {
-        factor: 2,
-        max_retries: 2,
-    };
     let bnb_cfg = RunConfig {
         unroll: UnrollMode::NoUnroll,
         ..RunConfig::ipbc()
@@ -496,12 +491,12 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
             .collect()
     };
     let starved_cache = SchedCache::new();
-    let degraded = starved_kernels
+    let starved_cutoffs = starved_kernels
         .iter()
         .filter(|k| {
             starved_cache
                 .prepare(k, &machine, &bnb_cfg, &starved_ctx)
-                .map(|p| p.quality == SchedQuality::DegradedFallback)
+                .map(|p| p.quality == SchedQuality::CutoffFeasible)
                 .unwrap_or(false)
         })
         .count();
@@ -511,7 +506,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
             .map(|r| {
                 r.len() == starved_kernels.len()
                     && r.entries()
-                        .all(|e| e.quality == SchedQuality::DegradedFallback)
+                        .all(|e| e.quality == SchedQuality::CutoffFeasible)
             })
             .unwrap_or(false)
     };
@@ -545,7 +540,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
         version_tamper_rejected,
         atomic_export_ok,
         starved_requests: starved_kernels.len(),
-        degraded,
+        starved_cutoffs,
         quality_roundtrip_ok,
         seconds: t0.elapsed().as_secs_f64(),
     }

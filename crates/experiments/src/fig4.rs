@@ -14,7 +14,7 @@ use std::fmt;
 use vliw_sched::ClusterPolicy;
 
 use crate::context::{ExperimentContext, RunConfig, UnrollMode};
-use crate::grid::{GridResult, RunGrid};
+use crate::grid::RunGrid;
 use crate::report::{amean, f3, Table};
 
 /// The four bar configurations, in the paper's order.
@@ -139,23 +139,14 @@ impl fmt::Display for Fig4 {
     }
 }
 
-/// The Figure 4 grid: the four bar configurations over the context's
-/// benchmarks.
-pub fn fig4_grid() -> RunGrid {
+/// Runs the Figure 4 experiment (parallel grid): the four bar
+/// configurations over the context's benchmarks.
+pub fn fig4(ctx: &ExperimentContext) -> Fig4 {
     let mut grid = RunGrid::new("fig4");
     for (label, cfg) in BAR_LABELS.iter().zip(bar_configs()) {
         grid = grid.config(*label, cfg);
     }
-    grid
-}
-
-/// Runs the Figure 4 experiment (parallel grid).
-pub fn fig4(ctx: &ExperimentContext) -> Fig4 {
-    fig4_from(&fig4_grid().run(ctx))
-}
-
-/// Aggregates Figure 4 from an executed grid.
-pub fn fig4_from(result: &GridResult) -> Fig4 {
+    let result = grid.run(ctx);
     let mut rows = Vec::new();
     for (bench, runs) in result.by_bench() {
         let mut bars = [[0.0; 5]; 4];

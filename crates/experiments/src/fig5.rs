@@ -17,7 +17,7 @@
 use std::fmt;
 
 use crate::context::{BenchRun, ExperimentContext, RunConfig};
-use crate::grid::{GridResult, RunGrid};
+use crate::grid::RunGrid;
 use crate::report::{f3, Table};
 
 /// One benchmark's two bars (IBC, IPBC), each a normalized 4-factor split.
@@ -125,20 +125,13 @@ impl fmt::Display for Fig5 {
     }
 }
 
-/// The Figure 5 grid: IBC and IPBC over the context's benchmarks.
-pub fn fig5_grid() -> RunGrid {
-    RunGrid::new("fig5")
+/// Runs the Figure 5 experiment (parallel grid): IBC and IPBC over the
+/// context's benchmarks.
+pub fn fig5(ctx: &ExperimentContext) -> Fig5 {
+    let result = RunGrid::new("fig5")
         .config("IBC", RunConfig::ibc())
         .config("IPBC", RunConfig::ipbc())
-}
-
-/// Runs the Figure 5 experiment (parallel grid).
-pub fn fig5(ctx: &ExperimentContext) -> Fig5 {
-    fig5_from(&fig5_grid().run(ctx), ctx)
-}
-
-/// Aggregates Figure 5 from an executed grid.
-pub fn fig5_from(result: &GridResult, ctx: &ExperimentContext) -> Fig5 {
+        .run(ctx);
     let machine = ctx.machine_for(&RunConfig::ipbc());
     let mut rows = Vec::new();
     for (bench, runs) in result.by_bench() {

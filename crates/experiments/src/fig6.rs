@@ -166,7 +166,7 @@ pub fn fig6(ctx: &ExperimentContext) -> Fig6 {
 }
 
 /// Aggregates Figure 6 from an executed grid.
-pub fn fig6_from(result: &GridResult) -> Fig6 {
+fn fig6_from(result: &GridResult) -> Fig6 {
     let mut rows = Vec::new();
     for (bench, runs) in result.by_bench() {
         let mut bars = [StallBar::default(); 4];

@@ -10,7 +10,7 @@ use std::fmt;
 use vliw_sched::ClusterPolicy;
 
 use crate::context::{ExperimentContext, RunConfig, UnrollMode};
-use crate::grid::{GridResult, RunGrid};
+use crate::grid::RunGrid;
 use crate::report::{amean, f3, Table};
 
 /// The three configuration labels.
@@ -65,8 +65,8 @@ impl fmt::Display for Fig7 {
     }
 }
 
-/// The Figure 7 grid: the three IPBC configurations.
-pub fn fig7_grid() -> RunGrid {
+/// Runs the Figure 7 experiment (parallel grid): the three IPBC configurations.
+pub fn fig7(ctx: &ExperimentContext) -> Fig7 {
     let base = RunConfig::ipbc();
     let configs = [
         RunConfig {
@@ -87,16 +87,7 @@ pub fn fig7_grid() -> RunGrid {
     for (label, cfg) in CONFIG_LABELS.iter().zip(configs) {
         grid = grid.config(*label, cfg);
     }
-    grid
-}
-
-/// Runs the Figure 7 experiment (parallel grid).
-pub fn fig7(ctx: &ExperimentContext) -> Fig7 {
-    fig7_from(&fig7_grid().run(ctx), ctx)
-}
-
-/// Aggregates Figure 7 from an executed grid.
-pub fn fig7_from(result: &GridResult, ctx: &ExperimentContext) -> Fig7 {
+    let result = grid.run(ctx);
     let n = ctx.machine.n_clusters();
     let mut rows = Vec::new();
     for (bench, runs) in result.by_bench() {

@@ -15,7 +15,7 @@
 use std::fmt;
 
 use crate::context::{ExperimentContext, RunConfig};
-use crate::grid::{GridResult, RunGrid};
+use crate::grid::RunGrid;
 use crate::report::{amean, f3, Table};
 
 /// The bar labels, in the paper's order.
@@ -126,9 +126,9 @@ impl fmt::Display for Fig8 {
     }
 }
 
-/// The Figure 8 grid: the four bars plus the unified-L=1 normalizer as a
-/// fifth column.
-pub fn fig8_grid() -> RunGrid {
+/// Runs the Figure 8 experiment (parallel grid): the four bars plus the
+/// unified-L=1 normalizer as a fifth column.
+pub fn fig8(ctx: &ExperimentContext) -> Fig8 {
     let configs = [
         RunConfig::ipbc().with_buffers(),
         RunConfig::ibc().with_buffers(),
@@ -139,16 +139,7 @@ pub fn fig8_grid() -> RunGrid {
     for (label, cfg) in BAR_LABELS.iter().zip(configs) {
         grid = grid.config(*label, cfg);
     }
-    grid.config("Unified(L=1)", RunConfig::unified(1))
-}
-
-/// Runs the Figure 8 experiment (parallel grid).
-pub fn fig8(ctx: &ExperimentContext) -> Fig8 {
-    fig8_from(&fig8_grid().run(ctx))
-}
-
-/// Aggregates Figure 8 from an executed grid.
-pub fn fig8_from(result: &GridResult) -> Fig8 {
+    let result = grid.config("Unified(L=1)", RunConfig::unified(1)).run(ctx);
     let mut rows = Vec::new();
     for (bench, runs) in result.by_bench() {
         let baseline = &runs[4];

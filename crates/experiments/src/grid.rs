@@ -471,14 +471,13 @@ impl GridResult {
     }
 
     /// Per-configuration schedule-quality counts
-    /// `[heuristic, proven optimal, cutoff, degraded]`, summed over
-    /// benchmarks — how the backend axis surfaces in aggregation. A
-    /// nonzero cutoff or degraded column is the visible record of
-    /// exact-search budget exhaustion.
-    pub fn quality_by_config(&self) -> Vec<[usize; 4]> {
+    /// `[heuristic, proven optimal, cutoff]`, summed over benchmarks —
+    /// how the backend axis surfaces in aggregation. A nonzero cutoff
+    /// column is the visible record of exact-search budget exhaustion.
+    pub fn quality_by_config(&self) -> Vec<[usize; 3]> {
         (0..self.configs.len())
             .map(|c| {
-                let mut out = [0usize; 4];
+                let mut out = [0usize; 3];
                 for run in self.by_config(c) {
                     let q = run.quality_counts();
                     for (o, v) in out.iter_mut().zip(q) {
@@ -571,10 +570,9 @@ mod tests {
         let res = grid.run_serial(&ctx);
         let q = res.quality_by_config();
         let n_loops = res.cell(0, 0).loops.len();
-        assert_eq!(q[0], [n_loops, 0, 0, 0], "heuristic cells claim nothing");
+        assert_eq!(q[0], [n_loops, 0, 0], "heuristic cells claim nothing");
         assert_eq!(q[1][0], 0, "exact cells never claim Heuristic");
         assert_eq!(q[1][1] + q[1][2], n_loops, "proven + cutoff covers all");
-        assert_eq!(q[1][3], 0, "default fallback policy never degrades");
         // distinct backends must not have shared a memo slot
         for (a, b) in res.cell(0, 0).loops.iter().zip(&res.cell(0, 1).loops) {
             assert!(!std::sync::Arc::ptr_eq(&a.prepared, &b.prepared));

@@ -29,6 +29,7 @@ use std::fmt;
 use vliw_ir::LoopKernel;
 use vliw_sched::{
     schedule_kernel, schedule_outcome, ClusterPolicy, SchedBackend, SchedQuality, ScheduleOptions,
+    DEFAULT_NODE_BUDGET,
 };
 use vliw_workloads::{profile_kernel, ArrayLayout};
 
@@ -83,7 +84,8 @@ pub struct OptGapResult {
     pub rows: Vec<OptGapRow>,
     /// Factor-1 kernels in the population.
     pub n_kernels: usize,
-    /// The node budget the exact backend ran under.
+    /// The exact backend's base node budget ([`DEFAULT_NODE_BUDGET`]; a
+    /// factor-1 kernel runs under it unscaled).
     pub node_budget: u64,
 }
 
@@ -198,14 +200,7 @@ fn policy_row(policy: ClusterPolicy, kernels: &[LoopKernel], ctx: &ExperimentCon
                         }
                         ratio_sum += heuristic.ii as f64 / o.schedule.ii as f64;
                     }
-                    // the optgap study runs the default (Heuristic)
-                    // fallback policy, under which exhaustion surfaces
-                    // as a cutoff; a degraded result is the same
-                    // exhaustion seen through `RetryReducedBudget`, so
-                    // it lands in the same column
-                    SchedQuality::CutoffFeasible | SchedQuality::DegradedFallback => {
-                        row.cutoff += 1
-                    }
+                    SchedQuality::CutoffFeasible => row.cutoff += 1,
                     SchedQuality::Heuristic => {
                         unreachable!("exact backend cannot claim Heuristic")
                     }
@@ -235,7 +230,7 @@ pub fn optgap(ctx: &ExperimentContext) -> OptGapResult {
             .map(|&policy| policy_row(policy, &kernels, ctx))
             .collect(),
         n_kernels: kernels.len(),
-        node_budget: ScheduleOptions::new(ClusterPolicy::Free).node_budget,
+        node_budget: DEFAULT_NODE_BUDGET,
     }
 }
 

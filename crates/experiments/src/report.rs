@@ -122,34 +122,24 @@ pub fn mshr_table(result: &GridResult) -> Table {
 }
 
 /// Renders the schedule-quality summary of a grid run: per configuration,
-/// how many loop schedules are heuristic, proven optimal, limited by an
-/// exact-search cutoff, or degraded to the heuristic by an exhausted
-/// budget ladder. The cutoff and degraded columns are the report-level
-/// surface of `SchedStats::cutoffs` / `SchedStats::fallback_retries` —
-/// budget exhaustion is always visible, never a silent fallback to the
-/// heuristic result.
+/// how many loop schedules are heuristic, proven optimal, or limited by
+/// an exact-search cutoff. The cutoff column is the report-level surface
+/// of `SchedStats::cutoffs` — budget exhaustion is always visible, never
+/// a silent fallback to the heuristic result.
 pub fn backend_quality_table(result: &GridResult) -> Table {
     let mut t = Table::new(
         "Scheduler-backend quality summary",
-        &[
-            "config",
-            "loops",
-            "heuristic",
-            "proven",
-            "cutoff",
-            "degraded",
-        ],
+        &["config", "loops", "heuristic", "proven", "cutoff"],
     );
     let quality = result.quality_by_config();
     for (c, (label, _)) in result.configs().iter().enumerate() {
-        let [heuristic, proven, cutoff, degraded] = quality[c];
+        let [heuristic, proven, cutoff] = quality[c];
         t.row(vec![
             label.clone(),
-            (heuristic + proven + cutoff + degraded).to_string(),
+            (heuristic + proven + cutoff).to_string(),
             heuristic.to_string(),
             proven.to_string(),
             cutoff.to_string(),
-            degraded.to_string(),
         ]);
     }
     t

@@ -39,7 +39,7 @@
 //!   carry per-record checksums (format v2) and exports are atomic
 //!   (temp file + rename), so a torn file is salvageable record by
 //!   record — see [`ScheduleStore::from_text_salvage`]. DESIGN.md
-//!   ("Failure model & degradation ladder") walks the full lifecycle.
+//!   ("Failure model & recovery") walks the full lifecycle.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -120,7 +120,9 @@ fn env_fingerprint(machine: &MachineConfig, ctx: &ExperimentContext) -> u64 {
     // keeps every env fingerprint, and so every stored key, unchanged
     h.write_opt_u64(None);
     h.write_opt_u64(ctx.cost_ceiling);
-    ctx.fallback.hash(&mut h);
+    // the discriminant the retired fallback policy's derived `Hash`
+    // wrote for its only surviving value: every key stays unchanged
+    h.write_isize(1);
     h.finish()
 }
 
@@ -227,7 +229,6 @@ fn quality_token(quality: SchedQuality) -> &'static str {
         SchedQuality::Heuristic => "heur",
         SchedQuality::ProvenOptimal => "opt",
         SchedQuality::CutoffFeasible => "cutoff",
-        SchedQuality::DegradedFallback => "degraded",
     }
 }
 
@@ -236,7 +237,6 @@ fn parse_quality(tok: &str) -> Result<SchedQuality, String> {
         "heur" => Ok(SchedQuality::Heuristic),
         "opt" => Ok(SchedQuality::ProvenOptimal),
         "cutoff" => Ok(SchedQuality::CutoffFeasible),
-        "degraded" => Ok(SchedQuality::DegradedFallback),
         _ => Err(format!("unknown quality token `{tok}`")),
     }
 }
@@ -1200,7 +1200,6 @@ mod tests {
             (SchedQuality::Heuristic, "heur"),
             (SchedQuality::ProvenOptimal, "opt"),
             (SchedQuality::CutoffFeasible, "cutoff"),
-            (SchedQuality::DegradedFallback, "degraded"),
         ];
         assert_eq!(backends.len(), SchedBackend::ALL.len());
         let header = |backend: &str, quality: &str| {
@@ -1262,6 +1261,43 @@ mod tests {
         let text = format!("{}{record}{}", &text[..at], &text[at..]);
         let err = ScheduleStore::from_text(&text).unwrap_err();
         assert!(err.contains("unknown backend token `delay`"), "{err}");
+        let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
+        assert_eq!(salvaged.len(), 2);
+        assert_eq!(
+            (rep.recovered, rep.dropped_corrupt, rep.dropped()),
+            (2, 1, 1)
+        );
+    }
+
+    /// A store written while the exact backend's retry ladder existed: a
+    /// record claiming the retired `degraded` quality fails the strict
+    /// loader and is dropped by the salvage loader like any corrupt
+    /// record, costing a cold preparation, never an error on the serving
+    /// path.
+    #[test]
+    fn retired_degraded_records_salvage_as_corrupt() {
+        let header = |kfp: u64, quality: &str| {
+            format!(
+                "entry k{kfp} kfp {kfp} efp 11 arch wi policy ipbc backend bnb source syn \
+                 unroll no pad 1 choice none factor 1 pfp 13 quality {quality}"
+            )
+        };
+        let mut store = ScheduleStore::new();
+        for kfp in [7, 9] {
+            store.insert(entry(&header(kfp, "cutoff")));
+        }
+        let text = store.to_text().replacen("entries 2", "entries 3", 1);
+        // a well-framed, correctly checksummed record between the two
+        let degraded = header(8, "degraded");
+        let sched = "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
+        let record = format!(
+            "{degraded}\n{sched}check {}\nendentry\n",
+            record_checksum(&degraded, sched)
+        );
+        let at = text.find("entry k9").unwrap();
+        let text = format!("{}{record}{}", &text[..at], &text[at..]);
+        let err = ScheduleStore::from_text(&text).unwrap_err();
+        assert!(err.contains("unknown quality token `degraded`"), "{err}");
         let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
         assert_eq!(salvaged.len(), 2);
         assert_eq!(

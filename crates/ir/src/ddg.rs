@@ -204,15 +204,6 @@ impl<'k> Ddg<'k> {
         self.pred_edges(op).chain(self.succ_edges(op))
     }
 
-    /// Number of edges incident to `op` (in-degree + out-degree; a
-    /// self-edge counts twice). Cheap — two offset subtractions — so
-    /// callers can size neighbor buffers before walking the edges.
-    pub fn degree(&self, op: OpId) -> usize {
-        let v = op.index();
-        (self.pred_off[v + 1] - self.pred_off[v]) as usize
-            + (self.succ_off[v + 1] - self.succ_off[v]) as usize
-    }
-
     /// Successor operations of `op` (with repetitions if multiple edges).
     pub fn succs(&self, op: OpId) -> impl Iterator<Item = OpId> + '_ {
         self.succ_edges(op).map(|e| e.to)
@@ -285,12 +276,14 @@ mod tests {
         let mut k = b.finish(1.0);
         k.edges.push(DepEdge::new(o3, o1, DepKind::RegFlow, 2));
         let g = Ddg::build(&k);
-        assert_eq!(g.degree(o1), 3); // in: o3; out: o2, o3
-        assert_eq!(g.degree(o2), 2);
+        assert_eq!(g.incident_edges(o1).count(), 3); // in: o3; out: o2, o3
+        assert_eq!(g.incident_edges(o2).count(), 2);
         let inc: Vec<_> = g.incident_edges(o1).map(|e| (e.from, e.to)).collect();
         assert_eq!(inc, [(o3, o1), (o1, o2), (o1, o3)], "preds then succs");
         // degrees sum to twice the edge count
-        let total: usize = (0..g.n_ops()).map(|i| g.degree(OpId::new(i))).sum();
+        let total: usize = (0..g.n_ops())
+            .map(|i| g.incident_edges(OpId::new(i)).count())
+            .sum();
         assert_eq!(total, 2 * k.edges.len());
     }
 

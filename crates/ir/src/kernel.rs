@@ -65,11 +65,6 @@ impl LoopKernel {
     pub fn dynamic_ops(&self) -> f64 {
         self.ops.len() as f64 * self.avg_trip * self.invocations
     }
-
-    /// Total dynamic memory accesses per program run.
-    pub fn dynamic_mem_accesses(&self) -> f64 {
-        self.n_mem_ops() as f64 * self.avg_trip * self.invocations
-    }
 }
 
 impl fmt::Display for LoopKernel {
@@ -112,7 +107,6 @@ mod tests {
         assert_eq!(k.n_mem_ops(), 2);
         assert_eq!(k.op(OpId::new(1)).opcode, Opcode::Add);
         assert!((k.dynamic_ops() - 300.0).abs() < 1e-9);
-        assert!((k.dynamic_mem_accesses() - 200.0).abs() < 1e-9);
     }
 
     #[test]

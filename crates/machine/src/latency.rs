@@ -84,17 +84,6 @@ impl MemLatencies {
             AccessClass::RemoteMiss => self.remote_miss,
         }
     }
-
-    /// The cheapest class whose latency is `>= lat` — used to map an
-    /// arbitrary assigned latency back to a class for reporting.
-    pub fn class_for_latency(&self, lat: u32) -> AccessClass {
-        for c in AccessClass::ALL {
-            if lat <= self.of(c) {
-                return c;
-            }
-        }
-        AccessClass::RemoteMiss
-    }
 }
 
 impl Default for MemLatencies {
@@ -198,16 +187,6 @@ mod tests {
         assert_eq!(l.of(AccessClass::RemoteHit), 5);
         assert_eq!(l.of(AccessClass::LocalMiss), 10);
         assert_eq!(l.of(AccessClass::RemoteMiss), 15);
-    }
-
-    #[test]
-    fn class_for_latency_rounds_up() {
-        let l = MemLatencies::default();
-        assert_eq!(l.class_for_latency(1), AccessClass::LocalHit);
-        assert_eq!(l.class_for_latency(4), AccessClass::RemoteHit);
-        assert_eq!(l.class_for_latency(5), AccessClass::RemoteHit);
-        assert_eq!(l.class_for_latency(11), AccessClass::RemoteMiss);
-        assert_eq!(l.class_for_latency(99), AccessClass::RemoteMiss);
     }
 
     #[test]

@@ -142,21 +142,6 @@ impl MemStats {
         }
     }
 
-    /// Fraction of combined accesses.
-    pub fn combined_ratio(&self) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.combined as f64 / t as f64
-        }
-    }
-
-    /// The local hit ratio of §5.2 (local hits over all accesses).
-    pub fn local_hit_ratio(&self) -> f64 {
-        self.ratio(AccessClass::LocalHit)
-    }
-
     /// Hit rate over classified (non-combined) accesses.
     pub fn hit_rate(&self) -> f64 {
         let hits = self.count(AccessClass::LocalHit) + self.count(AccessClass::RemoteHit);
@@ -239,8 +224,8 @@ mod tests {
             0,
             "combined not double-counted"
         );
-        assert!((s.local_hit_ratio() - 0.6).abs() < 1e-12);
-        assert!((s.combined_ratio() - 0.1).abs() < 1e-12);
+        assert!((s.ratio(AccessClass::LocalHit) - 0.6).abs() < 1e-12);
+        assert_eq!(s.combined(), 1);
         assert!((s.hit_rate() - 8.0 / 9.0).abs() < 1e-12);
     }
 
@@ -318,8 +303,7 @@ mod tests {
     #[test]
     fn empty_ratios_are_zero() {
         let s = MemStats::new();
-        assert_eq!(s.local_hit_ratio(), 0.0);
+        assert_eq!(s.ratio(AccessClass::LocalHit), 0.0);
         assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.combined_ratio(), 0.0);
     }
 }

@@ -78,11 +78,6 @@ impl ArrayLayout {
     pub fn base(&self, idx: usize) -> u64 {
         self.bases[idx]
     }
-
-    /// The input this layout was instantiated for.
-    pub fn input_seed(&self) -> u64 {
-        self.input_seed
-    }
 }
 
 /// The address the memory operation `op` of `kernel` touches in
@@ -125,7 +120,7 @@ pub fn address_for(kernel: &LoopKernel, layout: &ArrayLayout, op: OpId, iteratio
         None => {
             // data-dependent index, different per input
             let elems = (array.size / mem.granularity.max(1) as u64).max(1);
-            let h = mix(hash_str(&operation.name) ^ layout.input_seed() ^ mix(iteration));
+            let h = mix(hash_str(&operation.name) ^ layout.input_seed ^ mix(iteration));
             base + (h % elems) * mem.granularity as u64
         }
     }

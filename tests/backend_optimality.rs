@@ -99,9 +99,6 @@ fn exact_backend_dominates_every_heuristic_on_the_suite() {
                     );
                 }
                 SchedQuality::Heuristic => panic!("exact backend cannot claim Heuristic"),
-                SchedQuality::DegradedFallback => {
-                    panic!("{}: default fallback policy never degrades", kernel.name)
-                }
             }
         }
     }
