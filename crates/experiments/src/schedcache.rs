@@ -1180,12 +1180,15 @@ impl ScheduleStore {
 mod tests {
     use super::*;
 
+    /// The schedule lines of an empty schedule.
+    const EMPTY_SCHED: &str =
+        "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
+
     /// Parses the record made of `header` and an empty schedule.
     fn entry(header: &str) -> StoreEntry {
-        let sched = "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
-        let check = format!("check {}", record_checksum(header, sched));
+        let check = format!("check {}", record_checksum(header, EMPTY_SCHED));
         let mut rec = vec![header];
-        rec.extend(sched.lines());
+        rec.extend(EMPTY_SCHED.lines());
         rec.extend([check.as_str(), "endentry"]);
         StoreEntry::parse_record(&rec).unwrap()
     }
@@ -1233,6 +1236,32 @@ mod tests {
         }
     }
 
+    /// Splices a well-framed, correctly checksummed record with header
+    /// `bad` between two records with headers `good(7)` and `good(9)`:
+    /// the strict loader must fail with `want_err`, and the salvage
+    /// loader must keep the two good records and drop `bad` as corrupt.
+    fn assert_salvaged_as_corrupt(good: impl Fn(u64) -> String, bad: &str, want_err: &str) {
+        let mut store = ScheduleStore::new();
+        for kfp in [7, 9] {
+            store.insert(entry(&good(kfp)));
+        }
+        let text = store.to_text().replacen("entries 2", "entries 3", 1);
+        let record = format!(
+            "{bad}\n{EMPTY_SCHED}check {}\nendentry\n",
+            record_checksum(bad, EMPTY_SCHED)
+        );
+        let at = text.find("entry k9").unwrap();
+        let text = format!("{}{record}{}", &text[..at], &text[at..]);
+        let err = ScheduleStore::from_text(&text).unwrap_err();
+        assert!(err.contains(want_err), "{err}");
+        let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
+        assert_eq!(salvaged.len(), 2);
+        assert_eq!(
+            (rep.recovered, rep.dropped_corrupt, rep.dropped()),
+            (2, 1, 1)
+        );
+    }
+
     /// A store written while the retired `delay` backend existed: its
     /// delay records fail the strict loader and are dropped one by one by
     /// the salvage loader, so they cost a cold preparation, never an error
@@ -1245,27 +1274,10 @@ mod tests {
                  unroll sel pad 1 choice xn factor 4 pfp 13 quality heur"
             )
         };
-        let mut store = ScheduleStore::new();
-        for kfp in [7, 9] {
-            store.insert(entry(&header(kfp, "swing")));
-        }
-        let text = store.to_text().replacen("entries 2", "entries 3", 1);
-        // a well-framed, correctly checksummed record between the two
-        let delay = header(8, "delay");
-        let sched = "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
-        let record = format!(
-            "{delay}\n{sched}check {}\nendentry\n",
-            record_checksum(&delay, sched)
-        );
-        let at = text.find("entry k9").unwrap();
-        let text = format!("{}{record}{}", &text[..at], &text[at..]);
-        let err = ScheduleStore::from_text(&text).unwrap_err();
-        assert!(err.contains("unknown backend token `delay`"), "{err}");
-        let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
-        assert_eq!(salvaged.len(), 2);
-        assert_eq!(
-            (rep.recovered, rep.dropped_corrupt, rep.dropped()),
-            (2, 1, 1)
+        assert_salvaged_as_corrupt(
+            |kfp| header(kfp, "swing"),
+            &header(8, "delay"),
+            "unknown backend token `delay`",
         );
     }
 
@@ -1282,27 +1294,10 @@ mod tests {
                  unroll no pad 1 choice none factor 1 pfp 13 quality {quality}"
             )
         };
-        let mut store = ScheduleStore::new();
-        for kfp in [7, 9] {
-            store.insert(entry(&header(kfp, "cutoff")));
-        }
-        let text = store.to_text().replacen("entries 2", "entries 3", 1);
-        // a well-framed, correctly checksummed record between the two
-        let degraded = header(8, "degraded");
-        let sched = "sched ii 1 mii 1 res 1 rec 1 tmii 1 nops 0 ncopies 0\nops\nlats\ncopies\n";
-        let record = format!(
-            "{degraded}\n{sched}check {}\nendentry\n",
-            record_checksum(&degraded, sched)
-        );
-        let at = text.find("entry k9").unwrap();
-        let text = format!("{}{record}{}", &text[..at], &text[at..]);
-        let err = ScheduleStore::from_text(&text).unwrap_err();
-        assert!(err.contains("unknown quality token `degraded`"), "{err}");
-        let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
-        assert_eq!(salvaged.len(), 2);
-        assert_eq!(
-            (rep.recovered, rep.dropped_corrupt, rep.dropped()),
-            (2, 1, 1)
+        assert_salvaged_as_corrupt(
+            |kfp| header(kfp, "cutoff"),
+            &header(8, "degraded"),
+            "unknown quality token `degraded`",
         );
     }
 
