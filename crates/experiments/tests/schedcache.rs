@@ -4,13 +4,14 @@
 //! the structural key (same-name kernels with different bodies never
 //! collide — the failure mode of name-keyed memoization).
 
+use std::hash::Hasher as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use vliw_experiments::{
     ExperimentContext, PreparedLoop, RunConfig, SchedCache, ScheduleStore, UnrollMode,
 };
-use vliw_ir::{kernel_fingerprint, LoopKernel};
+use vliw_ir::{kernel_fingerprint, LoopKernel, StableHasher};
 use vliw_sched::ClusterPolicy;
 
 fn ctx() -> ExperimentContext {
@@ -61,19 +62,21 @@ fn thread_storm_prepares_each_key_exactly_once() {
     assert!(n_keys >= 4, "suite too small to stress");
 
     // serial reference
-    let reference: Vec<Arc<PreparedLoop>> = {
-        let cache = SchedCache::new();
-        configs
-            .iter()
-            .flat_map(|cfg| {
-                let machine = ctx.machine_for(cfg);
-                kernels
-                    .iter()
-                    .map(|k| cache.prepare(k, &machine, cfg, &ctx).expect("schedules"))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    };
+    let reference_cache = SchedCache::new();
+    let reference: Vec<Arc<PreparedLoop>> = configs
+        .iter()
+        .flat_map(|cfg| {
+            let machine = ctx.machine_for(cfg);
+            kernels
+                .iter()
+                .map(|k| {
+                    reference_cache
+                        .prepare(k, &machine, cfg, &ctx)
+                        .expect("schedules")
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
 
     const THREADS: usize = 8;
     let cache = SchedCache::with_shards(4);
@@ -114,6 +117,18 @@ fn thread_storm_prepares_each_key_exactly_once() {
     );
     assert_eq!(cache.store_hits(), 0);
     assert_eq!(cache.stale(), 0);
+
+    // the exported store is byte-identical to the serial reference's,
+    // whatever order the storm filled it in, and its bytes are pinned
+    let text = cache.export_store().to_text();
+    assert_eq!(text, reference_cache.export_store().to_text());
+    let mut h = StableHasher::new();
+    h.write_str(&text);
+    assert_eq!(
+        h.finish(),
+        0x809a_1245_7ae1_a334,
+        "the exported store text changed"
+    );
 }
 
 fn temp_path(name: &str) -> PathBuf {
