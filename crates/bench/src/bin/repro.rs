@@ -518,7 +518,7 @@ fn main() {
     }
     if want("batch") {
         // the scheduling-as-a-service study: drain a replicated suite
-        // queue through the sharded schedule cache cold, warm and from
+        // queue through the schedule cache cold, warm and from
         // the round-tripped on-disk store, workers claiming the
         // most expensive requests first from one shared queue
         let t0 = Instant::now();
@@ -532,10 +532,6 @@ fn main() {
         }
         let b = batch::run_batch(&ctx, &opts);
         print!("{b}");
-        let ht = report::shard_health_table(&b);
-        print!("{}", ht.render());
-        save("batch_shards", b.shard_csv());
-        save("batch_health", ht.to_csv());
         record("batch", t0, b.metrics());
     }
     if want("trace") {

@@ -1,5 +1,5 @@
 //! The batch scheduling service: drain a large kernel×config request
-//! queue through the sharded schedule cache ([`crate::schedcache`]) with
+//! queue through the schedule cache ([`crate::schedcache`]) with
 //! a pool of workers, and prove the answers identical cold, warm and
 //! reloaded-from-disk.
 //!
@@ -15,8 +15,7 @@
 //! size): each worker claims the next request of that order from one
 //! shared cursor (the crate's one worker pool, `grid::claim_loop`), so
 //! the expensive head spreads over the workers and the cheap tail
-//! back-fills them. Every cache has the default shard count. Four passes
-//! over the *same* request list:
+//! back-fills them. Four passes over the *same* request list:
 //!
 //! 1. **cold serial** — fresh cache, one worker: the reference answers
 //!    and the throughput floor;
@@ -29,9 +28,8 @@
 //!
 //! Every pass folds its per-request schedule digests in request order,
 //! whatever order they were answered in, into one fingerprint; all four
-//! must be bit-identical. Per-shard hit/contention counters from the
-//! cold parallel pass expose how the lock striping behaved under real
-//! load.
+//! must be bit-identical. The cold parallel pass also counts how often a
+//! worker blocked on another's in-flight fill of the same cell.
 
 use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +42,7 @@ use vliw_trace::Trace;
 
 use crate::context::{ExperimentContext, RunConfig, UnrollMode};
 use crate::grid::claim_loop;
-use crate::schedcache::{SchedCache, ScheduleStore, ShardCounters};
+use crate::schedcache::{SchedCache, ScheduleStore};
 
 /// How many times one request re-attempts a preparation whose previous
 /// attempt panicked (the cache contains the panic and marks the slot
@@ -115,8 +113,6 @@ pub struct BatchReport {
     pub variants: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Cache shards used.
-    pub shards: usize,
     /// Pass 1: cold, one worker.
     pub cold_serial: PassReport,
     /// Pass 2: cold, every worker.
@@ -159,8 +155,9 @@ pub struct BatchReport {
     /// unrecovered slots" acceptance gate (retries re-adopt every failed
     /// slot, so this must be 0).
     pub unrecovered_slots: u64,
-    /// Per-shard counters captured after the cold parallel pass.
-    pub cold_shards: Vec<ShardCounters>,
+    /// Times a cold-parallel worker blocked on another's in-flight fill
+    /// of the same cell ([`SchedCache::inflight_waits`]).
+    pub inflight_waits: u64,
     /// Panic reasons of slots still marked failed after all passes
     /// (the diagnostic payload behind `unrecovered_slots`; empty on
     /// clean runs).
@@ -174,30 +171,6 @@ impl BatchReport {
         self.warm_mem.per_sec / self.cold_parallel.per_sec
     }
 
-    /// The per-shard counter CSV (`results/batch_shards.csv`): one row
-    /// per shard of the cold parallel pass.
-    pub fn shard_csv(&self) -> String {
-        let mut out = String::from(
-            "shard,entries,hits,store_hits,prepares,stale,inflight_waits,map_contended,\
-             panics_contained,slots_recovered\n",
-        );
-        for (i, s) in self.cold_shards.iter().enumerate() {
-            out.push_str(&format!(
-                "{i},{},{},{},{},{},{},{},{},{}\n",
-                s.entries,
-                s.hits,
-                s.store_hits,
-                s.prepares,
-                s.stale,
-                s.inflight_waits,
-                s.map_contended,
-                s.panics_contained,
-                s.slots_recovered,
-            ));
-        }
-        out
-    }
-
     /// The `batch` metrics of `BENCH_repro.json`.
     pub fn metrics(&self) -> Vec<(String, f64)> {
         let b = |x: bool| if x { 1.0 } else { 0.0 };
@@ -206,7 +179,6 @@ impl BatchReport {
             ("unique_keys".into(), self.unique_keys as f64),
             ("variants".into(), self.variants as f64),
             ("workers".into(), self.workers as f64),
-            ("shards".into(), self.shards as f64),
             ("cold_serial_seconds".into(), self.cold_serial.seconds),
             ("cold_serial_per_sec".into(), self.cold_serial.per_sec),
             ("cold_seconds".into(), self.cold_parallel.seconds),
@@ -228,20 +200,7 @@ impl BatchReport {
             ("panic_retries".into(), self.panic_retries as f64),
             ("worker_panics".into(), self.worker_panics as f64),
             ("unrecovered_slots".into(), self.unrecovered_slots as f64),
-            (
-                "inflight_waits".into(),
-                self.cold_shards
-                    .iter()
-                    .map(|s| s.inflight_waits)
-                    .sum::<u64>() as f64,
-            ),
-            (
-                "map_contended".into(),
-                self.cold_shards
-                    .iter()
-                    .map(|s| s.map_contended)
-                    .sum::<u64>() as f64,
-            ),
+            ("inflight_waits".into(), self.inflight_waits as f64),
         ]
     }
 }
@@ -250,9 +209,8 @@ impl std::fmt::Display for BatchReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "batch: {} requests ({} unique keys, {} variants/loop), \
-             {} workers x {} shards",
-            self.requests, self.unique_keys, self.variants, self.workers, self.shards
+            "batch: {} requests ({} unique keys, {} variants/loop), {} workers",
+            self.requests, self.unique_keys, self.variants, self.workers
         )?;
         writeln!(
             f,
@@ -300,6 +258,9 @@ impl std::fmt::Display for BatchReport {
                 self.worker_panics,
                 self.unrecovered_slots
             )?;
+        }
+        for reason in &self.failed_slot_reasons {
+            writeln!(f, "  failed slot: {reason}")?;
         }
         Ok(())
     }
@@ -506,7 +467,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
     // pass 2: cold parallel
     let cache = SchedCache::new();
     let cold = drain(&cache, &requests, ctx, opts.workers, Trace::off());
-    let cold_shards = cache.shard_counters();
+    let inflight_waits = cache.inflight_waits();
     let unique_keys = cache.len();
 
     // pass 3: warm memory (same cache; every request hits)
@@ -537,7 +498,6 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
         unique_keys,
         variants,
         workers: opts.workers,
-        shards: cold_shards.len(),
         cold_serial: pass(&serial, n),
         cold_parallel: pass(&cold, n),
         warm_mem: pass(&warm, n),
@@ -570,7 +530,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
         unrecovered_slots: (serial_cache.failed_slots()
             + cache.failed_slots()
             + disk_cache.failed_slots()) as u64,
-        cold_shards,
+        inflight_waits,
         failed_slot_reasons: [&serial_cache, &cache, &disk_cache]
             .iter()
             .flat_map(|c| c.failed_slot_reasons())
@@ -618,33 +578,14 @@ mod tests {
             r.store_hit_rate
         );
         assert_eq!(r.store_stale, 0, "fresh store entries must never be stale");
-        // every request answered exactly once across shards
-        let total: u64 = r.cold_shards.iter().map(|s| s.hits + s.prepares).sum();
-        assert_eq!(total, r.requests as u64);
-        // the shard CSV is one row per shard, cell for cell the counters
-        assert_eq!(r.shards, r.cold_shards.len());
-        let csv = r.shard_csv();
-        let rows: Vec<&str> = csv.lines().skip(1).collect();
-        assert_eq!(rows.len(), r.shards);
-        for (i, (row, s)) in rows.iter().zip(&r.cold_shards).enumerate() {
-            let expected = [
-                i as u64,
-                s.entries,
-                s.hits,
-                s.store_hits,
-                s.prepares,
-                s.stale,
-                s.inflight_waits,
-                s.map_contended,
-                s.panics_contained,
-                s.slots_recovered,
-            ];
-            let cells: Vec<u64> = row
-                .split(',')
-                .map(|c| c.parse().expect("integer cell"))
-                .collect();
-            assert_eq!(cells, expected, "shard {i}");
-        }
+        // the metrics carry the cold pass's in-flight waits
+        let waits = r.metrics().into_iter().find(|(k, _)| k == "inflight_waits");
+        assert_eq!(waits.map(|(_, v)| v), Some(r.inflight_waits as f64));
+        // a slot left failed shows its reason; a clean report shows none
+        assert!(!r.to_string().contains("failed slot"));
+        let mut failed = r.clone();
+        failed.failed_slot_reasons.push("injected".into());
+        assert!(failed.to_string().contains("failed slot: injected"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! Four drains of the same request queue run under these faults (cold
 //! serial on one worker, cold parallel, warm memory, warm from the
 //! *salvaged* store), each through the batch driver's claim loop and a
-//! default-sharded [`SchedCache`]; their digest folds (in request
+//! fresh [`SchedCache`]; their digest folds (in request
 //! order) must agree bit-for-bit — injected faults may cost retries and
 //! hit rate, never answers. The [`FaultReport`] closes the loop:
 //! [`FaultReport::accounted`] is true only when every injected fault

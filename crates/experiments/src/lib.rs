@@ -66,8 +66,6 @@ pub use faults::{run_faults, FaultOptions, FaultPlan, FaultReport};
 pub use grid::{GridAxes, GridResult, Parallelism, RunGrid};
 pub use optgap::{OptGapResult, OptGapRow};
 pub use profile_fidelity::{CollectedSuite, ProfileFidelityResult};
-pub use report::{backend_quality_table, mshr_table, shard_health_table, Table};
-pub use schedcache::{
-    CacheKey, PrepareFn, SalvageReport, SchedCache, ScheduleStore, ShardCounters, StoreEntry,
-};
+pub use report::{backend_quality_table, mshr_table, Table};
+pub use schedcache::{CacheKey, PrepareFn, SalvageReport, SchedCache, ScheduleStore, StoreEntry};
 pub use trace_exp::{run_trace, TraceRun};

@@ -2,7 +2,6 @@
 
 use std::fmt::Write as _;
 
-use crate::batch::BatchReport;
 use crate::grid::GridResult;
 
 /// A simple column-aligned text table with a title, built row by row —
@@ -141,48 +140,6 @@ pub fn backend_quality_table(result: &GridResult) -> Table {
             proven.to_string(),
             cutoff.to_string(),
         ]);
-    }
-    t
-}
-
-/// Renders the schedule-cache health summary of a batch run: one row per
-/// shard with the full counter set — including `inflight_waits` (threads
-/// that blocked on another's in-flight fill of the same cell) — then one
-/// `failed` row per slot still marked failed, carrying the contained
-/// panic's reason in the `note` column. Clean runs have no `failed` rows.
-pub fn shard_health_table(report: &BatchReport) -> Table {
-    let mut t = Table::new(
-        "Schedule-cache shard health (cold parallel pass)",
-        &[
-            "shard",
-            "entries",
-            "hits",
-            "prepares",
-            "inflight_waits",
-            "map_contended",
-            "panics",
-            "recovered",
-            "note",
-        ],
-    );
-    for (i, s) in report.cold_shards.iter().enumerate() {
-        t.row(vec![
-            i.to_string(),
-            s.entries.to_string(),
-            s.hits.to_string(),
-            s.prepares.to_string(),
-            s.inflight_waits.to_string(),
-            s.map_contended.to_string(),
-            s.panics_contained.to_string(),
-            s.slots_recovered.to_string(),
-            String::new(),
-        ]);
-    }
-    for reason in &report.failed_slot_reasons {
-        let mut row = vec!["failed".to_string()];
-        row.extend((0..7).map(|_| "-".to_string()));
-        row.push(reason.clone());
-        t.row(row);
     }
     t
 }

@@ -1,9 +1,10 @@
-//! The schedule cache: sharded in memory, versioned on disk.
+//! The schedule cache: one key→slot map in memory, versioned on disk.
 //!
 //! This is the orchestration layer of "scheduling as a service": a
-//! content-addressed cache that (a) scales across worker threads by lock
-//! striping, and (b) outlives a process via a persistent store in the
-//! same integers-only text discipline as the measured-profile store.
+//! content-addressed cache that (a) serves concurrent worker threads
+//! from one key→slot map, and (b) outlives a process via a persistent
+//! store in the same integers-only text discipline as the
+//! measured-profile store.
 //!
 //! * **Key** ([`CacheKey`]): `kernel_fingerprint × env fingerprint ×
 //!   (arch, policy, backend, profile source, unroll, padding)`. Both
@@ -13,15 +14,14 @@
 //!   fingerprint masks Attraction Buffers and MSHRs (consumed by the
 //!   cache timing model, downstream of scheduling), so buffer/hint/MSHR
 //!   sweeps share preparations exactly as before.
-//! * **Shards** ([`SchedCache`]): the key's stable hash picks one of
-//!   [`DEFAULT_SHARDS`] independently locked shards; a shard's map lock
-//!   is held only to resolve the key to a slot. A slot is just its
+//! * **Slots** ([`SchedCache`]): one locked map resolves a key to its
+//!   slot, and its lock is held for that lookup only. A slot is just its
 //!   mutex, which doubles as the in-flight guard: concurrent requests
 //!   for the *same* cell block on the first computer (one preparation
-//!   per key, ever), while requests for other cells — even in the same
-//!   shard — proceed as soon as the map lock is released. `try_lock`
-//!   front-ends count real contention per shard. A completed cell stays
-//!   for the cache's lifetime.
+//!   per key, ever), while requests for other cells proceed as soon as
+//!   the map lock is released. No path waits on a slot mutex while it
+//!   holds the map lock. A completed cell stays for the cache's
+//!   lifetime.
 //! * **Store** ([`ScheduleStore`]): completed cells can be exported to a
 //!   versioned text form and fed back into a fresh cache. A warm hit
 //!   rebuilds the prepared kernel (unroll + profile — no candidate
@@ -33,16 +33,16 @@
 //! * **Failure containment**: a slot fill runs under `catch_unwind`, so
 //!   a panicking preparation fails its own request
 //!   ([`ScheduleError::PreparationPanicked`]), marks the slot `Failed`
-//!   (counted in [`ShardCounters::panics_contained`]) and leaves the
-//!   mutex clean; the next request for the key recovers the slot
-//!   ([`ShardCounters::slots_recovered`]) and re-attempts. Store records
+//!   (counted in [`SchedCache::panics_contained`]) and leaves the mutex
+//!   clean; the next request for the key recovers the slot
+//!   ([`SchedCache::slots_recovered`]) and re-attempts. Store records
 //!   carry per-record checksums (format v2) and exports are atomic
 //!   (temp file + rename), so a torn file is salvageable record by
 //!   record — see [`ScheduleStore::from_text_salvage`]. DESIGN.md
 //!   ("Failure model & recovery") walks the full lifecycle.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
@@ -66,9 +66,6 @@ use crate::context::{
 /// salvage loader can tell a torn or bit-flipped record from a good one;
 /// version-1 stores (no check lines) are rejected.
 pub const SCHED_STORE_VERSION: u32 = 2;
-
-/// Default shard count of a [`SchedCache`].
-pub const DEFAULT_SHARDS: usize = 16;
 
 /// The preparation-relevant identity of one cache cell.
 ///
@@ -126,42 +123,69 @@ fn env_fingerprint(machine: &MachineConfig, ctx: &ExperimentContext) -> u64 {
     h.finish()
 }
 
+/// The store tokens of each enum, one two-way table apiece: the writer
+/// ([`token`]) and the parser ([`parse_token`]) read the same table.
+const ARCH_TOKENS: [(ArchVariant, &str); 2] = [
+    (ArchVariant::WordInterleaved, "wi"),
+    (ArchVariant::MultiVliw, "mv"),
+];
+const POLICY_TOKENS: [(ClusterPolicy, &str); 4] = [
+    (ClusterPolicy::Free, "base"),
+    (ClusterPolicy::BuildChains, "ibc"),
+    (ClusterPolicy::PreBuildChains, "ipbc"),
+    (ClusterPolicy::NoChains, "nochains"),
+];
+const SOURCE_TOKENS: [(ProfileSource, &str); 3] = [
+    (ProfileSource::None, "none"),
+    (ProfileSource::Synthetic, "syn"),
+    (ProfileSource::Measured, "meas"),
+];
+const UNROLL_TOKENS: [(UnrollMode, &str); 3] = [
+    (UnrollMode::NoUnroll, "no"),
+    (UnrollMode::Ouf, "ouf"),
+    (UnrollMode::Selective, "sel"),
+];
+const CHOICE_TOKENS: [(UnrollChoice, &str); 3] = [
+    (UnrollChoice::None, "none"),
+    (UnrollChoice::TimesN, "xn"),
+    (UnrollChoice::Ouf, "ouf"),
+];
+const QUALITY_TOKENS: [(SchedQuality, &str); 3] = [
+    (SchedQuality::Heuristic, "heur"),
+    (SchedQuality::ProvenOptimal, "opt"),
+    (SchedQuality::CutoffFeasible, "cutoff"),
+];
+
+/// The token of `value` in `table`.
+fn token<T: PartialEq>(table: &[(T, &'static str)], value: &T) -> &'static str {
+    table
+        .iter()
+        .find(|(v, _)| v == value)
+        .map(|&(_, tok)| tok)
+        .expect("every value has a store token")
+}
+
+/// The value of `tok` in `table`; `what` names the field in the error.
+fn parse_token<T: Copy>(table: &[(T, &str)], what: &str, tok: &str) -> Result<T, String> {
+    table
+        .iter()
+        .find(|&&(_, t)| t == tok)
+        .map(|&(v, _)| v)
+        .ok_or_else(|| format!("unknown {what} token `{tok}`"))
+}
+
+/// Arch tokens are the table's, except a unified cache's `uni{lat}`.
 fn arch_token(arch: ArchVariant) -> String {
     match arch {
-        ArchVariant::WordInterleaved => "wi".into(),
-        ArchVariant::MultiVliw => "mv".into(),
         ArchVariant::Unified(lat) => format!("uni{lat}"),
+        _ => token(&ARCH_TOKENS, &arch).into(),
     }
 }
 
 fn parse_arch(tok: &str) -> Result<ArchVariant, String> {
-    match tok {
-        "wi" => Ok(ArchVariant::WordInterleaved),
-        "mv" => Ok(ArchVariant::MultiVliw),
-        _ => tok
-            .strip_prefix("uni")
-            .and_then(|l| l.parse().ok())
-            .map(ArchVariant::Unified)
-            .ok_or_else(|| format!("unknown arch token `{tok}`")),
-    }
-}
-
-fn policy_token(policy: ClusterPolicy) -> &'static str {
-    match policy {
-        ClusterPolicy::Free => "base",
-        ClusterPolicy::BuildChains => "ibc",
-        ClusterPolicy::PreBuildChains => "ipbc",
-        ClusterPolicy::NoChains => "nochains",
-    }
-}
-
-fn parse_policy(tok: &str) -> Result<ClusterPolicy, String> {
-    match tok {
-        "base" => Ok(ClusterPolicy::Free),
-        "ibc" => Ok(ClusterPolicy::BuildChains),
-        "ipbc" => Ok(ClusterPolicy::PreBuildChains),
-        "nochains" => Ok(ClusterPolicy::NoChains),
-        _ => Err(format!("unknown policy token `{tok}`")),
+    match tok.strip_prefix("uni").and_then(|l| l.parse().ok()) {
+        Some(lat) => Ok(ArchVariant::Unified(lat)),
+        None => parse_token(&ARCH_TOKENS, "arch", tok),
     }
 }
 
@@ -171,74 +195,6 @@ fn parse_backend(tok: &str) -> Result<SchedBackend, String> {
         .into_iter()
         .find(|b| b.name() == tok)
         .ok_or_else(|| format!("unknown backend token `{tok}`"))
-}
-
-fn source_token(source: ProfileSource) -> &'static str {
-    match source {
-        ProfileSource::None => "none",
-        ProfileSource::Synthetic => "syn",
-        ProfileSource::Measured => "meas",
-    }
-}
-
-fn parse_source(tok: &str) -> Result<ProfileSource, String> {
-    match tok {
-        "none" => Ok(ProfileSource::None),
-        "syn" => Ok(ProfileSource::Synthetic),
-        "meas" => Ok(ProfileSource::Measured),
-        _ => Err(format!("unknown source token `{tok}`")),
-    }
-}
-
-fn unroll_token(unroll: UnrollMode) -> &'static str {
-    match unroll {
-        UnrollMode::NoUnroll => "no",
-        UnrollMode::Ouf => "ouf",
-        UnrollMode::Selective => "sel",
-    }
-}
-
-fn parse_unroll(tok: &str) -> Result<UnrollMode, String> {
-    match tok {
-        "no" => Ok(UnrollMode::NoUnroll),
-        "ouf" => Ok(UnrollMode::Ouf),
-        "sel" => Ok(UnrollMode::Selective),
-        _ => Err(format!("unknown unroll token `{tok}`")),
-    }
-}
-
-fn choice_token(choice: UnrollChoice) -> &'static str {
-    match choice {
-        UnrollChoice::None => "none",
-        UnrollChoice::TimesN => "xn",
-        UnrollChoice::Ouf => "ouf",
-    }
-}
-
-fn parse_choice(tok: &str) -> Result<UnrollChoice, String> {
-    match tok {
-        "none" => Ok(UnrollChoice::None),
-        "xn" => Ok(UnrollChoice::TimesN),
-        "ouf" => Ok(UnrollChoice::Ouf),
-        _ => Err(format!("unknown choice token `{tok}`")),
-    }
-}
-
-fn quality_token(quality: SchedQuality) -> &'static str {
-    match quality {
-        SchedQuality::Heuristic => "heur",
-        SchedQuality::ProvenOptimal => "opt",
-        SchedQuality::CutoffFeasible => "cutoff",
-    }
-}
-
-fn parse_quality(tok: &str) -> Result<SchedQuality, String> {
-    match tok {
-        "heur" => Ok(SchedQuality::Heuristic),
-        "opt" => Ok(SchedQuality::ProvenOptimal),
-        "cutoff" => Ok(SchedQuality::CutoffFeasible),
-        _ => Err(format!("unknown quality token `{tok}`")),
-    }
 }
 
 impl CacheKey {
@@ -260,25 +216,7 @@ impl CacheKey {
             padding: cfg.padding,
         }
     }
-
-    /// A toolchain-stable hash of the key (used for shard selection, so
-    /// shard assignment — and with it the per-shard counters — is
-    /// reproducible across runs).
-    pub fn stable_hash(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.kernel_fp);
-        h.write_u64(self.env_fp);
-        h.write_str(&arch_token(self.arch));
-        h.write_str(policy_token(self.policy));
-        h.write_str(self.backend.name());
-        h.write_str(source_token(self.source));
-        h.write_str(unroll_token(self.unroll));
-        h.write_u8(u8::from(self.padding));
-        h.finish()
-    }
 }
-
-use std::hash::Hasher as _;
 
 /// Locks `m`, recovering from poison: a mutex poisoned by some panic
 /// elsewhere still holds coherent data here, because every fill path
@@ -306,54 +244,8 @@ enum SlotState {
     Failed(String),
 }
 
-#[derive(Debug, Default)]
-struct ShardStats {
-    hits: AtomicU64,
-    store_hits: AtomicU64,
-    prepares: AtomicU64,
-    stale: AtomicU64,
-    inflight_waits: AtomicU64,
-    map_contended: AtomicU64,
-    panics_contained: AtomicU64,
-    slots_recovered: AtomicU64,
-}
-
-/// One lock stripe: key → slot, where a slot's own mutex is the key's
-/// in-flight guard.
-#[derive(Debug, Default)]
-struct Shard {
-    map: Mutex<HashMap<CacheKey, Arc<Mutex<SlotState>>>>,
-    stats: ShardStats,
-}
-
-/// A per-shard counter snapshot (see [`SchedCache::shard_counters`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Completed cells resident in the shard.
-    pub entries: u64,
-    /// Prepares served from a completed in-memory slot.
-    pub hits: u64,
-    /// Prepares served by rebuilding a persistent-store entry.
-    pub store_hits: u64,
-    /// Cold preparations computed.
-    pub prepares: u64,
-    /// Store entries rejected as stale (fingerprint/verify mismatch).
-    pub stale: u64,
-    /// Times a thread blocked on another's in-flight preparation of the
-    /// same cell (work deduplicated, not duplicated).
-    pub inflight_waits: u64,
-    /// Times the shard's map lock was busy on arrival (real lock-striping
-    /// contention; the map lock is only held to resolve key → slot).
-    pub map_contended: u64,
-    /// Preparation panics contained at the slot boundary (`catch_unwind`):
-    /// each one failed its own request with
-    /// [`ScheduleError::PreparationPanicked`] and marked the slot
-    /// `Failed` instead of poisoning it.
-    pub panics_contained: u64,
-    /// Times a thread found a slot a previous filler had marked failed,
-    /// reset it, and re-attempted the preparation.
-    pub slots_recovered: u64,
-}
+/// A cache cell: its own mutex is the key's in-flight guard.
+type Slot = Arc<Mutex<SlotState>>;
 
 /// Signature of the function a cache invokes to fill a cold slot —
 /// the preparation seam. The default is
@@ -370,46 +262,38 @@ pub type PrepareFn = dyn Fn(
     + Send
     + Sync;
 
-/// The sharded, persistable schedule cache. See the module docs.
+/// The persistable schedule cache. See the module docs.
+#[derive(Default)]
 pub struct SchedCache {
-    shards: Vec<Shard>,
+    /// Key → slot; locked only to resolve or list slots, never while
+    /// waiting on one.
+    map: Mutex<HashMap<CacheKey, Slot>>,
     store: Option<ScheduleStore>,
     /// Slot-fill override (`None` =
     /// [`prepare_loop`]).
     preparer: Option<Arc<PrepareFn>>,
+    hits: AtomicU64,
+    store_hits: AtomicU64,
+    prepares: AtomicU64,
+    stale: AtomicU64,
+    inflight_waits: AtomicU64,
+    panics_contained: AtomicU64,
+    slots_recovered: AtomicU64,
 }
 
 impl std::fmt::Debug for SchedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SchedCache")
-            .field("shards", &self.shards.len())
             .field("store", &self.store.as_ref().map(ScheduleStore::len))
             .field("custom_preparer", &self.preparer.is_some())
             .finish()
     }
 }
 
-impl Default for SchedCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SchedCache {
-    /// An empty cache with [`DEFAULT_SHARDS`] shards and no backing
-    /// store.
+    /// An empty cache with no backing store.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with `n` shards (`n ≥ 1`). No answer depends on
-    /// the shard count; fewer shards only force more lock contention.
-    pub fn with_shards(n: usize) -> Self {
-        SchedCache {
-            shards: (0..n.max(1)).map(|_| Shard::default()).collect(),
-            store: None,
-            preparer: None,
-        }
+        Self::default()
     }
 
     /// A cache warmed by `store`: lookups that miss in memory consult the
@@ -418,7 +302,7 @@ impl SchedCache {
         Self::new().into_stored(store)
     }
 
-    /// This cache, backed by `store` (keeps the shard layout).
+    /// This cache, backed by `store`.
     pub fn into_stored(mut self, store: ScheduleStore) -> Self {
         self.store = Some(store);
         self
@@ -433,17 +317,22 @@ impl SchedCache {
         self
     }
 
+    /// Every slot with its key. The handles are cloned under the map
+    /// lock and the lock is released before the caller inspects any
+    /// slot, so a fill in flight never holds up a lookup.
+    fn slots(&self) -> Vec<(CacheKey, Slot)> {
+        lock_recover(&self.map)
+            .iter()
+            .map(|(key, slot)| (*key, Arc::clone(slot)))
+            .collect()
+    }
+
     /// Number of cached schedules (completed preparations).
     pub fn len(&self) -> usize {
-        self.shards
+        self.slots()
             .iter()
-            .map(|s| {
-                let map = lock_recover(&s.map);
-                map.values()
-                    .filter(|slot| matches!(*lock_recover(slot), SlotState::Ready(_)))
-                    .count()
-            })
-            .sum()
+            .filter(|(_, slot)| matches!(*lock_recover(slot), SlotState::Ready(_)))
+            .count()
     }
 
     /// Whether nothing has been cached yet.
@@ -451,43 +340,42 @@ impl SchedCache {
         self.len() == 0
     }
 
-    fn sum(&self, f: impl Fn(&ShardStats) -> &AtomicU64) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| f(&s.stats).load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Prepares served from a completed in-memory slot — the scheduler
     /// work the cache saved within this run.
     pub fn hits(&self) -> usize {
-        self.sum(|s| &s.hits) as usize
+        self.hits.load(Ordering::Relaxed) as usize
     }
 
     /// Prepares served by rebuilding persistent-store entries — the
     /// scheduler work a previous run saved this one.
     pub fn store_hits(&self) -> u64 {
-        self.sum(|s| &s.store_hits)
+        self.store_hits.load(Ordering::Relaxed)
     }
 
     /// Cold preparations computed.
     pub fn prepares(&self) -> u64 {
-        self.sum(|s| &s.prepares)
+        self.prepares.load(Ordering::Relaxed)
     }
 
     /// Persistent-store entries rejected as stale.
     pub fn stale(&self) -> u64 {
-        self.sum(|s| &s.stale)
+        self.stale.load(Ordering::Relaxed)
+    }
+
+    /// Times a thread blocked on another's in-flight preparation of the
+    /// same cell (work deduplicated, not duplicated).
+    pub fn inflight_waits(&self) -> u64 {
+        self.inflight_waits.load(Ordering::Relaxed)
     }
 
     /// Preparation panics contained at the slot boundary.
     pub fn panics_contained(&self) -> u64 {
-        self.sum(|s| &s.panics_contained)
+        self.panics_contained.load(Ordering::Relaxed)
     }
 
     /// Failed slots observed, reset and re-attempted by a later request.
     pub fn slots_recovered(&self) -> u64 {
-        self.sum(|s| &s.slots_recovered)
+        self.slots_recovered.load(Ordering::Relaxed)
     }
 
     /// Slots still marked failed (no request has come back to recover
@@ -504,42 +392,11 @@ impl SchedCache {
     ///
     /// [`failed_slots`]: SchedCache::failed_slots
     pub fn failed_slot_reasons(&self) -> Vec<String> {
-        self.shards
+        self.slots()
             .iter()
-            .flat_map(|s| {
-                let map = lock_recover(&s.map);
-                map.values()
-                    .filter_map(|slot| match &*lock_recover(slot) {
-                        SlotState::Failed(reason) => Some(reason.clone()),
-                        _ => None,
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn shard_counters(&self) -> Vec<ShardCounters> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let entries = {
-                    let map = lock_recover(&s.map);
-                    map.values()
-                        .filter(|slot| matches!(*lock_recover(slot), SlotState::Ready(_)))
-                        .count() as u64
-                };
-                ShardCounters {
-                    entries,
-                    hits: s.stats.hits.load(Ordering::Relaxed),
-                    store_hits: s.stats.store_hits.load(Ordering::Relaxed),
-                    prepares: s.stats.prepares.load(Ordering::Relaxed),
-                    stale: s.stats.stale.load(Ordering::Relaxed),
-                    inflight_waits: s.stats.inflight_waits.load(Ordering::Relaxed),
-                    map_contended: s.stats.map_contended.load(Ordering::Relaxed),
-                    panics_contained: s.stats.panics_contained.load(Ordering::Relaxed),
-                    slots_recovered: s.stats.slots_recovered.load(Ordering::Relaxed),
-                }
+            .filter_map(|(_, slot)| match &*lock_recover(slot) {
+                SlotState::Failed(reason) => Some(reason.clone()),
+                _ => None,
             })
             .collect()
     }
@@ -547,7 +404,7 @@ impl SchedCache {
     /// Looks up or computes the prepared loop for `(original, cfg)` —
     /// the service entry point. Same-key requests dedupe onto one
     /// preparation; different keys never serialize against each other
-    /// beyond their shard's key→slot resolution.
+    /// beyond the map's key→slot resolution.
     ///
     /// # Errors
     ///
@@ -573,8 +430,7 @@ impl SchedCache {
     /// followed by a `cache.fill` span around the cold preparation; waiting
     /// on another thread's in-flight fill is a `cache.wait` span; observing
     /// and resetting a failed slot is `cache.recovered`; a contained panic
-    /// is `cache.failed`; a rejected store entry is `cache.stale`. Every
-    /// instant carries the shard index.
+    /// is `cache.failed`; a rejected store entry is `cache.stale`.
     ///
     /// # Errors
     ///
@@ -588,27 +444,14 @@ impl SchedCache {
         trace: Trace<'_>,
     ) -> Result<Arc<PreparedLoop>, ScheduleError> {
         let key = CacheKey::of(original, machine, cfg, ctx);
-        let shard_idx = (key.stable_hash() % self.shards.len() as u64) as usize;
-        let shard = &self.shards[shard_idx];
-        let sh = shard_idx as f64;
-        let slot = {
-            let mut map = match shard.map.try_lock() {
-                Ok(g) => g,
-                Err(TryLockError::WouldBlock) => {
-                    shard.stats.map_contended.fetch_add(1, Ordering::Relaxed);
-                    lock_recover(&shard.map)
-                }
-                Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            };
-            Arc::clone(map.entry(key).or_default())
-        };
+        let slot = Arc::clone(lock_recover(&self.map).entry(key).or_default());
         // the slot lock is held across the computation: waiters for the
         // same key block here (instead of duplicating the dominant cost),
         // while cells with other keys proceed untouched
         let mut guard = match slot.try_lock() {
             Ok(g) => g,
             Err(TryLockError::WouldBlock) => {
-                shard.stats.inflight_waits.fetch_add(1, Ordering::Relaxed);
+                self.inflight_waits.fetch_add(1, Ordering::Relaxed);
                 // the wait span brackets blocking on another thread's fill
                 // of the same cell — waiter wake latency in trace time
                 let _wait = if trace.on() {
@@ -622,15 +465,15 @@ impl SchedCache {
         };
         match &*guard {
             SlotState::Ready(hit) => {
-                shard.stats.hits.fetch_add(1, Ordering::Relaxed);
-                trace.instant("cache.hit", &[("shard", sh)]);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                trace.instant("cache.hit", &[]);
                 return Ok(Arc::clone(hit));
             }
             SlotState::Failed(_) => {
                 // a previous filler panicked; this request adopts the
                 // cell and re-attempts from scratch
-                shard.stats.slots_recovered.fetch_add(1, Ordering::Relaxed);
-                trace.instant("cache.recovered", &[("shard", sh)]);
+                self.slots_recovered.fetch_add(1, Ordering::Relaxed);
+                trace.instant("cache.recovered", &[]);
                 *guard = SlotState::Empty;
             }
             SlotState::Empty => {}
@@ -638,20 +481,20 @@ impl SchedCache {
         if let Some(entry) = self.store.as_ref().and_then(|s| s.get(&key)) {
             match rebuild(entry, original, machine, cfg, ctx) {
                 Ok(p) => {
-                    shard.stats.store_hits.fetch_add(1, Ordering::Relaxed);
-                    trace.instant("cache.store_hit", &[("shard", sh)]);
+                    self.store_hits.fetch_add(1, Ordering::Relaxed);
+                    trace.instant("cache.store_hit", &[]);
                     let p = Arc::new(p);
                     *guard = SlotState::Ready(Arc::clone(&p));
                     return Ok(p);
                 }
                 Err(_) => {
-                    shard.stats.stale.fetch_add(1, Ordering::Relaxed);
-                    trace.instant("cache.stale", &[("shard", sh)]);
+                    self.stale.fetch_add(1, Ordering::Relaxed);
+                    trace.instant("cache.stale", &[]);
                 }
             }
         }
-        shard.stats.prepares.fetch_add(1, Ordering::Relaxed);
-        trace.instant("cache.miss", &[("shard", sh)]);
+        self.prepares.fetch_add(1, Ordering::Relaxed);
+        trace.instant("cache.miss", &[]);
         let fill_span = if trace.on() {
             Some(trace.span("cache.fill"))
         } else {
@@ -675,8 +518,8 @@ impl SchedCache {
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 let reason = panic_reason(payload.as_ref());
-                shard.stats.panics_contained.fetch_add(1, Ordering::Relaxed);
-                trace.instant("cache.failed", &[("shard", sh)]);
+                self.panics_contained.fetch_add(1, Ordering::Relaxed);
+                trace.instant("cache.failed", &[]);
                 *guard = SlotState::Failed(reason.clone());
                 return Err(ScheduleError::PreparationPanicked {
                     loop_name: original.name.clone(),
@@ -691,20 +534,17 @@ impl SchedCache {
     /// Exports every completed cell into a [`ScheduleStore`].
     pub fn export_store(&self) -> ScheduleStore {
         let mut store = ScheduleStore::new();
-        for shard in &self.shards {
-            let map = lock_recover(&shard.map);
-            for (key, slot) in map.iter() {
-                if let SlotState::Ready(p) = &*lock_recover(slot) {
-                    store.insert(StoreEntry {
-                        name: p.kernel.name.clone(),
-                        key: *key,
-                        choice: p.choice,
-                        factor: p.factor,
-                        prepared_fp: kernel_fingerprint(&p.kernel),
-                        quality: p.quality,
-                        schedule: p.schedule.clone(),
-                    });
-                }
+        for (key, slot) in self.slots() {
+            if let SlotState::Ready(p) = &*lock_recover(&slot) {
+                store.insert(StoreEntry {
+                    name: p.kernel.name.clone(),
+                    key,
+                    choice: p.choice,
+                    factor: p.factor,
+                    prepared_fp: kernel_fingerprint(&p.kernel),
+                    quality: p.quality,
+                    schedule: p.schedule.clone(),
+                });
             }
         }
         store
@@ -787,15 +627,15 @@ impl StoreEntry {
             self.key.kernel_fp,
             self.key.env_fp,
             arch_token(self.key.arch),
-            policy_token(self.key.policy),
+            token(&POLICY_TOKENS, &self.key.policy),
             self.key.backend.name(),
-            source_token(self.key.source),
-            unroll_token(self.key.unroll),
+            token(&SOURCE_TOKENS, &self.key.source),
+            token(&UNROLL_TOKENS, &self.key.unroll),
             u8::from(self.key.padding),
-            choice_token(self.choice),
+            token(&CHOICE_TOKENS, &self.choice),
             self.factor,
             self.prepared_fp,
-            quality_token(self.quality),
+            token(&QUALITY_TOKENS, &self.quality),
         )
     }
 
@@ -842,10 +682,10 @@ impl StoreEntry {
             kernel_fp: int(field(2, "kfp")?)?,
             env_fp: int(field(4, "efp")?)?,
             arch: parse_arch(field(6, "arch")?)?,
-            policy: parse_policy(field(8, "policy")?)?,
+            policy: parse_token(&POLICY_TOKENS, "policy", field(8, "policy")?)?,
             backend: parse_backend(field(10, "backend")?)?,
-            source: parse_source(field(12, "source")?)?,
-            unroll: parse_unroll(field(14, "unroll")?)?,
+            source: parse_token(&SOURCE_TOKENS, "source", field(12, "source")?)?,
+            unroll: parse_token(&UNROLL_TOKENS, "unroll", field(14, "unroll")?)?,
             padding: match field(16, "pad")? {
                 "0" => false,
                 "1" => true,
@@ -855,10 +695,10 @@ impl StoreEntry {
         Ok(StoreEntry {
             name: name.to_string(),
             key,
-            choice: parse_choice(field(18, "choice")?)?,
+            choice: parse_token(&CHOICE_TOKENS, "choice", field(18, "choice")?)?,
             factor: int(field(20, "factor")?)? as u32,
             prepared_fp: int(field(22, "pfp")?)?,
-            quality: parse_quality(field(24, "quality")?)?,
+            quality: parse_token(&QUALITY_TOKENS, "quality", field(24, "quality")?)?,
             schedule: Schedule::from_compact_text(&sched_text)
                 .map_err(|e| format!("entry `{name}`: {e}"))?,
         })
@@ -971,7 +811,7 @@ impl ScheduleStore {
     }
 
     /// Serializes the store (entries sorted by header line, so the text
-    /// is deterministic regardless of insertion or shard order).
+    /// is deterministic regardless of insertion order).
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut sorted: Vec<&StoreEntry> = self.entries.iter().collect();
@@ -1236,6 +1076,30 @@ mod tests {
         }
     }
 
+    /// Every token table is two-way: each token parses back to its own
+    /// value, and an unknown token names its field.
+    #[test]
+    fn token_tables_round_trip() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(table: &[(T, &'static str)], what: &str) {
+            for (value, tok) in table {
+                assert_eq!(token(table, value), *tok);
+                assert_eq!(parse_token(table, what, tok), Ok(*value));
+            }
+            let err = format!("unknown {what} token `x`");
+            assert_eq!(parse_token(table, what, "x"), Err(err));
+        }
+        assert_eq!(POLICY_TOKENS.len(), ClusterPolicy::ALL.len());
+        check(&ARCH_TOKENS, "arch");
+        check(&POLICY_TOKENS, "policy");
+        check(&SOURCE_TOKENS, "source");
+        check(&UNROLL_TOKENS, "unroll");
+        check(&CHOICE_TOKENS, "choice");
+        check(&QUALITY_TOKENS, "quality");
+        let uni = ArchVariant::Unified(3);
+        assert_eq!(parse_arch(&arch_token(uni)), Ok(uni));
+        assert_eq!(parse_arch("uni"), Err("unknown arch token `uni`".into()));
+    }
+
     /// Splices a well-framed, correctly checksummed record with header
     /// `bad` between two records with headers `good(7)` and `good(9)`:
     /// the strict loader must fail with `want_err`, and the salvage
@@ -1336,8 +1200,8 @@ mod tests {
         let key = CacheKey::of(original, &ctx.machine_for(&cfg), &cfg, &ctx);
         assert_eq!(original.name, "epicdec_l0");
         assert_eq!(
-            (key.env_fp, key.kernel_fp, key.stable_hash()),
-            (0x4c11f2401468df36, 0x6c3058494290d6e9, 0x3cdd42743855e10b)
+            (key.env_fp, key.kernel_fp),
+            (0x4c11f2401468df36, 0x6c3058494290d6e9)
         );
     }
 }

@@ -1,4 +1,4 @@
-//! Integration tests of the sharded schedule cache: concurrency safety
+//! Integration tests of the schedule cache: concurrency safety
 //! (exactly one preparation per key under thread storms), persistence
 //! (byte-exact round-trips, rebuilds from disk, staleness rejection) and
 //! the structural key (same-name kernels with different bodies never
@@ -79,7 +79,7 @@ fn thread_storm_prepares_each_key_exactly_once() {
         .collect();
 
     const THREADS: usize = 8;
-    let cache = SchedCache::with_shards(4);
+    let cache = SchedCache::new();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let (cache, ctx, kernels, configs, reference) =
@@ -382,14 +382,12 @@ fn panic_storm_is_contained_and_recovered() {
     };
 
     let armed = AtomicBool::new(true);
-    let cache = SchedCache::with_shards(4).into_preparer(Arc::new(
-        move |k: &_, m: &_, cfg: &_, ctx: &_| {
-            if k.name == victim && armed.swap(false, Ordering::SeqCst) {
-                panic!("fault plan: injected preparation panic");
-            }
-            prepare_loop(k, m, cfg, ctx, vliw_trace::Trace::off())
-        },
-    ));
+    let cache = SchedCache::new().into_preparer(Arc::new(move |k: &_, m: &_, cfg: &_, ctx: &_| {
+        if k.name == victim && armed.swap(false, Ordering::SeqCst) {
+            panic!("fault plan: injected preparation panic");
+        }
+        prepare_loop(k, m, cfg, ctx, vliw_trace::Trace::off())
+    }));
 
     const THREADS: usize = 8;
     std::thread::scope(|s| {

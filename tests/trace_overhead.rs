@@ -107,7 +107,7 @@ fn logical_clock_trace_pass_is_byte_identical_twice_over() {
     h.write_str(&a.chrome_json);
     assert_eq!(
         (a.events, h.finish()),
-        (5207, 7_165_517_725_630_222_809),
+        (5207, 8_707_206_479_870_730_952),
         "the logical-clock Chrome export changed"
     );
 }
