@@ -12,22 +12,17 @@ Public items: production lines matching
 A crate is a directory under `crates/` holding a `Cargo.toml`, named by
 its package name; `src/` is the root package. Report only: the exit
 status is 0 whatever the counts.
-
-Usage: count_code.py [REPO_ROOT]   (default: the parent of this script's
-directory)
 """
 
 import pathlib
 import re
-import sys
 
 PUB_ITEM = re.compile(r"^\s*pub (fn|struct|enum|trait|type|const|static|mod) ")
 PACKAGE_NAME = re.compile(r'^name\s*=\s*"([^"]+)"', re.M)
 
 
 def package_name(manifest):
-    m = PACKAGE_NAME.search(manifest.read_text())
-    return m.group(1) if m else manifest.parent.name
+    return PACKAGE_NAME.search(manifest.read_text()).group(1)
 
 
 def count_file(path):
@@ -52,7 +47,7 @@ def count_tree(root):
 
 
 def main():
-    repo = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else pathlib.Path(__file__).parent.parent)
+    repo = pathlib.Path(__file__).resolve().parent.parent
     crates = [(package_name(repo / "Cargo.toml"), repo / "src")]
     crates += [
         (package_name(d / "Cargo.toml"), d)

@@ -1088,7 +1088,63 @@ mod tests {
             let err = format!("unknown {what} token `x`");
             assert_eq!(parse_token(table, what, "x"), Err(err));
         }
-        assert_eq!(POLICY_TOKENS.len(), ClusterPolicy::ALL.len());
+        // One exhaustive match per enum: a new variant stops this test
+        // compiling until it is listed, and `token` then panics unless
+        // its table has a token for it.
+        for v in [
+            ArchVariant::WordInterleaved,
+            ArchVariant::MultiVliw,
+            ArchVariant::Unified(1),
+        ] {
+            match v {
+                ArchVariant::WordInterleaved | ArchVariant::MultiVliw => token(&ARCH_TOKENS, &v),
+                ArchVariant::Unified(_) => "uni",
+            };
+        }
+        for v in ClusterPolicy::ALL {
+            match v {
+                ClusterPolicy::Free
+                | ClusterPolicy::BuildChains
+                | ClusterPolicy::PreBuildChains
+                | ClusterPolicy::NoChains => token(&POLICY_TOKENS, &v),
+            };
+        }
+        for v in [
+            ProfileSource::None,
+            ProfileSource::Synthetic,
+            ProfileSource::Measured,
+        ] {
+            match v {
+                ProfileSource::None | ProfileSource::Synthetic | ProfileSource::Measured => {
+                    token(&SOURCE_TOKENS, &v)
+                }
+            };
+        }
+        for v in [UnrollMode::NoUnroll, UnrollMode::Ouf, UnrollMode::Selective] {
+            match v {
+                UnrollMode::NoUnroll | UnrollMode::Ouf | UnrollMode::Selective => {
+                    token(&UNROLL_TOKENS, &v)
+                }
+            };
+        }
+        for v in [UnrollChoice::None, UnrollChoice::TimesN, UnrollChoice::Ouf] {
+            match v {
+                UnrollChoice::None | UnrollChoice::TimesN | UnrollChoice::Ouf => {
+                    token(&CHOICE_TOKENS, &v)
+                }
+            };
+        }
+        for v in [
+            SchedQuality::Heuristic,
+            SchedQuality::ProvenOptimal,
+            SchedQuality::CutoffFeasible,
+        ] {
+            match v {
+                SchedQuality::Heuristic
+                | SchedQuality::ProvenOptimal
+                | SchedQuality::CutoffFeasible => token(&QUALITY_TOKENS, &v),
+            };
+        }
         check(&ARCH_TOKENS, "arch");
         check(&POLICY_TOKENS, "policy");
         check(&SOURCE_TOKENS, "source");
