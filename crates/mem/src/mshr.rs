@@ -22,6 +22,14 @@
 //! is busy, a new transaction waits for the earliest fill
 //! ([`MshrFile::earliest_start`]) — the structural back-pressure a real
 //! MSHR file applies.
+//!
+//! Since every cache call retires first, most calls find nothing due. The
+//! file keeps a watermark `next_fill`, a lower bound on every entry's fill
+//! time: [`MshrFile::allocate`] lowers it, a retiring scan recomputes it
+//! exactly, and removals ([`MshrFile::invalidate_other`]) leave it where it
+//! is, which can only make it lower than the true minimum. A retire at a
+//! cycle below the watermark returns without scanning; a retire at or past
+//! it scans every list as before, so the delivery order is unchanged.
 
 use vliw_machine::AccessClass;
 
@@ -55,6 +63,9 @@ pub struct MshrFile {
     capacity: usize,
     inflight: Vec<Vec<MshrEntry>>,
     filled: Vec<Vec<MshrEntry>>,
+    /// A lower bound on every entry's `fill_at` (`u64::MAX` when empty):
+    /// nothing can retire before it.
+    next_fill: u64,
 }
 
 impl MshrFile {
@@ -70,6 +81,7 @@ impl MshrFile {
             capacity,
             inflight: vec![Vec::new(); clusters],
             filled: vec![Vec::new(); clusters],
+            next_fill: u64::MAX,
         }
     }
 
@@ -88,7 +100,12 @@ impl MshrFile {
     /// to `on_fill(cluster, entry)` (Attraction-Buffer allocation lives in
     /// that callback). Must be called with the current cycle before any
     /// lookup — arrival is what turns an in-flight subblock into data.
+    /// Returns at once while `now` is below the fill watermark.
     pub fn retire_up_to(&mut self, now: u64, on_fill: &mut dyn FnMut(usize, MshrEntry)) {
+        if now < self.next_fill {
+            return;
+        }
+        let mut next_fill = u64::MAX;
         for cluster in 0..self.inflight.len() {
             for list in [&mut self.inflight[cluster], &mut self.filled[cluster]] {
                 let mut i = 0;
@@ -96,15 +113,19 @@ impl MshrFile {
                     if list[i].fill_at <= now {
                         on_fill(cluster, list.swap_remove(i));
                     } else {
+                        next_fill = next_fill.min(list[i].fill_at);
                         i += 1;
                     }
                 }
             }
         }
+        self.next_fill = next_fill;
     }
 
     /// The in-flight entry for `(cluster, key)`, if the transaction has
-    /// not yet filled. Mutable so callers can attach waiters.
+    /// not yet filled. Mutable so callers can attach waiters; a caller
+    /// must never lower `fill_at` (the retire watermark assumes fills only
+    /// enter through [`MshrFile::allocate`]).
     pub fn lookup(&mut self, cluster: usize, key: u64) -> Option<&mut MshrEntry> {
         // search order is irrelevant: a key is never in both lists (a new
         // transaction for a key only starts once the old one retired or
@@ -157,6 +178,7 @@ impl MshrFile {
             );
             self.filled[cluster].push(evicted);
         }
+        self.next_fill = self.next_fill.min(entry.fill_at);
         self.inflight[cluster].push(entry);
         self.inflight[cluster].len()
     }
@@ -164,7 +186,9 @@ impl MshrFile {
     /// Drops every *other* cluster's in-flight entry for `key`: a store
     /// invalidated those clusters' copies, so the fills in the air are
     /// dead and their next access must re-fetch from the writer
-    /// (replicating-cache coherence, the multiVLIW snoop).
+    /// (replicating-cache coherence, the multiVLIW snoop). The fill
+    /// watermark stays put: still a lower bound, and the next retire past
+    /// it recomputes it.
     pub fn invalidate_other(&mut self, writer: usize, key: u64) {
         for cluster in 0..self.inflight.len() {
             if cluster == writer {
@@ -214,6 +238,7 @@ impl MshrFile {
         for list in self.inflight.iter_mut().chain(self.filled.iter_mut()) {
             list.clear();
         }
+        self.next_fill = u64::MAX;
     }
 }
 
@@ -327,6 +352,103 @@ mod tests {
         f.clear();
         assert_eq!(f.occupancy(0), 0);
         assert!(f.lookup(0, 1).is_none() && f.lookup(0, 2).is_none());
+    }
+
+    #[test]
+    fn retire_below_the_watermark_is_a_no_op() {
+        let mut f = MshrFile::new(2, 4);
+        assert_eq!(f.next_fill, u64::MAX, "an empty file never retires");
+        f.allocate(1, 0, entry(8, 20));
+        f.allocate(0, 0, entry(7, 10));
+        assert_eq!(f.next_fill, 10, "allocate lowers the watermark");
+        f.retire_up_to(9, &mut |_, _| panic!("nothing fills before 10"));
+        assert_eq!(f.next_fill, 10);
+        let mut seen = Vec::new();
+        f.retire_up_to(10, &mut |c, e| seen.push((c, e.key)));
+        assert_eq!(seen, [(0, 7)]);
+        assert_eq!(f.next_fill, 20, "a retiring scan recomputes it exactly");
+        f.retire_up_to(20, &mut |c, e| seen.push((c, e.key)));
+        assert_eq!(f.next_fill, u64::MAX);
+    }
+
+    #[test]
+    fn shelved_entry_retires_at_its_fill_time() {
+        let mut f = MshrFile::new(1, 1);
+        f.allocate(0, 0, entry(1, 12));
+        f.retire_up_to(5, &mut |_, _| panic!("nothing fills before 12"));
+        // the register frees at 12: key 1 moves to the filled shelf
+        f.allocate(0, 12, entry(2, 30));
+        assert_eq!(f.next_fill, 12, "the shelved fill still bounds it");
+        f.retire_up_to(11, &mut |_, _| panic!("key 1 fills at 12"));
+        let mut keys = Vec::new();
+        f.retire_up_to(12, &mut |_, e| keys.push(e.key));
+        assert_eq!(keys, [1]);
+        assert_eq!(f.next_fill, 30);
+    }
+
+    #[test]
+    fn invalidation_leaves_the_watermark_a_lower_bound() {
+        let mut f = MshrFile::new(2, 2);
+        f.allocate(1, 0, entry(7, 10));
+        f.allocate(0, 0, entry(8, 20));
+        f.invalidate_other(0, 7);
+        assert!(f.lookup(1, 7).is_none(), "cluster 1's fill is dead");
+        assert_eq!(f.next_fill, 10, "below the true minimum 20: conservative");
+        f.retire_up_to(15, &mut |_, _| panic!("nothing fills before 20"));
+        assert_eq!(f.next_fill, 20, "the scan at 15 tightened it");
+        let mut keys = Vec::new();
+        f.retire_up_to(20, &mut |_, e| keys.push(e.key));
+        assert_eq!(keys, [8]);
+    }
+
+    /// Drives two files through the same seeded stream of allocations,
+    /// invalidations and retires; `reference` forgets its watermark before
+    /// every retire, so it scans every list every time.
+    #[test]
+    fn watermark_retire_order_matches_a_full_scan() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut fast = MshrFile::new(4, 2);
+        let mut reference = MshrFile::new(4, 2);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut now = 0;
+        for _ in 0..5_000 {
+            now += next(4);
+            fast.retire_up_to(now, &mut |c, e| got.push((now, c, e)));
+            reference.next_fill = 0;
+            reference.retire_up_to(now, &mut |c, e| want.push((now, c, e)));
+            let cluster = next(4) as usize;
+            let key = next(16);
+            match next(8) {
+                0 => {
+                    fast.invalidate_other(cluster, key);
+                    reference.invalidate_other(cluster, key);
+                }
+                1..=5 if fast.lookup(cluster, key).is_none() => {
+                    let start = fast.earliest_start(cluster, now);
+                    assert_eq!(start, reference.earliest_start(cluster, now));
+                    let e = entry(key, start + 1 + next(40));
+                    assert_eq!(
+                        fast.allocate(cluster, start, e),
+                        reference.allocate(cluster, start, e)
+                    );
+                }
+                _ => {}
+            }
+        }
+        fast.retire_up_to(u64::MAX, &mut |c, e| got.push((u64::MAX, c, e)));
+        reference.retire_up_to(u64::MAX, &mut |c, e| want.push((u64::MAX, c, e)));
+        assert!(
+            want.len() > 1_000,
+            "the stream retires {} fills",
+            want.len()
+        );
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,7 +1,14 @@
 //! The lock-step VLIW execution engine.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! A modulo schedule issues the same rows every II cycles, so the engine
+//! reads its issue order off a per-row table built once per call instead
+//! of merging op instances by nominal time ([`simulate_loop`] states the
+//! rule). A row whose group is empty at some kernel step (pipeline fill
+//! and drain) is skipped as if absent: it neither stalls nor closes a
+//! `sim.window` accounting window. Per-instance state lives in flat
+//! `op × slot` rings and every op's issue-time constants (operand range,
+//! request template, assumed latency) are read once per call, so an op
+//! instance costs a few array reads plus its cache access.
 
 use vliw_ir::{DepKind, LoopKernel, OpId};
 use vliw_machine::{AccessClass, MachineConfig};
@@ -128,29 +135,58 @@ impl LoopSimResult {
 /// producers).
 type LateCause = Option<(AccessClass, bool, u64)>;
 
+/// One register input of a consumer op.
+struct Operand {
+    producer: usize,
+    distance: u64,
+    /// `Some(rel)` when the value crosses clusters: the copy fires `rel`
+    /// cycles after the producer's issue slot and takes the bus transfer
+    rel_copy: Option<u64>,
+}
+
+/// One op's issue-time constants, read once per call rather than once
+/// per instance.
+struct OpPlan {
+    /// `operands[first..end]` are the op's register inputs, in edge order
+    first: usize,
+    end: usize,
+    /// the request template of a memory op (`addr` and `now` are filled
+    /// in per instance); `None` for every other op
+    access: Option<AccessRequest>,
+    /// the scheduler's assumed latency (non-memory ops complete after it)
+    latency: u64,
+}
+
+/// The recent instances of every op, flattened to `op × slot`: slot
+/// `iter mod size` of op `op` lives at `op × size + slot`.
 struct Rings {
-    size: u64,
+    /// a power of two, so the slot is a mask
+    size: usize,
+    mask: u64,
     /// ready time of each op's recent instances
-    ready: Vec<Vec<u64>>,
+    ready: Vec<u64>,
     /// absolute issue time of each op's recent instances
-    issued: Vec<Vec<u64>>,
+    issued: Vec<u64>,
     /// cause of lateness of each op's recent instances (loads only)
-    cause: Vec<Vec<LateCause>>,
+    cause: Vec<LateCause>,
 }
 
 impl Rings {
-    fn new(n_ops: usize, size: u64) -> Self {
-        let s = size as usize;
+    /// Rings holding at least `depth` instances per op.
+    fn new(n_ops: usize, depth: u64) -> Self {
+        let size = depth.next_power_of_two();
+        let n = n_ops * size as usize;
         Rings {
-            size,
-            ready: vec![vec![0; s]; n_ops],
-            issued: vec![vec![0; s]; n_ops],
-            cause: vec![vec![None; s]; n_ops],
+            size: size as usize,
+            mask: size - 1,
+            ready: vec![0; n],
+            issued: vec![0; n],
+            cause: vec![None; n],
         }
     }
 
-    fn slot(&self, iter: u64) -> usize {
-        (iter % self.size) as usize
+    fn index(&self, op: usize, iter: u64) -> usize {
+        op * self.size + (iter & self.mask) as usize
     }
 }
 
@@ -164,6 +200,15 @@ impl Rings {
 /// The engine processes issue groups in nominal schedule order; a whole
 /// group stalls when any member needs an operand that is not ready —
 /// the in-order, lock-step pipeline of the paper's VLIW.
+///
+/// A modulo schedule repeats every II, so the nominal order is read off
+/// a row table built once per call: row `r` lists the ops with
+/// `cycle ≡ r (mod II)` in op-index order, each with its stage. Kernel
+/// step `k` (`0 ≤ k < iters + SC − 1`) issues row `r`'s group at nominal
+/// cycle `k × II + r`: every member with `stage ≤ k < stage + iters`, as
+/// iteration `k − stage`. A group with no such member is skipped
+/// outright — it issues nothing and is not a point in simulated time, so
+/// it neither stalls nor closes a trace window.
 pub fn simulate_loop(
     kernel: &LoopKernel,
     schedule: &Schedule,
@@ -213,15 +258,9 @@ pub fn simulate_loop_traced(
     let sim_iters = (kernel.avg_trip.round() as u64).clamp(1, options.iteration_cap);
     let scale = total_iters / sim_iters as f64;
 
-    // consumer-side dependence info: (producer, distance, arrival extra)
-    struct Operand {
-        producer: usize,
-        distance: u64,
-        // Some(rel) when the value crosses clusters: the copy fires `rel`
-        // cycles after the producer's issue slot and takes `transfer`
-        rel_copy: Option<u64>,
-    }
-    let mut operands: Vec<Vec<Operand>> = (0..n_ops).map(|_| Vec::new()).collect();
+    // consumer-side dependence info, grouped by consumer (a stable sort
+    // keeps each consumer's operands in edge order)
+    let mut inputs: Vec<(usize, Operand)> = Vec::new();
     let mut max_dist = 1u64;
     for e in &kernel.edges {
         if e.kind != DepKind::RegFlow {
@@ -240,12 +279,51 @@ pub fn simulate_loop_traced(
             None
         };
         max_dist = max_dist.max(e.distance as u64);
-        operands[e.to.index()].push(Operand {
-            producer: e.from.index(),
-            distance: e.distance as u64,
-            rel_copy,
-        });
+        inputs.push((
+            e.to.index(),
+            Operand {
+                producer: e.from.index(),
+                distance: e.distance as u64,
+                rel_copy,
+            },
+        ));
     }
+    inputs.sort_by_key(|&(to, _)| to);
+    let plans: Vec<OpPlan> = (0..n_ops)
+        .map(|op| {
+            let o = &kernel.ops[op];
+            let s = schedule.ops[op];
+            OpPlan {
+                first: inputs.partition_point(|&(to, _)| to < op),
+                end: inputs.partition_point(|&(to, _)| to <= op),
+                access: o.is_mem().then(|| AccessRequest {
+                    cluster: s.cluster,
+                    addr: 0,
+                    size: o.mem.as_ref().map_or(4, |m| m.granularity),
+                    is_store: o.is_store(),
+                    attractable: hints.is_attractable(OpId::new(op)),
+                    now: 0,
+                    // per-op attribution for observers (profiling mode)
+                    tag: op as u32,
+                }),
+                latency: s.assumed_latency as u64,
+            }
+        })
+        .collect();
+    let operands: Vec<Operand> = inputs.into_iter().map(|(_, o)| o).collect();
+
+    // the row table: per row `cycle mod II`, its `(op, stage)` members in
+    // op-index order (the tie order of a nominal-time merge); rows that
+    // hold no op are dropped
+    let mut by_row: Vec<Vec<(usize, u64)>> = vec![Vec::new(); ii as usize];
+    for (op, s) in schedule.ops.iter().enumerate() {
+        let cycle = s.cycle as u64;
+        by_row[(cycle % ii) as usize].push((op, cycle / ii));
+    }
+    let rows: Vec<(u64, Vec<(usize, u64)>)> = (0..ii)
+        .zip(by_row)
+        .filter(|(_, members)| !members.is_empty())
+        .collect();
 
     // a producer's instance must stay readable until every consumer of it
     // has issued: consumers lag by up to SC-1 pipeline stages plus the
@@ -258,7 +336,6 @@ pub fn simulate_loop_traced(
     let mut delay: u64 = 0;
     let mut stall_by = StallBreakdown::default();
     let mut stall_by_op = vec![0.0f64; n_ops];
-    let mut group: Vec<(usize, u64)> = Vec::new();
     let mut time_base: u64 = 0;
 
     let _sim_span = if trace.on() {
@@ -288,117 +365,104 @@ pub fn simulate_loop_traced(
             win_mark = stall_by.clone();
             win_delay_mark = 0;
         }
-
-        // issue events in nominal order via a k-way merge over ops
-        let mut heap: BinaryHeap<Reverse<(u64, usize, u64)>> = BinaryHeap::new();
-        for (i, s) in schedule.ops.iter().enumerate() {
-            heap.push(Reverse((s.cycle as u64 + time_base, i, 0)));
-        }
         delay = 0;
 
-        while let Some(&Reverse((nominal, _, _))) = heap.peek() {
-            // collect the whole issue group at this nominal cycle
-            group.clear();
-            while let Some(&Reverse((n, op, iter))) = heap.peek() {
-                if n != nominal {
-                    break;
-                }
-                heap.pop();
-                group.push((op, iter));
-                if iter + 1 < iters {
-                    heap.push(Reverse((n + ii, op, iter + 1)));
-                }
-            }
+        for k in 0..iters + sc - 1 {
+            for (r, members) in &rows {
+                // the group: row members whose iteration k − stage is live
+                let group = members
+                    .iter()
+                    .filter(|&&(_, stage)| stage <= k && k - stage < iters)
+                    .map(|&(op, stage)| (op, k - stage));
+                let nominal = time_base + k * ii + r;
 
-            // phase 1: the group's issue time is gated by its least-ready operand
-            let scheduled_issue = nominal + delay;
-            let mut required = scheduled_issue;
-            let mut cause: Option<(usize, LateCause)> = None;
-            for &(op, iter) in &group {
-                for operand in &operands[op] {
-                    if operand.distance > iter {
-                        continue; // produced before the loop: live-in, ready
-                    }
-                    let src_iter = iter - operand.distance;
-                    let slot = rings.slot(src_iter);
-                    let p = operand.producer;
-                    let mut arrival = rings.ready[p][slot];
-                    if let Some(rel) = operand.rel_copy {
-                        let copy_issue = rings.issued[p][slot] + rel;
-                        arrival = arrival.max(copy_issue) + transfer;
-                    }
-                    if arrival > required {
-                        required = arrival;
-                        cause = Some((p, rings.cause[p][slot]));
-                    }
-                }
-            }
-            if required > scheduled_issue {
-                let stall = required - scheduled_issue;
-                delay += stall;
-                if let Some((p, klass)) = cause {
-                    if !measured {
-                        // warm-up pass: timing advances, nothing is recorded
-                    } else {
-                        stall_by_op[p] += stall as f64;
-                        match klass {
-                            Some((c, combined, mshr_delay)) => {
-                                // back-pressure contributed at most its own
-                                // waiting time to this stall; the rest is
-                                // the access class (or the merged request)
-                                let d = (mshr_delay as f64).min(stall as f64);
-                                stall_by.mshr_full += d;
-                                let rest = stall as f64 - d;
-                                if combined {
-                                    stall_by.combined += rest;
-                                } else {
-                                    stall_by.by_class[class_index(c)] += rest;
-                                }
-                            }
-                            // non-memory producers only run late through copy
-                            // timing; book those rare cycles as local hits
-                            None => stall_by.by_class[0] += stall as f64,
+                // phase 1: the group's issue time is gated by its least-ready operand
+                let scheduled_issue = nominal + delay;
+                let mut required = scheduled_issue;
+                let mut cause: Option<(usize, LateCause)> = None;
+                let mut issues = false;
+                for (op, iter) in group.clone() {
+                    issues = true;
+                    let plan = &plans[op];
+                    for operand in &operands[plan.first..plan.end] {
+                        if operand.distance > iter {
+                            continue; // produced before the loop: live-in, ready
+                        }
+                        let p = operand.producer;
+                        let at = rings.index(p, iter - operand.distance);
+                        let mut arrival = rings.ready[at];
+                        if let Some(rel) = operand.rel_copy {
+                            let copy_issue = rings.issued[at] + rel;
+                            arrival = arrival.max(copy_issue) + transfer;
+                        }
+                        if arrival > required {
+                            required = arrival;
+                            cause = Some((p, rings.cause[at]));
                         }
                     }
                 }
-            }
-            let issue_abs = nominal + delay;
-            if issue_abs >= next_window {
-                emit_sim_window(
-                    trace,
-                    issue_abs,
-                    &stall_by,
-                    &mut win_mark,
-                    delay,
-                    &mut win_delay_mark,
-                );
-                next_window = issue_abs + win_len;
-            }
+                if !issues {
+                    continue;
+                }
+                if required > scheduled_issue {
+                    let stall = required - scheduled_issue;
+                    delay += stall;
+                    if let Some((p, klass)) = cause {
+                        if !measured {
+                            // warm-up pass: timing advances, nothing is recorded
+                        } else {
+                            stall_by_op[p] += stall as f64;
+                            match klass {
+                                Some((c, combined, mshr_delay)) => {
+                                    // back-pressure contributed at most its own
+                                    // waiting time to this stall; the rest is
+                                    // the access class (or the merged request)
+                                    let d = (mshr_delay as f64).min(stall as f64);
+                                    stall_by.mshr_full += d;
+                                    let rest = stall as f64 - d;
+                                    if combined {
+                                        stall_by.combined += rest;
+                                    } else {
+                                        stall_by.by_class[class_index(c)] += rest;
+                                    }
+                                }
+                                // non-memory producers only run late through copy
+                                // timing; book those rare cycles as local hits
+                                None => stall_by.by_class[0] += stall as f64,
+                            }
+                        }
+                    }
+                }
+                let issue_abs = nominal + delay;
+                if issue_abs >= next_window {
+                    emit_sim_window(
+                        trace,
+                        issue_abs,
+                        &stall_by,
+                        &mut win_mark,
+                        delay,
+                        &mut win_delay_mark,
+                    );
+                    next_window = issue_abs + win_len;
+                }
 
-            // phase 2: issue every member (clusters issue in index order)
-            for &(op, iter) in &group {
-                let o = &kernel.ops[op];
-                let s = schedule.ops[op];
-                let slot = rings.slot(iter);
-                rings.issued[op][slot] = issue_abs;
-                if o.is_mem() {
-                    let addr = addresses(OpId::new(op), iter);
-                    let req = AccessRequest {
-                        cluster: s.cluster,
-                        addr,
-                        size: o.mem.as_ref().map_or(4, |m| m.granularity),
-                        is_store: o.is_store(),
-                        attractable: hints.is_attractable(OpId::new(op)),
-                        now: issue_abs,
-                        // per-op attribution for observers (profiling mode)
-                        tag: op as u32,
-                    };
-                    let out = cache.access(req);
-                    rings.ready[op][slot] = out.ready_at;
-                    rings.cause[op][slot] = Some((out.class, out.combined, out.mshr_delay));
-                } else {
-                    rings.ready[op][slot] = issue_abs + s.assumed_latency as u64;
-                    rings.cause[op][slot] = None;
+                // phase 2: issue every member (clusters issue in index order)
+                for (op, iter) in group {
+                    let at = rings.index(op, iter);
+                    rings.issued[at] = issue_abs;
+                    let plan = &plans[op];
+                    if let Some(template) = plan.access {
+                        let out = cache.access(AccessRequest {
+                            addr: addresses(OpId::new(op), iter),
+                            now: issue_abs,
+                            ..template
+                        });
+                        rings.ready[at] = out.ready_at;
+                        rings.cause[at] = Some((out.class, out.combined, out.mshr_delay));
+                    } else {
+                        rings.ready[at] = issue_abs + plan.latency;
+                        rings.cause[at] = None;
+                    }
                 }
             }
         }
