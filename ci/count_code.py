@@ -3,8 +3,9 @@
 
 Production lines: every line of each `.rs` file under `crates/` and
 `src/`, up to (not including) the file's first line that starts with
-`#[cfg(test)]`; a file without one counts whole (so integration tests
-and benches under `crates/*/` count whole).
+`#[cfg(test)]`; a file without one counts whole. A crate's integration
+tests and benches (`crates/*/tests/`, `crates/*/benches/`) are test
+code and are not counted.
 
 Public items: production lines matching
 `^\\s*pub (fn|struct|enum|trait|type|const|static|mod) `.
@@ -37,9 +38,14 @@ def count_file(path):
     return lines, items
 
 
+NOT_PRODUCTION = ("tests", "benches")
+
+
 def count_tree(root):
     lines = items = 0
     for path in sorted(root.rglob("*.rs")):
+        if path.relative_to(root).parts[0] in NOT_PRODUCTION:
+            continue
         file_lines, file_items = count_file(path)
         lines += file_lines
         items += file_items

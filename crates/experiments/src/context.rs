@@ -713,10 +713,8 @@ pub fn run_benchmark_memo(
             ctx.workloads.exec_input,
         );
         let mut cache = build_cache(&machine);
-        let kernel_for_addr = prepared.kernel.clone();
-        let mut addresses = move |op: OpId, iter: u64| {
-            vliw_workloads::address_for(&kernel_for_addr, &layout, op, iter)
-        };
+        let mut addresses =
+            |op: OpId, iter: u64| vliw_workloads::address_for(&prepared.kernel, &layout, op, iter);
         let sim = simulate_loop(
             &prepared.kernel,
             &prepared.schedule,

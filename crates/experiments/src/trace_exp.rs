@@ -87,9 +87,8 @@ pub fn run_trace(ctx: &ExperimentContext, target_requests: usize) -> TraceRun {
             ctx.workloads.exec_input,
         );
         let mut mem = vliw_mem::build_cache(&machine);
-        let kernel_for_addr = prepared.kernel.clone();
-        let mut addresses = move |op: vliw_ir::OpId, iter: u64| {
-            vliw_workloads::address_for(&kernel_for_addr, &layout, op, iter)
+        let mut addresses = |op: vliw_ir::OpId, iter: u64| {
+            vliw_workloads::address_for(&prepared.kernel, &layout, op, iter)
         };
         let _ = simulate_loop_traced(
             &prepared.kernel,
