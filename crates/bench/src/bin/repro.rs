@@ -1,6 +1,6 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! Usage: `repro [quick|full] [--serial] [table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|chains|interleave|mshr|sched|optgap|profile|batch|trace|all]`
+//! Usage: `repro [quick|full] [--serial] [table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|chains|interleave|mshr|sched|optgap|profile|batch|faults|trace|all]`
 //!
 //! Results print to stdout and are also written as CSV under `results/`.
 //! Every run additionally emits `BENCH_repro.json` — a machine-readable
@@ -10,15 +10,124 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use vliw_bench::FrontendStats;
 use vliw_experiments::{
     batch, chains_exp, example433, faults, fig4, fig5, fig6, fig7, fig8, hints_exp,
     interleave_study, optgap, profile_fidelity, report, tables, trace_exp, ExperimentContext,
     RunConfig, RunGrid, SchedCache, UnrollMode,
 };
-use vliw_sched::{ClusterPolicy, SchedBackend, SchedStats};
+use vliw_ir::{Ddg, LoopKernel};
+use vliw_machine::MachineConfig;
+use vliw_sched::{
+    elementary_circuits, schedule_outcome, schedule_problem, ClusterPolicy, SchedBackend,
+    SchedStats, ScheduleOptions,
+};
+use vliw_workloads::{profile_kernel, ArrayLayout};
+
+/// The scheduling-throughput workload for one context: every loop of the
+/// context's benchmarks, profiled, at factor 1 plus an OUF-unrolled
+/// variant when the OUF exceeds 1. Kernels any policy fails to schedule
+/// are dropped so every policy measures the same population.
+fn sched_workload_for(ctx: &ExperimentContext) -> (Vec<LoopKernel>, MachineConfig) {
+    let mut profile = ctx.profile;
+    profile.iteration_cap = 64;
+    let mut kernels = Vec::new();
+    for model in ctx.models() {
+        for lw in &model.loops {
+            let ouf = vliw_sched::optimal_unroll_factor(&lw.kernel, &ctx.machine);
+            let mut factors = vec![1u32];
+            if ouf > 1 {
+                factors.push(ouf);
+            }
+            for f in factors {
+                let mut k = vliw_ir::unroll(&lw.kernel, f);
+                let layout = ArrayLayout::new(&k, &ctx.machine, true, ctx.workloads.profile_input);
+                profile_kernel(&mut k, &ctx.machine, &layout, &profile);
+                // deep unrolling can defeat the no-backtracking scheduler
+                // under pinned-chain policies; keep only kernels every
+                // policy can schedule so each policy runs the same set
+                let all_schedulable = ClusterPolicy::ALL.iter().all(|&p| {
+                    vliw_sched::schedule_kernel(&k, &ctx.machine, ScheduleOptions::new(p)).is_ok()
+                });
+                if all_schedulable {
+                    kernels.push(k);
+                }
+            }
+        }
+    }
+    (kernels, ctx.machine.clone())
+}
+
+/// One timed scheduling pass: every workload kernel under `policy`, with
+/// the work counters summed.
+///
+/// # Panics
+///
+/// Panics if a kernel fails to schedule — the workload is pre-filtered to
+/// kernels every policy can schedule, so a failure is a scheduler bug.
+fn sched_pass(
+    kernels: &[LoopKernel],
+    machine: &MachineConfig,
+    policy: ClusterPolicy,
+) -> (SchedStats, Duration) {
+    let mut stats = SchedStats::default();
+    let t = Instant::now();
+    for k in kernels {
+        let o = schedule_outcome(
+            std::hint::black_box(k),
+            std::hint::black_box(machine),
+            ScheduleOptions::new(policy),
+        )
+        .expect("workload kernels are pre-filtered to schedule");
+        std::hint::black_box(&o.schedule);
+        stats.merge(&o.stats);
+    }
+    (stats, t.elapsed())
+}
+
+/// Deterministic work counters of one front-end pass ([`problem_pass`]).
+#[derive(Default)]
+struct FrontendStats {
+    /// Elementary circuits enumerated, summed over the kernels.
+    circuits: u64,
+    /// §4.3.3 latency-reduction steps applied, summed over the kernels.
+    latency_steps: u64,
+}
+
+/// One timed front-end pass: `schedule_problem` (circuits, pins, latency
+/// assignment, MII bounds, SMS order) for every workload kernel under
+/// `policy`, over the same population as [`sched_pass`]. The circuit
+/// count is taken outside the timed loop.
+fn problem_pass(
+    kernels: &[LoopKernel],
+    machine: &MachineConfig,
+    policy: ClusterPolicy,
+) -> (FrontendStats, Duration) {
+    let options = ScheduleOptions::new(policy);
+    let t = Instant::now();
+    let latency_steps = kernels
+        .iter()
+        .map(|k| {
+            let p = schedule_problem(
+                std::hint::black_box(k),
+                std::hint::black_box(machine),
+                &options,
+            );
+            p.latencies.steps.len() as u64
+        })
+        .sum();
+    let elapsed = t.elapsed();
+    let circuits = kernels
+        .iter()
+        .map(|k| elementary_circuits(&Ddg::build(k), options.enum_limits).len() as u64)
+        .sum();
+    let stats = FrontendStats {
+        circuits,
+        latency_steps,
+    };
+    (stats, elapsed)
+}
 
 /// The scheduler-throughput record: schedules the suite under every policy
 /// (wall time + work counters from [`SchedStats`]), times the front-end
@@ -26,7 +135,7 @@ use vliw_sched::{ClusterPolicy, SchedBackend, SchedStats};
 /// counters from [`FrontendStats`]) and probes the schedule
 /// memo, returning `BENCH_repro.json` metrics and a CSV table.
 fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
-    let (kernels, machine) = vliw_bench::sched_workload_for(ctx);
+    let (kernels, machine) = sched_workload_for(ctx);
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut csv = String::from(
         "policy,kernels,seconds,schedules_per_sec,trial_cycles,\
@@ -39,10 +148,10 @@ fn sched_record(ctx: &ExperimentContext) -> (Vec<(String, f64)>, String) {
     let mut total_schedules = 0u64;
     for policy in ClusterPolicy::ALL {
         let label = policy.name();
-        let (stats, elapsed) = vliw_bench::sched_pass(&kernels, &machine, policy);
+        let (stats, elapsed) = sched_pass(&kernels, &machine, policy);
         let secs = elapsed.as_secs_f64();
         let per_sec = kernels.len() as f64 / secs;
-        let (fstats, felapsed) = vliw_bench::problem_pass(&kernels, &machine, policy);
+        let (fstats, felapsed) = problem_pass(&kernels, &machine, policy);
         let fsecs = felapsed.as_secs_f64();
         let fper_sec = kernels.len() as f64 / fsecs;
         println!(

@@ -13,8 +13,8 @@
 //!   class mixes collected from the timing simulator, persisted in a
 //!   deterministic store, feeding the feedback-directed scheduler.
 //! * [`experiments`] — drivers regenerating every table and figure.
-//! * [`trace`] — zero-overhead-when-off tracing & metrics (spans, dual
-//!   logical/wall clocks, Chrome-trace export).
+//! * [`trace`] — zero-overhead-when-off tracing & metrics (spans on a
+//!   logical clock, Chrome-trace export).
 //!
 //! See `README.md` for a tour and `DESIGN.md` for the system inventory.
 
