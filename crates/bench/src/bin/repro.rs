@@ -354,16 +354,16 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if serial {
-        // the figure drivers consult this to pick serial grid execution;
-        // used by the determinism check in CI
-        std::env::set_var("VLIW_GRID_SERIAL", "1");
-    }
-    let ctx = if scale == "quick" {
+    let mut ctx = if scale == "quick" {
         ExperimentContext::quick()
     } else {
         ExperimentContext::full()
     };
+    if serial {
+        // every worker pool (grids, batch, faults) runs on one thread;
+        // the outputs must not change (the determinism check in CI)
+        ctx.workers = 1;
+    }
     println!("# scale: {scale} ({} benchmarks)\n", ctx.benchmarks.len());
 
     let want = |t: &str| targets.contains(&"all") || targets.contains(&t);
@@ -631,15 +631,8 @@ fn main() {
         // the round-tripped on-disk store, workers claiming the
         // most expensive requests first from one shared queue
         let t0 = Instant::now();
-        let mut opts = if scale == "quick" {
-            batch::BatchOptions::quick()
-        } else {
-            batch::BatchOptions::full()
-        };
-        if serial {
-            opts.workers = 1;
-        }
-        let b = batch::run_batch(&ctx, &opts);
+        let target_requests = if scale == "quick" { 256 } else { 10_000 };
+        let b = batch::run_batch(&ctx, target_requests);
         print!("{b}");
         record("batch", t0, b.metrics());
     }
@@ -666,14 +659,11 @@ fn main() {
         // workload; every fault must land in exactly one recovery counter
         // and the drain digests must stay bit-identical
         let t0 = Instant::now();
-        let mut fopts = if scale == "quick" {
+        let fopts = if scale == "quick" {
             faults::FaultOptions::quick()
         } else {
             faults::FaultOptions::full()
         };
-        if serial {
-            fopts.workers = 1;
-        }
         // keep the planned panic spew out of the run log; anything
         // unplanned still prints
         let default_hook = std::panic::take_hook();

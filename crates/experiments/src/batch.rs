@@ -64,36 +64,6 @@ pub struct BatchRequest {
     pub cfg: RunConfig,
 }
 
-/// Knobs of the batch run.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Minimum request count; the suite is replicated into perturbed
-    /// variants until the queue is at least this long.
-    pub target_requests: usize,
-    /// Worker threads of the parallel passes.
-    pub workers: usize,
-}
-
-impl BatchOptions {
-    /// Paper-scale defaults: 10k+ requests, one worker per core.
-    pub fn full() -> Self {
-        BatchOptions {
-            target_requests: 10_000,
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-        }
-    }
-
-    /// CI-scale defaults: a few hundred requests, bounded workers.
-    pub fn quick() -> Self {
-        BatchOptions {
-            target_requests: 256,
-            workers: std::thread::available_parallelism()
-                .map_or(4, |n| n.get())
-                .min(8),
-        }
-    }
-}
-
 /// One timed drain of the queue.
 #[derive(Debug, Clone)]
 pub struct PassReport {
@@ -462,9 +432,12 @@ pub(crate) fn pass(d: &Drain, n: usize) -> PassReport {
     }
 }
 
-/// Runs the whole batch study. See the module docs for the four passes.
-pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
-    let (requests, variants) = build_requests(ctx, opts.target_requests);
+/// Runs the whole batch study over a queue of at least `target_requests`
+/// (sized as [`build_requests`] does), the parallel passes on
+/// [`ExperimentContext::workers`] threads. See the module docs for the
+/// four passes.
+pub fn run_batch(ctx: &ExperimentContext, target_requests: usize) -> BatchReport {
+    let (requests, variants) = build_requests(ctx, target_requests);
     let n = requests.len();
 
     // pass 1: cold serial (the reference answers)
@@ -473,7 +446,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
 
     // pass 2: cold parallel
     let cache = SchedCache::new();
-    let cold = drain(&cache, &requests, ctx, opts.workers, Trace::off());
+    let cold = drain(&cache, &requests, ctx, ctx.workers, Trace::off());
     let inflight_waits = cache.inflight_waits();
     let unique_keys = cache.len();
 
@@ -481,7 +454,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
     // median of its repeats
     let hits_before = cache.hits();
     let mut warm: Vec<Drain> = (0..WARM_REPEATS)
-        .map(|_| drain(&cache, &requests, ctx, opts.workers, Trace::off()))
+        .map(|_| drain(&cache, &requests, ctx, ctx.workers, Trace::off()))
         .collect();
     let warm_hit_rate = (cache.hits() - hits_before) as f64 / (n * WARM_REPEATS) as f64;
     warm.sort_by(|a, b| a.seconds.total_cmp(&b.seconds));
@@ -494,7 +467,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
         .map(|r| r.to_text() == store.to_text())
         .unwrap_or(false);
     let disk_cache = SchedCache::with_store(reloaded.unwrap_or_else(|_| store.clone()));
-    let disk = drain(&disk_cache, &requests, ctx, opts.workers, Trace::off());
+    let disk = drain(&disk_cache, &requests, ctx, ctx.workers, Trace::off());
     let store_hit_rate = disk_cache.store_hits() as f64 / n as f64;
     let store_stale = disk_cache.stale();
 
@@ -504,7 +477,7 @@ pub fn run_batch(ctx: &ExperimentContext, opts: &BatchOptions) -> BatchReport {
         requests: n,
         unique_keys,
         variants,
-        workers: opts.workers,
+        workers: ctx.workers,
         cold_serial: pass(&serial, n),
         cold_parallel: pass(&cold, n),
         warm_mem: pass(&warm[WARM_REPEATS / 2], n),
@@ -549,12 +522,9 @@ mod tests {
 
     #[test]
     fn batch_is_deterministic_and_fully_warm() {
-        let ctx = tiny_ctx();
-        let opts = BatchOptions {
-            target_requests: 64,
-            workers: 4,
-        };
-        let r = run_batch(&ctx, &opts);
+        let mut ctx = tiny_ctx();
+        ctx.workers = 4;
+        let r = run_batch(&ctx, 64);
         assert!(r.requests >= 64);
         assert!(r.deterministic, "pass fingerprints diverged");
         assert_eq!(r.failures, 0);

@@ -11,7 +11,7 @@ use std::fmt;
 use vliw_sched::ClusterPolicy;
 
 use crate::context::{ExperimentContext, RunConfig};
-use crate::grid::{Parallelism, RunGrid};
+use crate::grid::RunGrid;
 use crate::report::{f3, fcycles, Table};
 
 /// Chain-breaking results for one benchmark.
@@ -77,7 +77,7 @@ pub fn chain_breaking(ctx: &ExperimentContext, bench: &str) -> ChainBreaking {
                 ..RunConfig::ipbc().with_buffers()
             },
         )
-        .run_on_models(&[model], ctx, Parallelism::from_env());
+        .run_on_models(&[model], ctx);
     let (with, without) = (result.cell(0, 0), result.cell(0, 1));
     let remote = |run: &crate::context::BenchRun| {
         let mix = run.access_mix();

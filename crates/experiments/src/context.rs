@@ -11,10 +11,11 @@ use vliw_sched::{
     EnumLimits, FallbackPolicy, SchedBackend, SchedQuality, Schedule, ScheduleError,
     ScheduleOptions, UnrollChoice,
 };
-use vliw_sim::{simulate_loop, LoopSimResult, SimOptions};
+use vliw_sim::{simulate_loop_traced, LoopSimResult, SimOptions};
 use vliw_trace::Trace;
 use vliw_workloads::{
     profile_kernel, suite, synthesize, ArrayLayout, BenchmarkModel, ProfileOptions, WorkloadConfig,
+    SUITE_NAMES,
 };
 
 use crate::schedcache::SchedCache;
@@ -173,6 +174,10 @@ pub struct ExperimentContext {
     /// Ignored; set only by the frozen perfbench replica, removed with the benchmark-edit change.
     #[doc(hidden)]
     pub fallback: FallbackPolicy,
+    /// Worker threads of the grid, batch and fault pools (one per core;
+    /// `repro --serial` sets 1). Outputs do not depend on it, so it is
+    /// not part of the schedule-cache key.
+    pub workers: usize,
 }
 
 impl ExperimentContext {
@@ -194,6 +199,7 @@ impl ExperimentContext {
             delay_percentile: None,
             cost_ceiling: None,
             fallback: FallbackPolicy::Heuristic,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -210,8 +216,20 @@ impl ExperimentContext {
         ctx
     }
 
-    /// The benchmark models of this context.
+    /// The benchmark models of this context, in suite order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name in [`ExperimentContext::benchmarks`] is not in the
+    /// suite — a typo must fail loudly, not produce a shorter report.
     pub fn models(&self) -> Vec<BenchmarkModel> {
+        if let Some(bad) = self
+            .benchmarks
+            .iter()
+            .find(|b| !SUITE_NAMES.contains(&b.as_str()))
+        {
+            panic!("unknown benchmark '{bad}'");
+        }
         suite()
             .iter()
             .filter(|s| self.benchmarks.iter().any(|b| b == s.name))
@@ -701,29 +719,7 @@ pub fn run_benchmark_memo(
                 continue;
             }
         };
-        let hints = if cfg.use_hints {
-            attraction_hints(&prepared.kernel, &prepared.schedule, &machine)
-        } else {
-            AttractionHints::allow_all(&prepared.kernel)
-        };
-        let layout = ArrayLayout::new(
-            &prepared.kernel,
-            &machine,
-            cfg.padding,
-            ctx.workloads.exec_input,
-        );
-        let mut cache = build_cache(&machine);
-        let mut addresses =
-            |op: OpId, iter: u64| vliw_workloads::address_for(&prepared.kernel, &layout, op, iter);
-        let sim = simulate_loop(
-            &prepared.kernel,
-            &prepared.schedule,
-            &machine,
-            cache.as_mut(),
-            &mut addresses,
-            &hints,
-            &ctx.sim,
-        );
+        let sim = simulate_prepared(&prepared, &machine, cfg, ctx, Trace::off());
         loops.push(LoopRun {
             name: prepared.kernel.name.clone(),
             weight: prepared.kernel.dynamic_ops(),
@@ -735,6 +731,41 @@ pub fn run_benchmark_memo(
         name: model.name.clone(),
         loops,
     }
+}
+
+/// Simulates one prepared loop on the *execution* input under `cfg`'s
+/// hints and alignment, with `trace` attached to the simulator.
+pub(crate) fn simulate_prepared(
+    prepared: &PreparedLoop,
+    machine: &MachineConfig,
+    cfg: &RunConfig,
+    ctx: &ExperimentContext,
+    trace: Trace<'_>,
+) -> LoopSimResult {
+    let hints = if cfg.use_hints {
+        attraction_hints(&prepared.kernel, &prepared.schedule, machine)
+    } else {
+        AttractionHints::allow_all(&prepared.kernel)
+    };
+    let layout = ArrayLayout::new(
+        &prepared.kernel,
+        machine,
+        cfg.padding,
+        ctx.workloads.exec_input,
+    );
+    let mut cache = build_cache(machine);
+    let mut addresses =
+        |op: OpId, iter: u64| vliw_workloads::address_for(&prepared.kernel, &layout, op, iter);
+    simulate_loop_traced(
+        &prepared.kernel,
+        &prepared.schedule,
+        machine,
+        cache.as_mut(),
+        &mut addresses,
+        &hints,
+        &ctx.sim,
+        trace,
+    )
 }
 
 #[cfg(test)]
@@ -1041,5 +1072,21 @@ mod tests {
         assert_eq!(p_no.factor, 1);
         assert!(p_ouf.factor >= 1);
         assert_eq!(p_ouf.kernel.ops.len(), k.ops.len() * p_ouf.factor as usize);
+    }
+
+    #[test]
+    fn models_follow_suite_order() {
+        let mut ctx = ExperimentContext::quick();
+        ctx.benchmarks = vec!["mpeg2dec".into(), "epicdec".into()];
+        let names: Vec<String> = ctx.models().into_iter().map(|m| m.name).collect();
+        assert_eq!(names, ["epicdec", "mpeg2dec"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown benchmark 'gsmdecc'")]
+    fn models_reject_an_unknown_benchmark() {
+        let mut ctx = ExperimentContext::quick();
+        ctx.benchmarks.push("gsmdecc".into());
+        ctx.models();
     }
 }

@@ -57,8 +57,6 @@ pub struct FaultOptions {
     pub seed: u64,
     /// Minimum request count of the batch queue.
     pub target_requests: usize,
-    /// Worker threads of the parallel drains.
-    pub workers: usize,
     /// Kernels whose first preparation panics, per cache generation.
     pub panic_victims: usize,
     /// Store records corrupted by a digit flip.
@@ -73,7 +71,6 @@ impl FaultOptions {
         FaultOptions {
             seed: 0xFA17_F00D,
             target_requests: 2_000,
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             panic_victims: 6,
             bit_flips: 8,
             starved_requests: 8,
@@ -85,9 +82,6 @@ impl FaultOptions {
         FaultOptions {
             seed: 0xFA17_F00D,
             target_requests: 192,
-            workers: std::thread::available_parallelism()
-                .map_or(4, |n| n.get())
-                .min(8),
             panic_victims: 3,
             bit_flips: 4,
             starved_requests: 4,
@@ -406,8 +400,9 @@ impl std::fmt::Display for FaultReport {
     }
 }
 
-/// Runs the fault plan against the batch workload. See the module docs
-/// for the lanes; determinism and the audit are the acceptance gates.
+/// Runs the fault plan against the batch workload, the parallel drains on
+/// [`ExperimentContext::workers`] threads. See the module docs for the
+/// lanes; determinism and the audit are the acceptance gates.
 pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
     let t0 = Instant::now();
     let (requests, _variants) = build_requests(ctx, opts.target_requests);
@@ -416,7 +411,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
     // a probe generation with no faults yields the healthy store the
     // corruption lanes need, and the record count the plan draws from
     let probe = SchedCache::new();
-    let probe_drain = drain(&probe, &requests, ctx, opts.workers, Trace::off());
+    let probe_drain = drain(&probe, &requests, ctx, ctx.workers, Trace::off());
     let healthy_store = probe.export_store();
     let healthy = healthy_store.to_text();
 
@@ -428,8 +423,8 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
     let serial_cache = SchedCache::new().into_preparer(panic_shim(Arc::clone(&victims)));
     let serial = drain(&serial_cache, &requests, ctx, 1, Trace::off());
     let cache = SchedCache::new().into_preparer(panic_shim(Arc::clone(&victims)));
-    let cold = drain(&cache, &requests, ctx, opts.workers, Trace::off());
-    let warm = drain(&cache, &requests, ctx, opts.workers, Trace::off());
+    let cold = drain(&cache, &requests, ctx, ctx.workers, Trace::off());
+    let warm = drain(&cache, &requests, ctx, ctx.workers, Trace::off());
 
     // interrupted-export lane: commit the healthy store, kill a rewrite
     // before the rename, verify the committed bytes survived
@@ -466,10 +461,9 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
                 .any(|e| &e.name == *v && salvaged.get(&e.key).is_none())
         })
         .count() as u64;
-    let disk_cache = SchedCache::new()
-        .into_preparer(panic_shim(Arc::clone(&victims)))
-        .into_stored(salvaged);
-    let disk = drain(&disk_cache, &requests, ctx, opts.workers, Trace::off());
+    let disk_cache =
+        SchedCache::with_store(salvaged).into_preparer(panic_shim(Arc::clone(&victims)));
+    let disk = drain(&disk_cache, &requests, ctx, ctx.workers, Trace::off());
 
     // starvation lane: exact search under a zero cost ceiling — every
     // request must be served as a cutoff, visibly

@@ -1,12 +1,11 @@
-//! Declarative experiment grids: enumerate `RunConfig` cross-products,
-//! execute every `(benchmark, config)` cell — in parallel, with schedules
-//! memoized across cells — and feed the shared aggregation backbone every
-//! figure driver sits on.
+//! Declarative experiment grids: execute every `(benchmark, config)`
+//! cell — in parallel, with schedules memoized across cells — and feed
+//! the shared aggregation backbone every figure driver sits on.
 //!
-//! A [`RunGrid`] is built from labeled configurations (figure bars) or a
-//! [`GridAxes`] cross-product, then executed with [`RunGrid::run`]
-//! (parallel) or [`RunGrid::run_serial`]. Cells are independent and
-//! deterministic, and the schedule memo only *shares* results, so a
+//! A [`RunGrid`] is built from labeled configurations (figure bars), then
+//! executed with [`RunGrid::run`] on [`ExperimentContext::workers`]
+//! threads or with [`RunGrid::run_serial`] on one. Cells are independent
+//! and deterministic, and the schedule memo only *shares* results, so a
 //! parallel run is bit-identical to a serial one —
 //! [`GridResult::fingerprint`] makes that checkable.
 //!
@@ -27,170 +26,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use vliw_sched::{ClusterPolicy, SchedBackend};
 use vliw_workloads::{spec_by_name, synthesize, BenchmarkModel};
 
-use crate::context::{
-    run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext, ProfileSource, RunConfig,
-    UnrollMode,
-};
+use crate::context::{run_benchmark_memo, BenchRun, ExperimentContext, ProfileSource, RunConfig};
 use crate::report::amean;
 use crate::schedcache::SchedCache;
-
-/// Axes of a declarative `RunConfig` cross-product. Every axis defaults to
-/// the corresponding value of a base configuration; widened axes multiply.
-///
-/// ```
-/// use vliw_experiments::{GridAxes, RunConfig, UnrollMode};
-///
-/// let configs = GridAxes::from(RunConfig::ipbc())
-///     .unrolls(&[UnrollMode::NoUnroll, UnrollMode::Ouf])
-///     .paddings(&[false, true])
-///     .enumerate();
-/// assert_eq!(configs.len(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct GridAxes {
-    arches: Vec<ArchVariant>,
-    policies: Vec<ClusterPolicy>,
-    backends: Vec<SchedBackend>,
-    sources: Vec<ProfileSource>,
-    unrolls: Vec<UnrollMode>,
-    paddings: Vec<bool>,
-    buffers: Vec<Option<(usize, usize)>>,
-    hints: Vec<bool>,
-}
-
-impl GridAxes {
-    /// Axes fixed to `base`'s values; widen individual axes from here.
-    pub fn from(base: RunConfig) -> Self {
-        GridAxes {
-            arches: vec![base.arch],
-            policies: vec![base.policy],
-            backends: vec![base.backend],
-            sources: vec![base.source],
-            unrolls: vec![base.unroll],
-            paddings: vec![base.padding],
-            buffers: vec![base.attraction_buffers],
-            hints: vec![base.use_hints],
-        }
-    }
-
-    /// Sweeps the architecture axis.
-    pub fn arches(mut self, values: &[ArchVariant]) -> Self {
-        self.arches = values.to_vec();
-        self
-    }
-
-    /// Sweeps the cluster-assignment policy axis.
-    pub fn policies(mut self, values: &[ClusterPolicy]) -> Self {
-        self.policies = values.to_vec();
-        self
-    }
-
-    /// Sweeps the scheduler-backend axis.
-    pub fn backends(mut self, values: &[SchedBackend]) -> Self {
-        self.backends = values.to_vec();
-        self
-    }
-
-    /// Sweeps the profile-source axis (none / synthetic / measured).
-    pub fn sources(mut self, values: &[ProfileSource]) -> Self {
-        self.sources = values.to_vec();
-        self
-    }
-
-    /// Sweeps the unrolling-mode axis.
-    pub fn unrolls(mut self, values: &[UnrollMode]) -> Self {
-        self.unrolls = values.to_vec();
-        self
-    }
-
-    /// Sweeps the §4.3.4 alignment (padding) axis.
-    pub fn paddings(mut self, values: &[bool]) -> Self {
-        self.paddings = values.to_vec();
-        self
-    }
-
-    /// Sweeps the Attraction-Buffer axis (`None` = no buffers).
-    pub fn buffers(mut self, values: &[Option<(usize, usize)>]) -> Self {
-        self.buffers = values.to_vec();
-        self
-    }
-
-    /// Sweeps the §5.2 compiler-hints axis.
-    pub fn hints(mut self, values: &[bool]) -> Self {
-        self.hints = values.to_vec();
-        self
-    }
-
-    /// Enumerates the full cross-product, architecture-major, in axis
-    /// order (arch × policy × backend × source × unroll × padding ×
-    /// buffers × hints).
-    pub fn enumerate(&self) -> Vec<RunConfig> {
-        let mut out = Vec::new();
-        for &arch in &self.arches {
-            for &policy in &self.policies {
-                for &backend in &self.backends {
-                    for &source in &self.sources {
-                        for &unroll in &self.unrolls {
-                            for &padding in &self.paddings {
-                                for &attraction_buffers in &self.buffers {
-                                    for &use_hints in &self.hints {
-                                        out.push(RunConfig {
-                                            arch,
-                                            policy,
-                                            backend,
-                                            source,
-                                            unroll,
-                                            padding,
-                                            attraction_buffers,
-                                            use_hints,
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// How a grid's cells are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parallelism {
-    /// One cell at a time, in declaration order.
-    Serial,
-    /// A fixed number of worker threads.
-    Threads(usize),
-    /// One worker per available core.
-    Auto,
-}
-
-impl Parallelism {
-    /// [`Parallelism::Auto`], unless the `VLIW_GRID_SERIAL` environment
-    /// variable is set (the `repro --serial` determinism check).
-    pub fn from_env() -> Self {
-        if std::env::var_os("VLIW_GRID_SERIAL").is_some() {
-            Parallelism::Serial
-        } else {
-            Parallelism::Auto
-        }
-    }
-
-    fn workers(self) -> usize {
-        match self {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-            Parallelism::Auto => thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
 
 /// The worker pool of every experiments driver: `min(workers, n)` scoped
 /// threads (inline with one) claim the positions of `order` from one
@@ -249,25 +89,6 @@ impl RunGrid {
         self
     }
 
-    /// Adds every configuration of a cross-product, with generated labels.
-    pub fn cross(mut self, axes: &GridAxes) -> Self {
-        for cfg in axes.enumerate() {
-            let label = format!(
-                "{:?}/{:?}/{}/{:?}/{:?}/pad={}/ab={:?}/hints={}",
-                cfg.arch,
-                cfg.policy,
-                cfg.backend.name(),
-                cfg.source,
-                cfg.unroll,
-                cfg.padding,
-                cfg.attraction_buffers,
-                cfg.use_hints
-            );
-            self.configs.push((label, cfg));
-        }
-        self
-    }
-
     /// Restricts the grid to the named benchmarks (default: the context's).
     pub fn benchmarks(mut self, names: &[&str]) -> Self {
         self.benchmarks = Some(names.iter().map(|s| s.to_string()).collect());
@@ -306,31 +127,21 @@ impl RunGrid {
         }
     }
 
-    /// Executes every cell in parallel (one worker per core; serial when
-    /// `VLIW_GRID_SERIAL` is set).
+    /// Executes every cell on [`ExperimentContext::workers`] threads.
     pub fn run(&self, ctx: &ExperimentContext) -> GridResult {
-        self.run_with(ctx, Parallelism::from_env())
+        self.run_on_models(&self.models(ctx), ctx)
     }
 
-    /// Executes every cell serially, in declaration order.
+    /// Executes every cell on one thread.
     pub fn run_serial(&self, ctx: &ExperimentContext) -> GridResult {
-        self.run_with(ctx, Parallelism::Serial)
-    }
-
-    /// Executes every cell with the given parallelism.
-    pub fn run_with(&self, ctx: &ExperimentContext, par: Parallelism) -> GridResult {
-        let models = self.models(ctx);
-        self.run_on_models(&models, ctx, par)
+        let mut serial = ctx.clone();
+        serial.workers = 1;
+        self.run(&serial)
     }
 
     /// Executes the grid over explicit (possibly filtered or synthetic)
     /// models instead of synthesizing them from the context.
-    pub fn run_on_models(
-        &self,
-        models: &[BenchmarkModel],
-        ctx: &ExperimentContext,
-        par: Parallelism,
-    ) -> GridResult {
+    pub fn run_on_models(&self, models: &[BenchmarkModel], ctx: &ExperimentContext) -> GridResult {
         let n_cfg = self.configs.len();
         let n_models = models.len();
         let cells_total = n_models * n_cfg;
@@ -361,7 +172,7 @@ impl RunGrid {
         let mut queue: Vec<usize> = (0..cells_total).collect();
         queue.sort_by_key(|&i| std::cmp::Reverse(cell_cost(&self.configs[i / n_models].1)));
 
-        claim_loop(&queue, par.workers(), |_, _, claimed| {
+        claim_loop(&queue, ctx.workers, |_, _, claimed| {
             let Some(i) = claimed else { return };
             let (b, c) = (i % n_models, i / n_models);
             let run = run_benchmark_memo(&models[b], &self.configs[c].1, ctx, Some(&memo));
@@ -524,34 +335,7 @@ impl GridResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn axes_cross_product_enumerates_in_order() {
-        let configs = GridAxes::from(RunConfig::ipbc())
-            .policies(&[ClusterPolicy::PreBuildChains, ClusterPolicy::BuildChains])
-            .paddings(&[true, false])
-            .enumerate();
-        assert_eq!(configs.len(), 4);
-        assert_eq!(configs[0].policy, ClusterPolicy::PreBuildChains);
-        assert!(configs[0].padding);
-        assert!(!configs[1].padding);
-        assert_eq!(configs[2].policy, ClusterPolicy::BuildChains);
-        // untouched axes keep the base value everywhere
-        assert!(configs.iter().all(|c| c.unroll == UnrollMode::Selective));
-    }
-
-    #[test]
-    fn backend_axis_multiplies_and_reaches_cells() {
-        let configs = GridAxes::from(RunConfig::ipbc())
-            .backends(&[SchedBackend::SwingModulo, SchedBackend::ExactBnB])
-            .paddings(&[true, false])
-            .enumerate();
-        assert_eq!(configs.len(), 4);
-        assert_eq!(configs[0].backend, SchedBackend::SwingModulo);
-        assert_eq!(configs[2].backend, SchedBackend::ExactBnB);
-        // untouched axes keep the base value everywhere
-        assert!(configs.iter().all(|c| c.policy == RunConfig::ipbc().policy));
-    }
+    use vliw_sched::SchedBackend;
 
     #[test]
     fn quality_aggregation_distinguishes_backends() {

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use crate::context::{ExperimentContext, RunConfig};
-use crate::grid::{Parallelism, RunGrid};
+use crate::grid::RunGrid;
 use crate::report::Table;
 
 /// Stall cycles of the epicdec overflow loop under every combination of
@@ -92,7 +92,7 @@ pub fn hints_experiment(ctx: &ExperimentContext) -> HintsExperiment {
             }
         }
     }
-    let result = grid.run_on_models(&[model], ctx, Parallelism::from_env());
+    let result = grid.run_on_models(&[model], ctx);
     let rows = keys
         .into_iter()
         .enumerate()

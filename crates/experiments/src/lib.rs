@@ -57,13 +57,13 @@ pub mod schedcache;
 pub mod tables;
 pub mod trace_exp;
 
-pub use batch::{run_batch, BatchOptions, BatchReport, BatchRequest};
+pub use batch::{run_batch, BatchReport, BatchRequest};
 pub use context::{
     prepare_loop, run_benchmark, run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext,
     LoopRun, PreparedLoop, ProfileSource, RunConfig, UnrollMode,
 };
 pub use faults::{run_faults, FaultOptions, FaultPlan, FaultReport};
-pub use grid::{GridAxes, GridResult, Parallelism, RunGrid};
+pub use grid::{GridResult, RunGrid};
 pub use optgap::{OptGapResult, OptGapRow};
 pub use profile_fidelity::{CollectedSuite, ProfileFidelityResult};
 pub use report::{backend_quality_table, mshr_table, Table};

@@ -299,13 +299,10 @@ impl SchedCache {
     /// A cache warmed by `store`: lookups that miss in memory consult the
     /// store and rebuild its schedules instead of re-scheduling.
     pub fn with_store(store: ScheduleStore) -> Self {
-        Self::new().into_stored(store)
-    }
-
-    /// This cache, backed by `store`.
-    pub fn into_stored(mut self, store: ScheduleStore) -> Self {
-        self.store = Some(store);
-        self
+        SchedCache {
+            store: Some(store),
+            ..Self::default()
+        }
     }
 
     /// This cache, filling cold slots through `preparer` instead of
@@ -1247,17 +1244,22 @@ mod tests {
     /// The key of one quick-suite kernel under the quick context, pinned:
     /// a change to what `env_fingerprint` or `kernel_fingerprint` writes
     /// re-keys every cached and stored schedule, and fails here first.
+    /// The worker count is not part of the key.
     #[test]
     fn quick_suite_cache_key_is_pinned() {
-        let ctx = ExperimentContext::quick();
+        let mut ctx = ExperimentContext::quick();
         let models = ctx.models();
         let original = &models[0].loops[0].kernel;
         let cfg = RunConfig::ipbc().with_backend(SchedBackend::ExactBnB);
-        let key = CacheKey::of(original, &ctx.machine_for(&cfg), &cfg, &ctx);
         assert_eq!(original.name, "epicdec_l0");
-        assert_eq!(
-            (key.env_fp, key.kernel_fp),
-            (0x4c11f2401468df36, 0x6c3058494290d6e9)
-        );
+        for workers in [ctx.workers, 1, 4] {
+            ctx.workers = workers;
+            let key = CacheKey::of(original, &ctx.machine_for(&cfg), &cfg, &ctx);
+            assert_eq!(
+                (key.env_fp, key.kernel_fp),
+                (0x4c11f2401468df36, 0x6c3058494290d6e9),
+                "workers = {workers}"
+            );
+        }
     }
 }

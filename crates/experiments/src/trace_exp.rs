@@ -20,13 +20,11 @@
 //! two identical runs export byte-identical Chrome trace JSON (pinned,
 //! with a golden digest, by `tests/trace_overhead.rs`).
 
-use vliw_sched::{AttractionHints, SchedBackend};
-use vliw_sim::simulate_loop_traced;
+use vliw_sched::SchedBackend;
 use vliw_trace::{RecordingSink, Trace};
-use vliw_workloads::ArrayLayout;
 
 use crate::batch::{build_requests, drain};
-use crate::context::{prepare_loop, ExperimentContext, RunConfig, UnrollMode};
+use crate::context::{prepare_loop, simulate_prepared, ExperimentContext, RunConfig, UnrollMode};
 use crate::schedcache::SchedCache;
 
 /// The artifact of one instrumented run: the Chrome trace export and the
@@ -79,27 +77,7 @@ pub fn run_trace(ctx: &ExperimentContext, target_requests: usize) -> TraceRun {
     let machine = ctx.machine_for(&sim_req.cfg);
     if let Ok(prepared) = cache.prepare_traced(&sim_req.kernel, &machine, &sim_req.cfg, ctx, trace)
     {
-        let hints = AttractionHints::allow_all(&prepared.kernel);
-        let layout = ArrayLayout::new(
-            &prepared.kernel,
-            &machine,
-            sim_req.cfg.padding,
-            ctx.workloads.exec_input,
-        );
-        let mut mem = vliw_mem::build_cache(&machine);
-        let mut addresses = |op: vliw_ir::OpId, iter: u64| {
-            vliw_workloads::address_for(&prepared.kernel, &layout, op, iter)
-        };
-        let _ = simulate_loop_traced(
-            &prepared.kernel,
-            &prepared.schedule,
-            &machine,
-            mem.as_mut(),
-            &mut addresses,
-            &hints,
-            &ctx.sim,
-            trace,
-        );
+        let _ = simulate_prepared(&prepared, &machine, &sim_req.cfg, ctx, trace);
     }
 
     // 4: one exact branch-and-bound preparation on the smallest kernel

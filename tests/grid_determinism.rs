@@ -3,7 +3,7 @@
 //! directly (no grid, no memo) per cell.
 
 use interleaved_vliw::experiments::{
-    run_benchmark, ExperimentContext, GridAxes, Parallelism, RunConfig, RunGrid, UnrollMode,
+    run_benchmark, ExperimentContext, GridResult, RunConfig, RunGrid, UnrollMode,
 };
 use interleaved_vliw::sched::ClusterPolicy;
 
@@ -21,11 +21,31 @@ fn tiny_ctx() -> ExperimentContext {
 
 fn small_grid() -> RunGrid {
     // a real cross-product: policy × unroll × buffers (8 configs)
-    let axes = GridAxes::from(RunConfig::ipbc())
-        .policies(&[ClusterPolicy::PreBuildChains, ClusterPolicy::BuildChains])
-        .unrolls(&[UnrollMode::NoUnroll, UnrollMode::Selective])
-        .buffers(&[None, Some((16, 2))]);
-    RunGrid::new("determinism").cross(&axes)
+    let mut grid = RunGrid::new("determinism");
+    for policy in [ClusterPolicy::PreBuildChains, ClusterPolicy::BuildChains] {
+        for unroll in [UnrollMode::NoUnroll, UnrollMode::Selective] {
+            for attraction_buffers in [None, Some((16, 2))] {
+                let cfg = RunConfig {
+                    policy,
+                    unroll,
+                    attraction_buffers,
+                    ..RunConfig::ipbc()
+                };
+                grid = grid.config(
+                    format!("{policy:?}/{unroll:?}/ab={attraction_buffers:?}"),
+                    cfg,
+                );
+            }
+        }
+    }
+    grid
+}
+
+/// The grid on four worker threads, whatever the host's core count.
+fn run_on_four(grid: &RunGrid, ctx: &ExperimentContext) -> GridResult {
+    let mut ctx = ctx.clone();
+    ctx.workers = 4;
+    grid.run(&ctx)
 }
 
 #[test]
@@ -33,7 +53,7 @@ fn parallel_equals_serial_bitwise() {
     let ctx = tiny_ctx();
     let grid = small_grid();
     let serial = grid.run_serial(&ctx);
-    let parallel = grid.run_with(&ctx, Parallelism::Threads(4));
+    let parallel = run_on_four(&grid, &ctx);
     assert_eq!(serial.benches(), parallel.benches());
     assert_eq!(
         serial.fingerprint(),
@@ -88,13 +108,20 @@ fn backend_sharded_queue_stays_bit_identical() {
     use interleaved_vliw::sched::SchedBackend;
     let mut ctx = tiny_ctx();
     ctx.benchmarks = vec!["gsmdec".into()];
-    let axes = GridAxes::from(RunConfig::ipbc())
-        .backends(&SchedBackend::ALL)
-        .sources(&[ProfileSource::Synthetic, ProfileSource::Measured])
-        .unrolls(&[UnrollMode::NoUnroll]);
-    let grid = RunGrid::new("sharded").cross(&axes);
+    let mut grid = RunGrid::new("sharded");
+    for backend in SchedBackend::ALL {
+        for source in [ProfileSource::Synthetic, ProfileSource::Measured] {
+            let cfg = RunConfig {
+                backend,
+                source,
+                unroll: UnrollMode::NoUnroll,
+                ..RunConfig::ipbc()
+            };
+            grid = grid.config(format!("{}/{source:?}", backend.name()), cfg);
+        }
+    }
     let serial = grid.run_serial(&ctx);
-    let parallel = grid.run_with(&ctx, Parallelism::Threads(4));
+    let parallel = run_on_four(&grid, &ctx);
     assert_eq!(
         serial.fingerprint(),
         parallel.fingerprint(),
