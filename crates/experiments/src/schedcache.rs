@@ -1023,11 +1023,137 @@ mod tests {
 
     /// Parses the record made of `header` and an empty schedule.
     fn entry(header: &str) -> StoreEntry {
-        let check = format!("check {}", record_checksum(header, EMPTY_SCHED));
-        let mut rec = vec![header];
-        rec.extend(EMPTY_SCHED.lines());
-        rec.extend([check.as_str(), "endentry"]);
-        StoreEntry::parse_record(&rec).unwrap()
+        StoreEntry::parse_record(&record(header, EMPTY_SCHED).lines().collect::<Vec<_>>()).unwrap()
+    }
+
+    /// The serialized record of `header` and the schedule block `sched`,
+    /// correctly checksummed.
+    fn record(header: &str, sched: &str) -> String {
+        let check = record_checksum(header, sched);
+        format!("{header}\n{sched}check {check}\nendentry\n")
+    }
+
+    /// A record header with kernel fingerprint `kfp` and the given
+    /// backend and quality tokens.
+    fn corpus_header(kfp: u64, backend: &str, quality: &str) -> String {
+        format!(
+            "entry k{kfp} kfp {kfp} efp 11 arch wi policy ipbc backend {backend} source syn \
+             unroll sel pad 1 choice xn factor 4 pfp 13 quality {quality}"
+        )
+    }
+
+    /// A small healthy store of four records over both backends and every
+    /// quality, two of them with non-empty schedule blocks.
+    fn corpus_store_text() -> String {
+        const SCHED: &str = "sched ii 2 mii 2 res 2 rec 1 tmii 2 nops 3 ncopies 1\n\
+                             ops 0 0 1 1 0 5 2 1 1\nlats 1 5 1\ncopies 0 0 1 1 0\n";
+        let mut store = ScheduleStore::new();
+        for (kfp, backend, quality, sched) in [
+            (7, "swing", "heur", SCHED),
+            (8, "bnb", "opt", EMPTY_SCHED),
+            (9, "bnb", "cutoff", SCHED),
+            (10, "swing", "heur", EMPTY_SCHED),
+        ] {
+            let rec = record(&corpus_header(kfp, backend, quality), sched);
+            store.insert(StoreEntry::parse_record(&rec.lines().collect::<Vec<_>>()).unwrap());
+        }
+        store.to_text()
+    }
+
+    /// The loader corpus: the healthy store, every byte truncation of it,
+    /// seeded single-bit flips, version tampers, miscounted stores,
+    /// duplicate keys, retired `delay` / `degraded` records and trailing
+    /// lines. No input has a prelude with trailing tokens or extra
+    /// whitespace.
+    fn loader_corpus() -> Vec<String> {
+        let text = corpus_store_text();
+        let first = text.find("entry ").unwrap();
+        let second = first + text[first..].find("endentry\n").unwrap() + "endentry\n".len();
+        let (prelude, first_record, rest) = (&text[..first], &text[first..second], &text[second..]);
+        let splice = |rec: &str| {
+            let prelude = prelude.replace("entries 4", "entries 5");
+            format!("{prelude}{first_record}{rec}{rest}")
+        };
+        let mut corpus = vec![text.clone()];
+        corpus.extend((0..text.len()).map(|cut| text[..cut].to_string()));
+        let mut rng = vliw_workloads::rng::StdRng::seed_from_u64(0x5707E);
+        for _ in 0..400 {
+            let mut bytes = text.clone().into_bytes();
+            let byte = rng.random_range(0..bytes.len());
+            bytes[byte] ^= 1 << rng.random_range(0..8u32);
+            corpus.push(String::from_utf8_lossy(&bytes).into_owned());
+        }
+        for version in ["1", "3", "99", "", "x"] {
+            let tag = format!("vliw-sched-store {version}\n");
+            corpus.push(text.replacen("vliw-sched-store 2\n", &tag, 1));
+        }
+        for count in ["0", "3", "5", "40", "", "-1", "x"] {
+            corpus.push(text.replacen("entries 4", &format!("entries {count}"), 1));
+        }
+        corpus.push(text.replacen("entries 4\n", "", 1));
+        corpus.push(splice(first_record)); // a duplicate key, counted
+        corpus.push(format!("{text}{first_record}")); // duplicate, uncounted
+        corpus.push(text.replace("entries 4", "entries 5") + first_record);
+        for (backend, quality) in [("delay", "heur"), ("swing", "degraded")] {
+            let retired = record(&corpus_header(8, backend, quality), EMPTY_SCHED);
+            corpus.push(splice(&retired));
+        }
+        for tail in ["\n", "junk\n", "endentry\n"] {
+            corpus.push(format!("{text}{tail}"));
+        }
+        corpus.push("vliw-sched-store 2\nentries 0\n".into());
+        corpus.push("vliw-sched-store 2\n".into());
+        corpus
+    }
+
+    /// The declared record count of a store text, if its count line parses.
+    fn declared_count(text: &str) -> Option<usize> {
+        text.lines().nth(1)?.strip_prefix("entries ")?.parse().ok()
+    }
+
+    /// Both loaders' verdicts over the loader corpus, pinned: the strict
+    /// loader's `(ok, store text)` and the salvage loader's `(store text,
+    /// report)` for every input, folded into one digest.
+    #[test]
+    fn loader_corpus_verdicts_are_pinned() {
+        let corpus = loader_corpus();
+        let mut h = StableHasher::new();
+        for text in &corpus {
+            match ScheduleStore::from_text(text) {
+                Ok(store) => {
+                    h.write_u8(1);
+                    h.write_str(&store.to_text());
+                }
+                Err(_) => h.write_u8(0),
+            }
+            let (store, rep) = ScheduleStore::from_text_salvage(text);
+            h.write_str(&store.to_text());
+            for n in [rep.recovered, rep.dropped_corrupt, rep.dropped_truncated] {
+                h.write_u64(n as u64);
+            }
+            h.write_u8(u8::from(rep.version_rejected));
+        }
+        assert_eq!((corpus.len(), h.finish()), (1_430, 0xc42b_18e4_73bd_cc82));
+    }
+
+    /// The strict loader accepts exactly the texts the salvage loader
+    /// reads cleanly: version accepted, nothing dropped, and as many
+    /// distinct keys recovered as the store declares. An accepted store
+    /// is the salvaged one.
+    #[test]
+    fn strict_accepts_exactly_the_clean_salvages() {
+        for text in loader_corpus() {
+            let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
+            let clean = !rep.version_rejected
+                && rep.dropped() == 0
+                && declared_count(&text) == Some(rep.recovered)
+                && salvaged.len() == rep.recovered;
+            let strict = ScheduleStore::from_text(&text);
+            assert_eq!(strict.is_ok(), clean, "{text:?}: {strict:?} vs {rep:?}");
+            if let Ok(store) = strict {
+                assert_eq!(store.to_text(), salvaged.to_text());
+            }
+        }
     }
 
     #[test]
