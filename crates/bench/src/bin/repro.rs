@@ -1,6 +1,6 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! Usage: `repro [quick|full] [--serial] [table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|chains|interleave|mshr|sched|optgap|profile|batch|faults|trace|all]`
+//! Usage: `repro [quick|full] [--serial] [all|table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|interleave|mshr|sched|optgap|profile|batch|trace|faults|chains]`
 //!
 //! Results print to stdout and are also written as CSV under `results/`.
 //! Every run additionally emits `BENCH_repro.json` — a machine-readable
@@ -311,6 +311,343 @@ fn write_bench_json(scale: &str, n_benchmarks: usize, serial: bool, figures: &[F
     }
 }
 
+/// A target's `BENCH_repro.json` metrics.
+type Metrics = Vec<(String, f64)>;
+
+/// Runs one target at a scale (`quick` or `full`): prints its table,
+/// saves its CSV and returns its metrics.
+type Target = fn(&ExperimentContext, &str) -> Metrics;
+
+/// Every target, in run order: `all` runs them in this order, and each
+/// one's record is timed around its call.
+const TARGETS: [(&str, Target); 18] = [
+    ("table1", run_table1),
+    ("table2", run_table2),
+    ("example433", run_example433),
+    ("fig4", run_fig4),
+    ("fig5", run_fig5),
+    ("fig6", run_fig6),
+    ("fig7", run_fig7),
+    ("fig8", run_fig8),
+    ("hints", run_hints),
+    ("interleave", run_interleave),
+    ("mshr", run_mshr),
+    ("sched", run_sched),
+    ("optgap", run_optgap),
+    ("profile", run_profile),
+    ("batch", run_batch),
+    ("trace", run_trace),
+    ("faults", run_faults),
+    ("chains", run_chains),
+];
+
+fn run_table1(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let t = tables::table1(ctx);
+    println!("{t}");
+    save("table1", t.table().to_csv());
+    Vec::new()
+}
+
+fn run_table2(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let t = tables::table2(ctx);
+    println!("{t}");
+    save("table2", t.table().to_csv());
+    Vec::new()
+}
+
+fn run_example433(_: &ExperimentContext, _: &str) -> Metrics {
+    let e = example433::example433();
+    println!("{e}");
+    save("example433", e.table().to_csv());
+    Vec::new()
+}
+
+fn run_fig4(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let f = fig4::fig4(ctx);
+    println!("{f}");
+    save("fig4", f.table().to_csv());
+    let mut m = vec![
+        ("alignment_gain".into(), f.alignment_gain()),
+        ("unrolling_gain".into(), f.unrolling_gain()),
+    ];
+    for (b, label) in fig4::BAR_LABELS.iter().enumerate() {
+        m.push((format!("local_hit_amean/{label}"), f.amean[b][0]));
+    }
+    m
+}
+
+fn run_fig5(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let f = fig5::fig5(ctx);
+    println!("{f}");
+    save("fig5", f.table().to_csv());
+    let mut m = Vec::new();
+    for r in &f.rows {
+        m.push((format!("stall_ibc/{}", r.bench), r.stall.0));
+        m.push((format!("stall_ipbc/{}", r.bench), r.stall.1));
+    }
+    m
+}
+
+fn run_fig6(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let f = fig6::fig6(ctx);
+    println!("{f}");
+    save("fig6", f.table().to_csv());
+    vec![
+        ("remote_hit_share_ibc".into(), f.remote_hit_share(0)),
+        ("remote_hit_share_ipbc".into(), f.remote_hit_share(2)),
+        ("ab_reduction_ibc".into(), f.ab_reduction(0)),
+        ("ab_reduction_ipbc".into(), f.ab_reduction(2)),
+    ]
+}
+
+fn run_fig7(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let f = fig7::fig7(ctx);
+    println!("{f}");
+    save("fig7", f.table().to_csv());
+    fig7::CONFIG_LABELS
+        .iter()
+        .enumerate()
+        .map(|(i, label)| (format!("wb_amean/{label}"), f.amean[i]))
+        .collect()
+}
+
+fn run_fig8(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let f = fig8::fig8(ctx);
+    println!("{f}");
+    save("fig8", f.table().to_csv());
+    let mut m = vec![
+        ("ipbc_vs_unified5".into(), f.speedup(0, 3)),
+        ("ibc_vs_unified5".into(), f.speedup(1, 3)),
+        ("ipbc_vs_multivliw".into(), f.vs_multivliw()),
+    ];
+    for r in &f.rows {
+        m.push((format!("unified1_cycles/{}", r.bench), r.unified1_cycles));
+        for (i, label) in fig8::BAR_LABELS.iter().enumerate() {
+            m.push((
+                format!("cycles/{}/{label}", r.bench),
+                r.bars[i].total() * r.unified1_cycles,
+            ));
+        }
+    }
+    m
+}
+
+fn run_hints(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let h = hints_exp::hints_experiment(ctx);
+    println!("{h}");
+    save("hints", h.table().to_csv());
+    let mut m = Vec::new();
+    for heuristic in ["IPBC", "IBC"] {
+        for entries in [8usize, 16] {
+            if let Some(r) = h.reduction(heuristic, entries) {
+                m.push((format!("hint_reduction/{heuristic}/{entries}"), r));
+            }
+        }
+    }
+    m
+}
+
+fn run_interleave(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let s = interleave_study::interleave_study(ctx);
+    println!("{s}");
+    save("interleave", s.table().to_csv());
+    s.rows
+        .iter()
+        .map(|r| (format!("cycles/{}/{}B", r.bench, r.interleave), r.cycles))
+        .collect()
+}
+
+fn run_mshr(ctx: &ExperimentContext, _: &str) -> Metrics {
+    // in-flight request tracking summary over the Figure 6 bars, on a
+    // machine with a deliberately tight MSHR budget so capacity
+    // back-pressure is visible
+    let mut mshr_ctx = ctx.clone();
+    mshr_ctx.machine = mshr_ctx.machine.clone().with_mshrs(2);
+    let res = fig6::fig6_grid().run(&mshr_ctx);
+    let t = report::mshr_table(&res);
+    print!("{}", t.render());
+    save("mshr", t.to_csv());
+    let mix = res.mshr_by_config();
+    let mut m = Vec::new();
+    for (c, (label, _)) in res.configs().iter().enumerate() {
+        m.push((format!("fills/{label}"), mix[c][0]));
+        m.push((format!("merged/{label}"), mix[c][1]));
+        m.push((format!("full_stall/{label}"), mix[c][2]));
+        m.push((
+            format!("peak_occupancy/{label}"),
+            res.mshr_peak_by_config(c) as f64,
+        ));
+    }
+    m
+}
+
+fn run_sched(ctx: &ExperimentContext, _: &str) -> Metrics {
+    // scheduler-throughput record: modulo-schedule the whole workload
+    // suite under every policy, plus a memo-effectiveness probe — the
+    // tracked perf trajectory of the scheduler core
+    let (s, csv) = sched_record(ctx);
+    save("sched", csv);
+    s
+}
+
+fn run_optgap(ctx: &ExperimentContext, _: &str) -> Metrics {
+    // optimality-gap study: heuristic II vs the exact branch-and-bound
+    // backend under the same front-end, per policy, with cutoffs as a
+    // first-class column
+    let g = optgap::optgap(ctx);
+    println!("{g}");
+    save("optgap", g.table().to_csv());
+    let mut m = vec![
+        ("kernels".into(), g.n_kernels as f64),
+        ("node_budget".into(), g.node_budget as f64),
+        ("proven_optimal_fraction".into(), g.proven_fraction()),
+    ];
+    for r in &g.rows {
+        // the key names the heuristic numerator, the swing backend
+        let key = format!("{}/swing", r.policy);
+        m.push((format!("ii_ratio/{key}"), r.mean_ratio));
+        m.push((format!("proven_fraction/{key}"), r.proven_fraction()));
+        m.push((format!("matched/{key}"), r.matched as f64));
+        m.push((format!("better/{key}"), r.better as f64));
+        m.push((format!("cutoff/{key}"), r.cutoff as f64));
+        m.push((format!("cutoff_iis/{key}"), r.cutoff_iis as f64));
+        m.push((format!("max_live/{key}"), r.mean_max_live));
+    }
+    // the backend axis end-to-end through the grid: one benchmark,
+    // both backends, with the per-config quality summary rendered
+    let base = RunConfig {
+        unroll: UnrollMode::NoUnroll,
+        ..RunConfig::ipbc()
+    };
+    let mut one = ctx.clone();
+    one.benchmarks.truncate(1);
+    let res = RunGrid::new("backend-quality")
+        .config("IPBC/swing", base)
+        .config("IPBC/bnb", base.with_backend(SchedBackend::ExactBnB))
+        .run(&one);
+    let qt = report::backend_quality_table(&res);
+    print!("{}", qt.render());
+    save("backend_quality", qt.to_csv());
+    let q = res.quality_by_config();
+    m.push(("grid_proven/bnb".into(), q[1][1] as f64));
+    m.push(("grid_cutoff/bnb".into(), q[1][2] as f64));
+    m
+}
+
+fn run_profile(ctx: &ExperimentContext, scale: &str) -> Metrics {
+    // the measured-profile subsystem end to end: collect profiles
+    // from the timing simulator, persist the versioned store, report
+    // synthetic-vs-measured divergence and per-policy cycle deltas
+    let p = profile_fidelity::profile_fidelity(ctx);
+    println!("{p}");
+    save("profile_fidelity", p.table().to_csv());
+    save("profile_divergence", p.divergence_table().to_csv());
+    let store_path = Path::new("results")
+        .join("profiles")
+        .join(format!("factor1-{scale}.profile"));
+    match p.store.save(&store_path) {
+        Ok(()) => println!("[saved {}]", store_path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", store_path.display()),
+    }
+    let mut m = vec![
+        ("store_loops".into(), p.store.len() as f64),
+        (
+            "store_roundtrip_ok".into(),
+            if p.roundtrip_ok { 1.0 } else { 0.0 },
+        ),
+        ("skipped".into(), p.skipped as f64),
+    ];
+    for r in &p.divergence {
+        m.push((format!("hit_delta/{}", r.bench), r.mean_hit_delta));
+        m.push((format!("pref_agreement/{}", r.bench), r.pref_agreement));
+        m.push((
+            format!("expected_latency/{}", r.bench),
+            r.mean_expected_latency,
+        ));
+    }
+    for pd in &p.policies {
+        m.push((
+            format!("cycles_synthetic/{}", pd.policy),
+            pd.synthetic_cycles,
+        ));
+        m.push((format!("cycles_measured/{}", pd.policy), pd.measured_cycles));
+        m.push((
+            format!("measured_delta_pct/{}", pd.policy),
+            pd.measured_delta_pct(),
+        ));
+    }
+    m
+}
+
+fn run_batch(ctx: &ExperimentContext, scale: &str) -> Metrics {
+    // the scheduling-as-a-service study: drain a replicated suite
+    // queue through the schedule cache cold, warm and from
+    // the round-tripped on-disk store, workers claiming the
+    // most expensive requests first from one shared queue
+    let target_requests = if scale == "quick" { 256 } else { 10_000 };
+    let b = batch::run_batch(ctx, target_requests);
+    print!("{b}");
+    b.metrics()
+}
+
+fn run_trace(ctx: &ExperimentContext, scale: &str) -> Metrics {
+    // the instrumented pass: a deterministic logical-clock recording
+    // of the whole service (cache lifecycle, prepare stages, backends,
+    // batch worker, simulation windows), exported as Chrome trace JSON
+    // plus a flat metrics snapshot
+    let tr = trace_exp::run_trace(ctx, 1);
+    print!("{tr}");
+    let dir = Path::new("results").join("trace");
+    let path = dir.join(format!("trace-{scale}.json"));
+    if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, &tr.chrome_json)) {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    } else {
+        println!("[saved {}]", path.display());
+    }
+    tr.metrics
+}
+
+fn run_faults(ctx: &ExperimentContext, scale: &str) -> Metrics {
+    // the fault-injection audit: seeded panics, store corruption, an
+    // interrupted export and budget starvation against the batch
+    // workload; every fault must land in exactly one recovery counter
+    // and the drain digests must stay bit-identical
+    let fopts = if scale == "quick" {
+        faults::FaultOptions::quick()
+    } else {
+        faults::FaultOptions::full()
+    };
+    // keep the planned panic spew out of the run log; anything
+    // unplanned still prints
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let planned = info
+            .payload()
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with("fault plan:"));
+        if !planned {
+            default_hook(info);
+        }
+    }));
+    let fr = faults::run_faults(ctx, &fopts);
+    let _ = std::panic::take_hook();
+    print!("{fr}");
+    save("faults", fr.table().to_csv());
+    fr.metrics()
+}
+
+fn run_chains(ctx: &ExperimentContext, _: &str) -> Metrics {
+    let c = chains_exp::chain_breaking(ctx, "epicdec");
+    println!("{c}");
+    save("chains", c.table().to_csv());
+    vec![
+        ("compute_with".into(), c.compute.0),
+        ("compute_without".into(), c.compute.1),
+        ("stall_with".into(), c.stall.0),
+        ("stall_without".into(), c.stall.1),
+    ]
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = "full";
@@ -326,31 +663,14 @@ fn main() {
     if targets.is_empty() {
         targets.push("all");
     }
-    const KNOWN: [&str; 19] = [
-        "all",
-        "batch",
-        "faults",
-        "trace",
-        "table1",
-        "table2",
-        "example433",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "hints",
-        "chains",
-        "interleave",
-        "mshr",
-        "sched",
-        "optgap",
-        "profile",
-    ];
-    if let Some(bad) = targets.iter().find(|t| !KNOWN.contains(t)) {
+    if let Some(bad) = targets
+        .iter()
+        .find(|t| **t != "all" && !TARGETS.iter().any(|(name, _)| name == *t))
+    {
+        let names: Vec<&str> = TARGETS.iter().map(|&(name, _)| name).collect();
         eprintln!(
-            "error: unknown target '{bad}' (expected one of: {})",
-            KNOWN.join(", ")
+            "error: unknown target '{bad}' (expected one of: all, {})",
+            names.join(", ")
         );
         std::process::exit(2);
     }
@@ -366,338 +686,19 @@ fn main() {
     }
     println!("# scale: {scale} ({} benchmarks)\n", ctx.benchmarks.len());
 
-    let want = |t: &str| targets.contains(&"all") || targets.contains(&t);
-    let mut records: Vec<FigureRecord> = Vec::new();
-    let mut record = |name: &'static str, started: Instant, metrics: Vec<(String, f64)>| {
-        records.push(FigureRecord {
-            name,
-            wall_seconds: started.elapsed().as_secs_f64(),
-            metrics,
-        });
-    };
-
-    if want("table1") {
-        let t0 = Instant::now();
-        let t = tables::table1(&ctx);
-        println!("{t}");
-        save("table1", t.table().to_csv());
-        record("table1", t0, Vec::new());
-    }
-    if want("table2") {
-        let t0 = Instant::now();
-        let t = tables::table2(&ctx);
-        println!("{t}");
-        save("table2", t.table().to_csv());
-        record("table2", t0, Vec::new());
-    }
-    if want("example433") {
-        let t0 = Instant::now();
-        let e = example433::example433();
-        println!("{e}");
-        save("example433", e.table().to_csv());
-        record("example433", t0, Vec::new());
-    }
-    if want("fig4") {
-        let t0 = Instant::now();
-        let f = fig4::fig4(&ctx);
-        println!("{f}");
-        save("fig4", f.table().to_csv());
-        let mut m = vec![
-            ("alignment_gain".into(), f.alignment_gain()),
-            ("unrolling_gain".into(), f.unrolling_gain()),
-        ];
-        for (b, label) in fig4::BAR_LABELS.iter().enumerate() {
-            m.push((format!("local_hit_amean/{label}"), f.amean[b][0]));
-        }
-        record("fig4", t0, m);
-    }
-    if want("fig5") {
-        let t0 = Instant::now();
-        let f = fig5::fig5(&ctx);
-        println!("{f}");
-        save("fig5", f.table().to_csv());
-        let mut m = Vec::new();
-        for r in &f.rows {
-            m.push((format!("stall_ibc/{}", r.bench), r.stall.0));
-            m.push((format!("stall_ipbc/{}", r.bench), r.stall.1));
-        }
-        record("fig5", t0, m);
-    }
-    if want("fig6") {
-        let t0 = Instant::now();
-        let f = fig6::fig6(&ctx);
-        println!("{f}");
-        save("fig6", f.table().to_csv());
-        record(
-            "fig6",
-            t0,
-            vec![
-                ("remote_hit_share_ibc".into(), f.remote_hit_share(0)),
-                ("remote_hit_share_ipbc".into(), f.remote_hit_share(2)),
-                ("ab_reduction_ibc".into(), f.ab_reduction(0)),
-                ("ab_reduction_ipbc".into(), f.ab_reduction(2)),
-            ],
-        );
-    }
-    if want("fig7") {
-        let t0 = Instant::now();
-        let f = fig7::fig7(&ctx);
-        println!("{f}");
-        save("fig7", f.table().to_csv());
-        let m = fig7::CONFIG_LABELS
-            .iter()
-            .enumerate()
-            .map(|(i, label)| (format!("wb_amean/{label}"), f.amean[i]))
-            .collect();
-        record("fig7", t0, m);
-    }
-    if want("fig8") {
-        let t0 = Instant::now();
-        let f = fig8::fig8(&ctx);
-        println!("{f}");
-        save("fig8", f.table().to_csv());
-        let mut m = vec![
-            ("ipbc_vs_unified5".into(), f.speedup(0, 3)),
-            ("ibc_vs_unified5".into(), f.speedup(1, 3)),
-            ("ipbc_vs_multivliw".into(), f.vs_multivliw()),
-        ];
-        for r in &f.rows {
-            m.push((format!("unified1_cycles/{}", r.bench), r.unified1_cycles));
-            for (i, label) in fig8::BAR_LABELS.iter().enumerate() {
-                m.push((
-                    format!("cycles/{}/{label}", r.bench),
-                    r.bars[i].total() * r.unified1_cycles,
-                ));
+    let all = targets.contains(&"all");
+    let records: Vec<FigureRecord> = TARGETS
+        .iter()
+        .filter(|(name, _)| all || targets.contains(name))
+        .map(|&(name, run)| {
+            let started = Instant::now();
+            let metrics = run(&ctx, scale);
+            FigureRecord {
+                name,
+                wall_seconds: started.elapsed().as_secs_f64(),
+                metrics,
             }
-        }
-        record("fig8", t0, m);
-    }
-    if want("hints") {
-        let t0 = Instant::now();
-        let h = hints_exp::hints_experiment(&ctx);
-        println!("{h}");
-        save("hints", h.table().to_csv());
-        let mut m = Vec::new();
-        for heuristic in ["IPBC", "IBC"] {
-            for entries in [8usize, 16] {
-                if let Some(r) = h.reduction(heuristic, entries) {
-                    m.push((format!("hint_reduction/{heuristic}/{entries}"), r));
-                }
-            }
-        }
-        record("hints", t0, m);
-    }
-    if want("interleave") {
-        let t0 = Instant::now();
-        let s = interleave_study::interleave_study(&ctx);
-        println!("{s}");
-        save("interleave", s.table().to_csv());
-        let m = s
-            .rows
-            .iter()
-            .map(|r| (format!("cycles/{}/{}B", r.bench, r.interleave), r.cycles))
-            .collect();
-        record("interleave", t0, m);
-    }
-    if want("mshr") {
-        // in-flight request tracking summary over the Figure 6 bars, on a
-        // machine with a deliberately tight MSHR budget so capacity
-        // back-pressure is visible
-        let t0 = Instant::now();
-        let mut mshr_ctx = ctx.clone();
-        mshr_ctx.machine = mshr_ctx.machine.clone().with_mshrs(2);
-        let res = fig6::fig6_grid().run(&mshr_ctx);
-        let t = report::mshr_table(&res);
-        print!("{}", t.render());
-        save("mshr", t.to_csv());
-        let mix = res.mshr_by_config();
-        let mut m = Vec::new();
-        for (c, (label, _)) in res.configs().iter().enumerate() {
-            m.push((format!("fills/{label}"), mix[c][0]));
-            m.push((format!("merged/{label}"), mix[c][1]));
-            m.push((format!("full_stall/{label}"), mix[c][2]));
-            m.push((
-                format!("peak_occupancy/{label}"),
-                res.mshr_peak_by_config(c) as f64,
-            ));
-        }
-        record("mshr", t0, m);
-    }
-    if want("sched") {
-        // scheduler-throughput record: modulo-schedule the whole workload
-        // suite under every policy, plus a memo-effectiveness probe — the
-        // tracked perf trajectory of the scheduler core
-        let t0 = Instant::now();
-        let (s, csv) = sched_record(&ctx);
-        save("sched", csv);
-        record("sched", t0, s);
-    }
-    if want("optgap") {
-        // optimality-gap study: heuristic II vs the exact branch-and-bound
-        // backend under the same front-end, per policy, with cutoffs as a
-        // first-class column
-        let t0 = Instant::now();
-        let g = optgap::optgap(&ctx);
-        println!("{g}");
-        save("optgap", g.table().to_csv());
-        let mut m = vec![
-            ("kernels".into(), g.n_kernels as f64),
-            ("node_budget".into(), g.node_budget as f64),
-            ("proven_optimal_fraction".into(), g.proven_fraction()),
-        ];
-        for r in &g.rows {
-            // the key names the heuristic numerator, the swing backend
-            let key = format!("{}/swing", r.policy);
-            m.push((format!("ii_ratio/{key}"), r.mean_ratio));
-            m.push((format!("proven_fraction/{key}"), r.proven_fraction()));
-            m.push((format!("matched/{key}"), r.matched as f64));
-            m.push((format!("better/{key}"), r.better as f64));
-            m.push((format!("cutoff/{key}"), r.cutoff as f64));
-            m.push((format!("cutoff_iis/{key}"), r.cutoff_iis as f64));
-            m.push((format!("max_live/{key}"), r.mean_max_live));
-        }
-        // the backend axis end-to-end through the grid: one benchmark,
-        // both backends, with the per-config quality summary rendered
-        let base = RunConfig {
-            unroll: UnrollMode::NoUnroll,
-            ..RunConfig::ipbc()
-        };
-        let bench = ctx
-            .benchmarks
-            .first()
-            .map(String::as_str)
-            .unwrap_or("gsmdec");
-        let res = RunGrid::new("backend-quality")
-            .benchmarks(&[bench])
-            .config("IPBC/swing", base)
-            .config("IPBC/bnb", base.with_backend(SchedBackend::ExactBnB))
-            .run(&ctx);
-        let qt = report::backend_quality_table(&res);
-        print!("{}", qt.render());
-        save("backend_quality", qt.to_csv());
-        let q = res.quality_by_config();
-        m.push(("grid_proven/bnb".into(), q[1][1] as f64));
-        m.push(("grid_cutoff/bnb".into(), q[1][2] as f64));
-        record("optgap", t0, m);
-    }
-    if want("profile") {
-        // the measured-profile subsystem end to end: collect profiles
-        // from the timing simulator, persist the versioned store, report
-        // synthetic-vs-measured divergence and per-policy cycle deltas
-        let t0 = Instant::now();
-        let p = profile_fidelity::profile_fidelity(&ctx);
-        println!("{p}");
-        save("profile_fidelity", p.table().to_csv());
-        save("profile_divergence", p.divergence_table().to_csv());
-        let store_path = Path::new("results")
-            .join("profiles")
-            .join(format!("factor1-{scale}.profile"));
-        match p.store.save(&store_path) {
-            Ok(()) => println!("[saved {}]", store_path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", store_path.display()),
-        }
-        let mut m = vec![
-            ("store_loops".into(), p.store.len() as f64),
-            (
-                "store_roundtrip_ok".into(),
-                if p.roundtrip_ok { 1.0 } else { 0.0 },
-            ),
-            ("skipped".into(), p.skipped as f64),
-        ];
-        for r in &p.divergence {
-            m.push((format!("hit_delta/{}", r.bench), r.mean_hit_delta));
-            m.push((format!("pref_agreement/{}", r.bench), r.pref_agreement));
-            m.push((
-                format!("expected_latency/{}", r.bench),
-                r.mean_expected_latency,
-            ));
-        }
-        for pd in &p.policies {
-            m.push((
-                format!("cycles_synthetic/{}", pd.policy),
-                pd.synthetic_cycles,
-            ));
-            m.push((format!("cycles_measured/{}", pd.policy), pd.measured_cycles));
-            m.push((
-                format!("measured_delta_pct/{}", pd.policy),
-                pd.measured_delta_pct(),
-            ));
-        }
-        record("profile", t0, m);
-    }
-    if want("batch") {
-        // the scheduling-as-a-service study: drain a replicated suite
-        // queue through the schedule cache cold, warm and from
-        // the round-tripped on-disk store, workers claiming the
-        // most expensive requests first from one shared queue
-        let t0 = Instant::now();
-        let target_requests = if scale == "quick" { 256 } else { 10_000 };
-        let b = batch::run_batch(&ctx, target_requests);
-        print!("{b}");
-        record("batch", t0, b.metrics());
-    }
-    if want("trace") {
-        // the instrumented pass: a deterministic logical-clock recording
-        // of the whole service (cache lifecycle, prepare stages, backends,
-        // batch worker, simulation windows), exported as Chrome trace JSON
-        // plus a flat metrics snapshot
-        let t0 = Instant::now();
-        let tr = trace_exp::run_trace(&ctx, 1);
-        print!("{tr}");
-        let dir = Path::new("results").join("trace");
-        let path = dir.join(format!("trace-{scale}.json"));
-        if let Err(e) = fs::create_dir_all(&dir).and_then(|()| fs::write(&path, &tr.chrome_json)) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[saved {}]", path.display());
-        }
-        record("trace", t0, tr.metrics);
-    }
-    if want("faults") {
-        // the fault-injection audit: seeded panics, store corruption, an
-        // interrupted export and budget starvation against the batch
-        // workload; every fault must land in exactly one recovery counter
-        // and the drain digests must stay bit-identical
-        let t0 = Instant::now();
-        let fopts = if scale == "quick" {
-            faults::FaultOptions::quick()
-        } else {
-            faults::FaultOptions::full()
-        };
-        // keep the planned panic spew out of the run log; anything
-        // unplanned still prints
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let planned = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.starts_with("fault plan:"));
-            if !planned {
-                default_hook(info);
-            }
-        }));
-        let fr = faults::run_faults(&ctx, &fopts);
-        let _ = std::panic::take_hook();
-        print!("{fr}");
-        save("faults", fr.table().to_csv());
-        record("faults", t0, fr.metrics());
-    }
-    if want("chains") {
-        let t0 = Instant::now();
-        let c = chains_exp::chain_breaking(&ctx, "epicdec");
-        println!("{c}");
-        save("chains", c.table().to_csv());
-        record(
-            "chains",
-            t0,
-            vec![
-                ("compute_with".into(), c.compute.0),
-                ("compute_without".into(), c.compute.1),
-                ("stall_with".into(), c.stall.0),
-                ("stall_without".into(), c.stall.1),
-            ],
-        );
-    }
-
+        })
+        .collect();
     write_bench_json(scale, ctx.benchmarks.len(), serial, &records);
 }

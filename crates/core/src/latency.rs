@@ -165,17 +165,8 @@ pub fn available_classes(machine: &MachineConfig) -> Vec<AccessClass> {
 ///
 /// `circuits` must be the kernel's elementary circuits (recurrences); the
 /// returned assignment also stores the MII target and the reduction log.
-pub fn assign_latencies(
-    kernel: &LoopKernel,
-    ddg: &Ddg<'_>,
-    machine: &MachineConfig,
-    circuits: &[Circuit],
-) -> LatencyAssignment {
-    assign_latencies_with_pins(kernel, ddg, machine, circuits, &[])
-}
-
-/// [`assign_latencies`] with known per-op cluster pins (IPBC pre-built
-/// chains / per-op preferences), which sharpen the stall estimates.
+/// `pins` are known per-op cluster pins (IPBC pre-built chains / per-op
+/// preferences), which sharpen the stall estimates; `&[]` pins nothing.
 pub fn assign_latencies_with_pins(
     kernel: &LoopKernel,
     ddg: &Ddg<'_>,
@@ -421,7 +412,7 @@ mod tests {
     fn run(k: &LoopKernel, m: &MachineConfig) -> LatencyAssignment {
         let g = Ddg::build(k);
         let cs = elementary_circuits(&g, EnumLimits::default());
-        assign_latencies(k, &g, m, &cs)
+        assign_latencies_with_pins(k, &g, m, &cs, &[])
     }
 
     #[test]
@@ -646,7 +637,7 @@ mod tests {
         let m = MachineConfig::word_interleaved_4();
         let g = Ddg::build(&k);
         let cs = elementary_circuits(&g, EnumLimits::default());
-        let asg = assign_latencies(&k, &g, &m, &cs);
+        let asg = assign_latencies_with_pins(&k, &g, &m, &cs, &[]);
         assert_eq!(cs.len(), 2);
         assert_eq!(asg.target_mii, 2);
         assert_eq!(asg.latency_of(ld1), 15);

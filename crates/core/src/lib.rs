@@ -85,9 +85,7 @@ pub use engine::{
     ScheduleProblem, DEFAULT_NODE_BUDGET,
 };
 pub use hints::{attraction_hints, AttractionHints};
-pub use latency::{
-    assign_latencies, assign_latencies_with_pins, BenefitStep, CandidateEval, LatencyAssignment,
-};
+pub use latency::{assign_latencies_with_pins, BenefitStep, CandidateEval, LatencyAssignment};
 pub use mii::{edge_latency, rec_mii, res_mii};
 pub use mrt::{Mrt, MrtSavepoint};
 pub use order::sms_order;

@@ -105,37 +105,12 @@ pub struct BatchReport {
     pub store_entries: usize,
     /// Whether the store's text form survived serialize → parse intact.
     pub store_roundtrip_ok: bool,
-    /// Whether all four pass fingerprints agree.
-    pub deterministic: bool,
-    /// Requests whose preparation failed (hashed into the fingerprint;
-    /// 0 on the shipped suite).
-    pub failures: u64,
-    /// Preparation panics contained at the cache's slot boundary, summed
-    /// over every pass's cache (0 without injected faults).
-    pub panics_contained: u64,
-    /// Failed slots recovered (reset + re-attempted) by later requests,
-    /// summed over every pass's cache.
-    pub slots_recovered: u64,
-    /// Re-attempts the drivers made after a
-    /// [`ScheduleError::PreparationPanicked`] answer (bounded by
-    /// [`PANIC_RETRIES`] per request).
-    pub panic_retries: u64,
-    /// Panics that escaped the cache's containment and were caught at
-    /// the worker-loop boundary instead (the belt-and-braces layer; 0 in
-    /// every shipped configuration). Whatever this counts, no worker
-    /// thread dies.
-    pub worker_panics: u64,
-    /// Slots still marked failed after all passes drained — the "zero
-    /// unrecovered slots" acceptance gate (retries re-adopt every failed
-    /// slot, so this must be 0).
-    pub unrecovered_slots: u64,
+    /// What the passes' caches contained and their drains retried,
+    /// caught and failed, and whether all their fingerprints agree.
+    pub containment: Containment,
     /// Times a cold-parallel worker blocked on another's in-flight fill
     /// of the same cell ([`SchedCache::inflight_waits`]).
     pub inflight_waits: u64,
-    /// Panic reasons of slots still marked failed after all passes
-    /// (the diagnostic payload behind `unrecovered_slots`; empty on
-    /// clean runs).
-    pub failed_slot_reasons: Vec<String>,
 }
 
 impl BatchReport {
@@ -148,7 +123,7 @@ impl BatchReport {
     /// The `batch` metrics of `BENCH_repro.json`.
     pub fn metrics(&self) -> Vec<(String, f64)> {
         let b = |x: bool| if x { 1.0 } else { 0.0 };
-        vec![
+        let mut m = vec![
             ("requests".into(), self.requests as f64),
             ("unique_keys".into(), self.unique_keys as f64),
             ("variants".into(), self.variants as f64),
@@ -167,20 +142,16 @@ impl BatchReport {
             ("store_stale".into(), self.store_stale as f64),
             ("store_entries".into(), self.store_entries as f64),
             ("store_roundtrip_ok".into(), b(self.store_roundtrip_ok)),
-            ("deterministic".into(), b(self.deterministic)),
-            ("failures".into(), self.failures as f64),
-            ("panics_contained".into(), self.panics_contained as f64),
-            ("slots_recovered".into(), self.slots_recovered as f64),
-            ("panic_retries".into(), self.panic_retries as f64),
-            ("worker_panics".into(), self.worker_panics as f64),
-            ("unrecovered_slots".into(), self.unrecovered_slots as f64),
-            ("inflight_waits".into(), self.inflight_waits as f64),
-        ]
+        ];
+        m.extend(self.containment.metrics());
+        m.push(("inflight_waits".into(), self.inflight_waits as f64));
+        m
     }
 }
 
 impl std::fmt::Display for BatchReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = &self.containment;
         writeln!(
             f,
             "batch: {} requests ({} unique keys, {} variants/loop), {} workers",
@@ -218,22 +189,22 @@ impl std::fmt::Display for BatchReport {
             } else {
                 "BROKEN"
             },
-            if self.deterministic { "ok" } else { "BROKEN" },
-            self.failures,
+            if c.deterministic { "ok" } else { "BROKEN" },
+            c.failures,
         )?;
-        if self.panics_contained + self.slots_recovered + self.worker_panics > 0 {
+        if c.panics_contained + c.slots_recovered + c.worker_panics > 0 {
             writeln!(
                 f,
                 "  faults: {} panics contained, {} slots recovered, {} retries, \
                  {} worker-level catches, {} unrecovered",
-                self.panics_contained,
-                self.slots_recovered,
-                self.panic_retries,
-                self.worker_panics,
-                self.unrecovered_slots
+                c.panics_contained,
+                c.slots_recovered,
+                c.panic_retries,
+                c.worker_panics,
+                c.unrecovered_slots
             )?;
         }
-        for reason in &self.failed_slot_reasons {
+        for reason in &c.failed_slot_reasons {
             writeln!(f, "  failed slot: {reason}")?;
         }
         Ok(())
@@ -432,6 +403,78 @@ pub(crate) fn pass(d: &Drain, n: usize) -> PassReport {
     }
 }
 
+/// The failure-containment audit of one run, computed by
+/// `Containment::of` over every cache and drain the run made: what the
+/// caches contained and recovered, what the drains retried, caught and
+/// failed, and whether every drain folded to the same fingerprint.
+#[derive(Debug, Clone)]
+pub struct Containment {
+    /// Preparation panics contained at the caches' slot boundary (0
+    /// without injected faults).
+    pub panics_contained: u64,
+    /// Failed slots recovered (reset and re-attempted) by later requests.
+    pub slots_recovered: u64,
+    /// Re-attempts the drains made after a
+    /// [`ScheduleError::PreparationPanicked`] answer (bounded by
+    /// [`PANIC_RETRIES`] per request).
+    pub panic_retries: u64,
+    /// Panics that escaped the caches' containment and were caught at
+    /// the worker-loop boundary instead (the belt-and-braces layer; 0 in
+    /// every shipped configuration). Whatever this counts, no worker
+    /// thread dies.
+    pub worker_panics: u64,
+    /// Slots still marked failed after every drain — the "zero
+    /// unrecovered slots" gate (retries re-adopt every failed slot, so
+    /// this must be 0).
+    pub unrecovered_slots: u64,
+    /// Requests whose answer was an error, maximized over drains (hashed
+    /// into the fingerprints; 0 on the shipped suite).
+    pub failures: u64,
+    /// Whether every drain's fingerprint agrees.
+    pub deterministic: bool,
+    /// Panic reasons of the slots still marked failed (the diagnostic
+    /// payload behind `unrecovered_slots`; empty on clean runs).
+    pub failed_slot_reasons: Vec<String>,
+}
+
+impl Containment {
+    /// The audit of a run that drained `drains` through `caches`.
+    pub(crate) fn of(caches: &[&SchedCache], drains: &[&Drain]) -> Self {
+        let failed_slot_reasons: Vec<String> = caches
+            .iter()
+            .flat_map(|c| c.failed_slot_reasons())
+            .collect();
+        let fps: Vec<u64> = drains.iter().map(|d| fold(&d.digests)).collect();
+        Containment {
+            panics_contained: caches.iter().map(|c| c.panics_contained()).sum(),
+            slots_recovered: caches.iter().map(|c| c.slots_recovered()).sum(),
+            panic_retries: drains.iter().map(|d| d.panic_retries).sum(),
+            worker_panics: drains.iter().map(|d| d.worker_panics).sum(),
+            unrecovered_slots: failed_slot_reasons.len() as u64,
+            failures: drains.iter().map(|d| d.failures).max().unwrap_or(0),
+            deterministic: fps.iter().all(|&f| f == fps[0]),
+            failed_slot_reasons,
+        }
+    }
+
+    /// The audit's `BENCH_repro.json` metrics, shared by the `batch` and
+    /// `faults` sections.
+    pub(crate) fn metrics(&self) -> [(String, f64); 7] {
+        [
+            ("panics_contained".into(), self.panics_contained as f64),
+            ("slots_recovered".into(), self.slots_recovered as f64),
+            ("panic_retries".into(), self.panic_retries as f64),
+            ("worker_panics".into(), self.worker_panics as f64),
+            ("unrecovered_slots".into(), self.unrecovered_slots as f64),
+            ("failures".into(), self.failures as f64),
+            (
+                "deterministic".into(),
+                f64::from(u8::from(self.deterministic)),
+            ),
+        ]
+    }
+}
+
 /// Runs the whole batch study over a queue of at least `target_requests`
 /// (sized as [`build_requests`] does), the parallel passes on
 /// [`ExperimentContext::workers`] threads. See the module docs for the
@@ -472,7 +515,6 @@ pub fn run_batch(ctx: &ExperimentContext, target_requests: usize) -> BatchReport
     let store_stale = disk_cache.stale();
 
     let drains: Vec<&Drain> = [&serial, &cold, &disk].into_iter().chain(&warm).collect();
-    let fps: Vec<u64> = drains.iter().map(|d| fold(&d.digests)).collect();
     BatchReport {
         requests: n,
         unique_keys,
@@ -487,24 +529,8 @@ pub fn run_batch(ctx: &ExperimentContext, target_requests: usize) -> BatchReport
         store_stale,
         store_entries: store.len(),
         store_roundtrip_ok,
-        deterministic: fps.iter().all(|&f| f == fps[0]),
-        failures: drains.iter().map(|d| d.failures).max().unwrap_or(0),
-        panics_contained: serial_cache.panics_contained()
-            + cache.panics_contained()
-            + disk_cache.panics_contained(),
-        slots_recovered: serial_cache.slots_recovered()
-            + cache.slots_recovered()
-            + disk_cache.slots_recovered(),
-        panic_retries: drains.iter().map(|d| d.panic_retries).sum(),
-        worker_panics: drains.iter().map(|d| d.worker_panics).sum(),
-        unrecovered_slots: (serial_cache.failed_slots()
-            + cache.failed_slots()
-            + disk_cache.failed_slots()) as u64,
+        containment: Containment::of(&[&serial_cache, &cache, &disk_cache], &drains),
         inflight_waits,
-        failed_slot_reasons: [&serial_cache, &cache, &disk_cache]
-            .iter()
-            .flat_map(|c| c.failed_slot_reasons())
-            .collect(),
     }
 }
 
@@ -526,13 +552,14 @@ mod tests {
         ctx.workers = 4;
         let r = run_batch(&ctx, 64);
         assert!(r.requests >= 64);
-        assert!(r.deterministic, "pass fingerprints diverged");
-        assert_eq!(r.failures, 0);
+        let c = &r.containment;
+        assert!(c.deterministic, "pass fingerprints diverged");
+        assert_eq!(c.failures, 0);
         // clean runs never trip the containment machinery
-        assert_eq!(r.panics_contained, 0);
-        assert_eq!(r.slots_recovered, 0);
-        assert_eq!(r.worker_panics, 0);
-        assert_eq!(r.unrecovered_slots, 0);
+        assert_eq!(c.panics_contained, 0);
+        assert_eq!(c.slots_recovered, 0);
+        assert_eq!(c.worker_panics, 0);
+        assert_eq!(c.unrecovered_slots, 0);
         assert!(
             (r.warm_hit_rate - 1.0).abs() < 1e-12,
             "warm pass must hit every request"
@@ -551,7 +578,10 @@ mod tests {
         // a slot left failed shows its reason; a clean report shows none
         assert!(!r.to_string().contains("failed slot"));
         let mut failed = r.clone();
-        failed.failed_slot_reasons.push("injected".into());
+        failed
+            .containment
+            .failed_slot_reasons
+            .push("injected".into());
         assert!(failed.to_string().contains("failed slot: injected"));
     }
 

@@ -66,8 +66,8 @@ impl fmt::Display for ChainBreaking {
 
 /// Runs the chain-breaking study on `bench` (the paper uses epicdec).
 pub fn chain_breaking(ctx: &ExperimentContext, bench: &str) -> ChainBreaking {
-    let spec = vliw_workloads::spec_by_name(bench).expect("benchmark in suite");
-    let model = vliw_workloads::synthesize(&spec, &ctx.workloads, &ctx.machine);
+    let mut one = ctx.clone();
+    one.benchmarks = vec![bench.to_string()];
     let result = RunGrid::new("chains")
         .config("with-chains", RunConfig::ipbc().with_buffers())
         .config(
@@ -77,7 +77,7 @@ pub fn chain_breaking(ctx: &ExperimentContext, bench: &str) -> ChainBreaking {
                 ..RunConfig::ipbc().with_buffers()
             },
         )
-        .run_on_models(&[model], ctx);
+        .run(&one);
     let (with, without) = (result.cell(0, 0), result.cell(0, 1));
     let remote = |run: &crate::context::BenchRun| {
         let mix = run.access_mix();

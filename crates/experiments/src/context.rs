@@ -153,7 +153,8 @@ impl RunConfig {
 pub struct ExperimentContext {
     /// The word-interleaved machine experiments derive variants from.
     pub machine: MachineConfig,
-    /// Workload build configuration (seeds; padding is overridden per run).
+    /// Workload build configuration (seeds; padding is a per-run
+    /// [`RunConfig::padding`]).
     pub workloads: WorkloadConfig,
     /// Simulated iterations per loop.
     pub sim: SimOptions,

@@ -6,7 +6,7 @@ use vliw_ir::Ddg;
 use vliw_machine::AccessClass;
 use vliw_sched::examples_443::{figure3_kernel, figure3_machine};
 use vliw_sched::{
-    assign_latencies, elementary_circuits, schedule_kernel, ClusterPolicy, EnumLimits,
+    assign_latencies_with_pins, elementary_circuits, schedule_kernel, ClusterPolicy, EnumLimits,
     ScheduleOptions,
 };
 
@@ -77,7 +77,7 @@ pub fn example433() -> Example433 {
     let machine = figure3_machine();
     let ddg = Ddg::build(&kernel);
     let circuits = elementary_circuits(&ddg, EnumLimits::default());
-    let asg = assign_latencies(&kernel, &ddg, &machine, &circuits);
+    let asg = assign_latencies_with_pins(&kernel, &ddg, &machine, &circuits, &[]);
 
     let mut steps = Vec::new();
     for (i, s) in asg.steps.iter().enumerate() {

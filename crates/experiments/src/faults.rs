@@ -36,7 +36,7 @@
 //! writes `results/faults.csv` and records the counters into the
 //! `faults` section of `BENCH_repro.json`.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -45,7 +45,7 @@ use vliw_sched::{SchedBackend, SchedQuality};
 use vliw_trace::Trace;
 use vliw_workloads::rng::StdRng;
 
-use crate::batch::{build_requests, drain, fold, BatchRequest, Drain};
+use crate::batch::{build_requests, drain, BatchRequest, Containment};
 use crate::context::{prepare_loop, ExperimentContext, RunConfig, UnrollMode};
 use crate::report::Table;
 use crate::schedcache::{PrepareFn, SalvageReport, SchedCache, ScheduleStore, RECORD_LINES};
@@ -111,19 +111,12 @@ impl FaultPlan {
         opts: &FaultOptions,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        // distinct kernel names in queue order, then a seeded draw
-        // without replacement
-        let names: Vec<String> = {
-            let mut seen = BTreeSet::new();
-            requests
-                .iter()
-                .filter(|r| seen.insert(r.kernel.name.clone()))
-                .map(|r| r.kernel.name.clone())
-                .collect()
-        };
-        let victims = draw(&mut rng, names.len(), opts.panic_victims)
+        // distinct kernels in queue order, then a seeded draw without
+        // replacement
+        let kernels = distinct_kernels(requests);
+        let victims = draw(&mut rng, kernels.len(), opts.panic_victims)
             .into_iter()
-            .map(|i| names[i].clone())
+            .map(|i| kernels[i].name.clone())
             .collect();
         // flips hit distinct records, never the last one (the truncation
         // lane owns it) so corrupt and truncated counters stay disjoint
@@ -135,6 +128,17 @@ impl FaultPlan {
             flip_records,
         }
     }
+}
+
+/// The first request's kernel of each distinct kernel name, in queue
+/// order.
+fn distinct_kernels(requests: &[BatchRequest]) -> Vec<&LoopKernel> {
+    let mut seen = HashSet::new();
+    requests
+        .iter()
+        .map(|r| &r.kernel)
+        .filter(|k| seen.insert(k.name.as_str()))
+        .collect()
 }
 
 /// `k` distinct indices drawn from `0..n` (all of them if `k >= n`).
@@ -223,22 +227,12 @@ pub struct FaultReport {
     /// Panics the plan injected (victims × cache generations that
     /// actually prepare them).
     pub injected_panics: u64,
-    /// Panics the caches contained at the slot boundary.
-    pub panics_contained: u64,
-    /// Failed slots adopted and refilled by later requests.
-    pub slots_recovered: u64,
-    /// Bounded re-attempts after a contained panic.
-    pub panic_retries: u64,
-    /// Panics that reached the worker-loop boundary (must be 0: the
-    /// cache contains everything the plan injects).
-    pub worker_panics: u64,
-    /// Slots still failed after every drain (must be 0).
-    pub unrecovered_slots: u64,
-    /// Requests whose answer was an error, maximized over drains (must
-    /// be 0: every injected fault heals).
-    pub failures: u64,
-    /// Whether all four drain digest folds agree.
-    pub deterministic: bool,
+    /// What the probe's and the four drains' caches contained, what the
+    /// drains retried, caught and failed (worker panics, unrecovered
+    /// slots and failures must be 0: the caches contain everything the
+    /// plan injects, and every injected fault heals), and whether all
+    /// five digest folds agree.
+    pub containment: Containment,
     /// Records the plan flipped a digit in.
     pub injected_flips: usize,
     /// Records the truncation cut (always 1: the final record).
@@ -266,10 +260,11 @@ impl FaultReport {
     /// The audit: every injected fault appears in exactly one recovery
     /// counter, and nothing leaked past the containment layers.
     pub fn accounted(&self) -> bool {
-        self.panics_contained == self.injected_panics
-            && self.worker_panics == 0
-            && self.unrecovered_slots == 0
-            && self.failures == 0
+        let c = &self.containment;
+        c.panics_contained == self.injected_panics
+            && c.worker_panics == 0
+            && c.unrecovered_slots == 0
+            && c.failures == 0
             && self.salvage.dropped_corrupt == self.injected_flips
             && self.salvage.dropped_truncated == self.injected_truncations
             && !self.salvage.version_rejected
@@ -282,17 +277,13 @@ impl FaultReport {
     /// The `faults` metrics of `BENCH_repro.json`.
     pub fn metrics(&self) -> Vec<(String, f64)> {
         let b = |x: bool| if x { 1.0 } else { 0.0 };
-        vec![
+        let mut m = vec![
             ("requests".into(), self.requests as f64),
             ("victims".into(), self.victims as f64),
             ("injected_panics".into(), self.injected_panics as f64),
-            ("panics_contained".into(), self.panics_contained as f64),
-            ("slots_recovered".into(), self.slots_recovered as f64),
-            ("panic_retries".into(), self.panic_retries as f64),
-            ("worker_panics".into(), self.worker_panics as f64),
-            ("unrecovered_slots".into(), self.unrecovered_slots as f64),
-            ("failures".into(), self.failures as f64),
-            ("deterministic".into(), b(self.deterministic)),
+        ];
+        m.extend(self.containment.metrics());
+        m.extend([
             ("injected_flips".into(), self.injected_flips as f64),
             (
                 "dropped_corrupt".into(),
@@ -317,7 +308,8 @@ impl FaultReport {
             ("quality_roundtrip_ok".into(), b(self.quality_roundtrip_ok)),
             ("accounted".into(), b(self.accounted())),
             ("seconds".into(), self.seconds),
-        ]
+        ]);
+        m
     }
 
     /// The per-lane audit table (`results/faults.csv`).
@@ -333,13 +325,13 @@ impl FaultReport {
         t.row(vec![
             "preparation panic".into(),
             self.injected_panics.to_string(),
-            self.panics_contained.to_string(),
+            self.containment.panics_contained.to_string(),
             "panics_contained".into(),
         ]);
         t.row(vec![
             "slot recovery".into(),
             self.injected_panics.to_string(),
-            self.slots_recovered.to_string(),
+            self.containment.slots_recovered.to_string(),
             "slots_recovered".into(),
         ]);
         t.row(vec![
@@ -378,6 +370,7 @@ impl FaultReport {
 
 impl std::fmt::Display for FaultReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = &self.containment;
         f.write_str(&self.table().render())?;
         writeln!(
             f,
@@ -385,12 +378,12 @@ impl std::fmt::Display for FaultReport {
              {} unrecovered slots; salvage {}/{} records; determinism {}; audit {}",
             self.requests,
             self.seconds,
-            self.failures,
-            self.worker_panics,
-            self.unrecovered_slots,
+            c.failures,
+            c.worker_panics,
+            c.unrecovered_slots,
             self.salvage.recovered,
             self.salvage.recovered + self.salvage.dropped(),
-            if self.deterministic { "ok" } else { "BROKEN" },
+            if c.deterministic { "ok" } else { "BROKEN" },
             if self.accounted() {
                 "every fault accounted"
             } else {
@@ -475,15 +468,8 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
     }
     .with_backend(SchedBackend::ExactBnB);
     let machine = starved_ctx.machine_for(&bnb_cfg);
-    let starved_kernels: Vec<&LoopKernel> = {
-        let mut seen = BTreeSet::new();
-        requests
-            .iter()
-            .filter(|r| seen.insert(r.kernel.name.clone()))
-            .map(|r| &r.kernel)
-            .take(opts.starved_requests)
-            .collect()
-    };
+    let mut starved_kernels = distinct_kernels(&requests);
+    starved_kernels.truncate(opts.starved_requests);
     let starved_cache = SchedCache::new();
     let starved_cutoffs = starved_kernels
         .iter()
@@ -505,15 +491,6 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
             .unwrap_or(false)
     };
 
-    let caches = [&serial_cache, &cache, &disk_cache];
-    let drains: [&Drain; 4] = [&serial, &cold, &warm, &disk];
-    let fps = [
-        fold(&probe_drain.digests),
-        fold(&serial.digests),
-        fold(&cold.digests),
-        fold(&warm.digests),
-        fold(&disk.digests),
-    ];
     FaultReport {
         requests: n,
         victims: plan.victims.len(),
@@ -521,13 +498,10 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
         // generation only re-prepares victims whose records the salvage
         // dropped
         injected_panics: 2 * plan.victims.len() as u64 + expected_disk_panics,
-        panics_contained: caches.iter().map(|c| c.panics_contained()).sum(),
-        slots_recovered: caches.iter().map(|c| c.slots_recovered()).sum(),
-        panic_retries: drains.iter().map(|d| d.panic_retries).sum(),
-        worker_panics: drains.iter().map(|d| d.worker_panics).sum(),
-        unrecovered_slots: caches.iter().map(|c| c.failed_slots() as u64).sum(),
-        failures: drains.iter().map(|d| d.failures).max().unwrap_or(0),
-        deterministic: fps.iter().all(|&f| f == fps[0]),
+        containment: Containment::of(
+            &[&probe, &serial_cache, &cache, &disk_cache],
+            &[&probe_drain, &serial, &cold, &warm, &disk],
+        ),
         injected_flips,
         injected_truncations: 1,
         salvage,
@@ -560,7 +534,7 @@ mod tests {
         assert_eq!(a.flip_records.len(), opts.bit_flips);
         // flips never touch the last record (the truncation lane's)
         assert!(a.flip_records.iter().all(|&r| r < 39));
-        let distinct: BTreeSet<_> = a.flip_records.iter().collect();
+        let distinct: HashSet<_> = a.flip_records.iter().collect();
         assert_eq!(distinct.len(), a.flip_records.len());
         let c = FaultPlan::derive(opts.seed + 1, &requests, 40, &opts);
         assert!(c.victims != a.victims || c.flip_records != a.flip_records);
@@ -570,7 +544,7 @@ mod tests {
     fn draw_without_replacement() {
         let mut rng = StdRng::seed_from_u64(7);
         let picks = draw(&mut rng, 10, 10);
-        let set: BTreeSet<_> = picks.iter().collect();
+        let set: HashSet<_> = picks.iter().collect();
         assert_eq!(set.len(), 10);
         assert!(draw(&mut rng, 3, 100).len() == 3);
         assert!(draw(&mut rng, 0, 5).is_empty());

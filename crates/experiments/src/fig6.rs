@@ -49,10 +49,8 @@ impl StallBar {
 pub struct Fig6Row {
     /// Benchmark name.
     pub bench: String,
-    /// Bars in [`BAR_LABELS`] order.
+    /// Bars in [`BAR_LABELS`] order, normalized to the IBC bar's stall.
     pub bars: [StallBar; 4],
-    /// Absolute (scaled) stall cycles of the IBC bar (the normalizer).
-    pub ibc_stall: f64,
 }
 
 /// Figure 6 data.
@@ -198,7 +196,6 @@ fn fig6_from(result: &GridResult) -> Fig6 {
         rows.push(Fig6Row {
             bench: bench.to_string(),
             bars,
-            ibc_stall: ibc_total,
         });
     }
     let mut mean = [StallBar::default(); 4];

@@ -3,8 +3,11 @@
 //! the shared aggregation backbone every figure driver sits on.
 //!
 //! A [`RunGrid`] is built from labeled configurations (figure bars), then
-//! executed with [`RunGrid::run`] on [`ExperimentContext::workers`]
-//! threads or with [`RunGrid::run_serial`] on one. Cells are independent
+//! executed over the context's benchmarks ([`ExperimentContext::models`];
+//! a study over other benchmarks runs on a clone of the context with
+//! [`ExperimentContext::benchmarks`] set) with [`RunGrid::run`] on
+//! [`ExperimentContext::workers`] threads or with [`RunGrid::run_serial`]
+//! on one. Cells are independent
 //! and deterministic, and the schedule memo only *shares* results, so a
 //! parallel run is bit-identical to a serial one —
 //! [`GridResult::fingerprint`] makes that checkable.
@@ -26,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use vliw_workloads::{spec_by_name, synthesize, BenchmarkModel};
+use vliw_workloads::BenchmarkModel;
 
 use crate::context::{run_benchmark_memo, BenchRun, ExperimentContext, ProfileSource, RunConfig};
 use crate::report::amean;
@@ -65,12 +68,12 @@ pub(crate) fn claim_loop(
     }
 }
 
-/// A declarative experiment grid: labeled configurations × benchmarks.
+/// A declarative experiment grid: labeled configurations × the
+/// context's benchmarks.
 #[derive(Debug, Clone)]
 pub struct RunGrid {
     label: String,
     configs: Vec<(String, RunConfig)>,
-    benchmarks: Option<Vec<String>>,
 }
 
 impl RunGrid {
@@ -79,19 +82,12 @@ impl RunGrid {
         RunGrid {
             label: label.into(),
             configs: Vec::new(),
-            benchmarks: None,
         }
     }
 
     /// Adds one labeled configuration (one figure bar).
     pub fn config(mut self, label: impl Into<String>, cfg: RunConfig) -> Self {
         self.configs.push((label.into(), cfg));
-        self
-    }
-
-    /// Restricts the grid to the named benchmarks (default: the context's).
-    pub fn benchmarks(mut self, names: &[&str]) -> Self {
-        self.benchmarks = Some(names.iter().map(|s| s.to_string()).collect());
         self
     }
 
@@ -105,31 +101,10 @@ impl RunGrid {
         &self.configs
     }
 
-    /// Synthesizes the benchmark models this grid runs over — the shared
-    /// model-building step every driver (including the tables) goes
-    /// through.
-    /// # Panics
-    ///
-    /// Panics if a name passed to [`RunGrid::benchmarks`] is not in the
-    /// suite — a typo must fail loudly, not produce a blank report.
-    pub fn models(&self, ctx: &ExperimentContext) -> Vec<BenchmarkModel> {
-        match &self.benchmarks {
-            None => ctx.models(),
-            Some(names) => names
-                .iter()
-                .map(|n| {
-                    let spec = spec_by_name(n).unwrap_or_else(|| {
-                        panic!("grid '{}': unknown benchmark '{n}'", self.label)
-                    });
-                    synthesize(&spec, &ctx.workloads, &ctx.machine)
-                })
-                .collect(),
-        }
-    }
-
-    /// Executes every cell on [`ExperimentContext::workers`] threads.
+    /// Executes every cell over [`ExperimentContext::models`] on
+    /// [`ExperimentContext::workers`] threads.
     pub fn run(&self, ctx: &ExperimentContext) -> GridResult {
-        self.run_on_models(&self.models(ctx), ctx)
+        self.run_on_models(&ctx.models(), ctx)
     }
 
     /// Executes every cell on one thread.
@@ -340,6 +315,7 @@ mod tests {
     #[test]
     fn quality_aggregation_distinguishes_backends() {
         let mut ctx = ExperimentContext::quick();
+        ctx.benchmarks = vec!["gsmdec".into()];
         ctx.sim.iteration_cap = 32;
         ctx.sim.warmup_iterations = 32;
         ctx.profile.iteration_cap = 32;
@@ -348,7 +324,6 @@ mod tests {
             ..RunConfig::ipbc()
         };
         let grid = RunGrid::new("t")
-            .benchmarks(&["gsmdec"])
             .config("swing", base)
             .config("bnb", base.with_backend(SchedBackend::ExactBnB));
         let res = grid.run_serial(&ctx);
@@ -367,11 +342,11 @@ mod tests {
     #[test]
     fn grid_runs_and_indexes_cells() {
         let mut ctx = ExperimentContext::quick();
+        ctx.benchmarks = vec!["gsmdec".into()];
         ctx.sim.iteration_cap = 32;
         ctx.sim.warmup_iterations = 32;
         ctx.profile.iteration_cap = 32;
         let grid = RunGrid::new("t")
-            .benchmarks(&["gsmdec"])
             .config("IPBC", RunConfig::ipbc())
             .config("IBC", RunConfig::ibc());
         let res = grid.run_serial(&ctx);
@@ -386,11 +361,11 @@ mod tests {
     #[test]
     fn memo_shares_schedules_across_buffer_axis() {
         let mut ctx = ExperimentContext::quick();
+        ctx.benchmarks = vec!["gsmdec".into()];
         ctx.sim.iteration_cap = 32;
         ctx.sim.warmup_iterations = 32;
         ctx.profile.iteration_cap = 32;
         let grid = RunGrid::new("t")
-            .benchmarks(&["gsmdec"])
             .config("IPBC", RunConfig::ipbc())
             .config("IPBC+AB", RunConfig::ipbc().with_buffers());
         let res = grid.run_serial(&ctx);

@@ -72,8 +72,9 @@ impl fmt::Display for HintsExperiment {
 /// schedules (one per heuristic) through the grid memo — buffers and
 /// hints only affect simulation.
 pub fn hints_experiment(ctx: &ExperimentContext) -> HintsExperiment {
-    let spec = vliw_workloads::spec_by_name("epicdec").expect("epicdec in suite");
-    let mut model = vliw_workloads::synthesize(&spec, &ctx.workloads, &ctx.machine);
+    let mut epic = ctx.clone();
+    epic.benchmarks = vec!["epicdec".into()];
+    let mut model = epic.models().remove(0);
     // keep only the overflow loop: that is where hints matter
     model.loops.retain(|l| l.kernel.name == "epicdec_l19");
 

@@ -86,13 +86,12 @@ impl fmt::Display for InterleaveStudy {
 /// so the study executes one [`RunGrid`] per factor (the grid memoizes and
 /// parallelizes within a factor; machine geometry is part of the context).
 pub fn interleave_study(ctx: &ExperimentContext) -> InterleaveStudy {
-    let benches = ["gsmdec", "gsmenc", "pgpdec"];
-    let grid = RunGrid::new("interleave")
-        .benchmarks(&benches)
-        .config("IPBC+AB", RunConfig::ipbc().with_buffers());
+    let mut gsm = ctx.clone();
+    gsm.benchmarks = ["gsmdec", "gsmenc", "pgpdec"].map(String::from).to_vec();
+    let grid = RunGrid::new("interleave").config("IPBC+AB", RunConfig::ipbc().with_buffers());
     let mut rows = Vec::new();
     for interleave in [2usize, 4] {
-        let mut variant = ctx.clone();
+        let mut variant = gsm.clone();
         variant.machine.cache.interleave_bytes = interleave;
         variant.machine.validate().expect("geometry stays valid");
         let result = grid.run(&variant);

@@ -57,7 +57,7 @@ pub mod schedcache;
 pub mod tables;
 pub mod trace_exp;
 
-pub use batch::{run_batch, BatchReport, BatchRequest};
+pub use batch::{run_batch, BatchReport, BatchRequest, Containment};
 pub use context::{
     prepare_loop, run_benchmark, run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext,
     LoopRun, PreparedLoop, ProfileSource, RunConfig, UnrollMode,

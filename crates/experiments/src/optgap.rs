@@ -26,15 +26,13 @@
 
 use std::fmt;
 
+use crate::context::{profiled, ExperimentContext};
+use crate::report::{f3, Table};
 use vliw_ir::LoopKernel;
 use vliw_sched::{
     schedule_kernel, schedule_outcome, ClusterPolicy, SchedBackend, SchedQuality, ScheduleOptions,
     DEFAULT_NODE_BUDGET,
 };
-use vliw_workloads::{profile_kernel, ArrayLayout};
-
-use crate::context::ExperimentContext;
-use crate::report::{f3, Table};
 
 /// One policy's aggregate over the factor-1 suite kernels.
 #[derive(Debug, Clone)]
@@ -141,16 +139,11 @@ impl fmt::Display for OptGapResult {
 /// benchmarks, profiled on the profile input (the same front-door the
 /// scheduling pipeline uses).
 pub fn factor1_kernels(ctx: &ExperimentContext) -> Vec<LoopKernel> {
-    let mut out = Vec::new();
-    for model in ctx.models() {
-        for lw in &model.loops {
-            let mut k = lw.kernel.clone();
-            let layout = ArrayLayout::new(&k, &ctx.machine, true, ctx.workloads.profile_input);
-            profile_kernel(&mut k, &ctx.machine, &layout, &ctx.profile);
-            out.push(k);
-        }
-    }
-    out
+    ctx.models()
+        .into_iter()
+        .flat_map(|model| model.loops)
+        .map(|lw| profiled(lw.kernel, &ctx.machine, ctx, true))
+        .collect()
 }
 
 /// One policy's aggregate over `kernels`.

@@ -109,7 +109,12 @@ fn env_fingerprint(machine: &MachineConfig, ctx: &ExperimentContext) -> u64 {
     masked.mshrs = Default::default();
     let mut h = StableHasher::new();
     masked.hash(&mut h);
-    ctx.workloads.hash(&mut h);
+    let w = &ctx.workloads;
+    w.seed.hash(&mut h);
+    // the byte the retired workload padding flag (always on) wrote: every
+    // key stays unchanged
+    true.hash(&mut h);
+    (w.profile_input, w.exec_input).hash(&mut h);
     ctx.profile.hash(&mut h);
     ctx.sim.hash(&mut h);
     ctx.enum_limits.hash(&mut h);
@@ -375,19 +380,11 @@ impl SchedCache {
         self.slots_recovered.load(Ordering::Relaxed)
     }
 
-    /// Slots still marked failed (no request has come back to recover
-    /// them). The batch driver drains every request to completion, so
-    /// after a batch this must be 0 — the "zero unrecovered slots"
-    /// acceptance gate.
-    pub fn failed_slots(&self) -> usize {
-        self.failed_slot_reasons().len()
-    }
-
-    /// The panic reasons of every slot still marked failed — the
-    /// diagnostic surface for post-mortems ([`failed_slots`] is its
-    /// length).
-    ///
-    /// [`failed_slots`]: SchedCache::failed_slots
+    /// The panic reasons of every slot still marked failed (no request
+    /// has come back to recover it) — the diagnostic surface for
+    /// post-mortems. The batch driver drains every request to
+    /// completion, so after a batch this must be empty — the "zero
+    /// unrecovered slots" acceptance gate.
     pub fn failed_slot_reasons(&self) -> Vec<String> {
         self.slots()
             .iter()
@@ -723,14 +720,14 @@ pub(crate) const RECORD_LINES: usize = 7;
 /// endentry
 /// ```
 ///
-/// Two loaders share the format: [`ScheduleStore::from_text`] is strict
-/// (any framing, token or checksum error rejects the file — the loader
-/// for stores this build wrote), while [`ScheduleStore::from_text_salvage`]
-/// never errors — it skips records that fail their checksum or parse,
-/// stops at broken framing, counts everything it dropped in a
-/// [`SalvageReport`], and serves the surviving records. A torn or
-/// bit-flipped store therefore degrades hit rate, never correctness or
-/// availability.
+/// Two loaders read the format through one record scan: the salvage
+/// loader ([`ScheduleStore::from_text_salvage`]) never errors — it skips
+/// records that fail their checksum or parse, stops at broken framing,
+/// counts everything it dropped in a [`SalvageReport`], and serves the
+/// surviving records — and the strict loader ([`ScheduleStore::from_text`],
+/// for stores this build wrote) accepts only a scan with nothing to
+/// report. A torn or bit-flipped store therefore degrades hit rate, never
+/// correctness or availability.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleStore {
     entries: Vec<StoreEntry>,
@@ -768,6 +765,110 @@ fn record_checksum(header: &str, sched_text: &str) -> u64 {
     h.write_str(header);
     h.write_str(sched_text);
     h.finish()
+}
+
+/// One pass of the record scan behind both loaders: the records it
+/// kept, what it dropped, and the first error the strict loader reports.
+#[derive(Default)]
+struct Scan {
+    store: ScheduleStore,
+    report: SalvageReport,
+    error: Option<String>,
+}
+
+impl Scan {
+    /// Records `e` unless an earlier error was recorded.
+    fn fail(&mut self, e: String) {
+        self.error.get_or_insert(e);
+    }
+}
+
+/// Reads a store text record by record:
+///
+/// * The prelude must be exactly `vliw-sched-store 2`. Any other prelude
+///   — another version, or one too damaged to parse — reads nothing
+///   (`version_rejected`; a reinterpreted framing would be worse than an
+///   empty cache).
+/// * A record whose framing is intact but whose checksum or tokens fail
+///   is skipped (`dropped_corrupt`) and the scan continues — later
+///   records survive.
+/// * Broken framing (a line where `entry`/`endentry` should be, or
+///   end-of-file mid-record) ends the scan: alignment downstream of the
+///   break cannot be trusted. The partial record and every declared
+///   record after it count as `dropped_truncated`.
+/// * Records past the declared count are still read; they, an
+///   unreadable count line and duplicate keys are errors only.
+fn scan(text: &str) -> Scan {
+    let mut scan = Scan::default();
+    let lines: Vec<&str> = text.lines().collect();
+    let version: Option<u32> = lines
+        .first()
+        .and_then(|l| l.strip_prefix("vliw-sched-store "))
+        .and_then(|v| v.parse().ok());
+    if version != Some(SCHED_STORE_VERSION) {
+        scan.report.version_rejected = true;
+        scan.fail(match (lines.first(), version) {
+            (None, _) => "empty store".into(),
+            (_, Some(v)) => {
+                format!("store version {v}, this build reads version {SCHED_STORE_VERSION}")
+            }
+            (Some(l), None) => format!("bad version line: `{l}`"),
+        });
+        return scan;
+    }
+    let declared: Option<usize> = lines
+        .get(1)
+        .and_then(|l| l.strip_prefix("entries "))
+        .and_then(|n| n.parse().ok());
+    if declared.is_none() {
+        scan.fail(format!("bad count line: `{}`", lines.get(1).unwrap_or(&"")));
+    }
+    let records = lines.get(2..).unwrap_or_default().chunks(RECORD_LINES);
+    for (k, rec) in records.enumerate() {
+        if Some(k) == declared {
+            scan.fail(format!(
+                "store declares {k} entries but continues with `{}`",
+                rec[0]
+            ));
+        }
+        if rec.len() < RECORD_LINES {
+            scan.report.dropped_truncated += 1; // partial record at the tail
+            scan.fail(format!("truncated record at `{}`", rec[0]));
+            break;
+        }
+        if !rec[0].starts_with("entry ") || rec[RECORD_LINES - 1] != "endentry" {
+            scan.report.dropped_truncated += 1; // framing broken: stop here
+            scan.fail(format!("broken record framing at `{}`", rec[0]));
+            break;
+        }
+        match StoreEntry::parse_record(rec) {
+            Ok(e) => {
+                scan.store.insert(e);
+                scan.report.recovered += 1;
+            }
+            Err(e) => {
+                scan.report.dropped_corrupt += 1;
+                scan.fail(e);
+            }
+        }
+    }
+    if let Some(n) = declared {
+        // records the damage swallowed wholesale (truncation past whole
+        // records): the declared count still names them
+        let rep = &mut scan.report;
+        let seen = rep.recovered + rep.dropped_corrupt + rep.dropped_truncated;
+        if seen < n {
+            rep.dropped_truncated += n - seen;
+            scan.fail(format!("store declares {n} entries but ends after {seen}"));
+        }
+        let keys = scan.store.len();
+        if keys != n {
+            scan.fail(format!(
+                "store declares {n} entries but {keys} distinct keys"
+            ));
+        }
+    }
+    scan
 }
 
 impl ScheduleStore {
@@ -833,122 +934,33 @@ impl ScheduleStore {
         out
     }
 
-    /// Parses a store serialized by [`ScheduleStore::to_text`].
+    /// Parses a store serialized by [`ScheduleStore::to_text`]: `Ok` only
+    /// when the record scan (`scan`) is clean — version accepted, nothing
+    /// dropped, exactly the declared count of distinct keys and no line
+    /// after the last record.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first framing or token error; a
-    /// version mismatch is an error (stale major format, not silently
-    /// reinterpreted), and so is any line after the declared count of
-    /// records (a miscounted store is not silently cut short).
+    /// Returns the scan's first error: a version mismatch (stale major
+    /// format, not silently reinterpreted), a framing, token or checksum
+    /// error, or a miscounted store (not silently cut short or extended).
     pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty store")?;
-        let mut it = header.split_whitespace();
-        if it.next() != Some("vliw-sched-store") {
-            return Err(format!("bad header: `{header}`"));
+        let scan = scan(text);
+        match scan.error {
+            None => Ok(scan.store),
+            Some(e) => Err(e),
         }
-        let version: u32 = it
-            .next()
-            .ok_or("missing version")?
-            .parse()
-            .map_err(|e| format!("bad version: {e}"))?;
-        if version != SCHED_STORE_VERSION {
-            return Err(format!(
-                "store version {version}, this build reads version {SCHED_STORE_VERSION}"
-            ));
-        }
-        let counts = lines.next().ok_or("missing entry count")?;
-        let n: usize = counts
-            .strip_prefix("entries ")
-            .ok_or_else(|| format!("bad count line: `{counts}`"))?
-            .parse()
-            .map_err(|e| format!("bad count: {e}"))?;
-        let mut store = ScheduleStore::new();
-        let mut rec = [""; RECORD_LINES];
-        for _ in 0..n {
-            for line in &mut rec {
-                *line = lines.next().ok_or("truncated record")?;
-            }
-            store.insert(StoreEntry::parse_record(&rec)?);
-        }
-        if let Some(extra) = lines.next() {
-            return Err(format!(
-                "store declares {n} entries but continues with `{extra}`"
-            ));
-        }
-        if store.len() != n {
-            return Err(format!(
-                "store declares {n} entries but {} distinct keys",
-                store.len()
-            ));
-        }
-        Ok(store)
     }
 
     /// Parses a (possibly damaged) store, recovering every record whose
     /// framing, checksum and tokens are intact. Never errors: damage is
-    /// counted, not propagated.
-    ///
-    /// Rules:
-    ///
-    /// * A prelude naming an unreadable version — or too damaged to parse
-    ///   — salvages nothing (`version_rejected`; a reinterpreted framing
-    ///   would be worse than an empty cache).
-    /// * A record whose framing is intact but whose checksum or tokens
-    ///   fail is skipped (`dropped_corrupt`) and the scan continues —
-    ///   later records survive.
-    /// * Broken framing (a line where `entry`/`endentry` should be, or
-    ///   end-of-file mid-record) ends the scan: alignment downstream of
-    ///   the break cannot be trusted. The partial record and every
-    ///   declared record after it count as `dropped_truncated`.
+    /// counted, not propagated. The rules are `scan`'s.
     ///
     /// The serving path still verifies every recovered schedule against
     /// the rebuilt kernel before trusting it (`rebuild`).
     pub fn from_text_salvage(text: &str) -> (Self, SalvageReport) {
-        let mut rep = SalvageReport::default();
-        let mut store = ScheduleStore::new();
-        let lines: Vec<&str> = text.lines().collect();
-        let version: Option<u32> = lines
-            .first()
-            .and_then(|l| l.strip_prefix("vliw-sched-store "))
-            .and_then(|v| v.parse().ok());
-        if version != Some(SCHED_STORE_VERSION) {
-            rep.version_rejected = true;
-            return (store, rep);
-        }
-        let declared: Option<usize> = lines
-            .get(1)
-            .and_then(|l| l.strip_prefix("entries "))
-            .and_then(|n| n.parse().ok());
-        let mut i = 2;
-        while i < lines.len() {
-            let Some(rec) = lines.get(i..i + RECORD_LINES) else {
-                rep.dropped_truncated += 1; // partial record at the tail
-                break;
-            };
-            if !rec[0].starts_with("entry ") || rec[RECORD_LINES - 1] != "endentry" {
-                rep.dropped_truncated += 1; // framing broken: stop here
-                break;
-            }
-            match StoreEntry::parse_record(rec) {
-                Ok(e) => {
-                    store.insert(e);
-                    rep.recovered += 1;
-                }
-                Err(_) => rep.dropped_corrupt += 1,
-            }
-            i += RECORD_LINES;
-        }
-        // records the damage swallowed wholesale (truncation past whole
-        // records): the declared count still names them
-        if let Some(n) = declared {
-            let seen = rep.recovered + rep.dropped_corrupt + rep.dropped_truncated;
-            if seen < n {
-                rep.dropped_truncated += n - seen;
-            }
-        }
-        (store, rep)
+        let scan = scan(text);
+        (scan.store, scan.report)
     }
 
     /// Writes the store to `path`, creating parent directories. The
@@ -1142,7 +1154,16 @@ mod tests {
     /// is the salvaged one.
     #[test]
     fn strict_accepts_exactly_the_clean_salvages() {
-        for text in loader_corpus() {
+        let text = corpus_store_text();
+        let preludes = [
+            "vliw-sched-store 2 x\n",
+            "vliw-sched-store  2\n",
+            " vliw-sched-store 2\n",
+        ];
+        let corpus = loader_corpus()
+            .into_iter()
+            .chain(preludes.map(|p| text.replacen("vliw-sched-store 2\n", p, 1)));
+        for text in corpus {
             let (salvaged, rep) = ScheduleStore::from_text_salvage(&text);
             let clean = !rep.version_rejected
                 && rep.dropped() == 0
@@ -1342,6 +1363,26 @@ mod tests {
             &header(8, "degraded"),
             "unknown quality token `degraded`",
         );
+    }
+
+    /// Both loaders follow one prelude rule, the exact
+    /// `vliw-sched-store 2`: a prelude with trailing tokens or extra
+    /// whitespace is rejected by the strict loader and salvages nothing.
+    #[test]
+    fn both_loaders_reject_a_loose_prelude() {
+        let text = corpus_store_text();
+        assert!(ScheduleStore::from_text(&text).is_ok());
+        for prelude in [
+            "vliw-sched-store 2 x",
+            "vliw-sched-store 2 ",
+            "vliw-sched-store\t2",
+        ] {
+            let loose = text.replacen("vliw-sched-store 2", prelude, 1);
+            let err = ScheduleStore::from_text(&loose).unwrap_err();
+            assert!(err.contains("version"), "{err}");
+            let (salvaged, rep) = ScheduleStore::from_text_salvage(&loose);
+            assert!(rep.version_rejected && salvaged.is_empty());
+        }
     }
 
     /// The strict loader rejects records past the declared count, where

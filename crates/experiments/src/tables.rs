@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::context::ExperimentContext;
-use crate::grid::RunGrid;
 use crate::report::Table;
 
 /// Table 1: benchmarks, inputs and dominant data sizes — both the spec
@@ -53,11 +52,12 @@ impl fmt::Display for Table1 {
     }
 }
 
-/// Builds Table 1 from the context's models (synthesized through the same
-/// [`RunGrid`] model-building step the figure drivers use).
+/// Builds Table 1 from the context's models
+/// ([`ExperimentContext::models`], the step every figure driver's grid
+/// runs over).
 pub fn table1(ctx: &ExperimentContext) -> Table1 {
     let mut rows = Vec::new();
-    for model in RunGrid::new("table1").models(ctx) {
+    for model in ctx.models() {
         let spec = &model.spec;
         let (mut dominant, mut total) = (0.0f64, 0.0f64);
         for l in &model.loops {

@@ -36,14 +36,16 @@ fn fault_plan_is_contained_counted_and_deterministic() {
     let b = run_faults(&ctx, &opts);
     let _ = std::panic::take_hook();
 
-    assert!(a.deterministic, "drain digests diverged under faults");
-    assert_eq!(a.failures, 0, "every injected fault must heal");
-    assert_eq!(a.worker_panics, 0, "no panic may reach the worker loop");
-    assert_eq!(a.unrecovered_slots, 0, "no failed slot may survive");
-    assert!(a.panics_contained > 0, "the panic lane must fire");
-    assert_eq!(a.panics_contained, a.injected_panics);
-    assert_eq!(a.slots_recovered, a.injected_panics);
-    assert!(a.panic_retries > 0, "retries heal the contained panics");
+    let c = &a.containment;
+    assert!(c.deterministic, "drain digests diverged under faults");
+    assert_eq!(c.failures, 0, "every injected fault must heal");
+    assert_eq!(c.worker_panics, 0, "no panic may reach the worker loop");
+    assert_eq!(c.unrecovered_slots, 0, "no failed slot may survive");
+    assert!(c.failed_slot_reasons.is_empty());
+    assert!(c.panics_contained > 0, "the panic lane must fire");
+    assert_eq!(c.panics_contained, a.injected_panics);
+    assert_eq!(c.slots_recovered, a.injected_panics);
+    assert!(c.panic_retries > 0, "retries heal the contained panics");
     assert!(a.salvage.recovered > 0, "salvage must serve survivors");
     assert_eq!(a.salvage.dropped_corrupt, a.injected_flips);
     assert_eq!(a.salvage.dropped_truncated, a.injected_truncations);
@@ -59,7 +61,7 @@ fn fault_plan_is_contained_counted_and_deterministic() {
 
     // the harness itself is deterministic under its seed
     assert_eq!(a.injected_panics, b.injected_panics);
-    assert_eq!(a.panics_contained, b.panics_contained);
+    assert_eq!(c.panics_contained, b.containment.panics_contained);
     assert_eq!(a.salvage, b.salvage);
     assert_eq!(a.starved_cutoffs, b.starved_cutoffs);
     assert_eq!(a.injected_flips, b.injected_flips);

@@ -426,7 +426,6 @@ fn panic_storm_is_contained_and_recovered() {
         1,
         "the failed slot is adopted exactly once"
     );
-    assert_eq!(cache.failed_slots(), 0, "no unrecovered slot survives");
     assert!(cache.failed_slot_reasons().is_empty());
     assert_eq!(
         cache.prepares(),

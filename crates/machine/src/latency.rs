@@ -37,11 +37,6 @@ impl AccessClass {
     pub fn is_local(self) -> bool {
         matches!(self, AccessClass::LocalHit | AccessClass::LocalMiss)
     }
-
-    /// Whether the access hits in the first-level cache.
-    pub fn is_hit(self) -> bool {
-        matches!(self, AccessClass::LocalHit | AccessClass::RemoteHit)
-    }
 }
 
 impl fmt::Display for AccessClass {
@@ -174,10 +169,10 @@ mod tests {
 
     #[test]
     fn class_predicates() {
-        assert!(AccessClass::LocalHit.is_local() && AccessClass::LocalHit.is_hit());
-        assert!(!AccessClass::RemoteHit.is_local() && AccessClass::RemoteHit.is_hit());
-        assert!(AccessClass::LocalMiss.is_local() && !AccessClass::LocalMiss.is_hit());
-        assert!(!AccessClass::RemoteMiss.is_local() && !AccessClass::RemoteMiss.is_hit());
+        assert!(AccessClass::LocalHit.is_local());
+        assert!(!AccessClass::RemoteHit.is_local());
+        assert!(AccessClass::LocalMiss.is_local());
+        assert!(!AccessClass::RemoteMiss.is_local());
     }
 
     #[test]

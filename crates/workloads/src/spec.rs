@@ -5,9 +5,6 @@
 pub struct WorkloadConfig {
     /// Master seed for loop synthesis (structure of the kernels).
     pub seed: u64,
-    /// Whether variable alignment (§4.3.4 padding of stack frames and
-    /// `malloc` results to `N×I`) is applied.
-    pub padding: bool,
     /// Input-identity seed of the profiling data set.
     pub profile_input: u64,
     /// Input-identity seed of the execution data set.
@@ -18,7 +15,6 @@ impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
             seed: 0x6182_2002,
-            padding: true,
             profile_input: 1,
             exec_input: 2,
         }
@@ -114,9 +110,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_padded_and_seeded() {
+    fn default_config_is_seeded() {
         let c = WorkloadConfig::default();
-        assert!(c.padding);
         assert_ne!(c.profile_input, c.exec_input);
     }
 }

@@ -67,7 +67,7 @@ fn grid_equals_direct_pipeline_calls() {
     let ctx = tiny_ctx();
     let grid = small_grid();
     let result = grid.run(&ctx);
-    let models = grid.models(&ctx);
+    let models = ctx.models();
     for (b, model) in models.iter().enumerate() {
         for (c, (label, cfg)) in result.configs().iter().enumerate() {
             let direct = run_benchmark(model, cfg, &ctx);
@@ -128,7 +128,7 @@ fn backend_sharded_queue_stays_bit_identical() {
         "sharded parallel grid must be bit-identical to serial"
     );
     // every (backend, source) cell is a distinct preparation key
-    let n_loops: usize = grid.models(&ctx).iter().map(|m| m.loops.len()).sum();
+    let n_loops: usize = ctx.models().iter().map(|m| m.loops.len()).sum();
     assert_eq!(
         serial.memoized_schedules(),
         SchedBackend::ALL.len() * 2 * n_loops
@@ -142,6 +142,6 @@ fn memoization_prunes_redundant_schedules() {
     let result = grid.run(&ctx);
     // 8 configs but only 4 distinct (policy × unroll) preparation keys per
     // loop: the buffer axis must not force re-scheduling
-    let n_loops: usize = grid.models(&ctx).iter().map(|m| m.loops.len()).sum();
+    let n_loops: usize = ctx.models().iter().map(|m| m.loops.len()).sum();
     assert_eq!(result.memoized_schedules(), 4 * n_loops);
 }
