@@ -239,7 +239,7 @@ fn save(name: &str, csv: String) {
 struct FigureRecord {
     name: &'static str,
     wall_seconds: f64,
-    metrics: Vec<(String, f64)>,
+    metrics: Metrics,
 }
 
 fn json_number(x: f64) -> String {

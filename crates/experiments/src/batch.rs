@@ -387,7 +387,7 @@ pub(crate) fn drain(
     }
 }
 
-pub(crate) fn fold(digests: &[u64]) -> u64 {
+fn fold(digests: &[u64]) -> u64 {
     let mut h = StableHasher::new();
     for &d in digests {
         h.write_u64(d);
@@ -395,7 +395,7 @@ pub(crate) fn fold(digests: &[u64]) -> u64 {
     h.finish()
 }
 
-pub(crate) fn pass(d: &Drain, n: usize) -> PassReport {
+fn pass(d: &Drain, n: usize) -> PassReport {
     PassReport {
         seconds: d.seconds,
         per_sec: n as f64 / d.seconds.max(1e-9),
