@@ -551,10 +551,6 @@ fn run_profile(ctx: &ExperimentContext, scale: &str) -> Metrics {
     }
     let mut m = vec![
         ("store_loops".into(), p.store.len() as f64),
-        (
-            "store_roundtrip_ok".into(),
-            if p.roundtrip_ok { 1.0 } else { 0.0 },
-        ),
         ("skipped".into(), p.skipped as f64),
     ];
     for r in &p.divergence {

@@ -15,7 +15,8 @@
 //!
 //! The II loop restarts the whole placement pipeline on every bump, so the
 //! engine is built for zero steady-state allocation: every trial opens a
-//! [`Mrt`](crate::mrt::Mrt) savepoint and a failed one rolls back to it
+//! savepoint of the modulo reservation table (the private `mrt` module's
+//! `Mrt`) and a failed one rolls back to it
 //! (no table clones), candidate cycles come from the table's
 //! word-parallel free-mask walk (occupied stretches are skipped a `u64`
 //! word at a time and never counted as trial work), and all per-attempt /

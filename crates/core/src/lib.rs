@@ -70,7 +70,7 @@ pub mod examples_443;
 pub mod hints;
 pub mod latency;
 pub mod mii;
-pub mod mrt;
+pub(crate) mod mrt;
 pub mod order;
 pub mod pressure;
 pub mod schedule;
@@ -87,7 +87,6 @@ pub use engine::{
 pub use hints::{attraction_hints, AttractionHints};
 pub use latency::{assign_latencies_with_pins, BenefitStep, CandidateEval, LatencyAssignment};
 pub use mii::{edge_latency, rec_mii, res_mii};
-pub use mrt::{Mrt, MrtSavepoint};
 pub use order::sms_order;
 pub use pressure::max_live;
 pub use schedule::{Schedule, ScheduleError, ScheduledCopy, ScheduledOp};

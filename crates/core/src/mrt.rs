@@ -44,7 +44,7 @@ use vliw_machine::MachineConfig;
 /// a transfer touched, carrying the exact bits it set, so a wrapped
 /// multi-slot transfer unwinds in at most two mask operations.
 #[derive(Debug, Clone)]
-pub struct Mrt {
+pub(crate) struct Mrt {
     ii: u32,
     /// Words per occupancy row: `ceil(ii / 64)`.
     words: usize,
@@ -66,7 +66,7 @@ pub struct Mrt {
 /// A position in the journal, taken with [`Mrt::savepoint`] and released
 /// (LIFO) with [`Mrt::rollback_to`].
 #[derive(Debug, Clone, Copy)]
-pub struct MrtSavepoint(usize);
+pub(crate) struct MrtSavepoint(usize);
 
 /// One journal entry: the word-level delta a reservation applied.
 #[derive(Debug, Clone, Copy)]
@@ -104,7 +104,7 @@ impl Mrt {
     /// # Panics
     ///
     /// Panics if `ii == 0`.
-    pub fn new(ii: u32, machine: &MachineConfig) -> Self {
+    pub(crate) fn new(ii: u32, machine: &MachineConfig) -> Self {
         assert!(ii > 0, "II must be positive");
         let n = machine.clusters.n_clusters;
         let words = words_for(ii);
@@ -132,7 +132,7 @@ impl Mrt {
     /// # Panics
     ///
     /// Panics if `ii == 0`.
-    pub fn reset(&mut self, ii: u32, machine: &MachineConfig) {
+    pub(crate) fn reset(&mut self, ii: u32, machine: &MachineConfig) {
         assert!(ii > 0, "II must be positive");
         let n = machine.clusters.n_clusters;
         let words = words_for(ii);
@@ -170,7 +170,7 @@ impl Mrt {
     /// Marks the current position in the journal. [`Mrt::rollback_to`]
     /// unwinds back to the mark, leaving every reservation made before it
     /// intact.
-    pub fn savepoint(&self) -> MrtSavepoint {
+    pub(crate) fn savepoint(&self) -> MrtSavepoint {
         MrtSavepoint(self.journal.len())
     }
 
@@ -182,7 +182,7 @@ impl Mrt {
     ///
     /// Panics if the journal has already been unwound past `sp` (a
     /// savepoint must be released in LIFO order).
-    pub fn rollback_to(&mut self, sp: MrtSavepoint) {
+    pub(crate) fn rollback_to(&mut self, sp: MrtSavepoint) {
         assert!(
             sp.0 <= self.journal.len(),
             "savepoint already unwound (LIFO order violated)"
@@ -194,7 +194,7 @@ impl Mrt {
     }
 
     /// The II this table was built for.
-    pub fn ii(&self) -> u32 {
+    pub(crate) fn ii(&self) -> u32 {
         self.ii
     }
 
@@ -218,7 +218,7 @@ impl Mrt {
     }
 
     /// Whether a `kind` unit is free in `cluster` at `cycle`.
-    pub fn fu_free(&self, cluster: usize, kind: FuKind, cycle: i64) -> bool {
+    pub(crate) fn fu_free(&self, cluster: usize, kind: FuKind, cycle: i64) -> bool {
         let slot = self.slot(cycle);
         let word = self.fu_full[self.fu_row(cluster, kind) * self.words + slot / 64];
         word & (1u64 << (slot % 64)) == 0
@@ -229,7 +229,7 @@ impl Mrt {
     /// # Panics
     ///
     /// Panics if no unit is free (callers check [`Mrt::fu_free`] first).
-    pub fn fu_reserve(&mut self, cluster: usize, kind: FuKind, cycle: i64) {
+    pub(crate) fn fu_reserve(&mut self, cluster: usize, kind: FuKind, cycle: i64) {
         assert!(
             self.fu_free(cluster, kind, cycle),
             "functional unit oversubscribed"
@@ -249,7 +249,7 @@ impl Mrt {
     /// trailing-zeros (ascending) or leading-zeros (descending) walk over
     /// the row's free-mask, so occupied stretches are skipped a word at a
     /// time.
-    pub fn next_free_fu_cycle(
+    pub(crate) fn next_free_fu_cycle(
         &self,
         cluster: usize,
         kind: FuKind,
@@ -297,7 +297,7 @@ impl Mrt {
     }
 
     /// Finds a register bus free for a whole transfer starting at `cycle`.
-    pub fn bus_find(&self, cycle: i64) -> Option<usize> {
+    pub(crate) fn bus_find(&self, cycle: i64) -> Option<usize> {
         (0..self.n_buses).find(|&b| self.bus_free(b, cycle))
     }
 
@@ -306,7 +306,7 @@ impl Mrt {
     /// A transfer longer than the II can never fit: it would overlap its
     /// own next-iteration instance on the same bus (each static copy fires
     /// every II cycles).
-    pub fn bus_free(&self, bus: usize, cycle: i64) -> bool {
+    pub(crate) fn bus_free(&self, bus: usize, cycle: i64) -> bool {
         if self.transfer > self.ii {
             return false;
         }
@@ -323,7 +323,7 @@ impl Mrt {
     /// # Panics
     ///
     /// Panics if any needed slot is taken.
-    pub fn bus_reserve(&mut self, bus: usize, cycle: i64) {
+    pub(crate) fn bus_reserve(&mut self, bus: usize, cycle: i64) {
         assert!(self.bus_free(bus, cycle), "register bus oversubscribed");
         let start = self.slot(cycle) as u32;
         let t = self.transfer;
@@ -365,14 +365,15 @@ impl Mrt {
 
     /// Compares occupancy state (counters and packed words) against
     /// `other` without allocating.
-    pub fn state_eq(&self, other: &Mrt) -> bool {
+    #[cfg(test)]
+    pub(crate) fn state_eq(&self, other: &Mrt) -> bool {
         self.fu_cnt == other.fu_cnt && self.fu_full == other.fu_full && self.bus == other.bus
     }
 
     /// The packed occupancy words (FU full-masks, then bus masks), for
     /// hashing a partial schedule's resource signature without rebuilding
     /// any per-slot representation.
-    pub fn occupancy_words(&self) -> (&[u64], &[u64]) {
+    pub(crate) fn occupancy_words(&self) -> (&[u64], &[u64]) {
         (&self.fu_full, &self.bus)
     }
 }

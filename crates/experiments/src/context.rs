@@ -292,9 +292,14 @@ pub(crate) fn profiled(
 /// the measurements of every variant, factor 1 included, are then
 /// *derived* from that stream ([`StreamProfile::derive_unrolled`])
 /// instead of paying another bootstrap schedule + timing simulation per
-/// variant. A stream the derivation rejects (mis-aligned sample counts)
-/// falls back to measuring that variant itself and taking its factor-1
-/// derivation.
+/// variant.
+///
+/// The derivation cannot fail here: [`unroll`] always emits `n·u` ops;
+/// the simulator accesses the cache exactly once per memory op per
+/// iteration of the measured pass, and the collector keeps only that
+/// pass, so every op's stream has the same length; and the factor-1
+/// variant is a clone of the measured original, so its fingerprint is
+/// the measured one.
 pub(crate) struct VariantBuilder<'a> {
     original: LoopKernel,
     stream: Option<StreamProfile>,
@@ -334,7 +339,7 @@ impl<'a> VariantBuilder<'a> {
         &self.original
     }
 
-    /// The measurement run of `kernel` (`vliw-profile`): the synthetic
+    /// The measurement run of the original (`vliw-profile`): the synthetic
     /// pipeline's schedule under the configuration's own policy, simulated
     /// on the profile input — so the measurements describe the code the
     /// policy would actually run.
@@ -344,14 +349,14 @@ impl<'a> VariantBuilder<'a> {
     /// Propagates bootstrap scheduling failures (the measurement run
     /// needs a schedule; a kernel the policy cannot schedule has no
     /// measurement).
-    fn measure(&self, kernel: &LoopKernel) -> Result<StreamProfile, ScheduleError> {
+    fn measure(&self) -> Result<StreamProfile, ScheduleError> {
         let opts = MeasureOptions {
             policy: self.cfg.policy,
             enum_limits: self.ctx.enum_limits,
             sim: self.ctx.sim,
         };
         measure_kernel(
-            kernel,
+            &self.original,
             self.machine,
             self.cfg.padding,
             self.ctx.workloads.profile_input,
@@ -389,15 +394,11 @@ impl<'a> VariantBuilder<'a> {
                 let mut variant = self.synthetic(factor);
                 let stream = match &self.stream {
                     Some(stream) => stream,
-                    None => self.stream.insert(self.measure(&self.original)?),
+                    None => self.stream.insert(self.measure()?),
                 };
-                let lp = match stream.derive_unrolled(&variant, factor, machine) {
-                    Ok(lp) => lp,
-                    Err(_) => self
-                        .measure(&variant)?
-                        .derive_unrolled(&variant, 1, machine)
-                        .expect("a kernel's own run derives at factor 1"),
-                };
+                let lp = stream
+                    .derive_unrolled(&variant, factor, machine)
+                    .expect("a variant of the measured original derives from its stream");
                 attach_measurements(&mut variant, &lp)
                     .expect("a derived measurement matches the kernel it was derived for");
                 Ok(variant)

@@ -50,11 +50,12 @@ use crate::context::{prepare_loop, ExperimentContext, RunConfig, UnrollMode};
 use crate::report::Table;
 use crate::schedcache::{PrepareFn, SalvageReport, SchedCache, ScheduleStore, RECORD_LINES};
 
+/// Seed every injected fault derives from.
+const FAULT_SEED: u64 = 0xFA17_F00D;
+
 /// Knobs of the fault run.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultOptions {
-    /// Seed every injected fault derives from.
-    pub seed: u64,
     /// Minimum request count of the batch queue.
     pub target_requests: usize,
     /// Kernels whose first preparation panics, per cache generation.
@@ -69,7 +70,6 @@ impl FaultOptions {
     /// Paper-scale defaults.
     pub fn full() -> Self {
         FaultOptions {
-            seed: 0xFA17_F00D,
             target_requests: 2_000,
             panic_victims: 6,
             bit_flips: 8,
@@ -80,7 +80,6 @@ impl FaultOptions {
     /// CI-scale defaults.
     pub fn quick() -> Self {
         FaultOptions {
-            seed: 0xFA17_F00D,
             target_requests: 192,
             panic_victims: 3,
             bit_flips: 4,
@@ -408,7 +407,7 @@ pub fn run_faults(ctx: &ExperimentContext, opts: &FaultOptions) -> FaultReport {
     let healthy_store = probe.export_store();
     let healthy = healthy_store.to_text();
 
-    let plan = FaultPlan::derive(opts.seed, &requests, healthy_store.len(), opts);
+    let plan = FaultPlan::derive(FAULT_SEED, &requests, healthy_store.len(), opts);
     let victims: Arc<HashSet<String>> = Arc::new(plan.victims.iter().cloned().collect());
 
     // drains 1-3: cold serial, cold parallel, warm memory — each cold
@@ -526,8 +525,8 @@ mod tests {
         ctx.sim.iteration_cap = 32;
         ctx.profile.iteration_cap = 32;
         let (requests, _) = build_requests(&ctx, 32);
-        let a = FaultPlan::derive(opts.seed, &requests, 40, &opts);
-        let b = FaultPlan::derive(opts.seed, &requests, 40, &opts);
+        let a = FaultPlan::derive(FAULT_SEED, &requests, 40, &opts);
+        let b = FaultPlan::derive(FAULT_SEED, &requests, 40, &opts);
         assert_eq!(a.victims, b.victims);
         assert_eq!(a.flip_records, b.flip_records);
         assert_eq!(a.victims.len(), opts.panic_victims);
@@ -536,7 +535,7 @@ mod tests {
         assert!(a.flip_records.iter().all(|&r| r < 39));
         let distinct: HashSet<_> = a.flip_records.iter().collect();
         assert_eq!(distinct.len(), a.flip_records.len());
-        let c = FaultPlan::derive(opts.seed + 1, &requests, 40, &opts);
+        let c = FaultPlan::derive(FAULT_SEED + 1, &requests, 40, &opts);
         assert!(c.victims != a.victims || c.flip_records != a.flip_records);
     }
 

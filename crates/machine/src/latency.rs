@@ -33,6 +33,13 @@ impl AccessClass {
         AccessClass::RemoteMiss,
     ];
 
+    /// Dense index of the class in its declared order: `[LH, RH, LM, RM]`
+    /// (the slot order of every per-class counter array).
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether the access is to the local cache module.
     pub fn is_local(self) -> bool {
         matches!(self, AccessClass::LocalHit | AccessClass::LocalMiss)
@@ -173,6 +180,9 @@ mod tests {
         assert!(!AccessClass::RemoteHit.is_local());
         assert!(AccessClass::LocalMiss.is_local());
         assert!(!AccessClass::RemoteMiss.is_local());
+        for (i, c) in AccessClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c}");
+        }
     }
 
     #[test]

@@ -73,15 +73,6 @@ pub struct MemStats {
     mshr: MshrStats,
 }
 
-fn class_index(class: AccessClass) -> usize {
-    match class {
-        AccessClass::LocalHit => 0,
-        AccessClass::RemoteHit => 1,
-        AccessClass::LocalMiss => 2,
-        AccessClass::RemoteMiss => 3,
-    }
-}
-
 impl MemStats {
     /// Fresh, zeroed statistics.
     pub fn new() -> Self {
@@ -95,7 +86,7 @@ impl MemStats {
         if combined {
             self.combined += 1;
         } else {
-            self.counts[class_index(class)] += 1;
+            self.counts[class.index()] += 1;
         }
         if ab_hit {
             self.ab_hits += 1;
@@ -104,7 +95,7 @@ impl MemStats {
 
     /// Accesses of `class` (excluding combined ones).
     pub fn count(&self, class: AccessClass) -> u64 {
-        self.counts[class_index(class)]
+        self.counts[class.index()]
     }
 
     /// Combined accesses.

@@ -2,7 +2,7 @@
 //! simulation's per-iteration access samples, and the driver that runs a
 //! kernel in profiling mode.
 
-use vliw_ir::{LoopKernel, OpId};
+use vliw_ir::{kernel_fingerprint, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_mem::{build_cache, AccessObserver, AccessOutcome, AccessRequest, ObservedCache};
 use vliw_sched::{
@@ -12,7 +12,7 @@ use vliw_sched::{
 use vliw_sim::{simulate_loop, SimOptions};
 use vliw_workloads::{address_for, ArrayLayout};
 
-use crate::store::{class_index, kernel_fingerprint, LoopProfile, OpProfile};
+use crate::store::{LoopProfile, OpProfile};
 
 /// The measurement sink: records one [`AccessSample`] per observed access
 /// of each operation, in iteration order.
@@ -60,7 +60,7 @@ impl AccessObserver for Collector {
             return;
         };
         samples.push(AccessSample {
-            class: class_index(out.class) as u8,
+            class: out.class.index() as u8,
             home: home as u8,
             combined: out.combined,
             ab_hit: out.ab_hit,
@@ -162,8 +162,7 @@ impl StreamProfile {
     /// must not receive these measurements), or, above factor 1, a stream
     /// in which some memory operation recorded a different number of
     /// samples than its peers (which would break the sample-index =
-    /// iteration-index alignment the slicing relies on). Callers fall back
-    /// to measuring the variant itself.
+    /// iteration-index alignment the slicing relies on).
     pub fn derive_unrolled(
         &self,
         unrolled: &LoopKernel,
@@ -229,16 +228,6 @@ pub struct MeasureOptions {
     pub enum_limits: EnumLimits,
     /// Simulation caps of the measurement run.
     pub sim: SimOptions,
-}
-
-impl Default for MeasureOptions {
-    fn default() -> Self {
-        MeasureOptions {
-            policy: ClusterPolicy::PreBuildChains,
-            enum_limits: EnumLimits::default(),
-            sim: SimOptions::default(),
-        }
-    }
 }
 
 /// Runs `kernel` in profiling mode: schedules it with the paper's
@@ -318,11 +307,12 @@ mod tests {
 
     fn opts() -> MeasureOptions {
         MeasureOptions {
+            policy: ClusterPolicy::PreBuildChains,
+            enum_limits: EnumLimits::default(),
             sim: SimOptions {
                 iteration_cap: 128,
                 warmup_iterations: 128,
             },
-            ..MeasureOptions::default()
         }
     }
 

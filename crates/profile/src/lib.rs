@@ -20,10 +20,11 @@
 //!    bootstrap schedule for the measurement run comes from the paper's
 //!    own pipeline, so the loop is genuinely closed: schedule → measure →
 //!    re-schedule against the measurements.
-//! 2. **Persist** ([`ProfileStore`]): measurements live in a versioned,
-//!    deterministic plain-text store (`results/profiles/` by convention)
-//!    made of integers only, so a fresh collection and a reloaded store
-//!    are bit-identical and CI can diff them.
+//! 2. **Persist** ([`ProfileStore`]): measurements are written to a
+//!    versioned, deterministic plain-text store (`results/profiles/` by
+//!    convention) made of integers only, so a fresh collection is
+//!    byte-identical to the committed one and CI can diff them. The store
+//!    is an output: nothing reads it back.
 //! 3. **Feed back** ([`attach_measurements`]): measurements are derived
 //!    into [`MemProfile`](vliw_ir::MemProfile)s (hit rate, preferred
 //!    clusters, plus the measured [`LatencyProfile`](vliw_ir::LatencyProfile))
@@ -40,4 +41,4 @@ mod collect;
 mod store;
 
 pub use collect::{measure_kernel, AccessSample, MeasureOptions, StreamProfile};
-pub use store::{attach_measurements, kernel_fingerprint, LoopProfile, OpProfile, ProfileStore};
+pub use store::{attach_measurements, LoopProfile, OpProfile, ProfileStore};

@@ -56,19 +56,10 @@ pub struct StallBreakdown {
     pub mshr_full: f64,
 }
 
-fn class_index(c: AccessClass) -> usize {
-    match c {
-        AccessClass::LocalHit => 0,
-        AccessClass::RemoteHit => 1,
-        AccessClass::LocalMiss => 2,
-        AccessClass::RemoteMiss => 3,
-    }
-}
-
 impl StallBreakdown {
     /// Stall cycles attributed to accesses of `class`.
     pub fn of(&self, class: AccessClass) -> f64 {
-        self.by_class[class_index(class)]
+        self.by_class[class.index()]
     }
 
     /// Total stall cycles.
@@ -423,7 +414,7 @@ pub fn simulate_loop_traced(
                                     if combined {
                                         stall_by.combined += rest;
                                     } else {
-                                        stall_by.by_class[class_index(c)] += rest;
+                                        stall_by.by_class[c.index()] += rest;
                                     }
                                 }
                                 // non-memory producers only run late through copy
