@@ -13,9 +13,9 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use vliw_experiments::{
-    batch, chains_exp, example433, faults, fig4, fig5, fig6, fig7, fig8, hints_exp,
-    interleave_study, optgap, profile_fidelity, report, tables, trace_exp, ExperimentContext,
-    RunConfig, RunGrid, SchedCache, UnrollMode,
+    backend_quality_table, batch, chains_exp, example433, fig4, fig5, fig6, fig7, fig8, hints_exp,
+    interleave_study, mshr_table, optgap, profile_fidelity, tables, ExperimentContext,
+    FaultOptions, RunConfig, RunGrid, SchedCache, UnrollMode,
 };
 use vliw_ir::{Ddg, LoopKernel};
 use vliw_machine::MachineConfig;
@@ -48,7 +48,7 @@ fn sched_workload_for(ctx: &ExperimentContext) -> (Vec<LoopKernel>, MachineConfi
                 // under pinned-chain policies; keep only kernels every
                 // policy can schedule so each policy runs the same set
                 let all_schedulable = ClusterPolicy::ALL.iter().all(|&p| {
-                    vliw_sched::schedule_kernel(&k, &ctx.machine, ScheduleOptions::new(p)).is_ok()
+                    vliw_sched::schedule_outcome(&k, &ctx.machine, ScheduleOptions::new(p)).is_ok()
                 });
                 if all_schedulable {
                     kernels.push(k);
@@ -464,7 +464,7 @@ fn run_mshr(ctx: &ExperimentContext, _: &str) -> Metrics {
     let mut mshr_ctx = ctx.clone();
     mshr_ctx.machine = mshr_ctx.machine.clone().with_mshrs(2);
     let res = fig6::fig6_grid().run(&mshr_ctx);
-    let t = report::mshr_table(&res);
+    let t = mshr_table(&res);
     print!("{}", t.render());
     save("mshr", t.to_csv());
     let mix = res.mshr_by_config();
@@ -525,7 +525,7 @@ fn run_optgap(ctx: &ExperimentContext, _: &str) -> Metrics {
         .config("IPBC/swing", base)
         .config("IPBC/bnb", base.with_backend(SchedBackend::ExactBnB))
         .run(&one);
-    let qt = report::backend_quality_table(&res);
+    let qt = backend_quality_table(&res);
     print!("{}", qt.render());
     save("backend_quality", qt.to_csv());
     let q = res.quality_by_config();
@@ -591,7 +591,7 @@ fn run_trace(ctx: &ExperimentContext, scale: &str) -> Metrics {
     // of the whole service (cache lifecycle, prepare stages, backends,
     // batch worker, simulation windows), exported as Chrome trace JSON
     // plus a flat metrics snapshot
-    let tr = trace_exp::run_trace(ctx, 1);
+    let tr = vliw_experiments::run_trace(ctx, 1);
     print!("{tr}");
     let dir = Path::new("results").join("trace");
     let path = dir.join(format!("trace-{scale}.json"));
@@ -609,9 +609,9 @@ fn run_faults(ctx: &ExperimentContext, scale: &str) -> Metrics {
     // workload; every fault must land in exactly one recovery counter
     // and the drain digests must stay bit-identical
     let fopts = if scale == "quick" {
-        faults::FaultOptions::quick()
+        FaultOptions::quick()
     } else {
-        faults::FaultOptions::full()
+        FaultOptions::full()
     };
     // keep the planned panic spew out of the run log; anything
     // unplanned still prints
@@ -625,7 +625,7 @@ fn run_faults(ctx: &ExperimentContext, scale: &str) -> Metrics {
             default_hook(info);
         }
     }));
-    let fr = faults::run_faults(ctx, &fopts);
+    let fr = vliw_experiments::run_faults(ctx, &fopts);
     let _ = std::panic::take_hook();
     print!("{fr}");
     save("faults", fr.table().to_csv());

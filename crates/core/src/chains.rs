@@ -68,13 +68,8 @@ impl MemChains {
     }
 
     /// Number of chains.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.chains.len()
-    }
-
-    /// Whether there are no memory operations at all.
-    pub fn is_empty(&self) -> bool {
-        self.chains.is_empty()
     }
 
     /// Iterator over `(chain id, members)`.
@@ -126,6 +121,13 @@ impl MemChains {
 mod tests {
     use super::*;
     use vliw_ir::{ArrayKind, DepKind, KernelBuilder, MemProfile};
+
+    impl MemChains {
+        /// Whether there are no memory operations at all.
+        fn is_empty(&self) -> bool {
+            self.chains.is_empty()
+        }
+    }
 
     #[test]
     fn unchained_mem_ops_are_singletons() {

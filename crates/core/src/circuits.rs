@@ -47,13 +47,14 @@ pub struct Circuit {
 
 impl Circuit {
     /// Whether `op` lies on this circuit.
-    pub fn contains(&self, op: OpId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, op: OpId) -> bool {
         self.nodes.contains(&op)
     }
 
     /// The initiation-interval bound imposed by this circuit under the
     /// given per-edge latency function: `ceil(Σ latency / Σ distance)`.
-    pub fn ii_bound(&self, mut edge_latency: impl FnMut(usize) -> u32) -> u32 {
+    pub(crate) fn ii_bound(&self, mut edge_latency: impl FnMut(usize) -> u32) -> u32 {
         let lat: u64 = self.edges.iter().map(|&e| edge_latency(e) as u64).sum();
         let dist = self.total_distance as u64;
         debug_assert!(

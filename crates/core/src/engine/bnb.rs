@@ -156,11 +156,7 @@ pub(crate) fn schedule(
     options: &ScheduleOptions,
     trace: Trace<'_>,
 ) -> Result<ScheduleOutcome, ScheduleError> {
-    let _backend_span = if trace.on() {
-        Some(trace.span("backend.bnb"))
-    } else {
-        None
-    };
+    let _backend_span = trace.span("backend.bnb");
     let mut stats = SchedStats::default();
     let (ddg, prep) = prepare(kernel, machine, options, trace);
 
@@ -766,7 +762,9 @@ mod tests {
         let k = saxpy();
         let m = MachineConfig::word_interleaved_4();
         for policy in ClusterPolicy::ALL {
-            let h = crate::engine::schedule_kernel(&k, &m, ScheduleOptions::new(policy)).unwrap();
+            let h = schedule_outcome(&k, &m, ScheduleOptions::new(policy))
+                .unwrap()
+                .schedule;
             let o = schedule_outcome(&k, &m, opts(policy)).unwrap();
             assert!(o.schedule.ii <= h.ii, "{policy:?}");
             assert!(o.schedule.ii >= o.schedule.mii, "{policy:?}");
@@ -823,9 +821,9 @@ mod tests {
     fn zero_budget_surfaces_cutoff_not_silent_fallback() {
         let k = dense();
         let m = MachineConfig::word_interleaved_4();
-        let heuristic =
-            crate::engine::schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
-                .unwrap();
+        let heuristic = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+            .unwrap()
+            .schedule;
         assert!(heuristic.ii > heuristic.mii, "kernel must have a gap");
         let mut o = opts(ClusterPolicy::Free);
         o.cost_ceiling = Some(0);

@@ -141,7 +141,7 @@ impl ClusterPolicy {
     ];
 }
 
-/// Counters describing how much work one [`schedule_kernel`] call did —
+/// Counters describing how much work one [`schedule_outcome`] call did —
 /// the scheduler's throughput denominators (see the `sched` bench and the
 /// `repro … sched` target).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -175,7 +175,7 @@ impl SchedStats {
     }
 }
 
-/// Options for [`schedule_kernel`].
+/// Options for [`schedule_outcome`].
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleOptions {
     /// Cluster-assignment policy.
@@ -236,7 +236,9 @@ impl Default for ScheduleOptions {
     }
 }
 
-/// Modulo-schedules `kernel` for `machine`.
+/// Modulo-schedules `kernel` for `machine`, returning the full
+/// [`ScheduleOutcome`]: schedule, work counters and the backend's quality
+/// claim (heuristic / proven optimal / cutoff).
 ///
 /// Runs the backend selected by [`ScheduleOptions::backend`] (default:
 /// [`SchedBackend::SwingModulo`], the paper's §4.3.1 pipeline of latency
@@ -252,22 +254,6 @@ impl Default for ScheduleOptions {
 /// limit (pathological resource pressure), and
 /// [`ScheduleError::SearchCutoff`] when an exact backend exhausts its node
 /// budget with no schedule at all.
-pub fn schedule_kernel(
-    kernel: &LoopKernel,
-    machine: &MachineConfig,
-    options: ScheduleOptions,
-) -> Result<Schedule, ScheduleError> {
-    schedule_outcome(kernel, machine, options).map(|o| o.schedule)
-}
-
-/// [`schedule_kernel`] returning the full [`ScheduleOutcome`] — schedule,
-/// work counters and the backend's quality claim (heuristic / proven
-/// optimal / cutoff). This is the entry point callers use when the
-/// distinction matters; [`schedule_kernel`] discards all but the schedule.
-///
-/// # Errors
-///
-/// Same as [`schedule_kernel`].
 pub fn schedule_outcome(
     kernel: &LoopKernel,
     machine: &MachineConfig,
@@ -287,7 +273,7 @@ pub fn schedule_outcome(
 ///
 /// # Errors
 ///
-/// Same as [`schedule_kernel`].
+/// Same as [`schedule_outcome`].
 pub fn schedule_outcome_traced(
     kernel: &LoopKernel,
     machine: &MachineConfig,
@@ -476,14 +462,10 @@ pub(crate) fn swing_with_prep(
     // Span granularity stops here: probes wrap whole placement attempts,
     // never the inside of `TryState::run`, so the zero-allocation hot loop
     // is byte-identical with or without a sink attached.
-    let _backend_span = if trace.on() {
-        Some(trace.span_with(
-            "backend.swing",
-            &[("mii", mii as f64), ("max_ii", max_ii as f64)],
-        ))
-    } else {
-        None
-    };
+    let _backend_span = trace.span_with(
+        "backend.swing",
+        &[("mii", mii as f64), ("max_ii", max_ii as f64)],
+    );
 
     let mut scratch = Scratch::new(machine);
     let mut attempt_order: Vec<OpId> = Vec::with_capacity(order.len());
@@ -839,8 +821,9 @@ mod tests {
     fn figure3_base_reaches_mii_with_no_chain_guarantee() {
         let (k, _) = figure3_kernel();
         let m = figure3_machine();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         assert_eq!(s.ii, 8, "BASE also achieves the MII on Figure 3");
     }
@@ -853,8 +836,9 @@ mod tests {
     fn figure3_ibc_keeps_chain_together_at_mii() {
         let (k, ops) = figure3_kernel();
         let m = figure3_machine();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         let c = s.op(ops.n1).cluster;
         assert_eq!(s.op(ops.n2).cluster, c, "chain member n2 follows n1");
@@ -874,8 +858,9 @@ mod tests {
     fn figure3_ipbc_pins_chain_to_average_preferred_cluster() {
         let (k, ops) = figure3_kernel();
         let m = figure3_machine();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         assert_eq!(s.op(ops.n1).cluster, 0);
         assert_eq!(s.op(ops.n2).cluster, 0);
@@ -921,8 +906,9 @@ mod tests {
     fn figure3_no_chains_splits_the_chain_to_preferences() {
         let (k, ops) = figure3_kernel();
         let m = figure3_machine();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "resource/dependence legal");
         assert_eq!(s.op(ops.n1).cluster, 0);
         assert_eq!(s.op(ops.n2).cluster, 0);

@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::chains::MemChains;
     use crate::circuits::{elementary_circuits, EnumLimits};
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
     use crate::latency::assign_latencies_with_pins;
     use crate::mii;
     use vliw_ir::Ddg;
@@ -270,8 +270,9 @@ mod tests {
     #[test]
     fn ipbc_places_chain_in_preferred_clusters() {
         let (k, ops, m) = setup();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty(), "legal schedule");
         // the n1-n2-n4 chain sits in its average preferred cluster (0)
         assert_eq!(s.op(ops.n1).cluster, 0);
@@ -285,8 +286,9 @@ mod tests {
     #[test]
     fn ibc_keeps_chain_together() {
         let (k, ops, m) = setup();
-        let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
-            .expect("schedulable");
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
+            .expect("schedulable")
+            .schedule;
         assert!(s.verify(&k, &m).is_empty());
         let c = s.op(ops.n1).cluster;
         assert_eq!(s.op(ops.n2).cluster, c);

@@ -80,7 +80,7 @@ pub fn attraction_hints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
     use vliw_ir::{ArrayKind, KernelBuilder, MemProfile};
 
     /// A loop with `n` loads all preferring cluster 0 (IPBC packs them).
@@ -98,8 +98,9 @@ mod tests {
     fn no_overflow_keeps_everything_attractable() {
         let m = MachineConfig::word_interleaved_4().with_attraction_buffers(16, 2);
         let k = packed_loop(5);
-        let s =
-            schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains)).unwrap();
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .unwrap()
+            .schedule;
         let h = attraction_hints(&k, &s, &m);
         assert!(k.ops.iter().all(|o| h.is_attractable(o.id)));
     }
@@ -108,8 +109,9 @@ mod tests {
     fn overflowing_cluster_is_capped_at_buffer_entries() {
         let m = MachineConfig::word_interleaved_4().with_attraction_buffers(8, 2);
         let k = packed_loop(19); // the epicdec situation
-        let s =
-            schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains)).unwrap();
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .unwrap()
+            .schedule;
         // all 19 loads land in cluster 0 under IPBC
         assert!(k.mem_ops().all(|o| s.op(o.id).cluster == 0));
         let h = attraction_hints(&k, &s, &m);
@@ -121,8 +123,9 @@ mod tests {
     fn machines_without_buffers_allow_all() {
         let m = MachineConfig::word_interleaved_4();
         let k = packed_loop(19);
-        let s =
-            schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains)).unwrap();
+        let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+            .unwrap()
+            .schedule;
         let h = attraction_hints(&k, &s, &m);
         assert!(k.ops.iter().all(|o| h.is_attractable(o.id)));
     }

@@ -55,7 +55,7 @@ impl LatencyAssignment {
     /// (`steps`) is not persisted — it exists for inspection of a live
     /// reduction, and nothing downstream of a finished schedule reads it —
     /// so a rebuilt assignment carries an empty log.
-    pub fn from_raw(lat: Vec<u32>, target_mii: u32) -> Self {
+    pub(crate) fn from_raw(lat: Vec<u32>, target_mii: u32) -> Self {
         LatencyAssignment {
             lat,
             target_mii,
@@ -119,7 +119,7 @@ pub struct BenefitStep {
 /// remote on the word-interleaved machine (§5.2), so their local fraction
 /// is zero. On machines without remote accesses only hit/miss classes
 /// exist. Loads without a profile use a local fraction of `1/N` (uniform).
-pub fn stall_estimate(
+pub(crate) fn stall_estimate(
     kernel: &LoopKernel,
     machine: &MachineConfig,
     op: OpId,
@@ -153,7 +153,7 @@ pub fn stall_estimate(
 
 /// The latency classes available for assignment on `machine`, cheapest
 /// first: all four on the word-interleaved machine, hit/miss otherwise.
-pub fn available_classes(machine: &MachineConfig) -> Vec<AccessClass> {
+pub(crate) fn available_classes(machine: &MachineConfig) -> Vec<AccessClass> {
     if machine.has_remote_accesses() {
         AccessClass::ALL.to_vec()
     } else {

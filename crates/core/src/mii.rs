@@ -16,7 +16,7 @@ use vliw_machine::MachineConfig;
 /// * memory anti: 0 — the reader may issue in the same cycle slot group
 ///   (the single memory unit per cluster already serializes same-cycle
 ///   conflicts).
-pub fn edge_latency(edge: &DepEdge, mut lat_of: impl FnMut(OpId) -> u32) -> u32 {
+pub(crate) fn edge_latency(edge: &DepEdge, mut lat_of: impl FnMut(OpId) -> u32) -> u32 {
     match edge.kind {
         DepKind::RegFlow => lat_of(edge.from),
         DepKind::RegAnti => 0,

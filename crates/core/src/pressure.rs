@@ -64,13 +64,15 @@ pub fn max_live(kernel: &LoopKernel, schedule: &Schedule) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use crate::engine::{schedule_outcome, ClusterPolicy, ScheduleOptions};
     use vliw_ir::{ArrayKind, KernelBuilder, MemProfile, Opcode};
     use vliw_machine::MachineConfig;
 
     fn schedule(k: &LoopKernel) -> Schedule {
         let m = MachineConfig::word_interleaved_4();
-        schedule_kernel(k, &m, ScheduleOptions::new(ClusterPolicy::Free)).unwrap()
+        schedule_outcome(k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+            .unwrap()
+            .schedule
     }
 
     #[test]

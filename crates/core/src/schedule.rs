@@ -219,7 +219,8 @@ impl Schedule {
     /// persistence in the schedule cache.
     ///
     /// The latency-assignment reduction log (`latencies.steps`) is not
-    /// serialized — see [`LatencyAssignment::from_raw`]. Two schedules are
+    /// serialized: nothing downstream of a finished schedule reads it, so
+    /// a reloaded schedule carries an empty log. Two schedules are
     /// behaviourally identical iff their compact texts are byte-identical,
     /// which is the equality the cache's determinism contracts check.
     pub fn to_compact_text(&self) -> String {

@@ -1,6 +1,6 @@
 //! The batch scheduling service: drain a large kernel×config request
-//! queue through the schedule cache ([`crate::schedcache`]) with
-//! a pool of workers, and prove the answers identical cold, warm and
+//! queue through the schedule cache ([`SchedCache`]) with a pool of
+//! workers, and prove the answers identical cold, warm and
 //! reloaded-from-disk.
 //!
 //! The workload replicates the suite: every factor-1 loop of the context
@@ -53,7 +53,7 @@ use crate::schedcache::{SchedCache, ScheduleStore};
 /// fault harness's once-per-generation panic shims, or a real bug tied
 /// to lost in-memory state — heal within one retry; a deterministic
 /// panic exhausts the retries and fails the request, never the worker.
-pub const PANIC_RETRIES: u32 = 3;
+pub(crate) const PANIC_RETRIES: u32 = 3;
 
 /// One job: schedule `kernel` under `cfg`.
 #[derive(Debug, Clone)]
@@ -109,14 +109,14 @@ pub struct BatchReport {
     /// caught and failed, and whether all their fingerprints agree.
     pub containment: Containment,
     /// Times a cold-parallel worker blocked on another's in-flight fill
-    /// of the same cell ([`SchedCache::inflight_waits`]).
+    /// of the same cell.
     pub inflight_waits: u64,
 }
 
 impl BatchReport {
     /// Warm-memory throughput over cold parallel throughput — the
     /// headline "what does the cache buy a batch server" ratio.
-    pub fn warm_over_cold(&self) -> f64 {
+    pub(crate) fn warm_over_cold(&self) -> f64 {
         self.warm_mem.per_sec / self.cold_parallel.per_sec
     }
 
@@ -415,8 +415,8 @@ pub struct Containment {
     /// Failed slots recovered (reset and re-attempted) by later requests.
     pub slots_recovered: u64,
     /// Re-attempts the drains made after a
-    /// [`ScheduleError::PreparationPanicked`] answer (bounded by
-    /// [`PANIC_RETRIES`] per request).
+    /// [`ScheduleError::PreparationPanicked`] answer (at most 3 per
+    /// request).
     pub panic_retries: u64,
     /// Panics that escaped the caches' containment and were caught at
     /// the worker-loop boundary instead (the belt-and-braces layer; 0 in

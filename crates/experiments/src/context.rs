@@ -142,7 +142,7 @@ impl RunConfig {
     }
 
     /// The same configuration fed from a different profile source.
-    pub fn with_source(mut self, source: ProfileSource) -> Self {
+    pub(crate) fn with_source(mut self, source: ProfileSource) -> Self {
         self.source = source;
         self
     }
@@ -473,11 +473,7 @@ pub fn prepare_loop(
     ctx: &ExperimentContext,
     trace: Trace<'_>,
 ) -> Result<PreparedLoop, ScheduleError> {
-    let _loop_span = if trace.on() {
-        Some(trace.span("prepare_loop"))
-    } else {
-        None
-    };
+    let _loop_span = trace.span("prepare_loop");
     let opts = schedule_options(cfg, ctx);
     let mut builder = VariantBuilder::new(original, machine, cfg, ctx);
     let ouf = vliw_sched::optimal_unroll_factor(builder.original(), machine);
@@ -632,50 +628,11 @@ impl BenchRun {
         out
     }
 
-    /// Scaled MSHR activity summed over loops: `[fills, merged waiters,
-    /// full-stall cycles]`.
-    pub fn mshr_mix(&self) -> [f64; 3] {
-        let mut out = [0.0; 3];
-        for l in &self.loops {
-            let m = l.sim.mshr();
-            let w = l.sim.scale;
-            out[0] += m.fills as f64 * w;
-            out[1] += m.merged_waiters as f64 * w;
-            out[2] += m.full_stall_cycles as f64 * w;
-        }
-        out
-    }
-
-    /// Highest per-cluster MSHR occupancy any loop observed.
-    pub fn mshr_peak_occupancy(&self) -> u64 {
-        self.loops
-            .iter()
-            .map(|l| l.sim.mshr().peak_occupancy)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Scaled stall breakdown summed over loops.
     pub fn stall_breakdown(&self) -> vliw_sim::StallBreakdown {
         let mut out = vliw_sim::StallBreakdown::default();
         for l in &self.loops {
             out.merge(&l.sim.stall_by);
-        }
-        out
-    }
-
-    /// Per-quality loop counts `[heuristic, proven optimal, cutoff]` —
-    /// how many of this run's schedules carry which backend claim. The
-    /// cutoff column is how exact-backend budget exhaustion surfaces in
-    /// aggregated reports (never a silent fallback).
-    pub fn quality_counts(&self) -> [usize; 3] {
-        let mut out = [0usize; 3];
-        for l in &self.loops {
-            match l.prepared.quality {
-                SchedQuality::Heuristic => out[0] += 1,
-                SchedQuality::ProvenOptimal => out[1] += 1,
-                SchedQuality::CutoffFeasible => out[2] += 1,
-            }
         }
         out
     }
@@ -691,14 +648,10 @@ impl BenchRun {
 }
 
 /// Runs one benchmark model under one configuration: prepares every loop
-/// and simulates it on the *execution* input.
-pub fn run_benchmark(model: &BenchmarkModel, cfg: &RunConfig, ctx: &ExperimentContext) -> BenchRun {
-    run_benchmark_memo(model, cfg, ctx, None)
-}
-
-/// [`run_benchmark`] with an optional shared [`SchedCache`], so grids
-/// sweeping buffer/hint axes schedule each loop once per distinct
-/// preparation key. Results are identical with or without the memo.
+/// and simulates it on the *execution* input. An optional shared
+/// [`SchedCache`] lets grids sweeping buffer/hint axes schedule each loop
+/// once per distinct preparation key; results are identical with or
+/// without it.
 pub fn run_benchmark_memo(
     model: &BenchmarkModel,
     cfg: &RunConfig,
@@ -1006,7 +959,7 @@ mod tests {
         let models = ctx.models();
         assert_eq!(models.len(), 4);
         let gsm = models.iter().find(|m| m.name == "gsmdec").unwrap();
-        let run = run_benchmark(gsm, &RunConfig::ipbc(), &ctx);
+        let run = run_benchmark_memo(gsm, &RunConfig::ipbc(), &ctx, None);
         assert_eq!(run.loops.len(), gsm.loops.len(), "no loop skipped");
         assert!(run.total_cycles() > 0.0);
         let mix = run.access_mix();

@@ -6,7 +6,7 @@ use vliw_ir::Ddg;
 use vliw_machine::AccessClass;
 use vliw_sched::examples_443::{figure3_kernel, figure3_machine};
 use vliw_sched::{
-    assign_latencies_with_pins, elementary_circuits, schedule_kernel, ClusterPolicy, EnumLimits,
+    assign_latencies_with_pins, elementary_circuits, schedule_outcome, ClusterPolicy, EnumLimits,
     ScheduleOptions,
 };
 
@@ -94,12 +94,13 @@ pub fn example433() -> Example433 {
         }
     }
 
-    let schedule = schedule_kernel(
+    let schedule = schedule_outcome(
         &kernel,
         &machine,
         ScheduleOptions::new(ClusterPolicy::PreBuildChains),
     )
-    .expect("figure 3 schedules");
+    .expect("figure 3 schedules")
+    .schedule;
     Example433 {
         steps,
         final_latencies: (

@@ -103,7 +103,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Derives the plan from the seed, the request queue, and the
     /// healthy store's record count.
-    pub fn derive(
+    pub(crate) fn derive(
         seed: u64,
         requests: &[BatchRequest],
         n_records: usize,

@@ -39,7 +39,7 @@ pub struct StallBar {
 
 impl StallBar {
     /// Total bar height.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.remote_hit + self.local_miss + self.remote_miss + self.combined + self.other
     }
 }

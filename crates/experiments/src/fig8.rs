@@ -69,7 +69,7 @@ impl Fig8 {
 
     /// Mean slowdown of bar `a` versus the unified-L=1 baseline
     /// (`total_a − 1`, since bars are normalized to that baseline).
-    pub fn slowdown_vs_unified1(&self, a: usize) -> f64 {
+    pub(crate) fn slowdown_vs_unified1(&self, a: usize) -> f64 {
         amean(self.rows.iter().map(|r| r.bars[a].total())) - 1.0
     }
 

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
+use vliw_sched::SchedQuality;
 use vliw_workloads::BenchmarkModel;
 
 use crate::context::{run_benchmark_memo, BenchRun, ExperimentContext, ProfileSource, RunConfig};
@@ -116,7 +117,11 @@ impl RunGrid {
 
     /// Executes the grid over explicit (possibly filtered or synthetic)
     /// models instead of synthesizing them from the context.
-    pub fn run_on_models(&self, models: &[BenchmarkModel], ctx: &ExperimentContext) -> GridResult {
+    pub(crate) fn run_on_models(
+        &self,
+        models: &[BenchmarkModel],
+        ctx: &ExperimentContext,
+    ) -> GridResult {
         let n_cfg = self.configs.len();
         let n_models = models.len();
         let cells_total = n_models * n_cfg;
@@ -218,28 +223,36 @@ impl GridResult {
     }
 
     /// All runs of config index `c`, one per benchmark.
-    pub fn by_config(&self, c: usize) -> impl Iterator<Item = &BenchRun> {
+    pub(crate) fn by_config(&self, c: usize) -> impl Iterator<Item = &BenchRun> {
         let n = self.configs.len();
         self.cells.iter().skip(c).step_by(n.max(1))
     }
 
     /// Arithmetic mean of `f` over benchmarks, per configuration.
-    pub fn amean_by_config(&self, f: impl Fn(&BenchRun) -> f64) -> Vec<f64> {
+    pub(crate) fn amean_by_config(&self, f: impl Fn(&BenchRun) -> f64) -> Vec<f64> {
         (0..self.configs.len())
             .map(|c| amean(self.by_config(c).map(&f)))
             .collect()
     }
 
     /// Per-configuration MSHR activity summed over benchmarks:
-    /// `[fills, merged waiters, full-stall cycles]` (scaled counts, like
-    /// [`BenchRun::mshr_mix`]).
+    /// `[fills, merged waiters, full-stall cycles]`, each loop's counts
+    /// scaled like its cycles. Each benchmark's loops are summed first,
+    /// then the benchmarks, which fixes the floating-point sum order.
     pub fn mshr_by_config(&self) -> Vec<[f64; 3]> {
         (0..self.configs.len())
             .map(|c| {
                 let mut out = [0.0; 3];
                 for run in self.by_config(c) {
-                    let m = run.mshr_mix();
-                    for (o, v) in out.iter_mut().zip(m) {
+                    let mut mix = [0.0; 3];
+                    for l in &run.loops {
+                        let m = l.sim.mshr();
+                        let w = l.sim.scale;
+                        mix[0] += m.fills as f64 * w;
+                        mix[1] += m.merged_waiters as f64 * w;
+                        mix[2] += m.full_stall_cycles as f64 * w;
+                    }
+                    for (o, v) in out.iter_mut().zip(mix) {
                         *o += v;
                     }
                 }
@@ -248,26 +261,30 @@ impl GridResult {
             .collect()
     }
 
-    /// Highest per-cluster MSHR occupancy any cell of config `c` observed.
+    /// Highest per-cluster MSHR occupancy any loop of config `c` observed.
     pub fn mshr_peak_by_config(&self, c: usize) -> u64 {
         self.by_config(c)
-            .map(|r| r.mshr_peak_occupancy())
+            .flat_map(|r| &r.loops)
+            .map(|l| l.sim.mshr().peak_occupancy)
             .max()
             .unwrap_or(0)
     }
 
     /// Per-configuration schedule-quality counts
-    /// `[heuristic, proven optimal, cutoff]`, summed over benchmarks —
-    /// how the backend axis surfaces in aggregation. A nonzero cutoff
-    /// column is the visible record of exact-search budget exhaustion.
+    /// `[heuristic, proven optimal, cutoff]`: how many loop schedules,
+    /// summed over benchmarks, carry which backend claim. This is how the
+    /// backend axis surfaces in aggregation; a nonzero cutoff column is
+    /// the visible record of exact-search budget exhaustion (never a
+    /// silent fallback).
     pub fn quality_by_config(&self) -> Vec<[usize; 3]> {
         (0..self.configs.len())
             .map(|c| {
                 let mut out = [0usize; 3];
-                for run in self.by_config(c) {
-                    let q = run.quality_counts();
-                    for (o, v) in out.iter_mut().zip(q) {
-                        *o += v;
+                for l in self.by_config(c).flat_map(|r| &r.loops) {
+                    match l.prepared.quality {
+                        SchedQuality::Heuristic => out[0] += 1,
+                        SchedQuality::ProvenOptimal => out[1] += 1,
+                        SchedQuality::CutoffFeasible => out[2] += 1,
                     }
                 }
                 out

@@ -36,7 +36,7 @@ pub struct InterleaveStudy {
 impl InterleaveStudy {
     /// The cycle improvement of `bytes`-interleaving over the baseline
     /// 4-byte factor for `bench` (positive = faster).
-    pub fn improvement(&self, bench: &str, bytes: usize) -> Option<f64> {
+    pub(crate) fn improvement(&self, bench: &str, bytes: usize) -> Option<f64> {
         let at = |i: usize| {
             self.rows
                 .iter()

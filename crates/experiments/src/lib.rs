@@ -16,12 +16,12 @@
 //! | [`interleave_study`] | §5.1 — 2-byte vs 4-byte interleaving for gsm |
 //! | [`optgap`] | heuristic II vs the exact branch-and-bound pipeliner |
 //!
-//! All drivers run the same pipeline ([`context`]): synthesize the
-//! benchmark models, profile each loop on the *profile* input, unroll
-//! (per-configuration mode), schedule, then simulate on the *execution*
-//! input. [`ExperimentContext::full`] is the paper-scale run;
-//! [`ExperimentContext::quick`] is a four-benchmark smoke configuration
-//! used by tests.
+//! All drivers run the same pipeline ([`run_benchmark_memo`] over
+//! [`prepare_loop`]): synthesize the benchmark models, profile each loop
+//! on the *profile* input, unroll (per-configuration mode), schedule, then
+//! simulate on the *execution* input. [`ExperimentContext::full`] is the
+//! paper-scale run; [`ExperimentContext::quick`] is a four-benchmark smoke
+//! configuration used by tests.
 //!
 //! # Example
 //!
@@ -35,32 +35,33 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(clippy::unwrap_used)]
 
 pub mod batch;
 pub mod chains_exp;
-pub mod context;
+mod context;
 pub mod example433;
-pub mod faults;
+mod faults;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod grid;
+mod grid;
 pub mod hints_exp;
 pub mod interleave_study;
 pub mod optgap;
 pub mod profile_fidelity;
-pub mod report;
-pub mod schedcache;
+mod report;
+mod schedcache;
 pub mod tables;
-pub mod trace_exp;
+mod trace_exp;
 
 pub use batch::{run_batch, BatchReport, BatchRequest, Containment};
 pub use context::{
-    prepare_loop, run_benchmark, run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext,
-    LoopRun, PreparedLoop, ProfileSource, RunConfig, UnrollMode,
+    prepare_loop, run_benchmark_memo, ArchVariant, BenchRun, ExperimentContext, LoopRun,
+    PreparedLoop, ProfileSource, RunConfig, UnrollMode,
 };
 pub use faults::{run_faults, FaultOptions, FaultPlan, FaultReport};
 pub use grid::{GridResult, RunGrid};

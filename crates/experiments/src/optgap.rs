@@ -30,7 +30,7 @@ use crate::context::{profiled, ExperimentContext};
 use crate::report::{f3, Table};
 use vliw_ir::LoopKernel;
 use vliw_sched::{
-    schedule_kernel, schedule_outcome, ClusterPolicy, SchedBackend, SchedQuality, ScheduleOptions,
+    schedule_outcome, ClusterPolicy, SchedBackend, SchedQuality, ScheduleOptions,
     DEFAULT_NODE_BUDGET,
 };
 
@@ -171,7 +171,7 @@ fn policy_row(policy: ClusterPolicy, kernels: &[LoopKernel], ctx: &ExperimentCon
     for kernel in kernels {
         // the heuristic II is the numerator; a (pathological) heuristic
         // failure leaves no cell to compare
-        let Ok(heuristic) = schedule_kernel(kernel, machine, heuristic_opts) else {
+        let Ok(heuristic) = schedule_outcome(kernel, machine, heuristic_opts) else {
             continue;
         };
         row.kernels += 1;
@@ -182,16 +182,16 @@ fn policy_row(policy: ClusterPolicy, kernels: &[LoopKernel], ctx: &ExperimentCon
                     live_sum += live as f64;
                     live_cells += 1;
                 }
-                if o.schedule.ii < heuristic.ii {
+                if o.schedule.ii < heuristic.schedule.ii {
                     row.better += 1;
                 }
                 match o.quality {
                     SchedQuality::ProvenOptimal => {
                         row.proven += 1;
-                        if heuristic.ii == o.schedule.ii {
+                        if heuristic.schedule.ii == o.schedule.ii {
                             row.matched += 1;
                         }
-                        ratio_sum += heuristic.ii as f64 / o.schedule.ii as f64;
+                        ratio_sum += heuristic.schedule.ii as f64 / o.schedule.ii as f64;
                     }
                     SchedQuality::CutoffFeasible => row.cutoff += 1,
                     SchedQuality::Heuristic => {

@@ -15,7 +15,7 @@ pub struct Table {
 
 impl Table {
     /// Starts a table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -24,7 +24,7 @@ impl Table {
     }
 
     /// Appends a row (first cell is usually the benchmark name).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
         self
@@ -70,12 +70,12 @@ impl Table {
 }
 
 /// Formats a fraction with 3 decimals.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
 /// Formats a count/cycles value compactly.
-pub fn fcycles(x: f64) -> String {
+pub(crate) fn fcycles(x: f64) -> String {
     if x >= 1e6 {
         format!("{:.2}M", x / 1e6)
     } else if x >= 1e3 {
@@ -145,7 +145,7 @@ pub fn backend_quality_table(result: &GridResult) -> Table {
 }
 
 /// Arithmetic mean of an iterator (NaN on empty).
-pub fn amean(values: impl IntoIterator<Item = f64>) -> f64 {
+pub(crate) fn amean(values: impl IntoIterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0usize);
     for v in values {
         sum += v;

@@ -65,7 +65,7 @@ use crate::context::{
 /// [`StableHasher`] digest of the header and schedule lines) so the
 /// salvage loader can tell a torn or bit-flipped record from a good one;
 /// version-1 stores (no check lines) are rejected.
-pub const SCHED_STORE_VERSION: u32 = 2;
+pub(crate) const SCHED_STORE_VERSION: u32 = 2;
 
 /// The preparation-relevant identity of one cache cell.
 ///
@@ -366,7 +366,7 @@ impl SchedCache {
 
     /// Times a thread blocked on another's in-flight preparation of the
     /// same cell (work deduplicated, not duplicated).
-    pub fn inflight_waits(&self) -> u64 {
+    pub(crate) fn inflight_waits(&self) -> u64 {
         self.inflight_waits.load(Ordering::Relaxed)
     }
 
@@ -429,7 +429,7 @@ impl SchedCache {
     /// # Errors
     ///
     /// As [`prepare`](SchedCache::prepare).
-    pub fn prepare_traced(
+    pub(crate) fn prepare_traced(
         &self,
         original: &LoopKernel,
         machine: &MachineConfig,
@@ -448,11 +448,7 @@ impl SchedCache {
                 self.inflight_waits.fetch_add(1, Ordering::Relaxed);
                 // the wait span brackets blocking on another thread's fill
                 // of the same cell — waiter wake latency in trace time
-                let _wait = if trace.on() {
-                    Some(trace.span("cache.wait"))
-                } else {
-                    None
-                };
+                let _wait = trace.span("cache.wait");
                 lock_recover(&slot)
             }
             Err(TryLockError::Poisoned(e)) => e.into_inner(),
@@ -489,11 +485,7 @@ impl SchedCache {
         }
         self.prepares.fetch_add(1, Ordering::Relaxed);
         trace.instant("cache.miss", &[]);
-        let fill_span = if trace.on() {
-            Some(trace.span("cache.fill"))
-        } else {
-            None
-        };
+        let fill_span = trace.span("cache.fill");
         // the panic boundary: the computation — and only the computation —
         // runs under `catch_unwind`, inside the guard scope, so a panic
         // can neither unwind through (poisoning the mutex and wedging

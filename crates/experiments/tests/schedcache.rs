@@ -441,7 +441,7 @@ fn panic_storm_is_contained_and_recovered() {
 /// and accounts for every declared record once the prelude is intact.
 #[test]
 fn salvage_recovers_exactly_the_intact_prefix() {
-    use vliw_experiments::schedcache::SalvageReport;
+    use vliw_experiments::SalvageReport;
 
     let ctx = ctx();
     let kernels = kernels(&ctx);

@@ -29,7 +29,7 @@ pub enum DepKind {
 
 impl DepKind {
     /// Whether this is a register dependence.
-    pub fn is_register(self) -> bool {
+    pub(crate) fn is_register(self) -> bool {
         matches!(self, DepKind::RegFlow | DepKind::RegAnti | DepKind::RegOut)
     }
 
@@ -204,11 +204,6 @@ impl<'k> Ddg<'k> {
         self.pred_edges(op).chain(self.succ_edges(op))
     }
 
-    /// Successor operations of `op` (with repetitions if multiple edges).
-    pub fn succs(&self, op: OpId) -> impl Iterator<Item = OpId> + '_ {
-        self.succ_edges(op).map(|e| e.to)
-    }
-
     /// Predecessor operations of `op` (with repetitions if multiple edges).
     pub fn preds(&self, op: OpId) -> impl Iterator<Item = OpId> + '_ {
         self.pred_edges(op).map(|e| e.from)
@@ -220,6 +215,13 @@ mod tests {
     use super::*;
     use crate::builder::KernelBuilder;
     use crate::op::Opcode;
+
+    impl Ddg<'_> {
+        /// Successor operations of `op` (with repetitions if multiple edges).
+        fn succs(&self, op: OpId) -> impl Iterator<Item = OpId> + '_ {
+            self.succ_edges(op).map(|e| e.to)
+        }
+    }
 
     #[test]
     fn dep_kind_classification() {

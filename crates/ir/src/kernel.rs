@@ -5,7 +5,6 @@ use std::fmt;
 use crate::ddg::DepEdge;
 use crate::mem_access::ArrayInfo;
 use crate::op::{OpId, Operation};
-use crate::reg::VirtReg;
 
 /// An innermost-loop body ready for modulo scheduling.
 ///
@@ -55,7 +54,8 @@ impl LoopKernel {
     }
 
     /// The defining operation of `reg`, or `None` for live-in registers.
-    pub fn def_of(&self, reg: VirtReg) -> Option<OpId> {
+    #[cfg(test)]
+    pub(crate) fn def_of(&self, reg: crate::reg::VirtReg) -> Option<OpId> {
         self.ops.iter().find(|o| o.dst == Some(reg)).map(|o| o.id)
     }
 
@@ -90,6 +90,7 @@ mod tests {
     use crate::builder::KernelBuilder;
     use crate::mem_access::ArrayKind;
     use crate::op::Opcode;
+    use crate::reg::VirtReg;
 
     fn sample() -> LoopKernel {
         let mut b = KernelBuilder::new("s");

@@ -8,7 +8,7 @@ pub struct ArrayId(u32);
 
 impl ArrayId {
     /// Creates an id from a dense index.
-    pub fn new(index: usize) -> Self {
+    pub(crate) fn new(index: usize) -> Self {
         ArrayId(index as u32)
     }
 
@@ -165,7 +165,7 @@ impl MemProfile {
     }
 
     /// Total profiled accesses.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.cluster_hist.iter().sum()
     }
 
@@ -228,7 +228,7 @@ pub struct MemAccessInfo {
 
 impl MemAccessInfo {
     /// Creates a strided access descriptor.
-    pub fn strided(array: ArrayId, offset: i64, stride: i64, granularity: u8) -> Self {
+    pub(crate) fn strided(array: ArrayId, offset: i64, stride: i64, granularity: u8) -> Self {
         MemAccessInfo {
             array,
             offset,
@@ -240,7 +240,7 @@ impl MemAccessInfo {
     }
 
     /// Creates an indirect (unknown-stride) access descriptor.
-    pub fn indirect(array: ArrayId, granularity: u8) -> Self {
+    pub(crate) fn indirect(array: ArrayId, granularity: u8) -> Self {
         MemAccessInfo {
             array,
             offset: 0,

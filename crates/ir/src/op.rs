@@ -106,7 +106,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// The functional-unit kind this opcode executes on.
-    pub fn fu_kind(self) -> FuKind {
+    pub(crate) fn fu_kind(self) -> FuKind {
         use Opcode::*;
         match self {
             Add | Sub | Mul | Div | And | Or | Xor | Shl | Shr | Cmp | Select => FuKind::Int,
@@ -116,17 +116,17 @@ impl Opcode {
     }
 
     /// Whether this opcode reads memory.
-    pub fn is_load(self) -> bool {
+    pub(crate) fn is_load(self) -> bool {
         self == Opcode::Load
     }
 
     /// Whether this opcode writes memory.
-    pub fn is_store(self) -> bool {
+    pub(crate) fn is_store(self) -> bool {
         self == Opcode::Store
     }
 
     /// Whether this opcode accesses memory at all.
-    pub fn is_mem(self) -> bool {
+    pub(crate) fn is_mem(self) -> bool {
         self.is_load() || self.is_store()
     }
 }
@@ -172,12 +172,12 @@ pub struct SrcOperand {
 
 impl SrcOperand {
     /// Reads `reg` as defined in the current iteration.
-    pub fn new(reg: VirtReg) -> Self {
+    pub(crate) fn new(reg: VirtReg) -> Self {
         SrcOperand { reg, distance: 0 }
     }
 
     /// Reads the value `reg` held `distance` iterations ago.
-    pub fn with_distance(reg: VirtReg, distance: u32) -> Self {
+    pub(crate) fn with_distance(reg: VirtReg, distance: u32) -> Self {
         SrcOperand { reg, distance }
     }
 }

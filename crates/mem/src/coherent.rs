@@ -26,7 +26,7 @@ use crate::{AccessOutcome, AccessRequest, DataCache};
 /// replication and invalidation).
 ///
 /// Load fills — cache-to-cache transfers and next-level round trips —
-/// occupy a per-cluster miss-status register ([`MshrFile`]) until they
+/// occupy a per-cluster miss-status register (MSHR) until they
 /// complete: a load hitting a block whose fill is still in flight combines
 /// with the transaction instead of being served before the data arrives,
 /// and a cluster with every register busy delays its next miss. Store

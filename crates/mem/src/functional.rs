@@ -36,7 +36,7 @@ impl FunctionalCache {
     }
 
     /// The cluster owning `addr`.
-    pub fn home_cluster(&self, addr: u64) -> usize {
+    pub(crate) fn home_cluster(&self, addr: u64) -> usize {
         ((addr / self.interleave) % self.n as u64) as usize
     }
 
@@ -52,18 +52,20 @@ impl FunctionalCache {
         }
         (home, hit)
     }
-
-    /// Forgets all cached state (between profiling different loops).
-    pub fn clear(&mut self) {
-        for t in &mut self.tags {
-            t.clear();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FunctionalCache {
+        /// Forgets all cached state (between profiling different loops).
+        fn clear(&mut self) {
+            for t in &mut self.tags {
+                t.clear();
+            }
+        }
+    }
 
     #[test]
     fn miss_then_hit_and_homes() {

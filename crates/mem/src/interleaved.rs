@@ -37,7 +37,7 @@ impl Parts {
 /// Every transaction a cluster *requests* that takes time — a remote
 /// request over the buses, a local next-level fill (load or store
 /// write-allocate) — occupies one of that cluster's miss-status registers
-/// ([`MshrFile`]) from issue to fill. The registers are what make the
+/// (MSHRs) from issue to fill. The registers are what make the
 /// timing honest: a second access to an in-flight subblock *combines* with
 /// the existing transaction and retires at its fill (it can never be served
 /// before the data arrives), and a cluster whose registers are all busy

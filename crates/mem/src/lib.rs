@@ -12,7 +12,7 @@
 //! model: each request immediately receives its completion time, computed
 //! from per-resource next-free counters (bus slots, cache ports, next-level
 //! ports). Outstanding transactions are tracked in per-cluster miss-status
-//! registers ([`MshrFile`]): a second access to an in-flight subblock
+//! registers (MSHRs): a second access to an in-flight subblock
 //! combines with the transaction and retires at its fill (it is never
 //! served before the data arrives), Attraction-Buffer entries allocate at
 //! fill time, and a cluster whose registers are all busy delays its next
@@ -52,6 +52,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod coherent;
 mod functional;
@@ -66,8 +67,6 @@ mod unified;
 pub use coherent::CoherentCache;
 pub use functional::FunctionalCache;
 pub use interleaved::InterleavedCache;
-pub use lru::SetAssoc;
-pub use mshr::{MshrEntry, MshrFile};
 pub use observe::{AccessObserver, ObservedCache};
 pub use pool::ResourcePool;
 pub use stats::{MemStats, MshrStats};
@@ -127,12 +126,6 @@ impl AccessRequest {
             now,
             tag: Self::UNTAGGED,
         }
-    }
-
-    /// The same request carrying an observer attribution tag.
-    pub fn tagged(mut self, tag: u32) -> Self {
-        self.tag = tag;
-        self
     }
 }
 

@@ -7,7 +7,7 @@
 /// set index is derived internally (`key % sets`), so callers never split
 /// tag from index themselves.
 #[derive(Debug, Clone)]
-pub struct SetAssoc {
+pub(crate) struct SetAssoc {
     sets: usize,
     ways: usize,
     entries: Vec<Option<u64>>,
@@ -21,7 +21,7 @@ impl SetAssoc {
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
-    pub fn new(sets: usize, ways: usize) -> Self {
+    pub(crate) fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "geometry must be nonzero");
         SetAssoc {
             sets,
@@ -32,18 +32,13 @@ impl SetAssoc {
         }
     }
 
-    /// Geometry helper: total entries.
-    pub fn capacity(&self) -> usize {
-        self.sets * self.ways
-    }
-
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
         let set = (key % self.sets as u64) as usize;
         set * self.ways..(set + 1) * self.ways
     }
 
     /// Probes for `key`; a hit refreshes its LRU position.
-    pub fn probe(&mut self, key: u64) -> bool {
+    pub(crate) fn probe(&mut self, key: u64) -> bool {
         self.stamp += 1;
         let range = self.set_range(key);
         for i in range {
@@ -56,7 +51,7 @@ impl SetAssoc {
     }
 
     /// Whether `key` is present, without touching LRU state.
-    pub fn contains(&self, key: u64) -> bool {
+    pub(crate) fn contains(&self, key: u64) -> bool {
         self.set_range(key)
             .into_iter()
             .any(|i| self.entries[i] == Some(key))
@@ -65,7 +60,7 @@ impl SetAssoc {
     /// Inserts `key`, evicting the LRU way of its set if needed.
     /// Returns the evicted key, if any. Inserting a present key refreshes
     /// it instead.
-    pub fn insert(&mut self, key: u64) -> Option<u64> {
+    pub(crate) fn insert(&mut self, key: u64) -> Option<u64> {
         self.stamp += 1;
         let range = self.set_range(key);
         // refresh if present
@@ -92,7 +87,7 @@ impl SetAssoc {
     }
 
     /// Removes `key` if present; returns whether it was there.
-    pub fn invalidate(&mut self, key: u64) -> bool {
+    pub(crate) fn invalidate(&mut self, key: u64) -> bool {
         let range = self.set_range(key);
         for i in range {
             if self.entries[i] == Some(key) {
@@ -104,25 +99,27 @@ impl SetAssoc {
     }
 
     /// Empties the array (Attraction Buffer flush).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.fill(None);
         self.last_use.fill(0);
-    }
-
-    /// Number of valid entries.
-    pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// Whether the array holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SetAssoc {
+        /// Number of valid entries.
+        fn len(&self) -> usize {
+            self.entries.iter().filter(|e| e.is_some()).count()
+        }
+
+        /// Whether the array holds no entries.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     #[test]
     fn miss_then_hit() {

@@ -35,7 +35,7 @@ use vliw_machine::AccessClass;
 
 /// One in-flight transaction: a requested subblock on its way to a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MshrEntry {
+pub(crate) struct MshrEntry {
     /// Subblock (or block) identity the transaction fills.
     pub key: u64,
     /// Absolute cycle the data arrives at the requesting cluster.
@@ -59,7 +59,7 @@ pub struct MshrEntry {
 /// at which point [`MshrFile::retire_up_to`] delivers them like any other
 /// entry. Only `inflight` counts toward capacity.
 #[derive(Debug)]
-pub struct MshrFile {
+pub(crate) struct MshrFile {
     capacity: usize,
     inflight: Vec<Vec<MshrEntry>>,
     filled: Vec<Vec<MshrEntry>>,
@@ -74,7 +74,7 @@ impl MshrFile {
     /// # Panics
     ///
     /// Panics if `clusters` or `capacity` is zero.
-    pub fn new(clusters: usize, capacity: usize) -> Self {
+    pub(crate) fn new(clusters: usize, capacity: usize) -> Self {
         assert!(clusters > 0, "need at least one cluster");
         assert!(capacity > 0, "need at least one MSHR per cluster");
         MshrFile {
@@ -85,23 +85,12 @@ impl MshrFile {
         }
     }
 
-    /// Registers per cluster.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Busy registers of `cluster` (entries still counting toward
-    /// capacity).
-    pub fn occupancy(&self, cluster: usize) -> usize {
-        self.inflight[cluster].len()
-    }
-
     /// Retires every entry whose fill time has been reached, delivering it
     /// to `on_fill(cluster, entry)` (Attraction-Buffer allocation lives in
     /// that callback). Must be called with the current cycle before any
     /// lookup — arrival is what turns an in-flight subblock into data.
     /// Returns at once while `now` is below the fill watermark.
-    pub fn retire_up_to(&mut self, now: u64, on_fill: &mut dyn FnMut(usize, MshrEntry)) {
+    pub(crate) fn retire_up_to(&mut self, now: u64, on_fill: &mut dyn FnMut(usize, MshrEntry)) {
         if now < self.next_fill {
             return;
         }
@@ -126,7 +115,7 @@ impl MshrFile {
     /// not yet filled. Mutable so callers can attach waiters; a caller
     /// must never lower `fill_at` (the retire watermark assumes fills only
     /// enter through [`MshrFile::allocate`]).
-    pub fn lookup(&mut self, cluster: usize, key: u64) -> Option<&mut MshrEntry> {
+    pub(crate) fn lookup(&mut self, cluster: usize, key: u64) -> Option<&mut MshrEntry> {
         // search order is irrelevant: a key is never in both lists (a new
         // transaction for a key only starts once the old one retired or
         // was looked up and merged with)
@@ -140,7 +129,7 @@ impl MshrFile {
     /// of `cluster`: `now` when a register is free, otherwise the earliest
     /// fill among the busy ones. Call [`MshrFile::retire_up_to`]`(now)`
     /// first so already-complete entries do not count as busy.
-    pub fn earliest_start(&self, cluster: usize, now: u64) -> u64 {
+    pub(crate) fn earliest_start(&self, cluster: usize, now: u64) -> u64 {
         if self.inflight[cluster].len() < self.capacity {
             now
         } else {
@@ -163,7 +152,7 @@ impl MshrFile {
     ///
     /// Panics if the file is full and no entry fills by `start` (the
     /// caller skipped `earliest_start`).
-    pub fn allocate(&mut self, cluster: usize, start: u64, entry: MshrEntry) -> usize {
+    pub(crate) fn allocate(&mut self, cluster: usize, start: u64, entry: MshrEntry) -> usize {
         if self.inflight[cluster].len() >= self.capacity {
             let (idx, _) = self.inflight[cluster]
                 .iter()
@@ -189,7 +178,7 @@ impl MshrFile {
     /// (replicating-cache coherence, the multiVLIW snoop). The fill
     /// watermark stays put: still a lower bound, and the next retire past
     /// it recomputes it.
-    pub fn invalidate_other(&mut self, writer: usize, key: u64) {
+    pub(crate) fn invalidate_other(&mut self, writer: usize, key: u64) {
         for cluster in 0..self.inflight.len() {
             if cluster == writer {
                 continue;
@@ -203,7 +192,7 @@ impl MshrFile {
     /// for `key`: a store made the data stale, so the fill must not
     /// allocate an Attraction-Buffer copy (the writer's own copy is
     /// updated through the write).
-    pub fn clear_attract(&mut self, writer: usize, key: u64) {
+    pub(crate) fn clear_attract(&mut self, writer: usize, key: u64) {
         for cluster in 0..self.inflight.len() {
             if cluster == writer {
                 continue;
@@ -224,27 +213,36 @@ impl MshrFile {
     /// Buffer entries for the next loop, but the transactions themselves
     /// are still in the air — dropping them would let the tags they
     /// installed serve data that never arrived.
-    pub fn strip_attract(&mut self) {
+    pub(crate) fn strip_attract(&mut self) {
         for list in self.inflight.iter_mut().chain(self.filled.iter_mut()) {
             for e in list {
                 e.attract = false;
             }
         }
     }
-
-    /// Drops every entry (full reset; loop boundaries use
-    /// [`MshrFile::strip_attract`] instead, so in-flight timing survives).
-    pub fn clear(&mut self) {
-        for list in self.inflight.iter_mut().chain(self.filled.iter_mut()) {
-            list.clear();
-        }
-        self.next_fill = u64::MAX;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MshrFile {
+        /// Busy registers of `cluster` (entries still counting toward
+        /// capacity).
+        fn occupancy(&self, cluster: usize) -> usize {
+            self.inflight[cluster].len()
+        }
+
+        /// Drops every entry (full reset; loop boundaries use
+        /// [`MshrFile::strip_attract`] instead, so in-flight timing
+        /// survives).
+        fn clear(&mut self) {
+            for list in self.inflight.iter_mut().chain(self.filled.iter_mut()) {
+                list.clear();
+            }
+            self.next_fill = u64::MAX;
+        }
+    }
 
     fn entry(key: u64, fill_at: u64) -> MshrEntry {
         MshrEntry {

@@ -39,11 +39,6 @@ impl<C: DataCache, O: AccessObserver> ObservedCache<C, O> {
         ObservedCache { inner, observer }
     }
 
-    /// The observer (to read collected measurements back out).
-    pub fn observer(&self) -> &O {
-        &self.observer
-    }
-
     /// Unwraps into the inner cache and the observer.
     pub fn into_parts(self) -> (C, O) {
         (self.inner, self.observer)
@@ -77,6 +72,13 @@ mod tests {
     use crate::build_cache;
     use vliw_machine::MachineConfig;
 
+    impl<C: DataCache, O: AccessObserver> ObservedCache<C, O> {
+        /// The observer (to read collected measurements back out).
+        fn observer(&self) -> &O {
+            &self.observer
+        }
+    }
+
     #[derive(Default)]
     struct Recorder {
         events: Vec<(u32, usize, u64, u64)>,
@@ -99,10 +101,11 @@ mod tests {
         let m = MachineConfig::word_interleaved_4();
         let mut plain = build_cache(&m);
         let mut observed = ObservedCache::new(build_cache(&m), Recorder::default());
+        let tagged = |r: AccessRequest, tag: u32| AccessRequest { tag, ..r };
         let reqs = [
-            AccessRequest::load(0, 0, 4, 0).tagged(7),
-            AccessRequest::load(0, 0, 4, 20).tagged(7),
-            AccessRequest::store(1, 64, 4, 40).tagged(9),
+            tagged(AccessRequest::load(0, 0, 4, 0), 7),
+            tagged(AccessRequest::load(0, 0, 4, 20), 7),
+            tagged(AccessRequest::store(1, 64, 4, 40), 9),
         ];
         for r in reqs {
             let a = plain.access(r);

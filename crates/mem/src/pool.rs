@@ -48,11 +48,6 @@ impl ResourcePool {
             .min()
             .expect("nonempty pool")
     }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.next_free.len()
-    }
 }
 
 #[cfg(test)]

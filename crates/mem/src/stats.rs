@@ -6,10 +6,9 @@ use vliw_machine::AccessClass;
 
 /// Counters for the in-flight request tracking (MSHR) subsystem.
 ///
-/// All fields are additive across [`MemStats::merge`] except
-/// `peak_occupancy`, which merges by maximum and survives
-/// [`MemStats::diff`] unchanged (a peak cannot be attributed to one
-/// measurement interval).
+/// All fields are running counts that [`MemStats::diff`] subtracts,
+/// except `peak_occupancy`, which survives it unchanged (a peak cannot be
+/// attributed to one measurement interval).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MshrStats {
     /// Transactions that claimed a miss-status register (fills issued).
@@ -24,13 +23,6 @@ pub struct MshrStats {
 }
 
 impl MshrStats {
-    fn merge(&mut self, other: &MshrStats) {
-        self.fills += other.fills;
-        self.merged_waiters += other.merged_waiters;
-        self.full_stall_cycles += other.full_stall_cycles;
-        self.peak_occupancy = self.peak_occupancy.max(other.peak_occupancy);
-    }
-
     fn diff(&self, before: &MshrStats) -> MshrStats {
         MshrStats {
             fills: self.fills.saturating_sub(before.fills),
@@ -43,18 +35,18 @@ impl MshrStats {
     }
 
     /// Records an allocation that left `occupancy` registers busy.
-    pub fn on_fill_issued(&mut self, occupancy: usize) {
+    pub(crate) fn on_fill_issued(&mut self, occupancy: usize) {
         self.fills += 1;
         self.peak_occupancy = self.peak_occupancy.max(occupancy as u64);
     }
 
     /// Records one request attaching to an in-flight transaction.
-    pub fn on_merge(&mut self) {
+    pub(crate) fn on_merge(&mut self) {
         self.merged_waiters += 1;
     }
 
     /// Records a request delayed `cycles` waiting for a free register.
-    pub fn on_full_stall(&mut self, cycles: u64) {
+    pub(crate) fn on_full_stall(&mut self, cycles: u64) {
         self.full_stall_cycles += cycles;
     }
 }
@@ -75,14 +67,14 @@ pub struct MemStats {
 
 impl MemStats {
     /// Fresh, zeroed statistics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one access. A `combined` access is counted **only** in the
     /// combined bucket (the paper treats combined accesses as a separate
     /// group that "can derive in hits or misses").
-    pub fn record(&mut self, class: AccessClass, combined: bool, ab_hit: bool) {
+    pub(crate) fn record(&mut self, class: AccessClass, combined: bool, ab_hit: bool) {
         if combined {
             self.combined += 1;
         } else {
@@ -123,27 +115,6 @@ impl MemStats {
         self.counts.iter().sum::<u64>() + self.combined
     }
 
-    /// Fraction of all accesses classified as `class`.
-    pub fn ratio(&self, class: AccessClass) -> f64 {
-        let t = self.total();
-        if t == 0 {
-            0.0
-        } else {
-            self.count(class) as f64 / t as f64
-        }
-    }
-
-    /// Hit rate over classified (non-combined) accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.count(AccessClass::LocalHit) + self.count(AccessClass::RemoteHit);
-        let classified: u64 = self.counts.iter().sum();
-        if classified == 0 {
-            0.0
-        } else {
-            hits as f64 / classified as f64
-        }
-    }
-
     /// Counter-wise difference `self − before` (saturating) — used to
     /// isolate the accesses of one simulated loop (an accounting window
     /// opened by copying the stats) from a shared cache's running totals.
@@ -160,18 +131,8 @@ impl MemStats {
         out
     }
 
-    /// Merges another set of counters into this one.
-    pub fn merge(&mut self, other: &MemStats) {
-        for i in 0..4 {
-            self.counts[i] += other.counts[i];
-        }
-        self.combined += other.combined;
-        self.ab_hits += other.ab_hits;
-        self.mshr.merge(&other.mshr);
-    }
-
     /// Resets every counter.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = MemStats::default();
     }
 }
@@ -197,6 +158,48 @@ impl fmt::Display for MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MshrStats {
+        fn merge(&mut self, other: &MshrStats) {
+            self.fills += other.fills;
+            self.merged_waiters += other.merged_waiters;
+            self.full_stall_cycles += other.full_stall_cycles;
+            self.peak_occupancy = self.peak_occupancy.max(other.peak_occupancy);
+        }
+    }
+
+    impl MemStats {
+        /// Fraction of all accesses classified as `class`.
+        fn ratio(&self, class: AccessClass) -> f64 {
+            let t = self.total();
+            if t == 0 {
+                0.0
+            } else {
+                self.count(class) as f64 / t as f64
+            }
+        }
+
+        /// Hit rate over classified (non-combined) accesses.
+        fn hit_rate(&self) -> f64 {
+            let hits = self.count(AccessClass::LocalHit) + self.count(AccessClass::RemoteHit);
+            let classified: u64 = self.counts.iter().sum();
+            if classified == 0 {
+                0.0
+            } else {
+                hits as f64 / classified as f64
+            }
+        }
+
+        /// Merges another set of counters into this one.
+        fn merge(&mut self, other: &MemStats) {
+            for i in 0..4 {
+                self.counts[i] += other.counts[i];
+            }
+            self.combined += other.combined;
+            self.ab_hits += other.ab_hits;
+            self.mshr.merge(&other.mshr);
+        }
+    }
 
     #[test]
     fn record_and_ratios() {

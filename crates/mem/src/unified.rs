@@ -15,7 +15,7 @@ use crate::{AccessOutcome, AccessRequest, DataCache};
 /// [`MemLatencies::local_hit`](vliw_machine::MemLatencies); a miss adds the
 /// next-level round trip. All accesses classify as local.
 ///
-/// Misses to the next level occupy a miss-status register ([`MshrFile`])
+/// Misses to the next level occupy a miss-status register (MSHR)
 /// until the fill completes. The tag is installed when the miss issues, so
 /// a second access to the block hits — but the register keeps it honest:
 /// the hit cannot complete before the in-flight fill arrives, and it
@@ -40,7 +40,7 @@ impl UnifiedCache {
     /// # Panics
     ///
     /// Panics if the machine is not a unified configuration.
-    pub fn new(machine: &MachineConfig) -> Self {
+    pub(crate) fn new(machine: &MachineConfig) -> Self {
         assert_eq!(machine.arch, ArchKind::Unified, "machine must be unified");
         let sets =
             machine.cache.total_bytes / (machine.cache.block_bytes * machine.cache.associativity);

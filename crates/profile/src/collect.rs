@@ -6,7 +6,7 @@ use vliw_ir::{kernel_fingerprint, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_mem::{build_cache, AccessObserver, AccessOutcome, AccessRequest, ObservedCache};
 use vliw_sched::{
-    schedule_kernel, AttractionHints, ClusterPolicy, EnumLimits, SchedBackend, ScheduleError,
+    schedule_outcome, AttractionHints, ClusterPolicy, EnumLimits, SchedBackend, ScheduleError,
     ScheduleOptions,
 };
 use vliw_sim::{simulate_loop, SimOptions};
@@ -257,7 +257,7 @@ pub fn measure_kernel(
         backend: SchedBackend::SwingModulo,
         ..ScheduleOptions::new(options.policy)
     };
-    let schedule = schedule_kernel(kernel, machine, sched_opts)?;
+    let schedule = schedule_outcome(kernel, machine, sched_opts)?.schedule;
     let layout = ArrayLayout::new(kernel, machine, padding, input);
     let mut addresses = |op: OpId, iter: u64| address_for(kernel, &layout, op, iter);
     let mut cache = ObservedCache::new(

@@ -40,12 +40,12 @@ impl OpProfile {
     }
 
     /// Accesses that hit in the first-level cache.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.classes[0].saturating_add(self.classes[1])
     }
 
     /// Measured hit rate (`0` when nothing was measured).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             0.0
@@ -57,7 +57,7 @@ impl OpProfile {
     /// Derives the [`MemProfile`] the scheduler consumes: measured hit
     /// rate, measured home-cluster histogram, and the measured latency
     /// distribution (read by the profile-fidelity divergence table).
-    pub fn to_mem_profile(&self) -> MemProfile {
+    pub(crate) fn to_mem_profile(&self) -> MemProfile {
         MemProfile {
             hit_rate: self.hit_rate(),
             cluster_hist: self.cluster_hist.clone(),
@@ -82,8 +82,8 @@ pub struct LoopProfile {
 }
 
 /// Attaches a loop's measurements to its kernel: every measured memory
-/// operation's profile becomes the derived [`MemProfile`]
-/// ([`OpProfile::to_mem_profile`]).
+/// operation's profile becomes a [`MemProfile`] carrying its measured hit
+/// rate, home-cluster histogram and latency distribution.
 ///
 /// # Errors
 ///
@@ -126,7 +126,7 @@ pub fn attach_measurements(kernel: &mut LoopKernel, profile: &LoopProfile) -> Re
 }
 
 /// The format version [`ProfileStore::to_text`] writes.
-pub const STORE_VERSION: u32 = 1;
+pub(crate) const STORE_VERSION: u32 = 1;
 
 /// A collection of [`LoopProfile`]s with a deterministic, versioned,
 /// integers-only text representation — byte-identical across runs and

@@ -20,7 +20,7 @@ use vliw_trace::Trace;
 /// in multiples of the schedule's II: every `II × this` cycles of
 /// measured simulated time, one `sim.window` instant reports the window's
 /// stall deltas by cause.
-pub const TRACE_WINDOW_IIS: u64 = 16;
+const TRACE_WINDOW_IIS: u64 = 16;
 
 /// Simulation options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,7 +68,7 @@ impl StallBreakdown {
     }
 
     /// Scales every component (used when extrapolating capped runs).
-    pub fn scaled(&self, factor: f64) -> StallBreakdown {
+    fn scaled(&self, factor: f64) -> StallBreakdown {
         StallBreakdown {
             by_class: self.by_class.map(|x| x * factor),
             combined: self.combined * factor,
@@ -222,12 +222,12 @@ pub fn simulate_loop(
 }
 
 /// [`simulate_loop`] with per-accounting-window stall attribution wired
-/// to `trace`: during the measured pass, every [`TRACE_WINDOW_IIS`] × II
-/// cycles of simulated time one `sim.window` instant carries that
-/// window's stall deltas split by cause (the four access classes,
-/// combined accesses, and MSHR back-pressure). Timing and results are
-/// identical to [`simulate_loop`] — the probes only read the
-/// accumulators it maintains anyway.
+/// to `trace`: during the measured pass, every 16 × II cycles of
+/// simulated time one `sim.window` instant carries that window's stall
+/// deltas split by cause (the four access classes, combined accesses,
+/// and MSHR back-pressure). Timing and results are identical to
+/// [`simulate_loop`] — the probes only read the accumulators it maintains
+/// anyway.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_loop_traced(
     kernel: &LoopKernel,
@@ -329,14 +329,10 @@ pub fn simulate_loop_traced(
     let mut stall_by_op = vec![0.0f64; n_ops];
     let mut time_base: u64 = 0;
 
-    let _sim_span = if trace.on() {
-        Some(trace.span_with(
-            "sim.loop",
-            &[("ii", ii as f64), ("iters", sim_iters as f64)],
-        ))
-    } else {
-        None
-    };
+    let _sim_span = trace.span_with(
+        "sim.loop",
+        &[("ii", ii as f64), ("iters", sim_iters as f64)],
+    );
     // stall-attribution accounting windows (traced measured pass only);
     // with tracing off the threshold parks at u64::MAX and the per-group
     // cost is one always-false compare
@@ -529,7 +525,7 @@ mod tests {
     use super::*;
     use vliw_ir::{ArrayKind, KernelBuilder, MemProfile, Opcode};
     use vliw_mem::build_cache;
-    use vliw_sched::{schedule_kernel, ClusterPolicy, ScheduleOptions};
+    use vliw_sched::{schedule_outcome, ClusterPolicy, ScheduleOptions};
 
     fn sim(
         kernel: &LoopKernel,
@@ -537,7 +533,9 @@ mod tests {
         policy: ClusterPolicy,
         cap: u64,
     ) -> (Schedule, LoopSimResult) {
-        let schedule = schedule_kernel(kernel, machine, ScheduleOptions::new(policy)).unwrap();
+        let schedule = schedule_outcome(kernel, machine, ScheduleOptions::new(policy))
+            .unwrap()
+            .schedule;
         assert!(schedule.verify(kernel, machine).is_empty());
         let mut cache = build_cache(machine);
         let hints = AttractionHints::allow_all(kernel);

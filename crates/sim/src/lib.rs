@@ -21,10 +21,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod engine;
 
-pub use engine::{
-    simulate_loop, simulate_loop_traced, LoopSimResult, SimOptions, StallBreakdown,
-    TRACE_WINDOW_IIS,
-};
+pub use engine::{simulate_loop, simulate_loop_traced, LoopSimResult, SimOptions, StallBreakdown};

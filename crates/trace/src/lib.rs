@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -47,7 +48,7 @@ pub enum Phase {
 
 impl Phase {
     /// The Chrome trace-event `ph` letter.
-    pub fn chrome(self) -> &'static str {
+    fn chrome(self) -> &'static str {
         match self {
             Phase::Begin => "B",
             Phase::End => "E",
@@ -133,12 +134,6 @@ impl<'a> Trace<'a> {
         }
     }
 
-    /// The current track id.
-    #[inline]
-    pub fn track(&self) -> u32 {
-        self.track
-    }
-
     /// Whether a sink is attached. Probe sites with non-trivial argument
     /// construction should guard on this so the disabled path stays a single
     /// branch.
@@ -149,7 +144,7 @@ impl<'a> Trace<'a> {
 
     /// Emit a span-open event.
     #[inline]
-    pub fn begin(&self, name: &str, args: &[(&str, f64)]) {
+    fn begin(&self, name: &str, args: &[(&str, f64)]) {
         if let Some(sink) = self.sink {
             sink.record(self.track, Phase::Begin, name, args);
         }
@@ -157,7 +152,7 @@ impl<'a> Trace<'a> {
 
     /// Emit a span-close event.
     #[inline]
-    pub fn end(&self, name: &str) {
+    fn end(&self, name: &str) {
         if let Some(sink) = self.sink {
             sink.record(self.track, Phase::End, name, &[]);
         }
@@ -285,7 +280,7 @@ impl TraceSink for RecordingSink {
 
 /// Render an event list as a Chrome trace-event JSON array (one event per
 /// line). `pid` is fixed at 1; the track id becomes the `tid`.
-pub fn chrome_trace_json(events: &[RecordedEvent]) -> String {
+pub(crate) fn chrome_trace_json(events: &[RecordedEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 16);
     out.push_str("[\n");
     for (i, ev) in events.iter().enumerate() {
@@ -349,7 +344,7 @@ fn json_number_into(out: &mut String, v: f64) {
 
 /// A flat, deterministically-ordered `(name, value)` metrics snapshot.
 ///
-/// Derived from an event stream by [`MetricsRegistry::from_events`]:
+/// Derived from a recording by [`RecordingSink::metrics`]:
 ///
 /// * `span_count/<name>` — completed spans per name;
 /// * `span_ticks/<name>` — total timestamp units spent inside spans of that
@@ -358,8 +353,7 @@ fn json_number_into(out: &mut String, v: f64) {
 /// * `counter_last/<name>` — final sample of each counter;
 /// * `events_total` — every recorded event.
 ///
-/// Extra values can be merged in with [`MetricsRegistry::set`] /
-/// [`MetricsRegistry::add`].
+/// Extra values can be merged in with [`MetricsRegistry::set`].
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
     values: BTreeMap<String, f64>,
@@ -367,12 +361,12 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Fold an event stream into the standard derived metrics.
-    pub fn from_events(events: &[RecordedEvent]) -> Self {
+    fn from_events(events: &[RecordedEvent]) -> Self {
         let mut reg = Self::new();
         // Per-track stacks of (name, begin-ts) for span matching.
         let mut stacks: BTreeMap<u32, Vec<(String, u64)>> = BTreeMap::new();
@@ -413,34 +407,26 @@ impl MetricsRegistry {
     }
 
     /// Add `delta` to `name` (starting from 0).
-    pub fn add(&mut self, name: &str, delta: f64) {
+    pub(crate) fn add(&mut self, name: &str, delta: f64) {
         *self.values.entry(name.to_string()).or_insert(0.0) += delta;
-    }
-
-    /// Read one value.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.values.get(name).copied()
     }
 
     /// The snapshot in deterministic (lexicographic) order.
     pub fn to_vec(&self) -> Vec<(String, f64)> {
         self.values.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
-
-    /// Number of distinct metric names.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the registry holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MetricsRegistry {
+        /// Read one value.
+        fn get(&self, name: &str) -> Option<f64> {
+            self.values.get(name).copied()
+        }
+    }
 
     #[test]
     fn off_handle_is_silent_and_cheap() {

@@ -75,7 +75,7 @@ impl ArrayLayout {
     }
 
     /// Base address of array `idx`.
-    pub fn base(&self, idx: usize) -> u64 {
+    pub(crate) fn base(&self, idx: usize) -> u64 {
         self.bases[idx]
     }
 }

@@ -71,7 +71,7 @@ pub struct BenchSpec {
 
 impl BenchSpec {
     /// Sanity-check the parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let fracs = [
             ("main_share", self.main_share),
             ("indirect_share", self.indirect_share),

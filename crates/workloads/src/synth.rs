@@ -26,13 +26,6 @@ pub struct BenchmarkModel {
     pub loops: Vec<LoopWorkload>,
 }
 
-impl BenchmarkModel {
-    /// Total dynamic operations across loops (aggregation weight).
-    pub fn dynamic_ops(&self) -> f64 {
-        self.loops.iter().map(|l| l.kernel.dynamic_ops()).sum()
-    }
-}
-
 fn hash_name(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)

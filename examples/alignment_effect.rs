@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --release --example alignment_effect`.
 
-use interleaved_vliw::experiments::{run_benchmark, ExperimentContext, RunConfig, UnrollMode};
+use interleaved_vliw::experiments::{run_benchmark_memo, ExperimentContext, RunConfig, UnrollMode};
 use interleaved_vliw::workloads::{spec_by_name, synthesize};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
             padding,
             ..RunConfig::ipbc()
         };
-        let run = run_benchmark(&model, &cfg, &ctx);
+        let run = run_benchmark_memo(&model, &cfg, &ctx, None);
         let mix = run.access_mix();
         let total: f64 = mix.iter().sum();
         println!(

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example arch_compare [benchmark]`
 //! (default: gsmdec).
 
-use interleaved_vliw::experiments::{run_benchmark, ExperimentContext, RunConfig};
+use interleaved_vliw::experiments::{run_benchmark_memo, ExperimentContext, RunConfig};
 use interleaved_vliw::workloads::{spec_by_name, synthesize};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (name, cfg) in configs {
-        let run = run_benchmark(&model, &cfg, &ctx);
+        let run = run_benchmark_memo(&model, &cfg, &ctx, None);
         rows.push((
             name,
             run.compute_cycles(),

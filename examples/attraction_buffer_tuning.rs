@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example attraction_buffer_tuning`.
 
-use interleaved_vliw::experiments::{run_benchmark, ExperimentContext, RunConfig};
+use interleaved_vliw::experiments::{run_benchmark_memo, ExperimentContext, RunConfig};
 use interleaved_vliw::machine::AccessClass;
 use interleaved_vliw::workloads::{spec_by_name, synthesize};
 
@@ -29,7 +29,7 @@ fn main() {
                 ..RunConfig::ipbc()
             }
         };
-        let run = run_benchmark(&model, &cfg, &ctx);
+        let run = run_benchmark_memo(&model, &cfg, &ctx, None);
         let stall = run.stall_cycles();
         let rh = run.stall_breakdown().of(AccessClass::RemoteHit);
         if entries == 0 {

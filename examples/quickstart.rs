@@ -6,7 +6,7 @@
 use interleaved_vliw::ir::{ArrayKind, KernelBuilder, MemProfile, OpId, Opcode};
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::mem::build_cache;
-use interleaved_vliw::sched::{schedule_kernel, AttractionHints, ClusterPolicy, ScheduleOptions};
+use interleaved_vliw::sched::{schedule_outcome, AttractionHints, ClusterPolicy, ScheduleOptions};
 use interleaved_vliw::sim::{simulate_loop, SimOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,11 +32,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{machine}\n");
 
     // 3. Modulo-schedule with IPBC (chains pinned to preferred clusters).
-    let schedule = schedule_kernel(
+    let schedule = schedule_outcome(
         &kernel,
         &machine,
         ScheduleOptions::new(ClusterPolicy::PreBuildChains),
-    )?;
+    )?
+    .schedule;
     println!("{schedule}");
     assert!(
         schedule.verify(&kernel, &machine).is_empty(),

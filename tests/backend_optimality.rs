@@ -15,9 +15,10 @@ use interleaved_vliw::experiments::{optgap, ExperimentContext};
 use interleaved_vliw::ir::{ArrayKind, KernelBuilder, LoopKernel, Opcode, SrcOperand};
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::sched::{
-    schedule_kernel, schedule_outcome, ClusterPolicy, MemChains, SchedBackend, SchedQuality,
-    ScheduleOptions,
+    schedule_outcome, schedule_outcome_traced, ClusterPolicy, MemChains, SchedBackend,
+    SchedQuality, ScheduleOptions,
 };
+use interleaved_vliw::trace::Trace;
 use interleaved_vliw::workloads::rng::StdRng;
 
 fn exact_opts(policy: ClusterPolicy) -> ScheduleOptions {
@@ -41,8 +42,9 @@ fn exact_backend_dominates_every_heuristic_on_the_suite() {
     let mut proven = 0usize;
     for kernel in &kernels {
         for policy in ClusterPolicy::ALL {
-            let heuristic = schedule_kernel(kernel, &machine, ScheduleOptions::new(policy))
-                .expect("factor-1 suite kernels schedule");
+            let heuristic = schedule_outcome(kernel, &machine, ScheduleOptions::new(policy))
+                .expect("factor-1 suite kernels schedule")
+                .schedule;
             let out = schedule_outcome(kernel, &machine, exact_opts(policy))
                 .expect("exact backend inherits the incumbent");
             cells += 1;
@@ -145,8 +147,9 @@ fn exact_backend_dominates_on_seeded_random_kernels() {
     for case in 0..20 {
         let kernel = random_kernel(&mut rng, case);
         let policy = ClusterPolicy::ALL[rng.random_range(0..4usize)];
-        let heuristic = schedule_kernel(&kernel, &machine, ScheduleOptions::new(policy))
-            .expect("small random kernels schedule");
+        let heuristic = schedule_outcome(&kernel, &machine, ScheduleOptions::new(policy))
+            .expect("small random kernels schedule")
+            .schedule;
         let out = schedule_outcome(&kernel, &machine, exact_opts(policy)).unwrap();
         assert!(
             out.schedule.ii <= heuristic.ii,
@@ -167,14 +170,18 @@ fn exact_backend_dominates_on_seeded_random_kernels() {
 
 #[test]
 fn tuple_entry_points_agree_with_outcomes() {
-    // the tuple-returning wrappers and the outcome entry point dispatch
-    // through the same backend: bit-identical schedules either way
+    // the traced entry point with tracing off and the plain one dispatch
+    // through the same backend: bit-identical outcomes either way
     let (kernels, machine) = suite_kernels();
     let kernel = &kernels[0];
     for backend in SchedBackend::ALL {
         let opts = ScheduleOptions::new(ClusterPolicy::PreBuildChains).with_backend(backend);
-        let via_tuple = schedule_kernel(kernel, &machine, opts).unwrap();
-        let via_outcome = schedule_outcome(kernel, &machine, opts).unwrap().schedule;
-        assert_eq!(via_tuple, via_outcome, "{}", backend.name());
+        let via_traced = schedule_outcome_traced(kernel, &machine, opts, Trace::off()).unwrap();
+        let via_outcome = schedule_outcome(kernel, &machine, opts).unwrap();
+        let name = backend.name();
+        assert_eq!(via_traced.schedule, via_outcome.schedule, "{name}");
+        assert_eq!(via_traced.stats, via_outcome.stats, "{name}");
+        assert_eq!(via_traced.quality, via_outcome.quality, "{name}");
+        assert_eq!(via_traced.max_live, via_outcome.max_live, "{name}");
     }
 }

@@ -3,7 +3,7 @@
 //! directly (no grid, no memo) per cell.
 
 use interleaved_vliw::experiments::{
-    run_benchmark, ExperimentContext, GridResult, RunConfig, RunGrid, UnrollMode,
+    run_benchmark_memo, ExperimentContext, GridResult, RunConfig, RunGrid, UnrollMode,
 };
 use interleaved_vliw::sched::ClusterPolicy;
 
@@ -70,7 +70,7 @@ fn grid_equals_direct_pipeline_calls() {
     let models = ctx.models();
     for (b, model) in models.iter().enumerate() {
         for (c, (label, cfg)) in result.configs().iter().enumerate() {
-            let direct = run_benchmark(model, cfg, &ctx);
+            let direct = run_benchmark_memo(model, cfg, &ctx, None);
             let cell = result.cell(b, c);
             assert_eq!(cell.loops.len(), direct.loops.len(), "{label}");
             for (x, y) in cell.loops.iter().zip(&direct.loops) {

@@ -4,7 +4,7 @@
 //! absolute numbers (the substrate is a synthetic suite — see
 //! EXPERIMENTS.md for the full-scale magnitude comparison).
 
-use interleaved_vliw::experiments::{run_benchmark, ExperimentContext, RunConfig, UnrollMode};
+use interleaved_vliw::experiments::{run_benchmark_memo, ExperimentContext, RunConfig, UnrollMode};
 use interleaved_vliw::sched::ClusterPolicy;
 use interleaved_vliw::workloads::{spec_by_name, synthesize};
 
@@ -26,7 +26,7 @@ fn unrolling_and_alignment_raise_local_hits() {
     let model = synthesize(&spec, &ctx.workloads, &ctx.machine);
     let base = RunConfig::ipbc();
     let mix = |cfg: &RunConfig| {
-        let m = run_benchmark(&model, cfg, &ctx).access_mix();
+        let m = run_benchmark_memo(&model, cfg, &ctx, None).access_mix();
         let t: f64 = m.iter().sum();
         m[0] / t
     };
@@ -59,8 +59,9 @@ fn attraction_buffers_reduce_stall() {
     let ctx = small_ctx(&["gsmdec"]);
     let spec = spec_by_name("gsmdec").unwrap();
     let model = synthesize(&spec, &ctx.workloads, &ctx.machine);
-    let without = run_benchmark(&model, &RunConfig::ipbc(), &ctx).stall_cycles();
-    let with = run_benchmark(&model, &RunConfig::ipbc().with_buffers(), &ctx).stall_cycles();
+    let without = run_benchmark_memo(&model, &RunConfig::ipbc(), &ctx, None).stall_cycles();
+    let with =
+        run_benchmark_memo(&model, &RunConfig::ipbc().with_buffers(), &ctx, None).stall_cycles();
     assert!(
         with <= without,
         "AB must not increase stall: {with} vs {without}"
@@ -78,8 +79,8 @@ fn ipbc_trades_compute_for_stall_against_ibc() {
     let ctx = small_ctx(&["jpegenc", "gsmdec"]);
     let (mut ipbc_stall, mut ibc_stall) = (0.0, 0.0);
     for model in ctx.models() {
-        ipbc_stall += run_benchmark(&model, &RunConfig::ipbc(), &ctx).stall_cycles();
-        ibc_stall += run_benchmark(&model, &RunConfig::ibc(), &ctx).stall_cycles();
+        ipbc_stall += run_benchmark_memo(&model, &RunConfig::ipbc(), &ctx, None).stall_cycles();
+        ibc_stall += run_benchmark_memo(&model, &RunConfig::ibc(), &ctx, None).stall_cycles();
     }
     assert!(
         ibc_stall > ipbc_stall,
@@ -96,7 +97,7 @@ fn chains_and_unrolling_affect_balance_as_reported() {
     let model = synthesize(&spec, &ctx.workloads, &ctx.machine);
     let n = ctx.machine.n_clusters();
     let base = RunConfig::ipbc();
-    let wb = |cfg: &RunConfig| run_benchmark(&model, cfg, &ctx).workload_balance(n);
+    let wb = |cfg: &RunConfig| run_benchmark_memo(&model, cfg, &ctx, None).workload_balance(n);
     let with_chains = wb(&RunConfig {
         unroll: UnrollMode::Ouf,
         ..base
@@ -119,8 +120,8 @@ fn unified_one_cycle_beats_five_cycle() {
     let ctx = small_ctx(&["g721enc"]);
     let spec = spec_by_name("g721enc").unwrap();
     let model = synthesize(&spec, &ctx.workloads, &ctx.machine);
-    let u1 = run_benchmark(&model, &RunConfig::unified(1), &ctx).total_cycles();
-    let u5 = run_benchmark(&model, &RunConfig::unified(5), &ctx).total_cycles();
+    let u1 = run_benchmark_memo(&model, &RunConfig::unified(1), &ctx, None).total_cycles();
+    let u5 = run_benchmark_memo(&model, &RunConfig::unified(5), &ctx, None).total_cycles();
     assert!(u1 < u5, "u1 {u1:.0} vs u5 {u5:.0}");
 }
 

@@ -2,7 +2,7 @@
 //! scheduling → simulation, across crates, plus figure-driver structure.
 
 use interleaved_vliw::experiments::{
-    fig4, fig7, run_benchmark, tables, ExperimentContext, RunConfig,
+    fig4, fig7, run_benchmark_memo, tables, ExperimentContext, RunConfig,
 };
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::workloads::{suite, SUITE_NAMES};
@@ -47,7 +47,7 @@ fn table2_mentions_every_parameter() {
 fn benchmark_run_produces_consistent_aggregates() {
     let ctx = tiny_ctx(&["g721enc"]);
     let model = &ctx.models()[0];
-    let run = run_benchmark(model, &RunConfig::ipbc().with_buffers(), &ctx);
+    let run = run_benchmark_memo(model, &RunConfig::ipbc().with_buffers(), &ctx, None);
     assert_eq!(run.loops.len(), model.loops.len());
     assert!(run.total_cycles() > 0.0);
     assert!((run.total_cycles() - run.compute_cycles() - run.stall_cycles()).abs() < 1e-6);
@@ -93,8 +93,8 @@ fn fig7_balance_within_bounds() {
 fn deterministic_end_to_end() {
     let ctx = tiny_ctx(&["jpegdec"]);
     let model = &ctx.models()[0];
-    let a = run_benchmark(model, &RunConfig::ipbc(), &ctx);
-    let b = run_benchmark(model, &RunConfig::ipbc(), &ctx);
+    let a = run_benchmark_memo(model, &RunConfig::ipbc(), &ctx, None);
+    let b = run_benchmark_memo(model, &RunConfig::ipbc(), &ctx, None);
     assert_eq!(a.total_cycles(), b.total_cycles());
     assert_eq!(a.access_mix(), b.access_mix());
 }

@@ -4,7 +4,7 @@
 
 use interleaved_vliw::ir::{ArrayKind, DepKind, KernelBuilder, MemProfile, Opcode};
 use interleaved_vliw::machine::MachineConfig;
-use interleaved_vliw::sched::{max_live, schedule_kernel, ClusterPolicy, ScheduleOptions};
+use interleaved_vliw::sched::{max_live, schedule_outcome, ClusterPolicy, ScheduleOptions};
 
 #[test]
 fn forced_cross_cluster_flow_inserts_a_copy() {
@@ -19,7 +19,9 @@ fn forced_cross_cluster_flow_inserts_a_copy() {
     b.set_profile(st, MemProfile::concentrated(1.0, 1, 4));
     let k = b.finish(64.0);
     let m = MachineConfig::word_interleaved_4();
-    let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains)).unwrap();
+    let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains))
+        .unwrap()
+        .schedule;
     assert!(s.verify(&k, &m).is_empty());
     assert_eq!(s.op(ld).cluster, 0);
     assert_eq!(s.op(st).cluster, 1);
@@ -42,14 +44,18 @@ fn mem_unit_pressure_raises_ii() {
     }
     let k = b.finish(64.0);
     let m = MachineConfig::word_interleaved_4();
-    let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains)).unwrap();
+    let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::NoChains))
+        .unwrap()
+        .schedule;
     assert!(
         s.ii >= 9,
         "II {} must serialize 9 loads on one MEM unit",
         s.ii
     );
     // the same loads unpinned spread over four units: II can reach ~3
-    let free = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free)).unwrap();
+    let free = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+        .unwrap()
+        .schedule;
     assert!(
         free.ii < s.ii,
         "free placement beats pinned: {} vs {}",
@@ -66,7 +72,9 @@ fn recurrence_free_loads_keep_the_remote_miss_promise() {
     let _ = b.int_op("use", Opcode::Add, &[v.into()]);
     let k = b.finish(64.0);
     let m = MachineConfig::word_interleaved_4();
-    let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free)).unwrap();
+    let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+        .unwrap()
+        .schedule;
     assert_eq!(s.op(ld).assumed_latency, m.mem_latencies.remote_miss);
 }
 
@@ -81,7 +89,9 @@ fn recurrence_loads_get_reduced_and_the_ii_hits_the_target() {
     b.set_profile(ld, MemProfile::with_local_ratio(0.95, 0, 0.9, 4));
     let k = b.finish(64.0);
     let m = MachineConfig::word_interleaved_4();
-    let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains)).unwrap();
+    let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::PreBuildChains))
+        .unwrap()
+        .schedule;
     // local-hit circuit: ld(1) + add(1) + st->ld(1) = 3 over distance 1
     assert_eq!(s.latencies.target_mii, 3);
     assert!(s.op(ld).assumed_latency <= m.mem_latencies.local_miss);
@@ -103,7 +113,9 @@ fn stage_count_tracks_promised_latencies() {
     };
     let m = MachineConfig::word_interleaved_4();
     let k = build(16);
-    let s = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::Free)).unwrap();
+    let s = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::Free))
+        .unwrap()
+        .schedule;
     // the load promises 15 cycles: consumer sits >= 15 later -> SC spans it
     let sc = s.stage_count();
     assert!(
@@ -121,14 +133,18 @@ fn max_live_grows_with_promised_latency() {
     let (_, r) = b.int_op("a", Opcode::Add, &[]);
     let _ = b.int_op("b", Opcode::Sub, &[r.into()]);
     let cheap = b.finish(16.0);
-    let s1 = schedule_kernel(&cheap, &m, ScheduleOptions::new(ClusterPolicy::Free)).unwrap();
+    let s1 = schedule_outcome(&cheap, &m, ScheduleOptions::new(ClusterPolicy::Free))
+        .unwrap()
+        .schedule;
     // long-latency load feeding a consumer
     let mut b = KernelBuilder::new("hot");
     let a = b.array("a", 4096, ArrayKind::Global);
     let (_, v) = b.load("ld", a, 0, 4, 4);
     let _ = b.int_op("use", Opcode::Add, &[v.into()]);
     let hot = b.finish(16.0);
-    let s2 = schedule_kernel(&hot, &m, ScheduleOptions::new(ClusterPolicy::Free)).unwrap();
+    let s2 = schedule_outcome(&hot, &m, ScheduleOptions::new(ClusterPolicy::Free))
+        .unwrap()
+        .schedule;
     assert!(
         max_live(&hot, &s2) > max_live(&cheap, &s1),
         "15-cycle lifetimes need more registers"
@@ -144,7 +160,11 @@ fn schedules_are_deterministic() {
     b.store("st", a, 2048, 4, 4, w);
     let k = b.finish(64.0);
     let m = MachineConfig::word_interleaved_4();
-    let s1 = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains)).unwrap();
-    let s2 = schedule_kernel(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains)).unwrap();
+    let s1 = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
+        .unwrap()
+        .schedule;
+    let s2 = schedule_outcome(&k, &m, ScheduleOptions::new(ClusterPolicy::BuildChains))
+        .unwrap()
+        .schedule;
     assert_eq!(s1, s2);
 }

@@ -21,7 +21,7 @@ use interleaved_vliw::ir::{
 use interleaved_vliw::machine::{AccessClass, MachineConfig};
 use interleaved_vliw::mem::build_cache;
 use interleaved_vliw::sched::{
-    attraction_hints, schedule_kernel, AttractionHints, ClusterPolicy, Schedule, ScheduleOptions,
+    attraction_hints, schedule_outcome, AttractionHints, ClusterPolicy, Schedule, ScheduleOptions,
 };
 use interleaved_vliw::sim::{simulate_loop, simulate_loop_traced, LoopSimResult, SimOptions};
 use interleaved_vliw::trace::{RecordingSink, Trace};
@@ -137,7 +137,9 @@ fn simulate_edge(
     policy: ClusterPolicy,
     options: SimOptions,
 ) -> (Schedule, LoopSimResult) {
-    let schedule = schedule_kernel(kernel, machine, ScheduleOptions::new(policy)).unwrap();
+    let schedule = schedule_outcome(kernel, machine, ScheduleOptions::new(policy))
+        .unwrap()
+        .schedule;
     assert!(schedule.verify(kernel, machine).is_empty());
     let mut cache = build_cache(machine);
     let hints = AttractionHints::allow_all(kernel);

@@ -13,7 +13,7 @@
 
 use std::hash::Hasher as _;
 
-use interleaved_vliw::experiments::{optgap, trace_exp, ExperimentContext};
+use interleaved_vliw::experiments::{optgap, run_trace, ExperimentContext};
 use interleaved_vliw::ir::{LoopKernel, StableHasher};
 use interleaved_vliw::machine::MachineConfig;
 use interleaved_vliw::sched::{
@@ -95,8 +95,8 @@ fn logical_clock_trace_pass_is_byte_identical_twice_over() {
     ctx.benchmarks = vec!["gsmdec".into()];
     ctx.sim.iteration_cap = 48;
     ctx.profile.iteration_cap = 48;
-    let a = trace_exp::run_trace(&ctx, 1);
-    let b = trace_exp::run_trace(&ctx, 1);
+    let a = run_trace(&ctx, 1);
+    let b = run_trace(&ctx, 1);
     assert!(a.events > 0, "the instrumented pass must record events");
     assert_eq!(
         a.chrome_json, b.chrome_json,
