@@ -28,7 +28,13 @@ Also guards the `batch` section (the schedule-cache service):
   at least 5x a cold run means cache hits are doing scheduling work;
 * `warm_schedules_per_sec` must not regress more than the threshold
   against the baseline (wall-clock; same caveat as above);
-* `deterministic` and `warm_hit_rate` must be exactly 1.
+* `deterministic` and `warm_hit_rate` must be exactly 1;
+* `requests`, `unique_keys` and `profiled_variants` (distinct loop
+  variants the cold parallel pass profiled through the cache's
+  variant-profile memo) must equal the baseline exactly (checked only
+  when the baseline records them): they count the queue and the work
+  the memo shares, not time, so a difference means the queue changed or
+  the memo shares more or less than it did.
 
 And the `optgap` section (the exact-search yardstick):
 
@@ -76,6 +82,9 @@ def figure_metrics(path, figure):
 
 
 WARM_OVER_COLD_FLOOR = 5.0
+
+# Deterministic batch counters that must equal the baseline exactly.
+BATCH_EXACT = ("requests", "unique_keys", "profiled_variants")
 
 # Deterministic floors on the quick-scale proven-optimal fraction of the
 # pinned policies (swing numerator, 200k-node budget). The pre-bitmask
@@ -184,6 +193,16 @@ def check_batch(baseline, fresh, threshold):
             failed = True
 
     if baseline is not None:
+        for key in BATCH_EXACT:
+            b_count = baseline.get(key)
+            if b_count is None:
+                continue
+            f_count = fresh.get(key)
+            print(f"batch {key} (deterministic): baseline {b_count:.0f} -> current {f_count}")
+            if f_count != b_count:
+                print(f"FAIL: batch {key} must equal the baseline")
+                failed = True
+
         b_rate, f_rate = baseline.get("warm_schedules_per_sec"), fresh.get(
             "warm_schedules_per_sec"
         )

@@ -82,6 +82,10 @@ pub struct BatchReport {
     pub requests: usize,
     /// Distinct cache keys the queue resolves to.
     pub unique_keys: usize,
+    /// Distinct loop variants the cold parallel pass profiled: keys that
+    /// differ only in policy or unroll mode share their variants'
+    /// profiles.
+    pub profiled_variants: usize,
     /// Perturbed variants per suite loop.
     pub variants: usize,
     /// Worker threads used.
@@ -126,6 +130,7 @@ impl BatchReport {
         let mut m = vec![
             ("requests".into(), self.requests as f64),
             ("unique_keys".into(), self.unique_keys as f64),
+            ("profiled_variants".into(), self.profiled_variants as f64),
             ("variants".into(), self.variants as f64),
             ("workers".into(), self.workers as f64),
             ("cold_serial_seconds".into(), self.cold_serial.seconds),
@@ -154,8 +159,9 @@ impl std::fmt::Display for BatchReport {
         let c = &self.containment;
         writeln!(
             f,
-            "batch: {} requests ({} unique keys, {} variants/loop), {} workers",
-            self.requests, self.unique_keys, self.variants, self.workers
+            "batch: {} requests ({} unique keys, {} profiled loop variants, {} variants/loop), \
+             {} workers",
+            self.requests, self.unique_keys, self.profiled_variants, self.variants, self.workers
         )?;
         writeln!(
             f,
@@ -492,6 +498,7 @@ pub fn run_batch(ctx: &ExperimentContext, target_requests: usize) -> BatchReport
     let cold = drain(&cache, &requests, ctx, ctx.workers, Trace::off());
     let inflight_waits = cache.inflight_waits();
     let unique_keys = cache.len();
+    let profiled_variants = cache.profiled_variants();
 
     // pass 3: warm memory (same cache; every request hits), timed at the
     // median of its repeats
@@ -518,6 +525,7 @@ pub fn run_batch(ctx: &ExperimentContext, target_requests: usize) -> BatchReport
     BatchReport {
         requests: n,
         unique_keys,
+        profiled_variants,
         variants,
         workers: ctx.workers,
         cold_serial: pass(&serial, n),
@@ -572,9 +580,18 @@ mod tests {
             r.store_hit_rate
         );
         assert_eq!(r.store_stale, 0, "fresh store entries must never be stale");
-        // the metrics carry the cold pass's in-flight waits
-        let waits = r.metrics().into_iter().find(|(k, _)| k == "inflight_waits");
-        assert_eq!(waits.map(|(_, v)| v), Some(r.inflight_waits as f64));
+        // the metrics carry the cold pass's in-flight waits and profiled
+        // variants
+        let metric = |name: &str| r.metrics().into_iter().find(|(k, _)| k == name);
+        assert_eq!(
+            metric("inflight_waits").map(|(_, v)| v),
+            Some(r.inflight_waits as f64)
+        );
+        assert_eq!(
+            metric("profiled_variants").map(|(_, v)| v),
+            Some(r.profiled_variants as f64)
+        );
+        assert!(r.profiled_variants < r.unique_keys);
         // a slot left failed shows its reason; a clean report shows none
         assert!(!r.to_string().contains("failed slot"));
         let mut failed = r.clone();
@@ -583,6 +600,26 @@ mod tests {
             .failed_slot_reasons
             .push("injected".into());
         assert!(failed.to_string().contains("failed slot: injected"));
+    }
+
+    #[test]
+    fn profiled_variants_are_shared_and_worker_independent() {
+        // the queue asks for every loop under every policy × unroll mode,
+        // which share their variants' profiles, and the memo's length does
+        // not depend on which worker filled which key
+        let ctx = tiny_ctx();
+        let (requests, _) = build_requests(&ctx, 1);
+        let counts = [1, 4].map(|workers| {
+            let cache = SchedCache::new();
+            drain(&cache, &requests, &ctx, workers, Trace::off());
+            (cache.profiled_variants(), cache.len())
+        });
+        assert_eq!(counts[0], counts[1], "1 vs 4 workers");
+        let (profiled, keys) = counts[0];
+        assert!(
+            profiled > 0 && profiled < keys,
+            "{profiled} profiled variants for {keys} keys"
+        );
     }
 
     #[test]

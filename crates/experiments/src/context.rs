@@ -18,7 +18,7 @@ use vliw_workloads::{
     SUITE_NAMES,
 };
 
-use crate::schedcache::SchedCache;
+use crate::schedcache::{CacheKey, ProfileMemo, SchedCache};
 
 /// How loops are unrolled in an experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -284,8 +284,30 @@ pub(crate) fn profiled(
     kernel
 }
 
+/// `kernel` — the run's original unrolled by `factor` — synthetically
+/// profiled, through `profiles` (a cache's variant-profile memo and the
+/// run's key) when there is one.
+fn synthetic_profile(
+    kernel: LoopKernel,
+    factor: u32,
+    machine: &MachineConfig,
+    cfg: &RunConfig,
+    ctx: &ExperimentContext,
+    profiles: Option<(&ProfileMemo, &CacheKey)>,
+) -> LoopKernel {
+    let profile = |k| profiled(k, machine, ctx, cfg.padding);
+    match profiles {
+        Some((memo, key)) => memo.profiled(key, factor, kernel, profile),
+        None => profile(kernel),
+    }
+}
+
 /// Builds the unroll variants of one original kernel per a
 /// configuration's profile source.
+///
+/// Synthetic profiles come from the schedule cache's variant-profile memo
+/// when the builder is given one, so a cache profiles each variant once
+/// whatever policies and unroll modes ask for it.
 ///
 /// For the `Measured` source, factor 1 is measured **once** (on first
 /// use, [`VariantBuilder::measure`]) and kept as a [`StreamProfile`];
@@ -306,16 +328,18 @@ pub(crate) struct VariantBuilder<'a> {
     machine: &'a MachineConfig,
     cfg: &'a RunConfig,
     ctx: &'a ExperimentContext,
+    profiles: Option<(&'a ProfileMemo, &'a CacheKey)>,
 }
 
 impl<'a> VariantBuilder<'a> {
     /// Profiles `original` per the source axis and wraps it for variant
-    /// building.
+    /// building, drawing synthetic profiles from `profiles` when given.
     pub(crate) fn new(
         original: &LoopKernel,
         machine: &'a MachineConfig,
         cfg: &'a RunConfig,
         ctx: &'a ExperimentContext,
+        profiles: Option<(&'a ProfileMemo, &'a CacheKey)>,
     ) -> Self {
         // hit rates steer the OUF analysis: profile the original first
         // (the OUF analysis always runs on synthetic profiles —
@@ -323,7 +347,7 @@ impl<'a> VariantBuilder<'a> {
         // yet at this point)
         let original = match cfg.source {
             ProfileSource::None => original.clone(),
-            _ => profiled(original.clone(), machine, ctx, cfg.padding),
+            _ => synthetic_profile(original.clone(), 1, machine, cfg, ctx, profiles),
         };
         VariantBuilder {
             original,
@@ -331,6 +355,7 @@ impl<'a> VariantBuilder<'a> {
             machine,
             cfg,
             ctx,
+            profiles,
         }
     }
 
@@ -372,11 +397,13 @@ impl<'a> VariantBuilder<'a> {
         if factor == 1 {
             return self.original.clone();
         }
-        profiled(
+        synthetic_profile(
             unroll(&self.original, factor),
+            factor,
             self.machine,
+            self.cfg,
             self.ctx,
-            self.cfg.padding,
+            self.profiles,
         )
     }
 
@@ -473,9 +500,27 @@ pub fn prepare_loop(
     ctx: &ExperimentContext,
     trace: Trace<'_>,
 ) -> Result<PreparedLoop, ScheduleError> {
+    prepare_with_profiles(original, machine, cfg, ctx, None, trace)
+}
+
+/// [`prepare_loop`], its synthetic profiles drawn from `profiles` (a
+/// schedule cache's variant-profile memo and the request's key) when
+/// given — the schedule cache's default fill.
+///
+/// # Errors
+///
+/// As [`prepare_loop`].
+pub(crate) fn prepare_with_profiles(
+    original: &LoopKernel,
+    machine: &MachineConfig,
+    cfg: &RunConfig,
+    ctx: &ExperimentContext,
+    profiles: Option<(&ProfileMemo, &CacheKey)>,
+    trace: Trace<'_>,
+) -> Result<PreparedLoop, ScheduleError> {
     let _loop_span = trace.span("prepare_loop");
     let opts = schedule_options(cfg, ctx);
-    let mut builder = VariantBuilder::new(original, machine, cfg, ctx);
+    let mut builder = VariantBuilder::new(original, machine, cfg, ctx, profiles);
     let ouf = vliw_sched::optimal_unroll_factor(builder.original(), machine);
     let candidates: Vec<(UnrollChoice, u32)> = match cfg.unroll {
         UnrollMode::NoUnroll => vec![(UnrollChoice::None, 1)],
@@ -784,7 +829,7 @@ mod tests {
         ctx: &ExperimentContext,
     ) -> (PreparedLoop, Vec<(u32, Option<u32>)>) {
         let opts = schedule_options(cfg, ctx);
-        let mut builder = VariantBuilder::new(original, machine, cfg, ctx);
+        let mut builder = VariantBuilder::new(original, machine, cfg, ctx, None);
         let ouf = vliw_sched::optimal_unroll_factor(builder.original(), machine);
         let mut best: Option<PreparedLoop> = None;
         let mut tried = Vec::new();
@@ -946,7 +991,7 @@ mod tests {
             };
             let machine = ctx.machine_for(&cfg);
             for lw in models.iter().flat_map(|m| &m.loops) {
-                let mut builder = VariantBuilder::new(&lw.kernel, &machine, &cfg, &ctx);
+                let mut builder = VariantBuilder::new(&lw.kernel, &machine, &cfg, &ctx, None);
                 let again = profiled(unroll(builder.original(), 1), &machine, &ctx, padding);
                 assert_eq!(builder.build(1).unwrap(), again, "{}", lw.kernel.name);
             }
@@ -1004,6 +1049,72 @@ mod tests {
         let a2 = memo.prepare(kernel, &machine, &swing, &ctx).unwrap();
         assert!(Arc::ptr_eq(&a, &a2));
         assert_eq!(memo.hits(), 1);
+    }
+
+    #[test]
+    fn profile_entries_are_shared_across_policies_and_unroll_modes_only() {
+        // the variant-profile memo keys on (loop, environment, padding,
+        // factor): other policies and unroll modes of a loop reuse its
+        // entries, while another padding or arch profiles afresh
+        let mut ctx = ExperimentContext::quick();
+        ctx.profile.iteration_cap = 32;
+        let models = ctx.models();
+        let gsm = models.iter().find(|m| m.name == "gsmdec").unwrap();
+        let kernel = &gsm.loops[0].kernel;
+        let entries = |memo: &SchedCache, cfg: &RunConfig| {
+            memo.prepare(kernel, &ctx.machine_for(cfg), cfg, &ctx)
+                .unwrap();
+            memo.profiled_variants()
+        };
+        let base = RunConfig::ipbc();
+        let memo = SchedCache::new();
+        let own = entries(&memo, &base);
+        assert!(own >= 2, "selective unrolling profiles factor 1 and more");
+        for cfg in [
+            RunConfig {
+                policy: ClusterPolicy::BuildChains,
+                ..base
+            },
+            RunConfig {
+                policy: ClusterPolicy::Free,
+                unroll: UnrollMode::NoUnroll,
+                ..base
+            },
+            RunConfig {
+                unroll: UnrollMode::Ouf,
+                ..base
+            },
+        ] {
+            assert_eq!(entries(&memo, &cfg), own, "{cfg:?} shares the entries");
+        }
+        assert_eq!(memo.len(), 4, "one schedule slot per configuration");
+        let mut total = own;
+        for cfg in [
+            RunConfig {
+                padding: false,
+                ..base
+            },
+            RunConfig {
+                arch: ArchVariant::MultiVliw,
+                ..base
+            },
+            RunConfig {
+                arch: ArchVariant::Unified(1),
+                ..base
+            },
+            RunConfig {
+                arch: ArchVariant::Unified(5),
+                ..base
+            },
+        ] {
+            // a fresh cache counts the configuration's own variants; the
+            // shared one adds every one of them
+            total += entries(&SchedCache::new(), &cfg);
+            assert_eq!(entries(&memo, &cfg), total, "{cfg:?} shares no entry");
+        }
+        // no source at all profiles nothing
+        let none = base.with_source(ProfileSource::None);
+        assert_eq!(entries(&SchedCache::new(), &none), 0);
     }
 
     #[test]

@@ -30,6 +30,24 @@
 //!   verifies against it; anything else counts as stale and falls
 //!   through to a cold preparation. Schedules therefore survive across
 //!   runs, and a stale store can only cost time, never correctness.
+//! * **Variant profiles** (`ProfileMemo`): a synthetic profile depends
+//!   on the kernel, the unroll factor, the machine, the padding flag and
+//!   the profile input — not on the policy, backend, profile source or
+//!   unroll mode. Each cache therefore keeps one memo keyed by
+//!   `(kernel_fp, env_fp, padding, factor)` (the arch enters through the
+//!   machine in `env_fp`) whose entry is a variant's per-memory-op
+//!   [`MemProfile`]s, flattened into one `Arc<[u64]>`. The default fill
+//!   and store rebuilds re-unroll the original and attach a stored entry
+//!   instead of profiling again; a miss profiles outside the memo lock
+//!   and inserts the finished entry if it is still absent, so a panicking
+//!   fill leaves nothing behind. The memo lives exactly as long as its
+//!   cache. `ProfileSource::None` never touches it, `Measured` attaches
+//!   its measurements to a copy of the memoized synthetic base, and
+//!   custom preparers bypass it. Whole kernels, schedule outcomes and
+//!   dependence graphs are *not* shared: in a prototype, memoizing whole
+//!   kernels raised the `cold_service` benchmark's peak RSS from 36.3 to
+//!   44.1 MB, and kernels plus outcomes to 51.3 MB (DESIGN.md, "Variant
+//!   profiles").
 //! * **Failure containment**: a slot fill runs under `catch_unwind`, so
 //!   a panicking preparation fails its own request
 //!   ([`ScheduleError::PreparationPanicked`]), marks the slot `Failed`
@@ -47,7 +65,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-use vliw_ir::{kernel_fingerprint, LoopKernel, StableHasher};
+use vliw_ir::{kernel_fingerprint, LoopKernel, MemProfile, StableHasher};
 use vliw_machine::MachineConfig;
 use vliw_sched::{
     ClusterPolicy, SchedBackend, SchedQuality, Schedule, ScheduleError, UnrollChoice,
@@ -56,7 +74,7 @@ use vliw_sched::{
 use vliw_trace::Trace;
 
 use crate::context::{
-    prepare_loop, ArchVariant, ExperimentContext, PreparedLoop, ProfileSource, RunConfig,
+    prepare_with_profiles, ArchVariant, ExperimentContext, PreparedLoop, ProfileSource, RunConfig,
     UnrollMode, VariantBuilder,
 };
 
@@ -233,6 +251,93 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The variant-profile memo's key: variant `factor` of the original
+/// kernel `kernel_fp`, laid out in the environment `env_fp` with or
+/// without §4.3.4 padding. A synthetic profile reads nothing else — not
+/// the policy, backend, profile source or unroll mode — and the arch
+/// reaches it only through the machine, which `env_fp` digests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ProfileKey {
+    kernel_fp: u64,
+    env_fp: u64,
+    padding: bool,
+    factor: u32,
+}
+
+/// The variant-profile memo of one [`SchedCache`] (see the module docs):
+/// per profiled loop variant, the synthetic [`MemProfile`] of each memory
+/// op, in op order, flattened to the hit rate's bits followed by the
+/// cluster histogram.
+#[derive(Debug, Default)]
+pub(crate) struct ProfileMemo {
+    map: Mutex<HashMap<ProfileKey, Arc<[u64]>>>,
+}
+
+impl ProfileMemo {
+    /// `kernel` — variant `factor` of the original `key` names — with its
+    /// synthetic profiles: attached from the memo, or computed by
+    /// `profile` outside the memo lock and recorded unless another fill
+    /// recorded them first. A `profile` that panics records nothing.
+    pub(crate) fn profiled(
+        &self,
+        key: &CacheKey,
+        factor: u32,
+        mut kernel: LoopKernel,
+        profile: impl FnOnce(LoopKernel) -> LoopKernel,
+    ) -> LoopKernel {
+        let pk = ProfileKey {
+            kernel_fp: key.kernel_fp,
+            env_fp: key.env_fp,
+            padding: key.padding,
+            factor,
+        };
+        let stored = lock_recover(&self.map).get(&pk).cloned();
+        if let Some(words) = stored {
+            attach_profiles(&mut kernel, &words);
+            return kernel;
+        }
+        let kernel = profile(kernel);
+        let words = flatten_profiles(&kernel);
+        lock_recover(&self.map).entry(pk).or_insert(words);
+        kernel
+    }
+}
+
+/// The memo entry of a synthetically profiled kernel.
+fn flatten_profiles(kernel: &LoopKernel) -> Arc<[u64]> {
+    kernel
+        .mem_ops()
+        .flat_map(|op| {
+            let p = op
+                .mem
+                .as_ref()
+                .and_then(|m| m.profile.as_ref())
+                .expect("a profiled kernel's memory ops carry profiles");
+            debug_assert!(p.latency.is_none(), "synthetic profiles carry no latency");
+            std::iter::once(p.hit_rate.to_bits()).chain(p.cluster_hist.iter().copied())
+        })
+        .collect()
+}
+
+/// Sets every memory op's profile of `kernel` from a memo entry
+/// [`flatten_profiles`] made of a kernel of the same shape.
+fn attach_profiles(kernel: &mut LoopKernel, words: &[u64]) {
+    let n = kernel.n_mem_ops();
+    if n == 0 {
+        return;
+    }
+    // every op's histogram has one count per cluster
+    let stride = words.len() / n;
+    let mem_ops = kernel.ops.iter_mut().filter(|op| op.is_mem());
+    for (op, w) in mem_ops.zip(words.chunks_exact(stride)) {
+        op.mem.as_mut().expect("a memory op has an access").profile = Some(MemProfile {
+            hit_rate: f64::from_bits(w[0]),
+            cluster_hist: w[1..].to_vec(),
+            latency: None,
+        });
+    }
+}
+
 /// The lifecycle of one cache cell.
 #[derive(Debug, Default)]
 enum SlotState {
@@ -254,7 +359,7 @@ type Slot = Arc<Mutex<SlotState>>;
 
 /// Signature of the function a cache invokes to fill a cold slot —
 /// the preparation seam. The default is
-/// [`prepare_loop`]; the
+/// [`prepare_loop`](crate::prepare_loop); the
 /// fault-injection harness (and the panic-storm test) swap in shims that
 /// panic or starve on selected keys, exercising exactly the containment
 /// paths production code runs.
@@ -275,8 +380,10 @@ pub struct SchedCache {
     map: Mutex<HashMap<CacheKey, Slot>>,
     store: Option<ScheduleStore>,
     /// Slot-fill override (`None` =
-    /// [`prepare_loop`]).
+    /// [`prepare_loop`](crate::prepare_loop)).
     preparer: Option<Arc<PrepareFn>>,
+    /// The variant-profile memo of the default fill and store rebuilds.
+    profiles: ProfileMemo,
     hits: AtomicU64,
     store_hits: AtomicU64,
     prepares: AtomicU64,
@@ -311,7 +418,7 @@ impl SchedCache {
     }
 
     /// This cache, filling cold slots through `preparer` instead of
-    /// [`prepare_loop`] — the
+    /// [`prepare_loop`](crate::prepare_loop) — the
     /// fault-injection seam. Panics thrown by the
     /// preparer are contained exactly like panics from the real pipeline.
     pub fn into_preparer(mut self, preparer: Arc<PrepareFn>) -> Self {
@@ -362,6 +469,13 @@ impl SchedCache {
     /// Persistent-store entries rejected as stale.
     pub fn stale(&self) -> u64 {
         self.stale.load(Ordering::Relaxed)
+    }
+
+    /// Distinct loop variants synthetically profiled: the variant-profile
+    /// memo's length. Every fill profiles the same variants whichever
+    /// worker runs it, so the count does not depend on the worker count.
+    pub(crate) fn profiled_variants(&self) -> usize {
+        lock_recover(&self.profiles.map).len()
     }
 
     /// Times a thread blocked on another's in-flight preparation of the
@@ -469,7 +583,7 @@ impl SchedCache {
             SlotState::Empty => {}
         }
         if let Some(entry) = self.store.as_ref().and_then(|s| s.get(&key)) {
-            match rebuild(entry, original, machine, cfg, ctx) {
+            match rebuild(entry, original, machine, cfg, ctx, &self.profiles) {
                 Ok(p) => {
                     self.store_hits.fetch_add(1, Ordering::Relaxed);
                     trace.instant("cache.store_hit", &[]);
@@ -495,8 +609,12 @@ impl SchedCache {
         let computed =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &self.preparer {
                 // custom preparers (fault-injection shims) take no trace
+                // and bypass the variant-profile memo
                 Some(f) => f(original, machine, cfg, ctx),
-                None => prepare_loop(original, machine, cfg, ctx, trace),
+                None => {
+                    let profiles = Some((&self.profiles, &key));
+                    prepare_with_profiles(original, machine, cfg, ctx, profiles, trace)
+                }
             }));
         drop(fill_span);
         let prepared = match computed {
@@ -538,17 +656,20 @@ impl SchedCache {
 }
 
 /// Rebuilds a [`PreparedLoop`] from a store entry: re-derives the
-/// prepared kernel (unroll + profile at the stored factor — no candidate
-/// scheduling), then accepts the stored schedule only if the rebuilt
-/// kernel's fingerprint matches and the schedule verifies against it.
+/// prepared kernel (unroll + profile at the stored factor, the profiles
+/// served by `profiles` — no candidate scheduling), then accepts the
+/// stored schedule only if the rebuilt kernel's fingerprint matches and
+/// the schedule verifies against it.
 fn rebuild(
     entry: &StoreEntry,
     original: &LoopKernel,
     machine: &MachineConfig,
     cfg: &RunConfig,
     ctx: &ExperimentContext,
+    profiles: &ProfileMemo,
 ) -> Result<PreparedLoop, String> {
-    let mut builder = VariantBuilder::new(original, machine, cfg, ctx);
+    let memo = Some((profiles, &entry.key));
+    let mut builder = VariantBuilder::new(original, machine, cfg, ctx, memo);
     let kernel = builder.build(entry.factor).map_err(|e| e.to_string())?;
     let fp = kernel_fingerprint(&kernel);
     if fp != entry.prepared_fp {

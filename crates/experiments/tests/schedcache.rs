@@ -9,10 +9,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use vliw_experiments::{
-    ExperimentContext, PreparedLoop, RunConfig, SchedCache, ScheduleStore, UnrollMode,
+    prepare_loop, ExperimentContext, PreparedLoop, ProfileSource, RunConfig, SchedCache,
+    ScheduleStore, UnrollMode,
 };
 use vliw_ir::{kernel_fingerprint, LoopKernel, StableHasher};
 use vliw_sched::ClusterPolicy;
+use vliw_trace::Trace;
 
 fn ctx() -> ExperimentContext {
     let mut ctx = ExperimentContext::quick();
@@ -129,6 +131,107 @@ fn thread_storm_prepares_each_key_exactly_once() {
         0x809a_1245_7ae1_a334,
         "the exported store text changed"
     );
+}
+
+/// Asserts two preparations equal: schedule, unroll factor and choice,
+/// and every op's profile field by field — the part of a kernel
+/// [`kernel_fingerprint`] skips.
+fn assert_same_preparation(got: &PreparedLoop, want: &PreparedLoop, what: &str) {
+    assert_eq!(
+        got.schedule.to_compact_text(),
+        want.schedule.to_compact_text(),
+        "{what}"
+    );
+    assert_eq!(got.factor, want.factor, "{what}");
+    assert_eq!(got.choice, want.choice, "{what}");
+    assert_eq!(got.kernel.ops.len(), want.kernel.ops.len(), "{what}");
+    for (a, b) in got.kernel.ops.iter().zip(&want.kernel.ops) {
+        let profile = |op: &vliw_ir::Operation| op.mem.as_ref().and_then(|m| m.profile.clone());
+        match (profile(a), profile(b)) {
+            (Some(pa), Some(pb)) => {
+                let op = &a.name;
+                assert_eq!(pa.hit_rate.to_bits(), pb.hit_rate.to_bits(), "{what} {op}");
+                assert_eq!(pa.cluster_hist, pb.cluster_hist, "{what} {op}");
+                assert_eq!(pa.latency, pb.latency, "{what} {op}");
+            }
+            (None, None) => {}
+            _ => panic!("{what}: op {} has a profile on one side only", a.name),
+        }
+    }
+}
+
+/// Prepares `k` under `cfg` through `cache` and plainly, and asserts the
+/// two agree.
+fn assert_memo_agrees(
+    cache: &SchedCache,
+    k: &LoopKernel,
+    cfg: &RunConfig,
+    ctx: &ExperimentContext,
+) {
+    let what = format!("{} {cfg:?}", k.name);
+    let machine = ctx.machine_for(cfg);
+    let got = cache.prepare(k, &machine, cfg, ctx);
+    let want = prepare_loop(k, &machine, cfg, ctx, Trace::off());
+    match (got, want) {
+        (Ok(got), Ok(want)) => assert_same_preparation(&got, &want, &what),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+        (got, want) => panic!("{what}: {:?} vs {:?}", got.err(), want.err()),
+    }
+}
+
+/// The cache's variant-profile memo changes no preparation: for every
+/// quick-suite loop and a renamed copy of one, under every policy, unroll
+/// mode, padding flag and synthetic or measured source, a cache that
+/// shares profiles across all of them prepares exactly what a plain
+/// `prepare_loop` does.
+#[test]
+fn memoized_profiles_prepare_what_a_plain_preparation_does() {
+    let mut ctx = ExperimentContext::quick();
+    ctx.sim.iteration_cap = 48;
+    ctx.profile.iteration_cap = 48;
+    let mut kernels = kernels(&ctx);
+    let mut renamed = kernels[0].clone();
+    renamed.name.push_str("_renamed");
+    assert_ne!(
+        kernel_fingerprint(&renamed),
+        kernel_fingerprint(&kernels[0])
+    );
+    kernels.push(renamed);
+    let cache = SchedCache::new();
+    // one thread per policy, all filling the one memo
+    let served: usize = std::thread::scope(|s| {
+        let workers: Vec<_> = ClusterPolicy::ALL
+            .into_iter()
+            .map(|policy| {
+                let (cache, ctx, kernels) = (&cache, &ctx, &kernels);
+                s.spawn(move || {
+                    let mut served = 0;
+                    for source in [ProfileSource::Synthetic, ProfileSource::Measured] {
+                        for padding in [true, false] {
+                            for unroll in
+                                [UnrollMode::NoUnroll, UnrollMode::Ouf, UnrollMode::Selective]
+                            {
+                                let cfg = RunConfig {
+                                    policy,
+                                    source,
+                                    unroll,
+                                    padding,
+                                    ..RunConfig::ipbc()
+                                };
+                                for k in kernels {
+                                    assert_memo_agrees(cache, k, &cfg, ctx);
+                                    served += 1;
+                                }
+                            }
+                        }
+                    }
+                    served
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_eq!(cache.len(), served, "one slot per request");
 }
 
 fn temp_path(name: &str) -> PathBuf {
