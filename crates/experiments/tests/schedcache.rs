@@ -9,10 +9,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use vliw_experiments::{
-    prepare_loop, ExperimentContext, PreparedLoop, ProfileSource, RunConfig, SchedCache,
+    prepare_loop, CacheKey, ExperimentContext, PreparedLoop, ProfileSource, RunConfig, SchedCache,
     ScheduleStore, UnrollMode,
 };
-use vliw_ir::{kernel_fingerprint, LoopKernel, StableHasher};
+use vliw_ir::{kernel_fingerprint, unroll, LoopKernel, StableHasher};
 use vliw_sched::ClusterPolicy;
 use vliw_trace::Trace;
 
@@ -374,6 +374,45 @@ fn same_name_different_body_never_collides() {
         kernel_fingerprint(&pa.kernel),
         kernel_fingerprint(&pb.kernel),
         "each cell serves its own kernel"
+    );
+}
+
+/// Every full-suite fingerprint, folded into one pinned digest: each
+/// loop's [`kernel_fingerprint`] and its unrolled variants' at factors
+/// 1, 2, 4 and 8 (the store's prepared-kernel fingerprints), then its
+/// [`CacheKey`] under the headline configurations. A change to the bytes
+/// either fingerprint hashes, or to how the hasher digests them, re-keys
+/// every cache, store and profile, and fails here.
+#[test]
+fn full_suite_fingerprints_are_pinned() {
+    let ctx = ExperimentContext::full();
+    let configs = [
+        RunConfig::ipbc(),
+        RunConfig::ibc(),
+        RunConfig::multivliw(),
+        RunConfig::unified(1),
+        RunConfig::unified(5),
+        RunConfig::ipbc().with_buffers(),
+    ];
+    let machines: Vec<_> = configs.iter().map(|cfg| ctx.machine_for(cfg)).collect();
+    let mut h = StableHasher::new();
+    let mut loops = 0;
+    for k in kernels(&ctx) {
+        h.write_u64(kernel_fingerprint(&k));
+        for factor in [1, 2, 4, 8] {
+            h.write_u64(kernel_fingerprint(&unroll(&k, factor)));
+        }
+        for (cfg, machine) in configs.iter().zip(&machines) {
+            let key = CacheKey::of(&k, machine, cfg, &ctx);
+            h.write_u64(key.kernel_fp);
+            h.write_u64(key.env_fp);
+        }
+        loops += 1;
+    }
+    assert_eq!(
+        (loops, h.finish()),
+        (108, 0xb5ae_1d75_9510_873d),
+        "a full-suite fingerprint changed"
     );
 }
 
