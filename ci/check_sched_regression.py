@@ -27,7 +27,10 @@ Also guards the `batch` section (the schedule-cache service):
   must stay at or above the hard floor (5x): a warm cache that is not
   at least 5x a cold run means cache hits are doing scheduling work;
 * `warm_schedules_per_sec` must not regress more than the threshold
-  against the baseline (wall-clock; same caveat as above);
+  against the baseline (wall-clock; same caveat as above); `key_ns`, the
+  median time of one schedule-cache key (most of a warm hit), is printed
+  next to it, report-only: it is wall-clock too, and the baseline does
+  not record it;
 * `deterministic` and `warm_hit_rate` must be exactly 1;
 * `requests`, `unique_keys` and `profiled_variants` (distinct loop
   variants the cold parallel pass profiled through the cache's
@@ -191,6 +194,10 @@ def check_batch(baseline, fresh, threshold):
         if ratio < WARM_OVER_COLD_FLOOR:
             print("FAIL: warm cache passes must be at least 5x cold throughput")
             failed = True
+
+    key_ns = fresh.get("key_ns")
+    if key_ns is not None:
+        print(f"batch key_ns (wall-clock, report-only): {key_ns:.0f} ns per cache key")
 
     if baseline is not None:
         for key in BATCH_EXACT:

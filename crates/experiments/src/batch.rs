@@ -32,7 +32,9 @@
 //! Every drain folds its per-request schedule digests in request order,
 //! whatever order they were answered in, into one fingerprint; all of
 //! them must be bit-identical. The cold parallel pass also counts how often a
-//! worker blocked on another's in-flight fill of the same cell.
+//! worker blocked on another's in-flight fill of the same cell. Last, each
+//! request's [`CacheKey`] is computed alone on one thread and the median
+//! time reported (`key_ns`): the hashing that is most of a warm hit.
 
 use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +47,7 @@ use vliw_trace::Trace;
 
 use crate::context::{ExperimentContext, RunConfig, UnrollMode};
 use crate::grid::claim_loop;
-use crate::schedcache::{SchedCache, ScheduleStore};
+use crate::schedcache::{CacheKey, SchedCache, ScheduleStore};
 
 /// How many times one request re-attempts a preparation whose previous
 /// attempt panicked (the cache contains the panic and marks the slot
@@ -90,6 +92,10 @@ pub struct BatchReport {
     pub variants: usize,
     /// Worker threads used.
     pub workers: usize,
+    /// Median wall time of one [`CacheKey::of`] over the queue, timed
+    /// serially in nanoseconds: the hashing every cache request starts
+    /// with, and most of a warm hit.
+    pub key_ns: f64,
     /// Pass 1: cold, one worker.
     pub cold_serial: PassReport,
     /// Pass 2: cold, every worker.
@@ -133,6 +139,7 @@ impl BatchReport {
             ("profiled_variants".into(), self.profiled_variants as f64),
             ("variants".into(), self.variants as f64),
             ("workers".into(), self.workers as f64),
+            ("key_ns".into(), self.key_ns),
             ("cold_serial_seconds".into(), self.cold_serial.seconds),
             ("cold_serial_per_sec".into(), self.cold_serial.per_sec),
             ("cold_seconds".into(), self.cold_parallel.seconds),
@@ -175,11 +182,12 @@ impl std::fmt::Display for BatchReport {
         )?;
         writeln!(
             f,
-            "  warm memory   {:>9.1} req/s ({:.3}s, hit rate {:.3}, {:.1}x cold)",
+            "  warm memory   {:>9.1} req/s ({:.3}s, hit rate {:.3}, {:.1}x cold; key {:.0} ns)",
             self.warm_mem.per_sec,
             self.warm_mem.seconds,
             self.warm_hit_rate,
-            self.warm_over_cold()
+            self.warm_over_cold(),
+            self.key_ns
         )?;
         writeln!(
             f,
@@ -481,6 +489,23 @@ impl Containment {
     }
 }
 
+/// The median wall time of one [`CacheKey::of`] over `requests`, in
+/// nanoseconds, each key timed alone on this thread (machines built
+/// outside the timed region).
+fn median_key_ns(requests: &[BatchRequest], ctx: &ExperimentContext) -> f64 {
+    let mut ns: Vec<u128> = requests
+        .iter()
+        .map(|r| {
+            let machine = ctx.machine_for(&r.cfg);
+            let t0 = Instant::now();
+            std::hint::black_box(CacheKey::of(&r.kernel, &machine, &r.cfg, ctx));
+            t0.elapsed().as_nanos()
+        })
+        .collect();
+    ns.sort_unstable();
+    ns.get(ns.len() / 2).map_or(0.0, |&t| t as f64)
+}
+
 /// Runs the whole batch study over a queue of at least `target_requests`
 /// (sized as [`build_requests`] does), the parallel passes on
 /// [`ExperimentContext::workers`] threads. See the module docs for the
@@ -521,6 +546,8 @@ pub fn run_batch(ctx: &ExperimentContext, target_requests: usize) -> BatchReport
     let store_hit_rate = disk_cache.store_hits() as f64 / n as f64;
     let store_stale = disk_cache.stale();
 
+    let key_ns = median_key_ns(&requests, ctx);
+
     let drains: Vec<&Drain> = [&serial, &cold, &disk].into_iter().chain(&warm).collect();
     BatchReport {
         requests: n,
@@ -528,6 +555,7 @@ pub fn run_batch(ctx: &ExperimentContext, target_requests: usize) -> BatchReport
         profiled_variants,
         variants,
         workers: ctx.workers,
+        key_ns,
         cold_serial: pass(&serial, n),
         cold_parallel: pass(&cold, n),
         warm_mem: pass(&warm[WARM_REPEATS / 2], n),
@@ -580,8 +608,8 @@ mod tests {
             r.store_hit_rate
         );
         assert_eq!(r.store_stale, 0, "fresh store entries must never be stale");
-        // the metrics carry the cold pass's in-flight waits and profiled
-        // variants
+        // the metrics carry the cold pass's in-flight waits, profiled
+        // variants and key time
         let metric = |name: &str| r.metrics().into_iter().find(|(k, _)| k == name);
         assert_eq!(
             metric("inflight_waits").map(|(_, v)| v),
@@ -591,6 +619,8 @@ mod tests {
             metric("profiled_variants").map(|(_, v)| v),
             Some(r.profiled_variants as f64)
         );
+        assert_eq!(metric("key_ns").map(|(_, v)| v), Some(r.key_ns));
+        assert!(r.key_ns > 0.0, "every request computes a key");
         assert!(r.profiled_variants < r.unique_keys);
         // a slot left failed shows its reason; a clean report shows none
         assert!(!r.to_string().contains("failed slot"));
