@@ -1,6 +1,6 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! Usage: `repro [quick|full] [--serial] [all|table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|interleave|mshr|sched|optgap|profile|batch|trace|faults|chains]`
+//! Usage: `repro [quick|full] [--serial] [all|table1|table2|example433|fig4|fig5|fig6|fig7|fig8|hints|interleave|mshr|sched|optgap|batch|trace|faults|chains]`
 //!
 //! Results print to stdout and are also written as CSV under `results/`.
 //! Every run additionally emits `BENCH_repro.json` — a machine-readable
@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use vliw_experiments::{
     backend_quality_table, batch, chains_exp, example433, fig4, fig5, fig6, fig7, fig8, hints_exp,
-    interleave_study, mshr_table, optgap, profile_fidelity, tables, ExperimentContext,
-    FaultOptions, RunConfig, RunGrid, SchedCache, UnrollMode,
+    interleave_study, mshr_table, optgap, tables, ExperimentContext, FaultOptions, RunConfig,
+    RunGrid, SchedCache, UnrollMode,
 };
 use vliw_ir::{Ddg, LoopKernel};
 use vliw_machine::MachineConfig;
@@ -320,7 +320,7 @@ type Target = fn(&ExperimentContext, &str) -> Metrics;
 
 /// Every target, in run order: `all` runs them in this order, and each
 /// one's record is timed around its call.
-const TARGETS: [(&str, Target); 18] = [
+const TARGETS: [(&str, Target); 17] = [
     ("table1", run_table1),
     ("table2", run_table2),
     ("example433", run_example433),
@@ -334,7 +334,6 @@ const TARGETS: [(&str, Target); 18] = [
     ("mshr", run_mshr),
     ("sched", run_sched),
     ("optgap", run_optgap),
-    ("profile", run_profile),
     ("batch", run_batch),
     ("trace", run_trace),
     ("faults", run_faults),
@@ -531,47 +530,6 @@ fn run_optgap(ctx: &ExperimentContext, _: &str) -> Metrics {
     let q = res.quality_by_config();
     m.push(("grid_proven/bnb".into(), q[1][1] as f64));
     m.push(("grid_cutoff/bnb".into(), q[1][2] as f64));
-    m
-}
-
-fn run_profile(ctx: &ExperimentContext, scale: &str) -> Metrics {
-    // the measured-profile subsystem end to end: collect profiles
-    // from the timing simulator, persist the versioned store, report
-    // synthetic-vs-measured divergence and per-policy cycle deltas
-    let p = profile_fidelity::profile_fidelity(ctx);
-    println!("{p}");
-    save("profile_fidelity", p.table().to_csv());
-    save("profile_divergence", p.divergence_table().to_csv());
-    let store_path = Path::new("results")
-        .join("profiles")
-        .join(format!("factor1-{scale}.profile"));
-    match p.store.save(&store_path) {
-        Ok(()) => println!("[saved {}]", store_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", store_path.display()),
-    }
-    let mut m = vec![
-        ("store_loops".into(), p.store.len() as f64),
-        ("skipped".into(), p.skipped as f64),
-    ];
-    for r in &p.divergence {
-        m.push((format!("hit_delta/{}", r.bench), r.mean_hit_delta));
-        m.push((format!("pref_agreement/{}", r.bench), r.pref_agreement));
-        m.push((
-            format!("expected_latency/{}", r.bench),
-            r.mean_expected_latency,
-        ));
-    }
-    for pd in &p.policies {
-        m.push((
-            format!("cycles_synthetic/{}", pd.policy),
-            pd.synthetic_cycles,
-        ));
-        m.push((format!("cycles_measured/{}", pd.policy), pd.measured_cycles));
-        m.push((
-            format!("measured_delta_pct/{}", pd.policy),
-            pd.measured_delta_pct(),
-        ));
-    }
     m
 }
 

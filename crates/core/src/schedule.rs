@@ -214,9 +214,9 @@ impl Schedule {
     }
 
     /// Serializes the schedule into the repo's integers-only text
-    /// discipline (same rules as the profile store: whitespace-separated
-    /// integers under named tokens, no floats, no Debug formatting), for
-    /// persistence in the schedule cache.
+    /// discipline (whitespace-separated integers under named tokens, no
+    /// floats, no Debug formatting), for persistence in the schedule
+    /// cache.
     ///
     /// The latency-assignment reduction log (`latencies.steps`) is not
     /// serialized: nothing downstream of a finished schedule reads it, so

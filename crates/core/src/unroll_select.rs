@@ -135,7 +135,6 @@ mod tests {
             vliw_ir::MemProfile {
                 hit_rate: 0.0,
                 cluster_hist: vec![1, 0, 0, 0],
-                latency: None,
             },
         );
         let k = b.finish(64.0); // …but hit rate 0: skipped

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use vliw_ir::{unroll, LoopKernel, OpId};
 use vliw_machine::MachineConfig;
 use vliw_mem::build_cache;
-use vliw_profile::{attach_measurements, measure_kernel, MeasureOptions, StreamProfile};
 use vliw_sched::{
     attraction_hints, schedule_outcome_traced, unroll_candidates, AttractionHints, ClusterPolicy,
     EnumLimits, FallbackPolicy, SchedBackend, SchedQuality, Schedule, ScheduleError,
@@ -51,15 +50,12 @@ pub enum ProfileSource {
     /// preferred clusters. The ablation measuring what profiling buys.
     None,
     /// The functional-cache profiling pass (`vliw-workloads`): timeless
-    /// hit/miss replay of the profile input. The historical default —
-    /// selecting it keeps every schedule bit-identical to the
-    /// pre-measurement pipeline.
+    /// hit/miss replay of the profile input. The default.
     Synthetic,
-    /// Measured profiles (`vliw-profile`): the synthetic pipeline's
-    /// schedule is executed in the *timing* simulator on the profile
-    /// input, per-load class mixes / home-cluster histograms / latency
-    /// distributions are collected, and the scheduler re-runs against the
-    /// measurements — the closed feedback loop.
+    /// Retired: profiles measured in the timing simulator (DESIGN.md,
+    /// "Retired: measured profiles"); preparing under it panics. The
+    /// variant stays, last so every other discriminant and cache key is
+    /// unchanged, only because the frozen perfbench replica matches on it.
     Measured,
 }
 
@@ -138,12 +134,6 @@ impl RunConfig {
     /// backend.
     pub fn with_backend(mut self, backend: SchedBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// The same configuration fed from a different profile source.
-    pub(crate) fn with_source(mut self, source: ProfileSource) -> Self {
-        self.source = source;
         self
     }
 }
@@ -308,23 +298,8 @@ fn synthetic_profile(
 /// Synthetic profiles come from the schedule cache's variant-profile memo
 /// when the builder is given one, so a cache profiles each variant once
 /// whatever policies and unroll modes ask for it.
-///
-/// For the `Measured` source, factor 1 is measured **once** (on first
-/// use, [`VariantBuilder::measure`]) and kept as a [`StreamProfile`];
-/// the measurements of every variant, factor 1 included, are then
-/// *derived* from that stream ([`StreamProfile::derive_unrolled`])
-/// instead of paying another bootstrap schedule + timing simulation per
-/// variant.
-///
-/// The derivation cannot fail here: [`unroll`] always emits `n·u` ops;
-/// the simulator accesses the cache exactly once per memory op per
-/// iteration of the measured pass, and the collector keeps only that
-/// pass, so every op's stream has the same length; and the factor-1
-/// variant is a clone of the measured original, so its fingerprint is
-/// the measured one.
 pub(crate) struct VariantBuilder<'a> {
     original: LoopKernel,
-    stream: Option<StreamProfile>,
     machine: &'a MachineConfig,
     cfg: &'a RunConfig,
     ctx: &'a ExperimentContext,
@@ -334,6 +309,10 @@ pub(crate) struct VariantBuilder<'a> {
 impl<'a> VariantBuilder<'a> {
     /// Profiles `original` per the source axis and wraps it for variant
     /// building, drawing synthetic profiles from `profiles` when given.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the retired `ProfileSource::Measured`.
     pub(crate) fn new(
         original: &LoopKernel,
         machine: &'a MachineConfig,
@@ -342,16 +321,17 @@ impl<'a> VariantBuilder<'a> {
         profiles: Option<(&'a ProfileMemo, &'a CacheKey)>,
     ) -> Self {
         // hit rates steer the OUF analysis: profile the original first
-        // (the OUF analysis always runs on synthetic profiles —
-        // measurement needs a per-variant schedule, which does not exist
-        // yet at this point)
         let original = match cfg.source {
             ProfileSource::None => original.clone(),
-            _ => synthetic_profile(original.clone(), 1, machine, cfg, ctx, profiles),
+            ProfileSource::Synthetic => {
+                synthetic_profile(original.clone(), 1, machine, cfg, ctx, profiles)
+            }
+            ProfileSource::Measured => panic!(
+                "ProfileSource::Measured is retired (DESIGN.md, \"Retired: measured profiles\")"
+            ),
         };
         VariantBuilder {
             original,
-            stream: None,
             machine,
             cfg,
             ctx,
@@ -362,31 +342,6 @@ impl<'a> VariantBuilder<'a> {
     /// The (synthetically profiled) factor-1 kernel.
     pub(crate) fn original(&self) -> &LoopKernel {
         &self.original
-    }
-
-    /// The measurement run of the original (`vliw-profile`): the synthetic
-    /// pipeline's schedule under the configuration's own policy, simulated
-    /// on the profile input — so the measurements describe the code the
-    /// policy would actually run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bootstrap scheduling failures (the measurement run
-    /// needs a schedule; a kernel the policy cannot schedule has no
-    /// measurement).
-    fn measure(&self) -> Result<StreamProfile, ScheduleError> {
-        let opts = MeasureOptions {
-            policy: self.cfg.policy,
-            enum_limits: self.ctx.enum_limits,
-            sim: self.ctx.sim,
-        };
-        measure_kernel(
-            &self.original,
-            self.machine,
-            self.cfg.padding,
-            self.ctx.workloads.profile_input,
-            &opts,
-        )
     }
 
     /// One unrolled variant, synthetically profiled. Factor 1 is the
@@ -408,28 +363,11 @@ impl<'a> VariantBuilder<'a> {
     }
 
     /// One unrolled variant's kernel, profiled per the source axis.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bootstrap scheduling failures of the measurement run.
-    pub(crate) fn build(&mut self, factor: u32) -> Result<LoopKernel, ScheduleError> {
-        let machine = self.machine;
+    pub(crate) fn build(&self, factor: u32) -> LoopKernel {
         match self.cfg.source {
-            ProfileSource::None => Ok(unroll(&self.original, factor)),
-            ProfileSource::Synthetic => Ok(self.synthetic(factor)),
-            ProfileSource::Measured => {
-                let mut variant = self.synthetic(factor);
-                let stream = match &self.stream {
-                    Some(stream) => stream,
-                    None => self.stream.insert(self.measure()?),
-                };
-                let lp = stream
-                    .derive_unrolled(&variant, factor, machine)
-                    .expect("a variant of the measured original derives from its stream");
-                attach_measurements(&mut variant, &lp)
-                    .expect("a derived measurement matches the kernel it was derived for");
-                Ok(variant)
-            }
+            ProfileSource::None => unroll(&self.original, factor),
+            // `new` refused the retired source
+            _ => self.synthetic(factor),
         }
     }
 }
@@ -520,7 +458,7 @@ pub(crate) fn prepare_with_profiles(
 ) -> Result<PreparedLoop, ScheduleError> {
     let _loop_span = trace.span("prepare_loop");
     let opts = schedule_options(cfg, ctx);
-    let mut builder = VariantBuilder::new(original, machine, cfg, ctx, profiles);
+    let builder = VariantBuilder::new(original, machine, cfg, ctx, profiles);
     let ouf = vliw_sched::optimal_unroll_factor(builder.original(), machine);
     let candidates: Vec<(UnrollChoice, u32)> = match cfg.unroll {
         UnrollMode::NoUnroll => vec![(UnrollChoice::None, 1)],
@@ -545,28 +483,24 @@ pub(crate) fn prepare_with_profiles(
     let mut best: Option<PreparedLoop> = None;
     let mut last_err = None;
     for (choice, factor) in candidates {
-        let mut ceiling = None;
+        let kernel = builder.build(factor);
+        let ceiling = match &best {
+            Some(b) if first_fit => {
+                texec_ceiling(kernel.avg_trip, b.schedule.texec(b.kernel.avg_trip))
+            }
+            _ => None,
+        };
+        let capped = ScheduleOptions {
+            max_ii: ceiling,
+            ..opts
+        };
         // an unschedulable variant is simply not a candidate (giant pinned
         // chains after deep unrolling can defeat the no-backtracking
         // scheduler), and neither is one with no schedule under its
         // ceiling, which could not have won; factor 1 virtually always
         // schedules
-        let scheduled = builder.build(factor).and_then(|kernel| {
-            ceiling = match &best {
-                Some(b) if first_fit => {
-                    texec_ceiling(kernel.avg_trip, b.schedule.texec(b.kernel.avg_trip))
-                }
-                _ => None,
-            };
-            let capped = ScheduleOptions {
-                max_ii: ceiling,
-                ..opts
-            };
-            let outcome = schedule_outcome_traced(&kernel, machine, capped, trace)?;
-            Ok((kernel, outcome))
-        });
-        let (kernel, outcome) = match scheduled {
-            Ok(s) => s,
+        let outcome = match schedule_outcome_traced(&kernel, machine, capped, trace) {
+            Ok(o) => o,
             Err(e) => {
                 variant_instant(factor, ceiling, 0, 0.0, false);
                 last_err = Some(e);
@@ -603,7 +537,7 @@ pub(crate) fn prepare_with_profiles(
         // the Ouf-only mode's single candidate failed: fall back to
         // factor 1, which the other modes have already tried
         None if matches!(cfg.unroll, UnrollMode::Ouf) => {
-            let kernel = builder.build(1).map_err(|e| last_err.take().unwrap_or(e))?;
+            let kernel = builder.build(1);
             let outcome = schedule_outcome_traced(&kernel, machine, opts, trace)
                 .map_err(|_| last_err.expect("at least one failure recorded"))?;
             Ok(PreparedLoop {
@@ -829,12 +763,12 @@ mod tests {
         ctx: &ExperimentContext,
     ) -> (PreparedLoop, Vec<(u32, Option<u32>)>) {
         let opts = schedule_options(cfg, ctx);
-        let mut builder = VariantBuilder::new(original, machine, cfg, ctx, None);
+        let builder = VariantBuilder::new(original, machine, cfg, ctx, None);
         let ouf = vliw_sched::optimal_unroll_factor(builder.original(), machine);
         let mut best: Option<PreparedLoop> = None;
         let mut tried = Vec::new();
         for (choice, factor) in unroll_candidates(builder.original(), machine) {
-            let kernel = builder.build(factor).unwrap();
+            let kernel = builder.build(factor);
             let outcome = schedule_outcome(&kernel, machine, opts);
             tried.push((factor, outcome.as_ref().ok().map(|o| o.schedule.ii)));
             let Ok(o) = outcome else { continue };
@@ -855,7 +789,7 @@ mod tests {
             }
         }
         let best = best.unwrap_or_else(|| {
-            let kernel = builder.build(1).unwrap();
+            let kernel = builder.build(1);
             let o = schedule_outcome(&kernel, machine, opts).unwrap();
             PreparedLoop {
                 kernel,
@@ -991,9 +925,9 @@ mod tests {
             };
             let machine = ctx.machine_for(&cfg);
             for lw in models.iter().flat_map(|m| &m.loops) {
-                let mut builder = VariantBuilder::new(&lw.kernel, &machine, &cfg, &ctx, None);
+                let builder = VariantBuilder::new(&lw.kernel, &machine, &cfg, &ctx, None);
                 let again = profiled(unroll(builder.original(), 1), &machine, &ctx, padding);
-                assert_eq!(builder.build(1).unwrap(), again, "{}", lw.kernel.name);
+                assert_eq!(builder.build(1), again, "{}", lw.kernel.name);
             }
         }
     }
@@ -1113,8 +1047,23 @@ mod tests {
             assert_eq!(entries(&memo, &cfg), total, "{cfg:?} shares no entry");
         }
         // no source at all profiles nothing
-        let none = base.with_source(ProfileSource::None);
+        let none = RunConfig {
+            source: ProfileSource::None,
+            ..base
+        };
         assert_eq!(entries(&SchedCache::new(), &none), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ProfileSource::Measured is retired")]
+    fn the_retired_measured_source_never_prepares() {
+        let ctx = ExperimentContext::quick();
+        let cfg = RunConfig {
+            source: ProfileSource::Measured,
+            ..RunConfig::ipbc()
+        };
+        let k = &ctx.models()[0].loops[0].kernel;
+        let _ = prepare_loop(k, &ctx.machine, &cfg, &ctx, Trace::off());
     }
 
     #[test]

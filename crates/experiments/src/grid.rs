@@ -32,8 +32,7 @@ use std::thread;
 use vliw_sched::SchedQuality;
 use vliw_workloads::BenchmarkModel;
 
-use crate::context::{run_benchmark_memo, BenchRun, ExperimentContext, ProfileSource, RunConfig};
-use crate::report::amean;
+use crate::context::{run_benchmark_memo, BenchRun, ExperimentContext, RunConfig};
 use crate::schedcache::SchedCache;
 
 /// The worker pool of every experiments driver: `min(workers, n)` scoped
@@ -73,15 +72,14 @@ pub(crate) fn claim_loop(
 /// context's benchmarks.
 #[derive(Debug, Clone)]
 pub struct RunGrid {
-    label: String,
     configs: Vec<(String, RunConfig)>,
 }
 
 impl RunGrid {
-    /// An empty grid named `label` (the label shows up in diagnostics).
-    pub fn new(label: impl Into<String>) -> Self {
+    /// An empty grid. The `label` names the grid at its call site only;
+    /// the grid does not keep it.
+    pub fn new(_label: impl Into<String>) -> Self {
         RunGrid {
-            label: label.into(),
             configs: Vec::new(),
         }
     }
@@ -90,11 +88,6 @@ impl RunGrid {
     pub fn config(mut self, label: impl Into<String>, cfg: RunConfig) -> Self {
         self.configs.push((label.into(), cfg));
         self
-    }
-
-    /// The grid's name.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// The labeled configurations, in declaration order.
@@ -130,11 +123,10 @@ impl RunGrid {
             (0..cells_total).map(|_| Mutex::new(None)).collect();
 
         // The work queue, sharded by per-cell cost: heavy cells (the
-        // exact search, and any cell whose measured profile source runs
-        // a whole profiling simulation per loop) are dispatched first
-        // and cheap heuristic cells back-fill the workers, so a sweep
-        // over `SchedBackend::ALL` does not end on a long tail of one
-        // worker grinding exact cells while the rest sit idle. The sort
+        // exact search) are dispatched first and cheap heuristic cells
+        // back-fill the workers, so a sweep over `SchedBackend::ALL`
+        // does not end on a long tail of one worker grinding exact
+        // cells while the rest sit idle. The sort
         // is stable, so within a shard the claim order stays
         // config-major: concurrent workers start on *different*
         // benchmarks, rarely contending on a memo slot, and a benchmark's
@@ -142,15 +134,8 @@ impl RunGrid {
         // computation instead of repeating it). Cells are independent and
         // land in their own slots, so the dispatch order cannot change
         // any result — serial and parallel runs stay bit-identical.
-        let cell_cost = |cfg: &RunConfig| {
-            let measure = match cfg.source {
-                ProfileSource::Measured => 3,
-                ProfileSource::Synthetic | ProfileSource::None => 0,
-            };
-            cfg.backend.cost_rank() + measure
-        };
         let mut queue: Vec<usize> = (0..cells_total).collect();
-        queue.sort_by_key(|&i| std::cmp::Reverse(cell_cost(&self.configs[i / n_models].1)));
+        queue.sort_by_key(|&i| std::cmp::Reverse(self.configs[i / n_models].1.backend.cost_rank()));
 
         claim_loop(&queue, ctx.workers, |_, _, claimed| {
             let Some(i) = claimed else { return };
@@ -226,13 +211,6 @@ impl GridResult {
     pub(crate) fn by_config(&self, c: usize) -> impl Iterator<Item = &BenchRun> {
         let n = self.configs.len();
         self.cells.iter().skip(c).step_by(n.max(1))
-    }
-
-    /// Arithmetic mean of `f` over benchmarks, per configuration.
-    pub(crate) fn amean_by_config(&self, f: impl Fn(&BenchRun) -> f64) -> Vec<f64> {
-        (0..self.configs.len())
-            .map(|c| amean(self.by_config(c).map(&f)))
-            .collect()
     }
 
     /// Per-configuration MSHR activity summed over benchmarks:
@@ -372,7 +350,6 @@ mod tests {
         assert!(res.cell(0, 0).total_cycles() > 0.0);
         assert_eq!(res.by_bench().count(), 1);
         assert_eq!(res.by_config(1).count(), 1);
-        assert_eq!(res.amean_by_config(|r| r.total_cycles()).len(), 2);
     }
 
     #[test]

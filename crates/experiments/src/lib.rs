@@ -52,7 +52,6 @@ mod grid;
 pub mod hints_exp;
 pub mod interleave_study;
 pub mod optgap;
-pub mod profile_fidelity;
 mod report;
 mod schedcache;
 pub mod tables;
@@ -66,7 +65,6 @@ pub use context::{
 pub use faults::{run_faults, FaultOptions, FaultPlan, FaultReport};
 pub use grid::{GridResult, RunGrid};
 pub use optgap::{OptGapResult, OptGapRow};
-pub use profile_fidelity::{CollectedSuite, ProfileFidelityResult};
 pub use report::{backend_quality_table, mshr_table, Table};
 pub use schedcache::{CacheKey, PrepareFn, SalvageReport, SchedCache, ScheduleStore, StoreEntry};
 pub use trace_exp::{run_trace, TraceRun};

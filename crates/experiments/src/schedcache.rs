@@ -3,8 +3,7 @@
 //! This is the orchestration layer of "scheduling as a service": a
 //! content-addressed cache that (a) serves concurrent worker threads
 //! from one key→slot map, and (b) outlives a process via a persistent
-//! store in the same integers-only text discipline as the
-//! measured-profile store.
+//! integers-only text store.
 //!
 //! * **Key** ([`CacheKey`]): `kernel_fingerprint × env fingerprint ×
 //!   (arch, policy, backend, profile source, unroll, padding)`. Both
@@ -41,9 +40,8 @@
 //!   instead of profiling again; a miss profiles outside the memo lock
 //!   and inserts the finished entry if it is still absent, so a panicking
 //!   fill leaves nothing behind. The memo lives exactly as long as its
-//!   cache. `ProfileSource::None` never touches it, `Measured` attaches
-//!   its measurements to a copy of the memoized synthetic base, and
-//!   custom preparers bypass it. Whole kernels, schedule outcomes and
+//!   cache. `ProfileSource::None` never touches it, and custom preparers
+//!   bypass it. Whole kernels, schedule outcomes and
 //!   dependence graphs are *not* shared: in a prototype, memoizing whole
 //!   kernels raised the `cold_service` benchmark's peak RSS from 36.3 to
 //!   44.1 MB, and kernels plus outcomes to 51.3 MB (DESIGN.md, "Variant
@@ -158,10 +156,9 @@ const POLICY_TOKENS: [(ClusterPolicy, &str); 4] = [
     (ClusterPolicy::PreBuildChains, "ipbc"),
     (ClusterPolicy::NoChains, "nochains"),
 ];
-const SOURCE_TOKENS: [(ProfileSource, &str); 3] = [
+const SOURCE_TOKENS: [(ProfileSource, &str); 2] = [
     (ProfileSource::None, "none"),
     (ProfileSource::Synthetic, "syn"),
-    (ProfileSource::Measured, "meas"),
 ];
 const UNROLL_TOKENS: [(UnrollMode, &str); 3] = [
     (UnrollMode::NoUnroll, "no"),
@@ -313,7 +310,6 @@ fn flatten_profiles(kernel: &LoopKernel) -> Arc<[u64]> {
                 .as_ref()
                 .and_then(|m| m.profile.as_ref())
                 .expect("a profiled kernel's memory ops carry profiles");
-            debug_assert!(p.latency.is_none(), "synthetic profiles carry no latency");
             std::iter::once(p.hit_rate.to_bits()).chain(p.cluster_hist.iter().copied())
         })
         .collect()
@@ -333,7 +329,6 @@ fn attach_profiles(kernel: &mut LoopKernel, words: &[u64]) {
         op.mem.as_mut().expect("a memory op has an access").profile = Some(MemProfile {
             hit_rate: f64::from_bits(w[0]),
             cluster_hist: w[1..].to_vec(),
-            latency: None,
         });
     }
 }
@@ -669,8 +664,7 @@ fn rebuild(
     profiles: &ProfileMemo,
 ) -> Result<PreparedLoop, String> {
     let memo = Some((profiles, &entry.key));
-    let mut builder = VariantBuilder::new(original, machine, cfg, ctx, memo);
-    let kernel = builder.build(entry.factor).map_err(|e| e.to_string())?;
+    let kernel = VariantBuilder::new(original, machine, cfg, ctx, memo).build(entry.factor);
     let fp = kernel_fingerprint(&kernel);
     if fp != entry.prepared_fp {
         return Err(format!(
@@ -816,9 +810,9 @@ impl StoreEntry {
 /// schedule block, `check` and `endentry`.
 pub(crate) const RECORD_LINES: usize = 7;
 
-/// The versioned on-disk form of a [`SchedCache`] — same discipline as
-/// the measured-profile store: plain text, integers only, deterministic
-/// (entries sorted), byte-exact round-trips, committed-file diffable.
+/// The versioned on-disk form of a [`SchedCache`]: plain text, integers
+/// only, deterministic (entries sorted), byte-exact round-trips,
+/// committed-file diffable.
 ///
 /// Format (version 2):
 ///
@@ -1366,15 +1360,11 @@ mod tests {
                 | ClusterPolicy::NoChains => token(&POLICY_TOKENS, &v),
             };
         }
-        for v in [
-            ProfileSource::None,
-            ProfileSource::Synthetic,
-            ProfileSource::Measured,
-        ] {
+        for v in [ProfileSource::None, ProfileSource::Synthetic] {
             match v {
-                ProfileSource::None | ProfileSource::Synthetic | ProfileSource::Measured => {
-                    token(&SOURCE_TOKENS, &v)
-                }
+                ProfileSource::None | ProfileSource::Synthetic => token(&SOURCE_TOKENS, &v),
+                // retired: never prepared, so never written to a store
+                ProfileSource::Measured => unreachable!(),
             };
         }
         for v in [UnrollMode::NoUnroll, UnrollMode::Ouf, UnrollMode::Selective] {
@@ -1447,7 +1437,7 @@ mod tests {
     fn retired_delay_records_salvage_as_corrupt() {
         let header = |kfp: u64, backend: &str| {
             format!(
-                "entry k{kfp} kfp {kfp} efp 11 arch wi policy ipbc backend {backend} source meas \
+                "entry k{kfp} kfp {kfp} efp 11 arch wi policy ipbc backend {backend} source syn \
                  unroll sel pad 1 choice xn factor 4 pfp 13 quality heur"
             )
         };
@@ -1455,6 +1445,25 @@ mod tests {
             |kfp| header(kfp, "swing"),
             &header(8, "delay"),
             "unknown backend token `delay`",
+        );
+    }
+
+    /// A store written while measured profiles existed: its `meas` records
+    /// fail the strict loader and are dropped one by one by the salvage
+    /// loader, so they cost a cold preparation, never an error on the
+    /// serving path.
+    #[test]
+    fn retired_measured_records_salvage_as_corrupt() {
+        let header = |kfp: u64, source: &str| {
+            format!(
+                "entry k{kfp} kfp {kfp} efp 11 arch wi policy ipbc backend swing source {source} \
+                 unroll sel pad 1 choice xn factor 4 pfp 13 quality heur"
+            )
+        };
+        assert_salvaged_as_corrupt(
+            |kfp| header(kfp, "syn"),
+            &header(8, "meas"),
+            "unknown source token `meas`",
         );
     }
 

@@ -1,8 +1,8 @@
 //! Toolchain-stable structural fingerprinting of kernels.
 //!
-//! The fingerprint is the content address used by every cache that outlives
-//! a process: the measured-profile store keys its entries by it, and the
-//! schedule cache persists schedules under it. Two properties matter:
+//! The fingerprint is the content address of the schedule cache: it keys
+//! the cache's cells and variant profiles, and the persistent schedule
+//! store writes schedules under it. Two properties matter:
 //!
 //! * **Stability** — the hash must not depend on the standard library's
 //!   `DefaultHasher` (explicitly unstable across releases) or on `Debug`
@@ -12,9 +12,9 @@
 //! * **Profile blindness** — attached [`MemProfile`](crate::MemProfile)s describe *how* a
 //!   kernel behaved, not *what* it is. [`kernel_fingerprint`] walks every
 //!   schedule-relevant structural field and skips `MemAccessInfo::profile`,
-//!   so attaching or re-attaching measurements never changes a kernel's
-//!   identity (and a stored measurement can always be matched back to the
-//!   kernel it was taken from).
+//!   so attaching or re-attaching profiles never changes a kernel's
+//!   identity (and a stored schedule can always be matched back to the
+//!   kernel it was prepared for).
 //!
 //! Hashing is most of the cost of a warm schedule-cache hit, so the
 //! fixed-width integer writes fold their high zero bytes: an FNV-1a step
@@ -203,7 +203,7 @@ fn dep_kind_tag(kind: crate::ddg::DepKind) -> u8 {
 /// destination, sources, memory-access shape) and dependence edges.
 /// Attached profiles ([`MemAccessInfo::profile`](crate::MemAccessInfo))
 /// are deliberately **excluded**: the fingerprint identifies the kernel
-/// body, and measurements keyed by it must survive being attached.
+/// body, and entries keyed by it must survive profiles being attached.
 pub fn kernel_fingerprint(kernel: &LoopKernel) -> u64 {
     let mut h = StableHasher::new();
     h.write_str(&kernel.name);

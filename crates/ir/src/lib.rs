@@ -68,7 +68,7 @@ pub use builder::KernelBuilder;
 pub use ddg::{Ddg, DepEdge, DepKind};
 pub use fingerprint::{kernel_fingerprint, StableHasher};
 pub use kernel::LoopKernel;
-pub use mem_access::{ArrayId, ArrayInfo, ArrayKind, LatencyProfile, MemAccessInfo, MemProfile};
+pub use mem_access::{ArrayId, ArrayInfo, ArrayKind, MemAccessInfo, MemProfile};
 pub use op::{FuKind, OpId, Opcode, Operation, SrcOperand};
 pub use reg::VirtReg;
 pub use unroll::unroll;

@@ -66,53 +66,6 @@ pub struct ArrayInfo {
     pub kind: ArrayKind,
 }
 
-/// A measured per-access latency distribution: how many dynamic accesses
-/// of one memory operation completed in each observed latency, as counted
-/// by a profiling run against the *timing* simulator (the delay-tracking
-/// direction of the related work — richer than the four-class model,
-/// because it folds in contention, combining and MSHR back-pressure).
-///
-/// Counts saturate instead of wrapping, entries are kept sorted by
-/// latency, and the whole structure is plain integers so it serializes
-/// and round-trips exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LatencyProfile {
-    /// `(observed latency, dynamic access count)`, sorted by latency.
-    pub counts: Vec<(u32, u64)>,
-}
-
-impl LatencyProfile {
-    /// Records one access observed at `latency` cycles (saturating).
-    pub fn record(&mut self, latency: u32) {
-        match self.counts.binary_search_by_key(&latency, |&(l, _)| l) {
-            Ok(i) => self.counts[i].1 = self.counts[i].1.saturating_add(1),
-            Err(i) => self.counts.insert(i, (latency, 1)),
-        }
-    }
-
-    /// Total accesses recorded (saturating sum).
-    pub fn total(&self) -> u64 {
-        self.counts
-            .iter()
-            .fold(0u64, |a, &(_, c)| a.saturating_add(c))
-    }
-
-    /// Whether no access was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
-    /// The expectation of the distribution, or `None` when empty.
-    pub fn expected(&self) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let sum: f64 = self.counts.iter().map(|&(l, c)| l as f64 * c as f64).sum();
-        Some(sum / total as f64)
-    }
-}
-
 /// Profile information for a single memory operation, gathered on the
 /// *profile* input data set (Table 1 of the paper).
 #[derive(Debug, Clone, PartialEq)]
@@ -122,10 +75,6 @@ pub struct MemProfile {
     /// Dynamic access counts per cluster (the "preferred cluster"
     /// histogram). Its length is the number of clusters profiled for.
     pub cluster_hist: Vec<u64>,
-    /// Measured latency distribution, when the profile came from a timed
-    /// (measured) profiling run; `None` for synthetic / functional
-    /// profiles. Read by the profile-fidelity divergence report.
-    pub latency: Option<LatencyProfile>,
 }
 
 impl MemProfile {
@@ -138,7 +87,6 @@ impl MemProfile {
         MemProfile {
             hit_rate,
             cluster_hist,
-            latency: None,
         }
     }
 
@@ -160,7 +108,6 @@ impl MemProfile {
         MemProfile {
             hit_rate,
             cluster_hist,
-            latency: None,
         }
     }
 
@@ -303,7 +250,6 @@ mod tests {
         let p = MemProfile {
             hit_rate: 1.0,
             cluster_hist: vec![25, 25, 25, 25],
-            latency: None,
         };
         assert!((p.concentration() - 0.25).abs() < 1e-9);
         // tie resolves to the lowest cluster
@@ -315,41 +261,9 @@ mod tests {
         let p = MemProfile {
             hit_rate: 0.0,
             cluster_hist: vec![0, 0],
-            latency: None,
         };
         assert_eq!(p.preferred_cluster(), None);
         assert_eq!(p.concentration(), 0.0);
-    }
-
-    #[test]
-    fn latency_profile_statistics() {
-        let mut lp = LatencyProfile::default();
-        assert!(lp.is_empty());
-        assert_eq!(lp.expected(), None);
-        for _ in 0..3 {
-            lp.record(1);
-        }
-        lp.record(15);
-        // entries stay sorted regardless of record order
-        lp.record(5);
-        assert_eq!(lp.counts, vec![(1, 3), (5, 1), (15, 1)]);
-        assert_eq!(lp.total(), 5);
-        assert!((lp.expected().unwrap() - 23.0 / 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_profile_saturates() {
-        let mut lp = LatencyProfile {
-            counts: vec![(4, u64::MAX)],
-        };
-        lp.record(4);
-        assert_eq!(lp.counts, vec![(4, u64::MAX)], "count saturates");
-        assert_eq!(lp.total(), u64::MAX);
-        // a second entry at another latency is kept in order, and the
-        // total still saturates
-        lp.record(9);
-        assert_eq!(lp.counts, vec![(4, u64::MAX), (9, 1)]);
-        assert_eq!(lp.total(), u64::MAX);
     }
 
     #[test]

@@ -59,7 +59,6 @@ mod functional;
 mod interleaved;
 mod lru;
 mod mshr;
-mod observe;
 mod pool;
 mod stats;
 mod unified;
@@ -67,7 +66,6 @@ mod unified;
 pub use coherent::CoherentCache;
 pub use functional::FunctionalCache;
 pub use interleaved::InterleavedCache;
-pub use observe::{AccessObserver, ObservedCache};
 pub use pool::ResourcePool;
 pub use stats::{MemStats, MshrStats};
 pub use unified::UnifiedCache;
@@ -90,18 +88,9 @@ pub struct AccessRequest {
     pub attractable: bool,
     /// Issue cycle. Must be non-decreasing across calls.
     pub now: u64,
-    /// Caller-chosen attribution tag, reported unchanged to any
-    /// [`AccessObserver`] watching the cache. The simulator tags requests
-    /// with the dense operation index so the profiling subsystem can build
-    /// per-operation measurements; [`AccessRequest::UNTAGGED`] otherwise.
-    /// Ignored by every timing model.
-    pub tag: u32,
 }
 
 impl AccessRequest {
-    /// The tag of requests with no attribution.
-    pub const UNTAGGED: u32 = u32::MAX;
-
     /// A load request with the attraction hint enabled.
     pub fn load(cluster: usize, addr: u64, size: u8, now: u64) -> Self {
         AccessRequest {
@@ -111,7 +100,6 @@ impl AccessRequest {
             is_store: false,
             attractable: true,
             now,
-            tag: Self::UNTAGGED,
         }
     }
 
@@ -124,7 +112,6 @@ impl AccessRequest {
             is_store: true,
             attractable: true,
             now,
-            tag: Self::UNTAGGED,
         }
     }
 }
@@ -164,24 +151,6 @@ pub trait DataCache {
 
     /// Clears statistics (e.g. after cache warm-up).
     fn reset_stats(&mut self);
-}
-
-impl<T: DataCache + ?Sized> DataCache for Box<T> {
-    fn access(&mut self, req: AccessRequest) -> AccessOutcome {
-        (**self).access(req)
-    }
-
-    fn flush_loop_boundary(&mut self) {
-        (**self).flush_loop_boundary()
-    }
-
-    fn stats(&self) -> &MemStats {
-        (**self).stats()
-    }
-
-    fn reset_stats(&mut self) {
-        (**self).reset_stats()
-    }
 }
 
 /// Builds the cache model matching `machine.arch`.

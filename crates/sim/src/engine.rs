@@ -294,8 +294,6 @@ pub fn simulate_loop_traced(
                     is_store: o.is_store(),
                     attractable: hints.is_attractable(OpId::new(op)),
                     now: 0,
-                    // per-op attribution for observers (profiling mode)
-                    tag: op as u32,
                 }),
                 latency: s.assumed_latency as u64,
             }

@@ -56,7 +56,6 @@ pub fn profile_kernel(
         mem.profile = Some(MemProfile {
             hit_rate: hits[op.index()] as f64 / iters as f64,
             cluster_hist: hist[op.index()].clone(),
-            latency: None,
         });
     }
 }

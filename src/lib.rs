@@ -9,9 +9,6 @@
 //! * [`mem`] — memory-hierarchy timing models.
 //! * [`sim`] — the cycle-level execution engine.
 //! * [`workloads`] — the Mediabench-equivalent synthetic suite + profiling.
-//! * [`profile`] — measured profiles: per-load latency histograms and
-//!   class mixes collected from the timing simulator, persisted in a
-//!   deterministic store, feeding the feedback-directed scheduler.
 //! * [`experiments`] — drivers regenerating every table and figure.
 //! * [`trace`] — zero-overhead-when-off tracing & metrics (spans on a
 //!   logical clock, Chrome-trace export).
@@ -24,7 +21,6 @@ pub use vliw_experiments as experiments;
 pub use vliw_ir as ir;
 pub use vliw_machine as machine;
 pub use vliw_mem as mem;
-pub use vliw_profile as profile;
 pub use vliw_sched as sched;
 pub use vliw_sim as sim;
 pub use vliw_trace as trace;

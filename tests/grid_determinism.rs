@@ -110,7 +110,7 @@ fn backend_sharded_queue_stays_bit_identical() {
     ctx.benchmarks = vec!["gsmdec".into()];
     let mut grid = RunGrid::new("sharded");
     for backend in SchedBackend::ALL {
-        for source in [ProfileSource::Synthetic, ProfileSource::Measured] {
+        for source in [ProfileSource::None, ProfileSource::Synthetic] {
             let cfg = RunConfig {
                 backend,
                 source,
